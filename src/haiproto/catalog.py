@@ -19,20 +19,28 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterable, Sequence
 
-from .check import CheckReport, check_action, check_message, check_pattern
+from .check import (
+    CheckReport,
+    Step,
+    check_action,
+    check_message,
+    check_pattern,
+    resolve,
+)
 from .core import (
     PREDECLARED_ROLES,
+    TAGS,
     ActionDef,
+    Diagnostic,
     Message,
     Pattern,
-    PrimitiveKind,
 )
 from .dsl import (
     ActionDecl,
-    Diagnostic,
     MessageDecl,
     PatternDecl,
     RoleDecl,
+    decl_name,
     parse,
     print_type,
 )
@@ -63,13 +71,21 @@ class Catalog:
     sources: tuple[str, ...] = ()
 
     def resolve_flow(self, name: str) -> Pattern:
-        """Return the pattern called ``name``, composing it if a scenario."""
+        """Return the pattern called ``name``, or a scenario's patterns
+        joined into one pattern of that name.  Nothing is checked."""
         if name in self.patterns:
             return self.patterns[name]
         if name in self.scenarios:
-            flow, _ = compose(self, self.scenarios[name])
-            return Pattern(name, flow.messages, flow.tags)
+            return _join(self, self.scenarios[name], name)
         raise KeyError(f"no pattern or scenario named {name!r}")
+
+    def steps(self, flow: Pattern) -> tuple[Step, ...]:
+        """The resolved steps of ``flow``; ``ValueError`` if a message does
+        not resolve."""
+        steps, problems = resolve(flow, self.messages, self.actions)
+        if problems:
+            raise ValueError("; ".join(d.message for d in problems))
+        return steps
 
 
 def _collect_paths(paths: Sequence[str | Path]) -> tuple[list[Path], list[Path]]:
@@ -121,12 +137,7 @@ def load_with_diagnostics(
             if isinstance(decl, RoleDecl):
                 roles.add(decl.name)
                 continue
-            if isinstance(decl, ActionDecl):
-                name = decl.action.name
-            elif isinstance(decl, MessageDecl):
-                name = decl.message.name
-            else:
-                name = decl.pattern.name
+            name = decl_name(decl)
             if name in names:
                 err(
                     "E-DUP-NAME",
@@ -291,8 +302,6 @@ def query(catalog: Catalog, tags: Iterable[str] = ()) -> list[Pattern]:
     ``ValueError`` rather than silently matching nothing.
     """
     wanted = frozenset(tags)
-    from .core import TAGS
-
     unknown = sorted(wanted - TAGS)
     if unknown:
         raise ValueError(f"unknown tag(s): {', '.join(unknown)}")
@@ -323,11 +332,10 @@ class PatternDiff:
 
 
 def _diff_sequence(catalog: Catalog, pattern: Pattern) -> list[DiffItem]:
-    items: list[DiffItem] = []
-    for name in pattern.messages:
-        message = catalog.messages[name]
-        items.append((f"{message.sender}>{message.receiver}", message.action))
-    return items
+    return [
+        (f"{step.message.sender}>{step.message.receiver}", step.action.name)
+        for step in catalog.steps(pattern)
+    ]
 
 
 def _lcs_diff(a: list[DiffItem], b: list[DiffItem]) -> tuple[
@@ -387,19 +395,7 @@ def compose(
     Returns the composed (anonymous) pattern together with the scenario-scope
     check report; composing an empty list raises ``ValueError``.
     """
-    if not names:
-        raise ValueError("cannot compose an empty list of patterns")
-    parts: list[Pattern] = []
-    for name in names:
-        pattern = catalog.patterns.get(name)
-        if pattern is None:
-            raise ValueError(f"no pattern named {name!r}")
-        parts.append(pattern)
-    combined = Pattern(
-        name="+".join(names),
-        messages=tuple(m for p in parts for m in p.messages),
-        tags=frozenset().union(*(p.tags for p in parts)),
-    )
+    combined = _join(catalog, names, "+".join(names))
     report = check_pattern(
         combined,
         catalog.messages,
@@ -408,6 +404,21 @@ def compose(
         path="<scenario>",
     )
     return combined, report
+
+
+def _join(catalog: Catalog, names: Sequence[str], name: str) -> Pattern:
+    """The named patterns' messages in order, with the union of their tags."""
+    if not names:
+        raise ValueError("cannot compose an empty list of patterns")
+    for part in names:
+        if part not in catalog.patterns:
+            raise ValueError(f"no pattern named {part!r}")
+    parts = [catalog.patterns[part] for part in names]
+    return Pattern(
+        name=name,
+        messages=tuple(m for p in parts for m in p.messages),
+        tags=frozenset().union(*(p.tags for p in parts)),
+    )
 
 
 # ---------------------------------------------------------------------------

@@ -1,15 +1,29 @@
 """Semantic checks for actions, messages, and patterns.
 
-Three layers of checking, all reporting :class:`~haiproto.dsl.Diagnostic`
-values instead of raising:
+All checks report :class:`~haiproto.core.Diagnostic` values instead of
+raising.  Each rule has one owner, the function every layer enforcing it
+calls; the parser's calls make the first three codes come out at parse time:
 
-* :func:`check_action` — operations use declared variables with legal arity
-  and type shapes.
-* :func:`check_message` — a message instantiates a known action with the right
-  argument count, distinct modifier keys, and distinct endpoints.
-* :func:`check_pattern` — the messages of a pattern agree on the types of
-  shared variables (binding consistency) and every request is eventually
-  answered (dialogue coherence).
+* :func:`variable_rule` — ``E-DUP-VAR``, ``E-PARAMS`` (parser, check_action,
+  :func:`~haiproto.core.action_scope`);
+* :func:`arity_rule` — ``E-ARITY`` (parser, check_action);
+* :func:`pattern_rule` — ``E-EMPTY-PATTERN``, ``E-TAG`` (parser, check_pattern);
+* :func:`instantiation_rule` — ``E-UNKNOWN-ACTION``, ``E-ARG-COUNT``
+  (check_message, resolve_step).
+
+The resolver, :func:`resolve_step`, turns a message into a :class:`Step`:
+its action, typed slots and carried arguments, named by the message's own
+variables.  The checker, simulator and replay pair message arguments with
+action parameters nowhere else.  :func:`check_flow` resolves a pattern once
+and checks it; the simulator, replay, diagrams and diffs read its steps.
+
+* :func:`check_action` — the variable and arity rules, plus operations over
+  declared variables with legal type shapes.
+* :func:`check_message` — the instantiation rule, distinct modifier keys and
+  distinct endpoints.
+* :func:`check_pattern` — the pattern rule, every message resolves, shared
+  variables keep compatible types (binding consistency), and every request
+  is eventually answered (dialogue coherence).
 
 Dialogue coherence: a request by ``s`` to ``r`` opens an *obligation* for a
 value of the request's head type.  A later message from ``r`` to ``s``
@@ -26,25 +40,25 @@ exemption: composed flows must close every request.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Mapping
+from typing import Mapping, NamedTuple
 
 from .core import (
     OP_ARITY,
     TAGS,
     ActionDef,
     Binding,
+    Diagnostic,
     GroupType,
     ListType,
     Message,
+    Operation,
     OpKind,
     Pattern,
     PrimitiveKind,
+    Span,
     TypeExpr,
-    action_scope,
-    intersect,
     type_compatible,
 )
-from .dsl import Diagnostic
 
 
 @dataclass(frozen=True)
@@ -71,12 +85,155 @@ class CheckReport:
         return "pass"
 
 
-def _err(code: str, message: str, path: str) -> Diagnostic:
-    return Diagnostic("error", code, message, path)
+def _err(code: str, message: str, path: str, span: Span | None = None) -> Diagnostic:
+    return Diagnostic("error", code, message, path, span)
 
 
-def _warn(code: str, message: str, path: str) -> Diagnostic:
-    return Diagnostic("warning", code, message, path)
+def variable_rule(
+    action: ActionDef, path: str = "<action>", span: Span | None = None
+) -> list[Diagnostic]:
+    """``E-DUP-VAR`` for each repeated variable and the first repeated
+    parameter; otherwise ``E-PARAMS`` if the parameters are not the
+    declared variables."""
+    diags: list[Diagnostic] = []
+    declared: set[str] = set()
+    for arg in action.primitive.args():
+        for var, _ in arg.variables():
+            if var in declared:
+                diags.append(
+                    _err(
+                        "E-DUP-VAR",
+                        f"duplicate variable {var!r} in {action.name!r}",
+                        path,
+                        span,
+                    )
+                )
+            declared.add(var)
+    params = action.params
+    if len(set(params)) != len(params):
+        repeat = next(p for i, p in enumerate(params) if p in params[:i])
+        diags.append(
+            _err(
+                "E-DUP-VAR",
+                f"duplicate parameter {repeat!r} in {action.name!r}",
+                path,
+                span,
+            )
+        )
+    elif set(params) != declared:
+        diags.append(
+            _err(
+                "E-PARAMS",
+                f"parameters of {action.name!r} do not match declared variables",
+                path,
+                span,
+            )
+        )
+    return diags
+
+
+def arity_rule(
+    op: Operation, action: ActionDef, path: str = "<action>", span: Span | None = None
+) -> Diagnostic | None:
+    """``E-ARITY``: ``op`` takes as many arguments as its kind allows."""
+    lo, hi = OP_ARITY[op.kind]
+    if lo <= len(op.args) <= hi:
+        return None
+    return _err(
+        "E-ARITY",
+        f"{op.kind.value} in {action.name!r} takes "
+        f"{lo if lo == hi else f'{lo} to {hi}'} arguments, got {len(op.args)}",
+        path,
+        span,
+    )
+
+
+def pattern_rule(
+    pattern: Pattern, path: str = "<pattern>", span: Span | None = None
+) -> list[Diagnostic]:
+    """``E-EMPTY-PATTERN``, or else ``E-TAG`` for each unknown tag."""
+    if not pattern.messages:
+        return [
+            _err(
+                "E-EMPTY-PATTERN",
+                f"pattern {pattern.name!r} has no messages",
+                path,
+                span,
+            )
+        ]
+    return [
+        _err(
+            "E-TAG",
+            f"pattern {pattern.name!r} carries unknown tag {tag!r}",
+            path,
+            span,
+        )
+        for tag in sorted(pattern.tags - TAGS)
+    ]
+
+
+class Step(NamedTuple):  # a tuple: built once per message of every checked flow
+    """A message resolved against its action.
+
+    ``slots`` pairs each message argument with its declared type, in
+    parameter order.  ``carried`` holds the arguments the message puts on the
+    table — every argument of a provide, a request's references only — each
+    as its message variables (several for a group) and its type."""
+
+    message: Message
+    action: ActionDef
+    slots: tuple[tuple[str, TypeExpr], ...]
+    carried: tuple[tuple[tuple[str, ...], TypeExpr], ...]
+
+
+def instantiation_rule(
+    message: Message, actions: Mapping[str, ActionDef], path: str = "<message>"
+) -> tuple[ActionDef | None, list[Diagnostic]]:
+    """``E-UNKNOWN-ACTION``, or else ``E-ARG-COUNT`` if the action does not
+    take one argument per message argument.  Returns the action, if known."""
+    action = actions.get(message.action)
+    if action is None:
+        return None, [
+            _err(
+                "E-UNKNOWN-ACTION",
+                f"message {message.name!r} uses unknown action {message.action!r}",
+                path,
+            )
+        ]
+    if len(message.args) != len(action.params):
+        return action, [
+            _err(
+                "E-ARG-COUNT",
+                f"message {message.name!r} passes {len(message.args)} arguments "
+                f"to {action.name!r}, which takes {len(action.params)}",
+                path,
+            )
+        ]
+    return action, []
+
+
+def resolve_step(
+    message: Message, actions: Mapping[str, ActionDef], path: str = "<message>"
+) -> tuple[Step | None, list[Diagnostic]]:
+    """Resolve ``message``, or report why it does not resolve.
+
+    The action is not checked again: it must satisfy :func:`variable_rule`,
+    as every action the parser accepts does.
+    """
+    action, diags = instantiation_rule(message, actions, path)
+    if action is None or diags:
+        return None, diags
+    names = dict(zip(action.params, message.args))
+    prim = action.primitive
+    declared: dict[str, TypeExpr] = {}
+    carried = []
+    for index, arg in enumerate(prim.args()):
+        variables = arg.variables()
+        declared.update(variables)
+        if index or prim.kind is PrimitiveKind.PROVIDE:  # a request's head is asked for
+            carried.append((tuple([names[var] for var, _ in variables]), arg.type))
+    slots = tuple([(names[param], declared[param]) for param in action.params])
+    return Step(message, action, slots, tuple(carried)), []
 
 
 # ---------------------------------------------------------------------------
@@ -86,43 +243,16 @@ def _warn(code: str, message: str, path: str) -> Diagnostic:
 
 def check_action(action: ActionDef, path: str = "<action>") -> CheckReport:
     """Validate an action's variables and operations."""
-    diags: list[Diagnostic] = []
-    pairs: list[tuple[str, TypeExpr]] = []
-    for arg in action.primitive.args():
-        pairs.extend(arg.variables())
+    diags = variable_rule(action, path)
     scope: dict[str, TypeExpr] = {}
-    for var, typ in pairs:
-        if var in scope:
-            diags.append(
-                _err("E-DUP-VAR", f"duplicate variable {var!r} in {action.name!r}", path)
-            )
-        else:
-            scope[var] = typ
-    if len(set(action.params)) != len(action.params):
-        diags.append(
-            _err("E-DUP-VAR", f"duplicate parameter in {action.name!r}", path)
-        )
-    elif set(action.params) != set(scope):
-        diags.append(
-            _err(
-                "E-PARAMS",
-                f"parameters of {action.name!r} do not match declared variables",
-                path,
-            )
-        )
+    for arg in action.primitive.args():
+        for var, typ in arg.variables():
+            scope.setdefault(var, typ)
 
     for op in action.operations:
-        lo, hi = OP_ARITY[op.kind]
-        if not lo <= len(op.args) <= hi:
-            diags.append(
-                _err(
-                    "E-ARITY",
-                    f"{op.kind.value} in {action.name!r} takes "
-                    f"{lo if lo == hi else f'{lo} to {hi}'} arguments, "
-                    f"got {len(op.args)}",
-                    path,
-                )
-            )
+        arity = arity_rule(op, action, path)
+        if arity is not None:
+            diags.append(arity)
             continue
         unknown = [v for v in op.args if v not in scope]
         if unknown:
@@ -181,17 +311,11 @@ def check_message(
     path: str = "<message>",
 ) -> CheckReport:
     """Validate a message against the actions it may instantiate."""
-    diags: list[Diagnostic] = []
-    action = actions.get(message.action)
+    target = f"message {message.name}"
+    action, found = instantiation_rule(message, actions, path)
     if action is None:
-        diags.append(
-            _err(
-                "E-UNKNOWN-ACTION",
-                f"message {message.name!r} uses unknown action {message.action!r}",
-                path,
-            )
-        )
-        return CheckReport(f"message {message.name}", tuple(diags))
+        return CheckReport(target, tuple(found))
+    diags: list[Diagnostic] = []
     if message.sender == message.receiver:
         diags.append(
             _err(
@@ -201,15 +325,7 @@ def check_message(
                 path,
             )
         )
-    if len(message.args) != len(action.params):
-        diags.append(
-            _err(
-                "E-ARG-COUNT",
-                f"message {message.name!r} passes {len(message.args)} arguments "
-                f"to {action.name!r}, which takes {len(action.params)}",
-                path,
-            )
-        )
+    diags.extend(found)
     seen_keys: set[str] = set()
     for mod in message.modifiers:
         if mod.key in seen_keys:
@@ -230,7 +346,7 @@ def check_message(
                     path,
                 )
             )
-    return CheckReport(f"message {message.name}", tuple(diags))
+    return CheckReport(target, tuple(diags))
 
 
 # ---------------------------------------------------------------------------
@@ -238,35 +354,52 @@ def check_message(
 # ---------------------------------------------------------------------------
 
 
-def message_slots(
-    message: Message, action: ActionDef
-) -> tuple[tuple[str, TypeExpr], ...]:
-    """Pair each message argument with its declared type, in parameter order.
+@dataclass(frozen=True)
+class Flow:
+    """A pattern resolved once; ``steps`` is complete if ``report`` has no
+    errors."""
 
-    Requires the message to have the right argument count (checked by
-    :func:`check_message`).
-    """
-    scope = dict(action_scope(action))
-    return tuple(
-        (msg_var, scope[param])
-        for param, msg_var in zip(action.params, message.args)
-    )
+    pattern: Pattern
+    steps: tuple[Step, ...]
+    report: CheckReport
 
 
-def _carried_types(action: ActionDef) -> tuple[TypeExpr, ...]:
-    """Types a message of this action puts on the table.
+def resolve(
+    pattern: Pattern,
+    messages: Mapping[str, Message],
+    actions: Mapping[str, ActionDef],
+    path: str = "<pattern>",
+) -> tuple[tuple[Step, ...], list[Diagnostic]]:
+    """Resolve every message of ``pattern``; those that fail are reported
+    and left out of the steps."""
+    steps: list[Step] = []
+    diags: list[Diagnostic] = []
+    for name in pattern.messages:
+        message = messages.get(name)
+        if message is None:
+            diags.append(
+                _err(
+                    "E-UNRESOLVED",
+                    f"pattern {pattern.name!r} references unknown message {name!r}",
+                    path,
+                )
+            )
+            continue
+        step, found = resolve_step(message, actions, path)
+        diags.extend(found)
+        if step is not None:
+            steps.append(step)
+    return tuple(steps), diags
 
-    A provide carries its head and references; a request carries only its
-    references.  Group arguments contribute both the group type and each
-    member type.
-    """
-    prim = action.primitive
-    args = prim.args() if prim.kind is PrimitiveKind.PROVIDE else prim.refs
+
+def _carried_types(step: Step) -> tuple[TypeExpr, ...]:
+    """Types the step puts on the table; a group contributes both the group
+    type and each member type."""
     carried: list[TypeExpr] = []
-    for arg in args:
-        carried.append(arg.type)
-        if isinstance(arg.type, GroupType):
-            carried.extend(typ for _, typ in arg.type.members)
+    for _, typ in step.carried:
+        carried.append(typ)
+        if isinstance(typ, GroupType):
+            carried.extend(member for _, member in typ.members)
     return tuple(carried)
 
 
@@ -290,93 +423,44 @@ class _Obligation:
     exempt: bool
 
 
-def check_pattern(
+def check_flow(
     pattern: Pattern,
     messages: Mapping[str, Message],
     actions: Mapping[str, ActionDef],
     scope: str = "pattern",
     path: str = "<pattern>",
-) -> CheckReport:
-    """Validate a pattern's structure, bindings, and dialogue coherence.
-
-    ``scope`` is ``"pattern"`` (open requests may be excused as productive
-    counter-requests and otherwise warn) or ``"scenario"`` (every open request
-    is an error).
-    """
+) -> Flow:
+    """Resolve ``pattern`` and check it; see :func:`check_pattern`."""
     if scope not in ("pattern", "scenario"):
         raise ValueError(f"unknown scope {scope!r}")
-    diags: list[Diagnostic] = []
-    if not pattern.messages:
-        diags.append(
-            _err("E-EMPTY-PATTERN", f"pattern {pattern.name!r} has no messages", path)
-        )
-        return CheckReport(f"pattern {pattern.name}", tuple(diags))
-    for tag in sorted(pattern.tags):
-        if tag not in TAGS:
-            diags.append(
-                _err(
-                    "E-TAG",
-                    f"pattern {pattern.name!r} carries unknown tag {tag!r}",
-                    path,
-                )
-            )
-
-    resolved: list[tuple[Message, ActionDef]] = []
-    for name in pattern.messages:
-        message = messages.get(name)
-        if message is None:
-            diags.append(
-                _err(
-                    "E-UNRESOLVED",
-                    f"pattern {pattern.name!r} references unknown message {name!r}",
-                    path,
-                )
-            )
-            continue
-        action = actions.get(message.action)
-        if action is None:
-            diags.append(
-                _err(
-                    "E-UNKNOWN-ACTION",
-                    f"message {name!r} uses unknown action {message.action!r}",
-                    path,
-                )
-            )
-            continue
-        if len(message.args) != len(action.params):
-            diags.append(
-                _err(
-                    "E-ARG-COUNT",
-                    f"message {name!r} passes {len(message.args)} arguments to "
-                    f"{action.name!r}, which takes {len(action.params)}",
-                    path,
-                )
-            )
-            continue
-        resolved.append((message, action))
-    if len(resolved) != len(pattern.messages):
-        return CheckReport(f"pattern {pattern.name}", tuple(diags))
+    target = f"pattern {pattern.name}"
+    diags = pattern_rule(pattern, path)
+    steps, unresolved = resolve(pattern, messages, actions, path)
+    diags.extend(unresolved)
+    if unresolved:
+        return Flow(pattern, steps, CheckReport(target, tuple(diags)))
 
     # Binding consistency: a variable shared between messages must keep a
     # compatible type everywhere it appears; each use narrows it.
     binding = Binding()
-    for message, action in resolved:
-        for var, declared in message_slots(message, action):
+    for step in steps:
+        for var, declared in step.slots:
             before = binding.types.get(var)
             if binding.narrow(var, declared) is None:
                 diags.append(
                     _err(
                         "E-BINDING",
                         f"variable {var!r} is {before} but message "
-                        f"{message.name!r} uses it as {declared}",
+                        f"{step.message.name!r} uses it as {declared}",
                         path,
                     )
                 )
 
     # Dialogue coherence.
     open_obligations: list[_Obligation] = []
-    for message, action in resolved:
-        carried = _carried_types(action)
+    for step in steps:
+        message, action = step.message, step.action
+        carried = _carried_types(step)
         discharged_any = False
         remaining: list[_Obligation] = []
         for ob in open_obligations:
@@ -410,5 +494,21 @@ def check_pattern(
         if scope == "scenario":
             diags.append(_err("E-UNANSWERED", detail, path))
         else:
-            diags.append(_warn("W-UNANSWERED", detail, path))
-    return CheckReport(f"pattern {pattern.name}", tuple(diags))
+            diags.append(Diagnostic("warning", "W-UNANSWERED", detail, path))
+    return Flow(pattern, steps, CheckReport(target, tuple(diags)))
+
+
+def check_pattern(
+    pattern: Pattern,
+    messages: Mapping[str, Message],
+    actions: Mapping[str, ActionDef],
+    scope: str = "pattern",
+    path: str = "<pattern>",
+) -> CheckReport:
+    """Validate a pattern's structure, bindings, and dialogue coherence.
+
+    ``scope`` is ``"pattern"`` (open requests may be excused as productive
+    counter-requests and otherwise warn) or ``"scenario"`` (every open request
+    is an error).
+    """
+    return check_flow(pattern, messages, actions, scope, path).report

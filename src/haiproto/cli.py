@@ -176,15 +176,16 @@ def catalog_diff(ctx: click.Context, name_a: str, name_b: str) -> None:
         result = cataloglib.diff(catalog, name_a, name_b)
     except KeyError as exc:
         raise click.UsageError(str(exc.args[0])) from exc
-    click.echo("shared:")
-    for direction, action in result.shared:
-        click.echo(f"  {direction} {action}")
-    click.echo(f"only in {result.a}:")
-    for direction, action in result.only_in_a:
-        click.echo(f"  {direction} {action}")
-    click.echo(f"only in {result.b}:")
-    for direction, action in result.only_in_b:
-        click.echo(f"  {direction} {action}")
+    except ValueError as exc:
+        raise click.ClickException(str(exc)) from exc
+    for title, items in (
+        ("shared", result.shared),
+        (f"only in {result.a}", result.only_in_a),
+        (f"only in {result.b}", result.only_in_b),
+    ):
+        click.echo(f"{title}:")
+        for direction, action in items:
+            click.echo(f"  {direction} {action}")
 
 
 @catalog_group.command(name="export")
@@ -281,13 +282,12 @@ def mermaid_diagram(catalog: cataloglib.Catalog, flow: Pattern) -> str:
 
     Participants appear in order of first appearance; requests use ``->>``,
     provides ``-->>``, and each arrow is labeled with the action and the type
-    of its head.
+    of its head.  Raises ``ValueError`` if a message does not resolve.
     """
     participants: list[str] = []
     arrows: list[str] = []
-    for name in flow.messages:
-        message = catalog.messages[name]
-        action = catalog.actions[message.action]
+    for step in catalog.steps(flow):
+        message, action = step.message, step.action
         for role in (message.sender, message.receiver):
             if role not in participants:
                 participants.append(role)
@@ -319,10 +319,12 @@ def diagram(ctx: click.Context, name: str, format_name: str) -> None:
         raise click.UsageError(f"unknown diagram format {format_name!r}")
     catalog = _load_corpus(ctx)
     try:
-        flow = catalog.resolve_flow(name)
+        text = mermaid_diagram(catalog, catalog.resolve_flow(name))
     except KeyError as exc:
         raise click.UsageError(str(exc.args[0])) from exc
-    click.echo(mermaid_diagram(catalog, flow), nl=False)
+    except ValueError as exc:
+        raise click.ClickException(str(exc)) from exc
+    click.echo(text, nl=False)
 
 
 if __name__ == "__main__":

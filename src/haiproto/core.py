@@ -9,7 +9,9 @@ equal value, and nothing here performs I/O.
 
 Validation philosophy: constructors enforce only basic shape (so that
 deliberately malformed definitions can be constructed and then *rejected* by
-the checker); semantic rules live in :mod:`haiproto.check`.
+the checker); semantic rules live in :mod:`haiproto.check`.  The
+:class:`Diagnostic` values those rules report are defined here, so the parser
+and the checker share them without importing each other.
 """
 
 from __future__ import annotations
@@ -25,6 +27,31 @@ class Role(str, enum.Enum):
     INPUT = "input"
     OUTPUT = "output"
     FEEDBACK = "feedback"
+
+
+@dataclass(frozen=True)
+class Span:
+    """A source location: 1-based line and column, plus length in chars."""
+
+    line: int
+    col: int
+    length: int = 1
+
+
+@dataclass(frozen=True)
+class Diagnostic:
+    """A single checker or parser finding."""
+
+    severity: str  # "error" | "warning"
+    code: str
+    message: str
+    path: str = "<input>"
+    span: Span | None = field(default=None, compare=False)
+
+    def format(self) -> str:
+        line = self.span.line if self.span else 0
+        col = self.span.col if self.span else 0
+        return f"{self.path}:{line}:{col}: {self.severity}[{self.code}]: {self.message}"
 
 
 #: Paradigm tags a pattern may carry (closed vocabulary).
@@ -214,25 +241,16 @@ def action_scope(action: ActionDef) -> tuple[tuple[str, TypeExpr], ...]:
     """The typed variables an action declares, in declaration order.
 
     The head's variables come first, then each ref's, with group members
-    flattened in place.  Raises ``ValueError`` on duplicate variables or when
-    ``params`` does not match the declared set.
+    flattened in place.  Raises ``ValueError`` with the first finding of
+    :func:`haiproto.check.variable_rule` (duplicate variables or parameters,
+    or ``params`` not matching the declared set).
     """
-    pairs: list[tuple[str, TypeExpr]] = []
-    for arg in action.primitive.args():
-        pairs.extend(arg.variables())
-    seen: set[str] = set()
-    for var, _ in pairs:
-        if var in seen:
-            raise ValueError(f"duplicate variable {var!r} in action {action.name!r}")
-        seen.add(var)
-    if len(set(action.params)) != len(action.params):
-        raise ValueError(f"duplicate parameter in action {action.name!r}")
-    if set(action.params) != seen:
-        raise ValueError(
-            f"params {action.params!r} do not match declared variables in "
-            f"action {action.name!r}"
-        )
-    return tuple(pairs)
+    from .check import variable_rule  # check builds on this module
+
+    problems = variable_rule(action)
+    if problems:
+        raise ValueError(problems[0].message)
+    return tuple(pair for arg in action.primitive.args() for pair in arg.variables())
 
 
 @dataclass(frozen=True)
@@ -304,6 +322,3 @@ class Binding:
             return None
         self.types[var] = common
         return common
-
-    def snapshot(self) -> dict[str, TypeExpr]:
-        return dict(self.types)

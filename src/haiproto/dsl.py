@@ -14,21 +14,23 @@ after the closing ``;`` attaches to that declaration, and comments after the
 last declaration attach to the file.
 
 :func:`parse` never raises on bad input; it reports diagnostics and recovers
-at the next ``;``.  :func:`print_source` emits the canonical form, and
+at the next ``;``.  Besides syntax, it applies the checker's declaration
+rules (:mod:`haiproto.check`) to each declaration it builds.
+:func:`print_source` emits the canonical form, and
 ``parse(print_source(parse(text)))`` reproduces the same declarations.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterator, Union
+from typing import Callable, TypeVar, Union
 
+from .check import arity_rule, pattern_rule, variable_rule
 from .core import (
-    OP_ARITY,
-    TAGS,
     ActionDef,
     Arg,
     BaseType,
+    Diagnostic,
     GroupType,
     ListType,
     Message,
@@ -39,38 +41,9 @@ from .core import (
     PrimitiveKind,
     PrimitiveSpec,
     Role,
+    Span,
     TypeExpr,
 )
-
-# ---------------------------------------------------------------------------
-# Diagnostics
-# ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class Span:
-    """A source location: 1-based line and column, plus length in chars."""
-
-    line: int
-    col: int
-    length: int = 1
-
-
-@dataclass(frozen=True)
-class Diagnostic:
-    """A single checker or parser finding."""
-
-    severity: str  # "error" | "warning"
-    code: str
-    message: str
-    path: str = "<input>"
-    span: Span | None = field(default=None, compare=False)
-
-    def format(self) -> str:
-        line = self.span.line if self.span else 0
-        col = self.span.col if self.span else 0
-        return f"{self.path}:{line}:{col}: {self.severity}[{self.code}]: {self.message}"
-
 
 # ---------------------------------------------------------------------------
 # Lexer
@@ -84,15 +57,18 @@ _PUNCT = {
     ",": "COMMA",
     ";": "SEMI",
     ".": "DOT",
+    ":": "COLON",
     "|": "PIPE",
     "@": "AT",
     "=": "EQ",
 }
 
+_PAIRS = {":=": "ASSIGN", "->": "ARROW", "<-": "LARROW"}
+
 
 @dataclass(frozen=True)
 class Token:
-    kind: str  # ID, STRING, ASSIGN, ARROW, LARROW, COLON, EOF, or a _PUNCT name
+    kind: str  # ID, STRING, EOF, or a _PAIRS or _PUNCT name
     value: str
     span: Span
 
@@ -102,14 +78,6 @@ class LexError(Exception):
         super().__init__(message)
         self.message = message
         self.span = span
-
-
-def _is_ident_start(ch: str) -> bool:
-    return ch.isalpha()
-
-
-def _is_ident_part(ch: str) -> bool:
-    return ch.isalnum() or ch == "_"
 
 
 def tokenize(text: str) -> tuple[list[Token], list[tuple[Span, str]]]:
@@ -142,23 +110,9 @@ def tokenize(text: str) -> tuple[list[Token], list[tuple[Span, str]]]:
             comments.append((Span(line, col, i - start), body))
             col += i - start
             continue
-        if ch == ":" and text[i : i + 2] == ":=":
-            tokens.append(Token("ASSIGN", ":=", Span(line, col, 2)))
-            i += 2
-            col += 2
-            continue
-        if ch == ":":
-            tokens.append(Token("COLON", ":", Span(line, col, 1)))
-            i += 1
-            col += 1
-            continue
-        if ch == "-" and text[i : i + 2] == "->":
-            tokens.append(Token("ARROW", "->", Span(line, col, 2)))
-            i += 2
-            col += 2
-            continue
-        if ch == "<" and text[i : i + 2] == "<-":
-            tokens.append(Token("LARROW", "<-", Span(line, col, 2)))
+        pair = text[i : i + 2]
+        if pair in _PAIRS:
+            tokens.append(Token(_PAIRS[pair], pair, Span(line, col, 2)))
             i += 2
             col += 2
             continue
@@ -186,12 +140,14 @@ def tokenize(text: str) -> tuple[list[Token], list[tuple[Span, str]]]:
             i = j + 1
             col += length
             continue
-        if _is_ident_start(ch):
+        if ch.isalpha():
             j = i + 1
             while j < n:
-                if _is_ident_part(text[j]):
+                if text[j].isalnum() or text[j] == "_":
                     j += 1
-                elif text[j] == "-" and j + 1 < n and _is_ident_part(text[j + 1]):
+                elif text[j] == "-" and j + 1 < n and (
+                    text[j + 1].isalnum() or text[j + 1] == "_"
+                ):
                     # Hyphen continues an identifier only when followed by a
                     # word character, so "user -> model" still lexes an arrow.
                     j += 2
@@ -266,6 +222,9 @@ class ParseResult:
         return self.file is not None
 
 
+T = TypeVar("T")
+
+
 class _ParseAbort(Exception):
     """Internal: unwinds to the recovery point after a syntax error."""
 
@@ -297,20 +256,38 @@ class _Parser:
         self.error(message, span, code)
         raise _ParseAbort()
 
+    # ``expect`` and ``match`` are the parser's hottest calls, so they index
+    # the tokens directly; no caller asks for EOF, so neither moves past it.
     def expect(self, kind: str, what: str) -> Token:
-        tok = self.peek()
+        tok = self.tokens[self.pos]
         if tok.kind != kind:
             got = tok.value if tok.kind != "EOF" else "end of file"
             self.fail(f"expected {what}, got {got!r}", tok.span)
-        return self.advance()
+        self.pos += 1
+        return tok
 
-    def expect_ident(self, what: str) -> Token:
-        return self.expect("ID", what)
+    def expect_var(self, what: str) -> Token:
+        tok = self.expect("ID", what)
+        if not tok.value[0].isupper():
+            self.fail(
+                f"variable names start with an uppercase letter, got {tok.value!r}",
+                tok.span,
+            )
+        return tok
 
     def match(self, kind: str) -> Token | None:
-        if self.peek().kind == kind:
-            return self.advance()
-        return None
+        tok = self.tokens[self.pos]
+        if tok.kind != kind:
+            return None
+        self.pos += 1
+        return tok
+
+    def separated(self, item: Callable[[], T], separator: str = "COMMA") -> list[T]:
+        """Parse ``item``, then parse it again after each ``separator``."""
+        items = [item()]
+        while self.match(separator):
+            items.append(item())
+        return items
 
     # -- comments -----------------------------------------------------------
 
@@ -356,11 +333,11 @@ class _Parser:
                 had_error = True
                 self.recover()
                 continue
-            name = _decl_name(decl)
+            name = decl_name(decl)
             if name in names:
                 self.error(
                     f"duplicate declaration name {name!r}",
-                    _decl_span(decl),
+                    decl.span,
                     "E-DUP-NAME",
                 )
                 had_error = True
@@ -379,51 +356,33 @@ class _Parser:
                 return
 
     def parse_decl(self, leading: tuple[str, ...]) -> Decl:
-        tok = self.peek()
-        if tok.kind != "ID":
-            self.fail(f"expected declaration, got {tok.value!r}", tok.span)
-        if tok.value == "role":
-            return self.parse_role(leading)
-        if tok.value == "action":
-            return self.parse_action(leading)
-        if tok.value == "message":
-            return self.parse_message(leading)
-        if tok.value == "pattern":
-            return self.parse_pattern(leading)
-        self.fail(
-            f"expected 'role', 'action', 'message' or 'pattern', got {tok.value!r}",
-            tok.span,
-        )
-        raise AssertionError("unreachable")
-
-    def parse_role(self, leading: tuple[str, ...]) -> RoleDecl:
-        start = self.advance()  # 'role'
-        name = self.expect_ident("role name")
+        """A keyword, the declaration's body, and the closing ``;``."""
+        keyword = self.peek()
+        if keyword.kind != "ID" or keyword.value not in _DECLS:
+            self.fail(
+                "expected 'role', 'action', 'message' or 'pattern', "
+                f"got {keyword.value!r}",
+                keyword.span,
+            )
+        parse_body, decl = _DECLS[self.advance().value]
+        body = parse_body(self)
         semi = self.expect("SEMI", "';'")
-        return RoleDecl(name.value, leading, self.take_trailing_comment(semi), start.span)
+        return decl(body, leading, self.take_trailing_comment(semi), keyword.span)
 
-    # action name(P, Q) := provide(...) <- op(...), op(...);
-    def parse_action(self, leading: tuple[str, ...]) -> ActionDecl:
-        start = self.advance()  # 'action'
-        name = self.expect_ident("action name")
+    # role NAME
+    def parse_role(self) -> str:
+        return self.expect("ID", "role name").value
+
+    # action NAME(P, Q) := provide(...) <- op(...), op(...)
+    def parse_action(self) -> ActionDef:
+        name = self.expect("ID", "action name")
         self.expect("LPAREN", "'('")
-        params: list[str] = []
-        param_seen: set[str] = set()
+        params: list[Token] = []
         if self.peek().kind != "RPAREN":
-            while True:
-                p = self.expect_ident("parameter name")
-                self.check_var_name(p)
-                if p.value in param_seen:
-                    self.error(
-                        f"duplicate parameter {p.value!r}", p.span, "E-DUP-VAR"
-                    )
-                param_seen.add(p.value)
-                params.append(p.value)
-                if not self.match("COMMA"):
-                    break
+            params = self.separated(lambda: self.expect_var("parameter name"))
         self.expect("RPAREN", "')'")
         self.expect("ASSIGN", "':='")
-        kind_tok = self.expect_ident("'provide' or 'request'")
+        kind_tok = self.expect("ID", "'provide' or 'request'")
         try:
             kind = PrimitiveKind(kind_tok.value)
         except ValueError:
@@ -432,59 +391,28 @@ class _Parser:
                 kind_tok.span,
             )
         self.expect("LPAREN", "'('")
-        args: list[Arg] = []
-        declared: set[str] = set()
-        while True:
-            args.append(self.parse_arg(declared))
-            if not self.match("COMMA"):
-                break
+        args = self.separated(self.parse_arg)
         self.expect("RPAREN", "')'")
-        operations: list[Operation] = []
+        operations: list[tuple[Token, Operation]] = []
         if self.match("LARROW"):
-            while True:
-                operations.append(self.parse_operation())
-                if not self.match("COMMA"):
-                    break
-        semi = self.expect("SEMI", "';'")
-        if set(params) != declared or len(param_seen) != len(params):
-            missing = sorted(declared - set(params))
-            extra = sorted(set(params) - declared)
-            detail = []
-            if missing:
-                detail.append(f"missing {', '.join(missing)}")
-            if extra:
-                detail.append(f"undeclared {', '.join(extra)}")
-            self.error(
-                f"parameter list of {name.value!r} does not match declared "
-                f"variables ({'; '.join(detail) or 'duplicates'})",
-                name.span,
-                "E-PARAMS",
-            )
-            raise _ParseAbort()
+            operations = self.separated(lambda: (self.peek(), self.parse_operation()))
         action = ActionDef(
             name=name.value,
-            params=tuple(params),
+            params=tuple(p.value for p in params),
             primitive=PrimitiveSpec(kind, args[0], tuple(args[1:])),
-            operations=tuple(operations),
+            operations=tuple(op for _, op in operations),
         )
-        return ActionDecl(action, leading, self.take_trailing_comment(semi), start.span)
+        self.diagnostics.extend(variable_rule(action, self.path, name.span))
+        for tok, op in operations:
+            arity = arity_rule(op, action, self.path, tok.span)
+            if arity is not None:
+                self.diagnostics.append(arity)
+        return action
 
-    def check_var_name(self, tok: Token) -> None:
-        if not tok.value[0].isupper():
-            self.fail(
-                f"variable names start with an uppercase letter, got {tok.value!r}",
-                tok.span,
-            )
-
-    def parse_arg(self, declared: set[str]) -> Arg:
+    def parse_arg(self) -> Arg:
         if self.peek().kind == "LBRACKET" and self._bracket_is_group():
-            return Arg(None, self.parse_group(declared))
-        var = self.expect_ident("variable name")
-        self.check_var_name(var)
-        self.expect("COLON", "':'")
-        typ = self.parse_nongroup_type()
-        self.declare(var, declared)
-        return Arg(var.value, typ)
+            return Arg(None, self.parse_group())
+        return Arg(*self.parse_typed_var())
 
     def _bracket_is_group(self) -> bool:
         """Disambiguate a group ``[X: t, ...]`` from a list type ``[base]``.
@@ -492,32 +420,23 @@ class _Parser:
         At an argument position a ``[`` always opens a group (list-typed
         arguments are written ``V: [base]``), so this only confirms shape.
         """
-        nxt = self.tokens[self.pos + 1]
-        after = self.tokens[self.pos + 2]
+        last = len(self.tokens) - 1  # EOF, which ends every token list
+        nxt = self.tokens[min(self.pos + 1, last)]
+        after = self.tokens[min(self.pos + 2, last)]
         return nxt.kind == "ID" and after.kind == "COLON"
 
-    def parse_group(self, declared: set[str]) -> GroupType:
+    def parse_group(self) -> GroupType:
         open_tok = self.expect("LBRACKET", "'['")
-        members: list[tuple[str, BaseType | ListType]] = []
-        while True:
-            var = self.expect_ident("group member variable")
-            self.check_var_name(var)
-            self.expect("COLON", "':'")
-            typ = self.parse_nongroup_type()
-            self.declare(var, declared)
-            members.append((var.value, typ))
-            if not self.match("COMMA"):
-                break
+        members = self.separated(self.parse_typed_var)
         self.expect("RBRACKET", "']'")
         if len(members) < 2:
             self.fail("a group needs at least two members", open_tok.span)
         return GroupType(tuple(members))
 
-    def declare(self, var: Token, declared: set[str]) -> None:
-        if var.value in declared:
-            self.error(f"duplicate variable {var.value!r}", var.span, "E-DUP-VAR")
-            raise _ParseAbort()
-        declared.add(var.value)
+    def parse_typed_var(self) -> tuple[str, BaseType | ListType]:
+        var = self.expect_var("variable name")
+        self.expect("COLON", "':'")
+        return var.value, self.parse_nongroup_type()
 
     def parse_nongroup_type(self) -> BaseType | ListType:
         if self.match("LBRACKET"):
@@ -527,7 +446,7 @@ class _Parser:
         return self.parse_base_type()
 
     def parse_base_type(self) -> BaseType:
-        role_tok = self.expect_ident("a role ('input', 'output' or 'feedback')")
+        role_tok = self.expect("ID", "a role ('input', 'output' or 'feedback')")
         try:
             role = Role(role_tok.value)
         except ValueError:
@@ -535,19 +454,17 @@ class _Parser:
                 f"expected 'input', 'output' or 'feedback', got {role_tok.value!r}",
                 role_tok.span,
             )
-        subtypes: list[str] = []
+        subtypes: list[Token] = []
         if self.match("DOT"):
-            while True:
-                sub = self.expect_ident("subtype name")
-                if sub.value in subtypes:
-                    self.fail(f"duplicate subtype {sub.value!r}", sub.span)
-                subtypes.append(sub.value)
-                if not self.match("PIPE"):
-                    break
-        return BaseType(role, tuple(subtypes))
+            subtypes = self.separated(lambda: self.expect("ID", "subtype name"), "PIPE")
+        names = [sub.value for sub in subtypes]
+        for index, sub in enumerate(subtypes):
+            if sub.value in names[:index]:
+                self.fail(f"duplicate subtype {sub.value!r}", sub.span)
+        return BaseType(role, tuple(names))
 
     def parse_operation(self) -> Operation:
-        op_tok = self.expect_ident("operation name")
+        op_tok = self.expect("ID", "operation name")
         try:
             kind = OpKind(op_tok.value)
         except ValueError:
@@ -556,115 +473,77 @@ class _Parser:
                 op_tok.span,
             )
         self.expect("LPAREN", "'('")
-        args: list[str] = []
-        while True:
-            var = self.expect_ident("variable name")
-            args.append(var.value)
-            if not self.match("COMMA"):
-                break
+        args = self.separated(lambda: self.expect("ID", "variable name"))
         self.expect("RPAREN", "')'")
-        lo, hi = OP_ARITY[kind]
-        if not lo <= len(args) <= hi:
-            self.error(
-                f"{kind.value} takes {lo} to {hi} arguments, got {len(args)}"
-                if lo != hi
-                else f"{kind.value} takes exactly {lo} argument"
-                f"{'s' if lo != 1 else ''}, got {len(args)}",
-                op_tok.span,
-                "E-ARITY",
-            )
-            raise _ParseAbort()
-        return Operation(kind, tuple(args))
+        return Operation(kind, tuple(arg.value for arg in args))
 
-    # message NAME := sender -> receiver : action(A, B) [mods];
-    def parse_message(self, leading: tuple[str, ...]) -> MessageDecl:
-        start = self.advance()  # 'message'
-        name = self.expect_ident("message name")
+    # message NAME := sender -> receiver : action(A, B) [mods]
+    def parse_message(self) -> Message:
+        name = self.expect("ID", "message name")
         self.expect("ASSIGN", "':='")
-        sender = self.expect_ident("sender role")
+        sender = self.expect("ID", "sender role")
         self.expect("ARROW", "'->'")
-        receiver = self.expect_ident("receiver role")
+        receiver = self.expect("ID", "receiver role")
         self.expect("COLON", "':'")
-        action = self.expect_ident("action name")
+        action = self.expect("ID", "action name")
         self.expect("LPAREN", "'('")
-        args: list[str] = []
+        args: list[Token] = []
         if self.peek().kind != "RPAREN":
-            while True:
-                var = self.expect_ident("argument variable")
-                self.check_var_name(var)
-                args.append(var.value)
-                if not self.match("COMMA"):
-                    break
+            args = self.separated(lambda: self.expect_var("argument variable"))
         self.expect("RPAREN", "')'")
         modifiers: list[Modifier] = []
         if self.match("LBRACKET"):
-            while True:
-                modifiers.append(self.parse_modifier())
-                if not self.match("SEMI"):
-                    break
+            modifiers = self.separated(self.parse_modifier, "SEMI")
             self.expect("RBRACKET", "']'")
-        semi = self.expect("SEMI", "';'")
-        message = Message(
+        return Message(
             name=name.value,
             sender=sender.value,
             receiver=receiver.value,
             action=action.value,
-            args=tuple(args),
+            args=tuple(arg.value for arg in args),
             modifiers=tuple(modifiers),
         )
-        return MessageDecl(message, leading, self.take_trailing_comment(semi), start.span)
 
     def parse_modifier(self) -> Modifier:
-        key = self.expect_ident("modifier key")
+        key = self.expect("ID", "modifier key")
         if self.match("COLON"):
-            value = self.expect_ident("modifier value")
+            value = self.expect("ID", "modifier value")
             return Modifier(key.value, value.value, "var")
         self.expect("EQ", "':' or '='")
         value = self.expect("STRING", "a string value")
         return Modifier(key.value, value.value, "kv")
 
-    # pattern NAME := [M1, M2] @ tag1, tag2;
-    def parse_pattern(self, leading: tuple[str, ...]) -> PatternDecl:
-        start = self.advance()  # 'pattern'
-        name = self.expect_ident("pattern name")
+    # pattern NAME := [M1, M2] @ tag1, tag2
+    def parse_pattern(self) -> Pattern:
+        name = self.expect("ID", "pattern name")
         self.expect("ASSIGN", "':='")
-        open_tok = self.expect("LBRACKET", "'['")
-        messages: list[str] = []
+        self.expect("LBRACKET", "'['")
+        messages: list[Token] = []
         if self.peek().kind != "RBRACKET":
-            while True:
-                msg = self.expect_ident("message name")
-                messages.append(msg.value)
-                if not self.match("COMMA"):
-                    break
+            messages = self.separated(lambda: self.expect("ID", "message name"))
         self.expect("RBRACKET", "']'")
-        if not messages:
-            self.error(
-                f"pattern {name.value!r} has no messages",
-                open_tok.span,
-                "E-EMPTY-PATTERN",
-            )
-            raise _ParseAbort()
-        tags: set[str] = set()
+        tags: list[Token] = []
         if self.match("AT"):
-            while True:
-                tag = self.expect_ident("tag name")
-                if tag.value not in TAGS:
-                    self.error(
-                        f"unknown tag {tag.value!r} (known: "
-                        f"{', '.join(sorted(TAGS))})",
-                        tag.span,
-                        "E-TAG",
-                    )
-                    raise _ParseAbort()
-                tags.add(tag.value)
-                if not self.match("COMMA"):
-                    break
-        semi = self.expect("SEMI", "';'")
-        pattern = Pattern(name.value, tuple(messages), frozenset(tags))
-        return PatternDecl(pattern, leading, self.take_trailing_comment(semi), start.span)
+            tags = self.separated(lambda: self.expect("ID", "tag name"))
+        pattern = Pattern(
+            name.value,
+            tuple(m.value for m in messages),
+            frozenset(t.value for t in tags),
+        )
+        self.diagnostics.extend(pattern_rule(pattern, self.path, name.span))
+        return pattern
 
 
-def _decl_name(decl: Decl) -> str:
+#: Declaration keyword -> (the parser method for its body, its syntax node).
+_DECLS = {
+    "role": (_Parser.parse_role, RoleDecl),
+    "action": (_Parser.parse_action, ActionDecl),
+    "message": (_Parser.parse_message, MessageDecl),
+    "pattern": (_Parser.parse_pattern, PatternDecl),
+}
+
+
+def decl_name(decl: Decl) -> str:
     if isinstance(decl, RoleDecl):
         return decl.name
     if isinstance(decl, ActionDecl):
@@ -672,10 +551,6 @@ def _decl_name(decl: Decl) -> str:
     if isinstance(decl, MessageDecl):
         return decl.message.name
     return decl.pattern.name
-
-
-def _decl_span(decl: Decl) -> Span:
-    return decl.span
 
 
 def parse(text: str, path: str = "<input>") -> ParseResult:
@@ -701,14 +576,13 @@ def parse_type(text: str) -> TypeExpr:
     Used when reading types back from traces and exports.  Raises
     ``ValueError`` on malformed input.
     """
-    tokens, _ = tokenize(text)
-    parser = _Parser(tokens, [], "<type>")
     try:
+        parser = _Parser(tokenize(text)[0], [], "<type>")
         if parser.peek().kind == "LBRACKET" and parser._bracket_is_group():
-            typ: TypeExpr = parser.parse_group(set())
+            typ: TypeExpr = parser.parse_group()
         else:
             typ = parser.parse_nongroup_type()
-    except _ParseAbort:
+    except (LexError, _ParseAbort):
         raise ValueError(f"malformed type expression {text!r}") from None
     if parser.peek().kind != "EOF":
         raise ValueError(f"trailing input in type expression {text!r}")

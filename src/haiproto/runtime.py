@@ -22,26 +22,26 @@ and seed always yield byte-identical traces.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterable, Mapping, Sequence, Union
 
-from .catalog import Catalog, compose
-from .check import check_pattern, message_slots
+from .catalog import Catalog
+from .check import Flow, Step, check_flow, resolve_step
 from .core import (
     ActionDef,
     BaseType,
     Binding,
+    Diagnostic,
     GroupType,
     ListType,
     Message,
     OpKind,
     Pattern,
-    PrimitiveKind,
     Role,
     TypeExpr,
     intersect,
 )
-from .dsl import Diagnostic, parse_type, print_type
+from .dsl import parse_type, print_type
 import json
 
 
@@ -601,67 +601,50 @@ class RunViolation(Exception):
 # ---------------------------------------------------------------------------
 
 
-def _producible_vars(message: Message, action: ActionDef) -> tuple[str, ...]:
-    """Message variables the sender may introduce at this step."""
-    to_message = dict(zip(action.params, message.args))
-    if action.primitive.kind is PrimitiveKind.PROVIDE:
-        args = action.primitive.args()
-    else:
-        args = action.primitive.refs
-    out: list[str] = []
-    for arg in args:
-        for var, _ in arg.variables():
-            mapped = to_message[var]
-            if mapped not in out:
-                out.append(mapped)
-    return tuple(out)
-
-
 def run(
     catalog: Catalog,
-    flow: Union[str, Pattern],
+    flow: Union[str, Pattern, Flow],
     agents: Mapping[str, AgentBehavior],
     seed: int = 0,
     run_id: str | None = None,
 ) -> Trace:
-    """Simulate one pass over a pattern (or a named pattern/scenario).
+    """Simulate one pass over a flow.
 
-    The flow must check without errors; every participating role must have an
-    agent (``LookupError`` otherwise).  A violation aborts the run and is
-    recorded in the trace outcome rather than raised.
+    ``flow`` is a pattern or scenario name, a pattern, or a flow that
+    :func:`~haiproto.check.check_flow` already resolved and checked.  It must
+    check without errors (``ValueError`` otherwise); every participating
+    role must have an agent (``LookupError`` otherwise).  A violation aborts
+    the run and is recorded in the trace outcome rather than raised.
     """
-    pattern = catalog.resolve_flow(flow) if isinstance(flow, str) else flow
-    report = check_pattern(pattern, catalog.messages, catalog.actions)
-    if report.errors:
+    if not isinstance(flow, Flow):
+        pattern = catalog.resolve_flow(flow) if isinstance(flow, str) else flow
+        flow = check_flow(pattern, catalog.messages, catalog.actions)
+    if flow.report.errors:
         raise ValueError(
-            f"cannot run {pattern.name!r}: "
-            + "; ".join(d.message for d in report.errors)
+            f"cannot run {flow.pattern.name!r}: "
+            + "; ".join(d.message for d in flow.report.errors)
         )
-    resolved = [
-        (catalog.messages[name], catalog.actions[catalog.messages[name].action])
-        for name in pattern.messages
-    ]
-    for message, _ in resolved:
-        for role in (message.sender, message.receiver):
+    for step in flow.steps:
+        for role in (step.message.sender, step.message.receiver):
             if role not in agents:
                 raise LookupError(f"no agent for role {role!r}")
     if run_id is None:
-        run_id = f"{pattern.name}-s{seed}-r0"
+        run_id = f"{flow.pattern.name}-s{seed}-r0"
 
     values: dict[str, Payload] = {}
     types = Binding()
     steps: list[TraceStep] = []
     outcome: Union[str, dict] = "completed"
 
-    for index, (message, action) in enumerate(resolved, start=1):
-        slots = message_slots(message, action)
-        for var, declared in slots:
+    for index, step in enumerate(flow.steps, start=1):
+        message, action = step.message, step.action
+        for var, declared in step.slots:
             types.narrow(var, declared)
-        producible = _producible_vars(message, action)
+        producible = {var for variables, _ in step.carried for var in variables}
         needed: dict[str, TypeExpr] = {}
-        for _, msg_var in zip(action.params, message.args):
-            if msg_var in producible and msg_var not in values:
-                needed.setdefault(msg_var, types.types[msg_var])
+        for var, _ in step.slots:
+            if var in producible and var not in values:
+                needed.setdefault(var, types.types[var])
         produced_json: dict[str, dict] = {}
         verdict, detail = "ok", None
         try:
@@ -733,7 +716,7 @@ def run(
         )
         if verdict != "ok":
             break
-    return Trace(run_id, pattern.name, seed, tuple(steps), outcome)
+    return Trace(run_id, flow.pattern.name, seed, tuple(steps), outcome)
 
 
 def run_scenario(
@@ -745,26 +728,23 @@ def run_scenario(
 ) -> list[Trace]:
     """Run a named scenario (or pattern) ``repeat`` times.
 
-    Each repetition starts from empty bindings but keeps the same agent
-    objects, so stateful agents accumulate across repetitions.  ``repeat=0``
-    returns an empty list.
+    The flow is resolved and checked once, a scenario at scenario scope;
+    each run refuses it if it has errors.  Each repetition starts from empty
+    bindings but keeps the same agent objects, so stateful agents accumulate
+    across repetitions.  ``repeat=0`` returns an empty list.
     """
-    if name in catalog.scenarios:
-        flow, report = compose(catalog, catalog.scenarios[name])
-        if report.errors:
-            raise ValueError(
-                f"scenario {name!r} fails checking: "
-                + "; ".join(d.message for d in report.errors)
-            )
-        flow = Pattern(name, flow.messages, flow.tags)
-    else:
-        flow = catalog.resolve_flow(name)
-    traces: list[Trace] = []
-    for rep in range(repeat):
-        traces.append(
-            run(catalog, flow, agents, seed=seed, run_id=f"{name}-s{seed}-r{rep}")
-        )
-    return traces
+    scope = "scenario" if name in catalog.scenarios else "pattern"
+    flow = check_flow(
+        catalog.resolve_flow(name),
+        catalog.messages,
+        catalog.actions,
+        scope=scope,
+        path=f"<{scope}>",
+    )
+    return [
+        run(catalog, flow, agents, seed=seed, run_id=f"{name}-s{seed}-r{rep}")
+        for rep in range(repeat)
+    ]
 
 
 def replay_check(
@@ -785,12 +765,18 @@ def replay_check(
     else:
         traces = Trace.all_from_jsonl("\n".join(trace))
     diags: list[Diagnostic] = []
+    resolved: dict[str, tuple[Step | None, list[Diagnostic]]] = {}
     for parsed in traces:
-        diags.extend(_replay_one(parsed, catalog))
+        diags.extend(_replay_one(parsed, catalog, resolved))
     return diags
 
 
-def _replay_one(trace: Trace, catalog: Catalog) -> list[Diagnostic]:
+def _replay_one(
+    trace: Trace,
+    catalog: Catalog,
+    resolved: dict[str, tuple[Step | None, list[Diagnostic]]],
+) -> list[Diagnostic]:
+    """Replay one trace; ``resolved`` caches each message's resolution."""
     diags: list[Diagnostic] = []
     binding = Binding()
     for step in trace.steps:
@@ -805,8 +791,13 @@ def _replay_one(trace: Trace, catalog: Catalog) -> list[Diagnostic]:
                 )
             )
             continue
-        action = catalog.actions[message.action]
-        for var, declared in message_slots(message, action):
+        if message.name not in resolved:
+            resolved[message.name] = resolve_step(message, catalog.actions)
+        resolution, found = resolved[message.name]
+        diags.extend(found)
+        if resolution is None:
+            continue
+        for var, declared in resolution.slots:
             if binding.narrow(var, declared) is None:
                 diags.append(
                     Diagnostic(

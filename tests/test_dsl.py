@@ -148,6 +148,12 @@ def test_parse_type_standalone():
         parse_type("input.")
     with pytest.raises(ValueError):
         parse_type("input.raw_data extra")
+    with pytest.raises(ValueError):
+        parse_type("$")
+    with pytest.raises(ValueError):
+        parse_type('input."x')
+    with pytest.raises(ValueError):
+        parse_type("[")
 
 
 def test_printer_golden_lines(catalog):

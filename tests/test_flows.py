@@ -1,0 +1,79 @@
+"""Flows are resolved once, and resolving them leaves every trace unchanged."""
+
+from __future__ import annotations
+
+import hashlib
+import subprocess
+import sys
+from collections import Counter
+from pathlib import Path
+
+import haiproto.check
+import haiproto.runtime
+from conftest import AGENTS_DIR
+from haiproto import parse_agents, run_scenario
+
+#: sha256 over every flow of the packaged corpus run with each demo agents
+#: file (seed 7, three repetitions), recorded before flows were resolved once.
+GOLDEN_SHA256 = "1e168d0053e4a082dfb67c4fadca2750407fed62dd2cbf8d4cd4821a07513a05"
+
+
+def test_every_corpus_flow_keeps_its_golden_trace(catalog):
+    flows = sorted({*catalog.patterns, *catalog.scenarios})
+    assert len(flows) == 44
+    digest = hashlib.sha256()
+    outcomes: Counter = Counter()
+    for name in flows:
+        for agents_file in ("rl_demo.agents", "robot_demo.agents"):
+            agents = parse_agents((AGENTS_DIR / agents_file).read_text())
+            try:
+                traces = run_scenario(catalog, name, agents, seed=7, repeat=3)
+            except LookupError:
+                outcomes["no agent"] += 1
+                continue
+            except ValueError:
+                outcomes["check errors"] += 1
+                continue
+            completed = traces[0].outcome == "completed"
+            outcomes["completed" if completed else "aborted"] += 1
+            digest.update(f"{name}|{agents_file}\n".encode())
+            digest.update("".join(t.to_jsonl() for t in traces).encode())
+    assert outcomes == {"completed": 5, "aborted": 59, "no agent": 24}
+    assert digest.hexdigest() == GOLDEN_SHA256
+
+
+def test_run_scenario_resolves_and_checks_the_flow_once(catalog, monkeypatch):
+    calls: Counter = Counter()
+
+    def counted(module, name):
+        original = getattr(module, name)
+
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, wrapper)
+
+    counted(haiproto.runtime, "check_flow")
+    counted(haiproto.check, "resolve_step")
+    seen = {}
+    for repeat in (1, 50):
+        calls.clear()
+        agents = parse_agents((AGENTS_DIR / "robot_demo.agents").read_text())
+        traces = run_scenario(catalog, "D1", agents, repeat=repeat)
+        assert len(traces) == repeat
+        seen[repeat] = dict(calls)
+    d1_length = len(catalog.resolve_flow("D1").messages)
+    assert seen[1] == seen[50] == {"check_flow": 1, "resolve_step": d1_length}
+
+
+def test_benchmark_smoke_run_passes():
+    root = Path(__file__).resolve().parent.parent
+    done = subprocess.run(
+        [sys.executable, "perfbench/run.py", "--smoke"],
+        cwd=root,
+        capture_output=True,
+        text=True,
+        timeout=600,
+    )
+    assert done.returncode == 0, done.stdout[-3000:] + done.stderr[-3000:]
