@@ -14,8 +14,8 @@ calls; the parser's calls make the first three codes come out at parse time:
 The resolver, :func:`resolve_step`, turns a message into a :class:`Step`:
 its action, typed slots and carried arguments, named by the message's own
 variables.  The checker, simulator and replay pair message arguments with
-action parameters nowhere else.  :func:`check_flow` resolves a pattern once
-and checks it; the simulator, replay, diagrams and diffs read its steps.
+action parameters nowhere else.  :func:`check_flow` resolves, checks and
+narrows a pattern once (``Flow.needed``); everything else reads its Flow.
 
 * :func:`check_action` — the variable and arity rules, plus operations over
   declared variables with legal type shapes.
@@ -357,11 +357,13 @@ def check_message(
 @dataclass(frozen=True)
 class Flow:
     """A pattern resolved once; ``steps`` is complete if ``report`` has no
-    errors."""
+    errors.  ``needed[i]``: what step i's sender must produce (the variables it
+    carries that no earlier step did), each at its type narrowed so far."""
 
     pattern: Pattern
     steps: tuple[Step, ...]
     report: CheckReport
+    needed: tuple[tuple[tuple[str, TypeExpr], ...], ...]
 
 
 def resolve(
@@ -438,11 +440,13 @@ def check_flow(
     steps, unresolved = resolve(pattern, messages, actions, path)
     diags.extend(unresolved)
     if unresolved:
-        return Flow(pattern, steps, CheckReport(target, tuple(diags)))
+        return Flow(pattern, steps, CheckReport(target, tuple(diags)), ())
 
     # Binding consistency: a variable shared between messages must keep a
     # compatible type everywhere it appears; each use narrows it.
     binding = Binding()
+    introduced: set[str] = set()
+    needed = []
     for step in steps:
         for var, declared in step.slots:
             before = binding.types.get(var)
@@ -455,6 +459,10 @@ def check_flow(
                         path,
                     )
                 )
+        carried = {var for variables, _ in step.carried for var in variables}
+        fresh = [var for var in dict(step.slots) if var in carried - introduced]
+        introduced.update(fresh)
+        needed.append(tuple((var, binding.types[var]) for var in fresh))
 
     # Dialogue coherence.
     open_obligations: list[_Obligation] = []
@@ -495,7 +503,7 @@ def check_flow(
             diags.append(_err("E-UNANSWERED", detail, path))
         else:
             diags.append(Diagnostic("warning", "W-UNANSWERED", detail, path))
-    return Flow(pattern, steps, CheckReport(target, tuple(diags)))
+    return Flow(pattern, steps, CheckReport(target, tuple(diags)), tuple(needed))
 
 
 def check_pattern(

@@ -223,7 +223,13 @@ def catalog_export(ctx: click.Context, output_path: str | None) -> None:
     help="Agent configuration (.agents file).",
 )
 @click.option("--seed", default=0, show_default=True, help="Run seed (recorded).")
-@click.option("--repeat", default=1, show_default=True, help="Number of repetitions.")
+@click.option(
+    "--repeat",
+    default=1,
+    show_default=True,
+    type=click.IntRange(min=0),
+    help="Number of repetitions.",
+)
 @click.option(
     "--trace",
     "trace_path",

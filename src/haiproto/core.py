@@ -122,14 +122,14 @@ def intersect(a: TypeExpr, b: TypeExpr) -> TypeExpr | None:
     if isinstance(a, BaseType) and isinstance(b, BaseType):
         if a.role is not b.role:
             return None
-        if not a.subtypes:
+        if not a.subtypes or a.subtypes == b.subtypes:
             return b
         if not b.subtypes:
             return a
         common = tuple(s for s in a.subtypes if s in b.subtypes)
         if not common:
             return None
-        return BaseType(a.role, common)
+        return a if common == a.subtypes else BaseType(a.role, common)
     if isinstance(a, ListType) and isinstance(b, ListType):
         element = intersect(a.element, b.element)
         if element is None:

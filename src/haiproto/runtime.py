@@ -1,36 +1,37 @@
 """Deterministic simulation of patterns and scenarios.
 
-The runtime steps through a pattern's messages: at each step the *sender*
-produces payloads for the variables it may introduce, the runtime validates
-them, binds them, and delivers the message to the *receiver*.  Producibility
-follows the primitive: a provide's sender may produce every variable of the
-message, a request's sender only its references (the head is what the other
-party is being asked for).
+The runtime steps through a checked flow: at each step the *sender*
+produces payloads for the variables the flow says it must introduce, the
+runtime validates them, binds them, and delivers the message to the
+*receiver*.  Producibility follows the primitive: a provide's sender may
+produce every variable of the message, a request's sender only its
+references (the head is what the other party is being asked for).
 
 Violations abort the run with a coded verdict, in this order of precedence:
 
 * ``V-AGENT`` — the agent raised, or produced a variable outside the message.
 * ``V-REBIND`` — a produced value differs from the variable's bound value.
 * ``V-MISSING`` — a producible unbound variable was not produced.
-* ``V-TYPE`` — a payload's type is incompatible with the variable's type.
+* ``V-TYPE`` — a produced or bound value does not fit its variable's type here.
 
-Runs are reproducible: agents are deterministic given their configuration,
-and traces serialize to canonical JSON lines, so the same pattern, agents,
-and seed always yield byte-identical traces.
+Runs are reproducible: deterministic agents and canonical JSON lines make
+the same pattern, agents and seed yield byte-identical traces.  Replay
+re-runs a trace through :func:`run` and compares every field.
 """
 
 from __future__ import annotations
 
+import functools
+import marshal
 import re
 from dataclasses import dataclass
-from typing import Iterable, Mapping, Sequence, Union
+from typing import Callable, Iterable, Iterator, Mapping, Sequence, Union
 
 from .catalog import Catalog
-from .check import Flow, Step, check_flow, resolve_step
+from .check import Flow, check_flow
 from .core import (
     ActionDef,
     BaseType,
-    Binding,
     Diagnostic,
     GroupType,
     ListType,
@@ -273,25 +274,17 @@ class StubModelAgent(AgentBehavior):
         head = action.primitive.head
         if head.var is None:
             return
-        head_type = head.type
-        if not isinstance(head_type, BaseType) or head_type.role is not Role.OUTPUT:
+        if not isinstance(head.type, BaseType) or head.type.role is not Role.OUTPUT:
             return
-        if head_type.subtypes and "label" not in head_type.subtypes:
+        if head.type.subtypes and "label" not in head.type.subtypes:
             return
         to_message = dict(zip(action.params, message.args))
         label_payload = binding.get(to_message[head.var])
         if label_payload is None or not isinstance(label_payload.value, str):
             return
-        for op in action.operations:
-            if op.kind is not OpKind.MAP or head.var not in op.args:
-                continue
-            for other in op.args:
-                if other == head.var:
-                    continue
-                payload = binding.get(to_message.get(other, ""))
-                if payload is not None and isinstance(payload.value, Vector):
-                    self.examples.append((payload.value.values, label_payload.value))
-                    return
+        source = self._map_source(action, to_message, head.var, binding, {})
+        if source is not None:
+            self.examples.append((source.values, label_payload.value))
 
     # -- producing -----------------------------------------------------------
 
@@ -487,6 +480,10 @@ def parse_agents(text: str, path: str = "<agents>") -> dict[str, AgentBehavior]:
 # ---------------------------------------------------------------------------
 
 
+#: Canonical JSON: the bytes of a trace line, and a type-strict equality.
+_dump = json.JSONEncoder(sort_keys=True, separators=(",", ":")).encode
+
+
 @dataclass(frozen=True)
 class TraceStep:
     """One executed message: what was produced and the bindings after it."""
@@ -502,18 +499,9 @@ class TraceStep:
     detail: str | None = None
 
     def to_json(self) -> dict:
-        data = {
-            "step": self.step,
-            "message": self.message,
-            "sender": self.sender,
-            "receiver": self.receiver,
-            "action": self.action,
-            "produced": self.produced,
-            "bindings": self.bindings,
-            "verdict": self.verdict,
-        }
-        if self.detail is not None:
-            data["detail"] = self.detail
+        data = dict(self.__dict__)
+        if self.detail is None:
+            del data["detail"]
         return data
 
 
@@ -528,13 +516,10 @@ class Trace:
     outcome: Union[str, dict]
 
     def to_jsonl(self) -> str:
-        def dump(obj: object) -> str:
-            return json.dumps(obj, sort_keys=True, separators=(",", ":"))
-
-        lines = [dump({"run": self.run_id, "pattern": self.pattern, "seed": self.seed})]
-        lines.extend(dump(step.to_json()) for step in self.steps)
+        lines = [_dump({"run": self.run_id, "pattern": self.pattern, "seed": self.seed})]
+        lines.extend(_dump(step.to_json()) for step in self.steps)
         lines.append(
-            dump({"run": self.run_id, "steps": len(self.steps), "outcome": self.outcome})
+            _dump({"run": self.run_id, "steps": len(self.steps), "outcome": self.outcome})
         )
         return "\n".join(lines) + "\n"
 
@@ -547,44 +532,42 @@ class Trace:
 
     @classmethod
     def all_from_jsonl(cls, text: str) -> list["Trace"]:
-        """Parse a stream of traces, e.g. a ``--repeat K --trace FILE`` file."""
-        entries = [json.loads(line) for line in text.splitlines() if line.strip()]
-        traces: list[Trace] = []
-        start = 0
-        for index, entry in enumerate(entries):
-            if "outcome" in entry:
-                traces.append(cls._from_entries(entries[start : index + 1]))
-                start = index + 1
-        if start != len(entries):
+        """Parse a stream of traces, e.g. a ``--repeat K --trace FILE`` file;
+        ``ValueError`` if a line is not a JSON object, a step's fields are not
+        :class:`TraceStep`'s, or an outcome line contradicts its run."""
+        return list(cls._read_each(text))
+
+    @classmethod
+    def _read_each(cls, text: str) -> Iterator["Trace"]:
+        entries: list[dict] = []
+        for lineno, line in enumerate(text.splitlines(), start=1):
+            if not line.strip():
+                continue
+            entries.append(json.loads(line))
+            if not isinstance(entries[-1], dict):
+                raise ValueError(f"line {lineno} is not a JSON object")
+            if "outcome" in entries[-1]:
+                yield cls._from_entries(entries)
+                entries = []
+        if entries:
             raise ValueError("trace ends without an outcome line")
-        return traces
 
     @classmethod
     def _from_entries(cls, lines: list[dict]) -> "Trace":
-        if len(lines) < 2:
-            raise ValueError("a trace needs a header and an outcome line")
-        header, *body, footer = lines
-        steps = tuple(
-            TraceStep(
-                step=entry["step"],
-                message=entry["message"],
-                sender=entry["sender"],
-                receiver=entry["receiver"],
-                action=entry["action"],
-                produced=entry["produced"],
-                bindings=entry["bindings"],
-                verdict=entry["verdict"],
-                detail=entry.get("detail"),
+        header, body, footer = lines[0], lines[1:-1], lines[-1]  # a lone footer fails
+        try:
+            trace = cls(
+                run_id=header["run"],
+                pattern=header["pattern"],
+                seed=header["seed"],
+                steps=tuple(TraceStep(**entry) for entry in body),
+                outcome=footer["outcome"],
             )
-            for entry in body
-        )
-        return cls(
-            run_id=header["run"],
-            pattern=header["pattern"],
-            seed=header["seed"],
-            steps=steps,
-            outcome=footer["outcome"],
-        )
+        except (KeyError, TypeError) as exc:
+            raise ValueError(f"malformed trace line: {exc}") from None
+        if _dump(footer) != _dump({**footer, "run": trace.run_id, "steps": len(body)}):
+            raise ValueError(f"outcome line of run {trace.run_id!r} contradicts it")
+        return trace
 
 
 class RunViolation(Exception):
@@ -632,19 +615,13 @@ def run(
         run_id = f"{flow.pattern.name}-s{seed}-r0"
 
     values: dict[str, Payload] = {}
-    types = Binding()
+    values_json: dict[str, dict] = {}
     steps: list[TraceStep] = []
     outcome: Union[str, dict] = "completed"
 
-    for index, step in enumerate(flow.steps, start=1):
+    for index, (step, pairs) in enumerate(zip(flow.steps, flow.needed), start=1):
         message, action = step.message, step.action
-        for var, declared in step.slots:
-            types.narrow(var, declared)
-        producible = {var for variables, _ in step.carried for var in variables}
-        needed: dict[str, TypeExpr] = {}
-        for var, _ in step.slots:
-            if var in producible and var not in values:
-                needed.setdefault(var, types.types[var])
+        needed = dict(pairs)
         produced_json: dict[str, dict] = {}
         verdict, detail = "ok", None
         try:
@@ -665,7 +642,7 @@ def run(
                         f"agent produced {var!r}, not a variable of "
                         f"{message.name!r}",
                     )
-                if var not in producible and var not in values:
+                if var not in needed and var not in values:
                     raise RunViolation(
                         "V-AGENT",
                         f"sender of {message.name!r} may not produce {var!r}",
@@ -682,25 +659,25 @@ def run(
                         "V-MISSING",
                         f"sender of {message.name!r} did not produce {var!r}",
                     )
-            for var in needed:
-                payload = produced[var]
-                if intersect(payload.type, types.types[var]) is None:
+            for var, declared in step.slots:  # a bound value must fit every use
+                payload = produced[var] if var in needed else values.get(var)
+                typ = needed.get(var, declared)
+                if payload is not None and intersect(payload.type, typ) is None:
                     raise RunViolation(
-                        "V-TYPE",
-                        f"{var!r} expects {types.types[var]}, got "
-                        f"{payload.type}",
+                        "V-TYPE", f"{var!r} expects {typ}, got {payload.type}"
                     )
-            for var in needed:
+            for var in sorted(needed):  # the key order of a parsed trace
                 values[var] = produced[var]
-                types.narrow(var, produced[var].type)
-                produced_json[var] = produced[var].to_json()
+                values_json[var] = produced_json[var] = produced[var].to_json()
             try:
                 agents[message.receiver].on_receive(message, action, dict(values))
+            except RunViolation:
+                raise
             except Exception as exc:
                 raise RunViolation("V-AGENT", f"receiver failed: {exc}") from exc
         except RunViolation as violation:
             verdict, detail = violation.code, violation.detail
-            outcome = {"aborted": {"step": index, "code": violation.code}}
+            outcome = {"aborted": {"code": violation.code, "step": index}}
         steps.append(
             TraceStep(
                 step=index,
@@ -709,7 +686,7 @@ def run(
                 receiver=message.receiver,
                 action=action.name,
                 produced=produced_json,
-                bindings={v: values[v].to_json() for v in sorted(values)},
+                bindings=dict(sorted(values_json.items())),
                 verdict=verdict,
                 detail=detail,
             )
@@ -750,72 +727,95 @@ def run_scenario(
 def replay_check(
     trace: Union[Trace, str, Iterable[str]], catalog: Catalog
 ) -> list[Diagnostic]:
-    """Re-walk a trace's bindings through the type checker.
+    """Re-run each trace through :func:`run` and report its first difference.
 
-    Narrows each variable by its declared slot types and by the payload types
-    recorded in the trace; any incompatibility yields an ``E-BINDING``
-    diagnostic.  A clean list means the trace is type-faithful to the catalog.
-    Text input may hold several concatenated traces (a ``--repeat`` trace
-    file); each is checked independently.
+    One agent plays every role: it serves each step's recorded payloads and
+    re-raises its recorded violation.  ``E-UNRESOLVED``: the catalog lacks the
+    flow or a message; ``E-BINDING``: the re-run aborts ``V-TYPE`` where the
+    trace records ``ok``; ``E-TRACE``: any other difference, or text that does
+    not read, where reading stops (text never raises).  Concatenated traces (a
+    ``--repeat`` file) are read and checked one at a time, at pattern scope.
     """
-    if isinstance(trace, Trace):
-        traces = [trace]
-    elif isinstance(trace, str):
-        traces = Trace.all_from_jsonl(trace)
-    else:
-        traces = Trace.all_from_jsonl("\n".join(trace))
-    diags: list[Diagnostic] = []
-    resolved: dict[str, tuple[Step | None, list[Diagnostic]]] = {}
-    for parsed in traces:
-        diags.extend(_replay_one(parsed, catalog, resolved))
-    return diags
+    if not isinstance(trace, (Trace, str)):
+        trace = "\n".join(trace)
+    traces = [trace] if isinstance(trace, Trace) else Trace._read_each(trace)
+    flows: dict[str, Flow] = {}
+    parse = functools.lru_cache(maxsize=None)(parse_type)  # once per type string
+    found: list[Diagnostic | None] = []
+    try:
+        for parsed in traces:  # read one at a time: only one trace is in memory
+            found.append(_replay_one(parsed, catalog, flows, parse))
+    except ValueError as exc:  # from reading: _replay_one raises no ValueError
+        found.append(Diagnostic("error", "E-TRACE", f"unreadable trace: {exc}"))
+    return [diag for diag in found if diag is not None]
+
+
+class _Recording(AgentBehavior):
+    """Serves each step's recorded payloads and re-raises its violation: from
+    ``produce`` if it produced nothing, else from ``on_receive``."""
+
+    def __init__(self, steps: Sequence[TraceStep], parse: Callable[[str], TypeExpr]):
+        self.steps = steps
+        self.parse = parse
+        self.index = -1
+
+    def produce(self, message, action, needed, binding):
+        self.index += 1
+        step = self.steps[self.index]
+        if step.verdict != "ok" and not step.produced:
+            raise RunViolation(step.verdict, step.detail)
+        return {
+            var: Payload(self.parse(data["type"]), _value_from_json(data["value"]))
+            for var, data in step.produced.items()
+        }
+
+    def on_receive(self, message, action, binding):
+        step = self.steps[self.index]
+        if step.verdict != "ok":
+            raise RunViolation(step.verdict, step.detail)
 
 
 def _replay_one(
     trace: Trace,
     catalog: Catalog,
-    resolved: dict[str, tuple[Step | None, list[Diagnostic]]],
-) -> list[Diagnostic]:
-    """Replay one trace; ``resolved`` caches each message's resolution."""
-    diags: list[Diagnostic] = []
-    binding = Binding()
+    flows: dict[str, Flow],
+    parse: Callable[[str], TypeExpr],
+) -> Diagnostic | None:
+    """``trace``'s first difference from its re-run; ``flows`` caches checked flows."""
+
+    def found(code: str, text: str) -> Diagnostic:
+        return Diagnostic("error", code, f"run {trace.run_id}: {text}")
+
+    name = trace.pattern
+    try:
+        if name not in flows:
+            pattern = catalog.resolve_flow(name)
+            flows[name] = check_flow(pattern, catalog.messages, catalog.actions)
+    except (KeyError, TypeError, ValueError):  # unknown, not a name, an empty scenario
+        return found("E-UNRESOLVED", f"flow {name!r} does not resolve")
+    flow = flows[name]
+    if flow.report.errors:
+        error = flow.report.errors[0]
+        return found(error.code, f"flow {name!r} does not check: {error.message}")
+    agents = dict.fromkeys(catalog.roles, _Recording(trace.steps, parse))
+    rerun = run(catalog, flow, agents, trace.seed, trace.run_id)
+    replayed = [step.__dict__ for step in rerun.steps] + [{"outcome": rerun.outcome}]
+    recorded = [step.__dict__ for step in trace.steps] + [{"outcome": trace.outcome}]
+    # unlike ==, marshal tells 1, 1.0 and True apart (format 2: no back-references)
+    if marshal.dumps(replayed, 2) == marshal.dumps(recorded, 2):
+        return None
     for step in trace.steps:
-        message = catalog.messages.get(step.message)
-        if message is None:
-            diags.append(
-                Diagnostic(
-                    "error",
-                    "E-UNRESOLVED",
-                    f"trace step {step.step} references unknown message "
-                    f"{step.message!r}",
-                )
+        if not isinstance(step.message, str) or step.message not in catalog.messages:
+            return found(
+                "E-UNRESOLVED", f"step {step.step}: unknown message {step.message!r}"
             )
-            continue
-        if message.name not in resolved:
-            resolved[message.name] = resolve_step(message, catalog.actions)
-        resolution, found = resolved[message.name]
-        diags.extend(found)
-        if resolution is None:
-            continue
-        for var, declared in resolution.slots:
-            if binding.narrow(var, declared) is None:
-                diags.append(
-                    Diagnostic(
-                        "error",
-                        "E-BINDING",
-                        f"step {step.step}: {var!r} is {binding.types[var]} "
-                        f"but {message.name!r} uses it as {declared}",
-                    )
-                )
-        for var, payload_json in step.produced.items():
-            payload_type = parse_type(payload_json["type"])
-            if binding.narrow(var, payload_type) is None:
-                diags.append(
-                    Diagnostic(
-                        "error",
-                        "E-BINDING",
-                        f"step {step.step}: payload for {var!r} has type "
-                        f"{payload_type}, expected {binding.types[var]}",
-                    )
-                )
-    return diags
+    for number, (ours, theirs) in enumerate(zip(replayed, recorded), start=1):
+        where = f"step {number}" if "step" in ours.keys() | theirs.keys() else "outcome"
+        if ours.get("verdict") == "V-TYPE" and theirs.get("verdict") == "ok":
+            return found("E-BINDING", f"{where}: {ours['detail']}, the trace says ok")
+        for key in sorted(ours.keys() | theirs.keys()):
+            was, now = _dump(theirs.get(key)), _dump(ours.get(key))
+            if was != now:
+                text = f"{where}: {key} is {was} in the trace, {now} on re-run"
+                return found("E-TRACE", text)
+    return None

@@ -228,6 +228,16 @@ def test_run_with_malformed_agents_file(runner, tmp_path):
     assert "section" in result.output
 
 
+def test_run_negative_repeat_is_a_usage_error(runner):
+    args = ["run", "D1", "--agents", ROBOT_AGENTS, "--repeat"]
+    result = runner.invoke(main, args + ["-3"])
+    assert result.exit_code == 2
+    assert "--repeat" in result.output
+    zero = runner.invoke(main, args + ["0"])
+    assert zero.exit_code == 0
+    assert zero.output == ""
+
+
 # ---------------------------------------------------------------------------
 # diagram
 # ---------------------------------------------------------------------------

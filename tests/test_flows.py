@@ -11,7 +11,7 @@ from pathlib import Path
 import haiproto.check
 import haiproto.runtime
 from conftest import AGENTS_DIR
-from haiproto import parse_agents, run_scenario
+from haiproto import parse_agents, replay_check, run_scenario
 
 #: sha256 over every flow of the packaged corpus run with each demo agents
 #: file (seed 7, three repetitions), recorded before flows were resolved once.
@@ -23,6 +23,7 @@ def test_every_corpus_flow_keeps_its_golden_trace(catalog):
     assert len(flows) == 44
     digest = hashlib.sha256()
     outcomes: Counter = Counter()
+    replayed: Counter = Counter()
     for name in flows:
         for agents_file in ("rl_demo.agents", "robot_demo.agents"):
             agents = parse_agents((AGENTS_DIR / agents_file).read_text())
@@ -36,9 +37,14 @@ def test_every_corpus_flow_keeps_its_golden_trace(catalog):
                 continue
             completed = traces[0].outcome == "completed"
             outcomes["completed" if completed else "aborted"] += 1
+            for trace in traces:
+                assert replay_check(trace, catalog) == [], trace.run_id
+                assert replay_check(trace.to_jsonl(), catalog) == [], trace.run_id
+                replayed[trace.outcome == "completed"] += 1
             digest.update(f"{name}|{agents_file}\n".encode())
             digest.update("".join(t.to_jsonl() for t in traces).encode())
     assert outcomes == {"completed": 5, "aborted": 59, "no agent": 24}
+    assert replayed == {True: 15, False: 177}
     assert digest.hexdigest() == GOLDEN_SHA256
 
 

@@ -1,0 +1,223 @@
+"""Replay re-runs a trace through ``run()`` and flags any field that differs."""
+
+from __future__ import annotations
+
+import json
+
+import pytest
+from hypothesis import given
+from hypothesis import strategies as st
+
+from conftest import AGENTS_DIR
+from haiproto import (
+    AgentBehavior,
+    BaseType,
+    Pattern,
+    Payload,
+    Role,
+    ScriptedAgent,
+    StubModelAgent,
+    Trace,
+    Vector,
+    load,
+    parse_agents,
+    replay_check,
+    run,
+    run_scenario,
+)
+
+GIVE_USE = """
+action give(X) := provide(X: input);
+action use(X) := provide(X: input.raw_data);
+message G := user -> model : give(X);
+message U := model -> user : use(X);
+pattern give-use := [G, U] @ hitl;
+"""
+
+
+def _d1_lines(catalog) -> list[dict]:
+    agents = parse_agents((AGENTS_DIR / "robot_demo.agents").read_text())
+    (trace,) = run_scenario(catalog, "D1", agents, seed=3)
+    assert trace.outcome == "completed"
+    return [json.loads(line) for line in trace.to_jsonl().splitlines()]
+
+
+def _text(lines: list[dict]) -> str:
+    return "".join(json.dumps(line, separators=(",", ":")) + "\n" for line in lines)
+
+
+def _codes(diags) -> list[str]:
+    return [d.code for d in diags]
+
+
+class _Fvector(AgentBehavior):
+    def produce(self, message, action, needed, binding):
+        return {
+            var: Payload(BaseType(Role.INPUT, ("fvector",)), Vector((1.0,)))
+            for var in needed
+        }
+
+
+def test_a_bound_value_must_fit_every_later_use(tmp_path, catalog):
+    (tmp_path / "give_use.hai").write_text(GIVE_USE)
+    give_use = load([tmp_path])
+    agents = {"user": _Fvector(), "model": _Fvector()}
+    trace = run(give_use, "give-use", agents)
+    assert trace.outcome == {"aborted": {"step": 2, "code": "V-TYPE"}}
+    assert "input.raw_data" in trace.steps[1].detail
+    assert replay_check(trace, give_use) == []
+
+    lines = [json.loads(line) for line in trace.to_jsonl().splitlines()]
+    lines[2]["verdict"] = "ok"
+    del lines[2]["detail"]
+    lines[3]["outcome"] = "completed"
+    diags = replay_check(_text(lines), give_use)
+    assert _codes(diags) == ["E-BINDING"]
+    assert "step 2" in diags[0].message
+
+
+def _reverse_steps(lines):
+    lines[1:-1] = lines[-2:0:-1]
+
+
+def _swap_sender(lines):
+    lines[3]["sender"] = lines[3]["receiver"]
+
+
+def _contradict_outcome(lines):
+    lines[-1]["outcome"] = {"aborted": {"step": 4, "code": "V-AGENT"}}
+
+
+def _string_for_list(lines):
+    lines[1]["produced"]["L"]["value"] = "calm"
+
+
+def _bogus_bindings(lines):
+    lines[3]["bindings"] = {"Z": {"type": "input", "value": 1}}
+
+
+@pytest.mark.parametrize(
+    "edit, where",
+    [
+        (_reverse_steps, "step 1:"),
+        (_swap_sender, "step 3: sender"),
+        (_contradict_outcome, "outcome"),
+        (_string_for_list, "step 1:"),
+        (_bogus_bindings, "step 3: bindings"),
+    ],
+)
+def test_edited_d1_traces_are_flagged(catalog, edit, where):
+    lines = _d1_lines(catalog)
+    edit(lines)
+    diags = replay_check(_text(lines), catalog)
+    assert _codes(diags) == ["E-TRACE"]
+    assert where in diags[0].message
+
+
+def test_unknown_flows_are_unresolved(catalog):
+    lines = _d1_lines(catalog)
+    lines[0]["pattern"] = "nosuch"
+    assert _codes(replay_check(_text(lines), catalog)) == ["E-UNRESOLVED"]
+    model = StubModelAgent(samples=[Vector((0.0,))])
+    agents = {"user": ScriptedAgent({}), "model": model}
+    adhoc = run(catalog, Pattern("solo-request", ("A5",), frozenset()), agents)
+    assert _codes(replay_check(adhoc, catalog)) == ["E-UNRESOLVED"]
+
+
+def test_an_empty_scenario_does_not_resolve(tmp_path):
+    (tmp_path / "give_use.hai").write_text(GIVE_USE)
+    (tmp_path / "catalog.json").write_text(json.dumps({"scenarios": {"nothing": []}}))
+    header = {"pattern": "nothing", "run": "x", "seed": 0}
+    footer = {"outcome": "completed", "run": "x", "steps": 0}
+    diags = replay_check(_text([header, footer]), load([tmp_path]))
+    assert _codes(diags) == ["E-UNRESOLVED"]
+
+
+def test_runs_read_before_unreadable_text_are_still_checked(catalog):
+    first, second = _d1_lines(catalog), _d1_lines(catalog)
+    first[3]["sender"] = "nobody"
+    text = _text(first) + _text(second)
+    diags = replay_check(text[: text.rindex('{"outcome"')], catalog)
+    assert _codes(diags) == ["E-TRACE", "E-TRACE"]
+    assert "step 3: sender" in diags[0].message
+    assert "without an outcome line" in diags[1].message
+
+
+def _missing_field(text):
+    lines = text.splitlines()
+    step = json.loads(lines[2])
+    del step["sender"]
+    lines[2] = json.dumps(step)
+    return "\n".join(lines)
+
+
+@pytest.mark.parametrize(
+    "corrupt",
+    [
+        _missing_field,
+        lambda text: text.replace('"seed":3}', '"seed":3', 1),
+        lambda text: text.replace('"type":"[output.label]"', '"type":"[output.$]"', 1),
+        lambda text: text.rsplit("\n", 2)[0] + "\n",
+        lambda text: text + "7\n",
+    ],
+    ids=["missing field", "not json", "bad type", "no outcome", "not an object"],
+)
+def test_unreadable_traces_are_diagnosed(catalog, corrupt):
+    text = _text(_d1_lines(catalog))
+    assert replay_check(text, catalog) == []
+    diags = replay_check(corrupt(text), catalog)
+    assert _codes(diags) == ["E-TRACE"]
+
+
+def test_trace_footer_must_match_header_and_body(catalog):
+    lines = _d1_lines(catalog)
+    for field, value in (("run", "other"), ("steps", 5), ("steps", 6.0)):
+        edited = [dict(line) for line in lines]
+        edited[-1][field] = value
+        with pytest.raises(ValueError, match="outcome line"):
+            Trace.from_jsonl(_text(edited))
+    edited = [dict(line) for line in lines]
+    edited[2]["extra"] = 1
+    with pytest.raises(ValueError, match="malformed"):
+        Trace.all_from_jsonl(_text(edited))
+
+
+JSON = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats(allow_nan=False) | st.text(),
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.text(max_size=4), inner, max_size=3),
+    max_leaves=6,
+)
+
+
+def _paths(value, prefix=()):
+    """Every path to a value nested in ``value``, itself excluded."""
+    items = value.items() if isinstance(value, dict) else (
+        enumerate(value) if isinstance(value, list) else ()
+    )
+    for key, inner in items:
+        yield prefix + (key,)
+        yield from _paths(inner, prefix + (key,))
+
+
+def _dump(value) -> str:
+    return json.dumps(value, sort_keys=True)
+
+
+@given(data=st.data())
+def test_any_single_field_change_is_flagged(catalog, data):
+    lines = _d1_lines(catalog)
+    targets = [
+        (index, path)
+        for index, line in enumerate(lines)
+        for path in _paths(line)
+        if index or path[0] == "pattern"  # the header's run and seed are labels
+    ]
+    index, path = data.draw(st.sampled_from(targets))
+    *parents, last = path
+    holder = lines[index]
+    for key in parents:
+        holder = holder[key]
+    old = _dump(holder[last])
+    holder[last] = data.draw(JSON.filter(lambda new: _dump(new) != old))
+    assert replay_check(_text(lines), catalog) != []
