@@ -15,7 +15,10 @@ Violations abort the run with a coded verdict, in this order of precedence:
 * ``V-TYPE`` — a produced or bound value does not fit its variable's type here.
 
 Runs are reproducible: deterministic agents and canonical JSON lines make
-the same pattern, agents and seed yield byte-identical traces.  Replay
+the same pattern, agents and seed yield byte-identical traces.  A trace is
+linear in its length: each step records only the values it produced, plus a
+fixed-size ``digest`` chained over every step so far, and
+:meth:`Trace.bindings_at` rebuilds the values bound after any step.  Replay
 re-runs a trace through :func:`run` and compares every field.
 """
 
@@ -24,7 +27,9 @@ from __future__ import annotations
 import functools
 import marshal
 import re
-from dataclasses import dataclass
+import zlib
+from dataclasses import MISSING, dataclass, fields
+from types import MappingProxyType
 from typing import Callable, Iterable, Iterator, Mapping, Sequence, Union
 
 from .catalog import Catalog
@@ -184,8 +189,9 @@ class AgentBehavior:
 
     ``produce`` returns payloads for the variables in ``needed`` (a mapping
     of variable name to its current narrowed type); ``on_receive`` lets the
-    receiver observe a delivered message.  Both see ``binding``, the values
-    bound so far, and must be deterministic.
+    receiver observe a delivered message.  Both see ``binding``, a live
+    read-only view of the values bound so far, valid during the call (copy it
+    to keep it), and must be deterministic.
     """
 
     def produce(
@@ -486,7 +492,14 @@ _dump = json.JSONEncoder(sort_keys=True, separators=(",", ":")).encode
 
 @dataclass(frozen=True)
 class TraceStep:
-    """One executed message: what was produced and the bindings after it."""
+    """One executed message: what its sender produced, and the trace digest.
+
+    ``digest`` is 8 hex digits of a running ``zlib.crc32`` over the canonical
+    JSON of each step's ``produced`` (and of an aborted step's ``detail``),
+    from the first step through this one.  It is the trace's only record of
+    what came before, so replay, which re-runs the recorded values, notices a
+    changed value.  :meth:`Trace.bindings_at` rebuilds the values bound.
+    """
 
     step: int
     message: str
@@ -494,7 +507,7 @@ class TraceStep:
     receiver: str
     action: str
     produced: dict[str, dict]
-    bindings: dict[str, dict]
+    digest: str
     verdict: str
     detail: str | None = None
 
@@ -503,6 +516,20 @@ class TraceStep:
         if self.detail is None:
             del data["detail"]
         return data
+
+
+#: The fields of a trace step line, and those it may not leave out.
+_STEP_FIELDS = {field.name for field in fields(TraceStep)}
+_REQUIRED = [field.name for field in fields(TraceStep) if field.default is MISSING]
+
+
+def _misfit(entry: dict) -> str:
+    """Why ``entry`` is not a :class:`TraceStep`: its first unknown or missing field."""
+    unknown = sorted(entry.keys() - _STEP_FIELDS)
+    if unknown:
+        return f"{unknown[0]} is not a trace field"
+    missing = [name for name in _REQUIRED if name not in entry]
+    return f"{missing[0]} is missing"
 
 
 @dataclass(frozen=True)
@@ -516,12 +543,27 @@ class Trace:
     outcome: Union[str, dict]
 
     def to_jsonl(self) -> str:
-        lines = [_dump({"run": self.run_id, "pattern": self.pattern, "seed": self.seed})]
+        header = {"run": self.run_id, "pattern": self.pattern, "seed": self.seed}
+        lines = [_dump({"format": 2, **header})]
         lines.extend(_dump(step.to_json()) for step in self.steps)
         lines.append(
             _dump({"run": self.run_id, "steps": len(self.steps), "outcome": self.outcome})
         )
         return "\n".join(lines) + "\n"
+
+    def bindings_at(self, step: int) -> dict[str, dict]:
+        """The values bound after step ``step`` (0 for none), by variable name.
+
+        Values bind once, so these are the ``produced`` values of steps 1 to
+        ``step``, in the JSON form a step records them; ``IndexError`` if there
+        is no such step.
+        """
+        if not 0 <= step <= len(self.steps):
+            raise IndexError(f"run {self.run_id} has no step {step}")
+        bound: dict[str, dict] = {}
+        for each in self.steps[:step]:
+            bound.update(each.produced)
+        return dict(sorted(bound.items()))
 
     @classmethod
     def from_jsonl(cls, text: str) -> "Trace":
@@ -533,41 +575,62 @@ class Trace:
     @classmethod
     def all_from_jsonl(cls, text: str) -> list["Trace"]:
         """Parse a stream of traces, e.g. a ``--repeat K --trace FILE`` file;
-        ``ValueError`` if a line is not a JSON object, a step's fields are not
-        :class:`TraceStep`'s, or an outcome line contradicts its run."""
+        ``ValueError``, naming the line, if a line is not a JSON object, a
+        header is not format 2, a step's fields are not :class:`TraceStep`'s,
+        or an outcome line contradicts its run."""
         return list(cls._read_each(text))
 
     @classmethod
     def _read_each(cls, text: str) -> Iterator["Trace"]:
-        entries: list[dict] = []
+        lines: list[tuple[int, dict]] = []
         for lineno, line in enumerate(text.splitlines(), start=1):
             if not line.strip():
                 continue
-            entries.append(json.loads(line))
-            if not isinstance(entries[-1], dict):
+            try:
+                entry = json.loads(line)
+            except json.JSONDecodeError as exc:
+                problem = f"line {lineno}: {exc.msg} (column {exc.colno})"
+                raise ValueError(problem) from None
+            if not isinstance(entry, dict):
                 raise ValueError(f"line {lineno} is not a JSON object")
-            if "outcome" in entries[-1]:
-                yield cls._from_entries(entries)
-                entries = []
-        if entries:
+            lines.append((lineno, entry))
+            if "outcome" in entry:
+                yield cls._from_lines(lines)
+                lines = []
+        if lines:
             raise ValueError("trace ends without an outcome line")
 
     @classmethod
-    def _from_entries(cls, lines: list[dict]) -> "Trace":
-        header, body, footer = lines[0], lines[1:-1], lines[-1]  # a lone footer fails
-        try:
-            trace = cls(
-                run_id=header["run"],
-                pattern=header["pattern"],
-                seed=header["seed"],
-                steps=tuple(TraceStep(**entry) for entry in body),
-                outcome=footer["outcome"],
+    def _from_lines(cls, lines: list[tuple[int, dict]]) -> "Trace":
+        """One run from its numbered lines: header, steps, outcome."""
+        (first, header), body, (last, footer) = lines[0], lines[1:-1], lines[-1]
+        if len(lines) == 1:
+            raise ValueError(f"line {last}: an outcome line without a header")
+        version = _dump(header.get("format", 1))
+        if version != "2":
+            raise ValueError(
+                f"line {first}: the trace is format {version}, this reader reads "
+                f"format 2: regenerate it with `haiproto run`"
             )
-        except (KeyError, TypeError) as exc:
-            raise ValueError(f"malformed trace line: {exc}") from None
-        if _dump(footer) != _dump({**footer, "run": trace.run_id, "steps": len(body)}):
-            raise ValueError(f"outcome line of run {trace.run_id!r} contradicts it")
-        return trace
+        steps = []
+        for number, (lineno, entry) in enumerate(body, start=1):
+            try:
+                steps.append(TraceStep(**entry))
+            except TypeError:
+                raise ValueError(
+                    f"malformed trace line {lineno}: step {number}: {_misfit(entry)}"
+                ) from None
+        try:
+            run_id, pattern, seed = header["run"], header["pattern"], header["seed"]
+        except KeyError as exc:
+            raise ValueError(
+                f"malformed trace line {first}: {exc.args[0]} is missing"
+            ) from None
+        if _dump(footer) != _dump({**footer, "run": run_id, "steps": len(body)}):
+            raise ValueError(
+                f"line {last}: outcome line of run {run_id!r} contradicts it"
+            )
+        return cls(run_id, pattern, seed, tuple(steps), footer["outcome"])
 
 
 class RunViolation(Exception):
@@ -615,9 +678,10 @@ def run(
         run_id = f"{flow.pattern.name}-s{seed}-r0"
 
     values: dict[str, Payload] = {}
-    values_json: dict[str, dict] = {}
+    binding = MappingProxyType(values)  # what agents see: read-only, never copied
     steps: list[TraceStep] = []
     outcome: Union[str, dict] = "completed"
+    digest = 0
 
     for index, (step, pairs) in enumerate(zip(flow.steps, flow.needed), start=1):
         message, action = step.message, step.action
@@ -628,7 +692,7 @@ def run(
             try:
                 produced = dict(
                     agents[message.sender].produce(
-                        message, action, dict(needed), dict(values)
+                        message, action, dict(needed), binding
                     )
                 )
             except RunViolation:
@@ -668,9 +732,9 @@ def run(
                     )
             for var in sorted(needed):  # the key order of a parsed trace
                 values[var] = produced[var]
-                values_json[var] = produced_json[var] = produced[var].to_json()
+                produced_json[var] = produced[var].to_json()
             try:
-                agents[message.receiver].on_receive(message, action, dict(values))
+                agents[message.receiver].on_receive(message, action, binding)
             except RunViolation:
                 raise
             except Exception as exc:
@@ -678,6 +742,9 @@ def run(
         except RunViolation as violation:
             verdict, detail = violation.code, violation.detail
             outcome = {"aborted": {"code": violation.code, "step": index}}
+        digest = zlib.crc32(_dump(produced_json).encode(), digest)
+        if detail is not None:  # replay raises the recorded detail again: check it here
+            digest = zlib.crc32(_dump(detail).encode(), digest)
         steps.append(
             TraceStep(
                 step=index,
@@ -686,7 +753,7 @@ def run(
                 receiver=message.receiver,
                 action=action.name,
                 produced=produced_json,
-                bindings=dict(sorted(values_json.items())),
+                digest=f"{digest:08x}",
                 verdict=verdict,
                 detail=detail,
             )

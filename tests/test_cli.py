@@ -201,6 +201,7 @@ def test_run_trace_structure(runner):
         if line.startswith("{")
     ]
     assert lines[0] == {
+        "format": 2,
         "pattern": "sample-annotation",
         "run": "sample-annotation-s0-r0",
         "seed": 0,

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import hashlib
+import json
 import subprocess
 import sys
 from collections import Counter
@@ -11,17 +12,37 @@ from pathlib import Path
 import haiproto.check
 import haiproto.runtime
 from conftest import AGENTS_DIR
-from haiproto import parse_agents, replay_check, run_scenario
+from haiproto import Trace, parse_agents, replay_check, run_scenario
 
 #: sha256 over every flow of the packaged corpus run with each demo agents
-#: file (seed 7, three repetitions), recorded before flows were resolved once.
+#: file (seed 7, three repetitions), recorded before flows were resolved once,
+#: in trace format 1: no header ``format``, no step ``digest``, and each step
+#: with ``bindings``, every value bound so far.
 GOLDEN_SHA256 = "1e168d0053e4a082dfb67c4fadca2750407fed62dd2cbf8d4cd4821a07513a05"
+
+#: The same over the format 2 text that ``Trace.to_jsonl`` writes.
+GOLDEN_V2_SHA256 = "648961f73e24ad308eda21951654ed8834de5a169bf3119ee1ae6e8ad746ae42"
+
+
+def _line(value: dict) -> str:
+    return json.dumps(value, sort_keys=True, separators=(",", ":")) + "\n"
+
+
+def _v1_jsonl(trace) -> str:
+    """``trace`` as format 1 wrote it, with the bound values rebuilt."""
+    text = _line({"run": trace.run_id, "pattern": trace.pattern, "seed": trace.seed})
+    for step in trace.steps:
+        line = {key: value for key, value in step.to_json().items() if key != "digest"}
+        text += _line({**line, "bindings": trace.bindings_at(step.step)})
+    footer = {"run": trace.run_id, "steps": len(trace.steps), "outcome": trace.outcome}
+    return text + _line(footer)
 
 
 def test_every_corpus_flow_keeps_its_golden_trace(catalog):
     flows = sorted({*catalog.patterns, *catalog.scenarios})
     assert len(flows) == 44
     digest = hashlib.sha256()
+    digest_v2 = hashlib.sha256()
     outcomes: Counter = Counter()
     replayed: Counter = Counter()
     for name in flows:
@@ -41,11 +62,17 @@ def test_every_corpus_flow_keeps_its_golden_trace(catalog):
                 assert replay_check(trace, catalog) == [], trace.run_id
                 assert replay_check(trace.to_jsonl(), catalog) == [], trace.run_id
                 replayed[trace.outcome == "completed"] += 1
-            digest.update(f"{name}|{agents_file}\n".encode())
-            digest.update("".join(t.to_jsonl() for t in traces).encode())
+                bound: dict = {}
+                for step in trace.steps:  # values bind once: the union of produced
+                    bound.update(step.produced)
+                    assert trace.bindings_at(step.step) == bound
+            for each, traces_text in ((digest, _v1_jsonl), (digest_v2, Trace.to_jsonl)):
+                each.update(f"{name}|{agents_file}\n".encode())
+                each.update("".join(traces_text(t) for t in traces).encode())
     assert outcomes == {"completed": 5, "aborted": 59, "no agent": 24}
     assert replayed == {True: 15, False: 177}
     assert digest.hexdigest() == GOLDEN_SHA256
+    assert digest_v2.hexdigest() == GOLDEN_V2_SHA256
 
 
 def test_run_scenario_resolves_and_checks_the_flow_once(catalog, monkeypatch):

@@ -42,6 +42,13 @@ def _d1_lines(catalog) -> list[dict]:
     return [json.loads(line) for line in trace.to_jsonl().splitlines()]
 
 
+def _aborted_lines(catalog) -> list[dict]:
+    agents = parse_agents((AGENTS_DIR / "rl_demo.agents").read_text())
+    trace = run(catalog, "sample-annotation", agents)
+    assert trace.outcome == {"aborted": {"code": "V-MISSING", "step": 2}}
+    return [json.loads(line) for line in trace.to_jsonl().splitlines()]
+
+
 def _text(lines: list[dict]) -> str:
     return "".join(json.dumps(line, separators=(",", ":")) + "\n" for line in lines)
 
@@ -127,7 +134,7 @@ def test_unknown_flows_are_unresolved(catalog):
 def test_an_empty_scenario_does_not_resolve(tmp_path):
     (tmp_path / "give_use.hai").write_text(GIVE_USE)
     (tmp_path / "catalog.json").write_text(json.dumps({"scenarios": {"nothing": []}}))
-    header = {"pattern": "nothing", "run": "x", "seed": 0}
+    header = {"format": 2, "pattern": "nothing", "run": "x", "seed": 0}
     footer = {"outcome": "completed", "run": "x", "steps": 0}
     diags = replay_check(_text([header, footer]), load([tmp_path]))
     assert _codes(diags) == ["E-UNRESOLVED"]
@@ -169,6 +176,43 @@ def test_unreadable_traces_are_diagnosed(catalog, corrupt):
     assert _codes(diags) == ["E-TRACE"]
 
 
+def test_reading_names_the_file_line(catalog):
+    lines = _d1_lines(catalog) + _d1_lines(catalog)
+    text = _text(lines).splitlines()
+    text[9] = text[9][:-1]  # the second run's step 1 loses its closing brace
+    with pytest.raises(ValueError, match=r"^line 10: .* \(column \d+\)$"):
+        Trace.all_from_jsonl("\n".join(text))
+    (diag,) = replay_check("\n".join(text), catalog)
+    assert diag.code == "E-TRACE" and "line 10: " in diag.message
+
+    edited = [dict(line) for line in lines]
+    edited[12]["bindings"] = {}
+    with pytest.raises(ValueError, match="line 13: step 4: bindings is not a trace field"):
+        Trace.all_from_jsonl(_text(edited))
+    edited = [dict(line) for line in lines]
+    del edited[10]["digest"]
+    with pytest.raises(ValueError, match="line 11: step 2: digest is missing"):
+        Trace.all_from_jsonl(_text(edited))
+
+
+def test_format_1_traces_are_rejected(catalog):
+    lines = _d1_lines(catalog)
+    del lines[0]["format"]  # a format 1 trace: no format, a bindings snapshot per step
+    for step in lines[1:-1]:
+        del step["digest"]
+        step["bindings"] = {}
+    with pytest.raises(ValueError, match="format 1, .*`haiproto run`"):
+        Trace.all_from_jsonl(_text(lines))
+    (diag,) = replay_check(_text(lines), catalog)
+    assert diag.code == "E-TRACE"
+    assert "format 1" in diag.message
+    assert "regenerate it with `haiproto run`" in diag.message
+    for version in (3, 2.0, "2"):
+        lines[0]["format"] = version
+        with pytest.raises(ValueError, match="this reader reads format 2"):
+            Trace.all_from_jsonl(_text(lines))
+
+
 def test_trace_footer_must_match_header_and_body(catalog):
     lines = _d1_lines(catalog)
     for field, value in (("run", "other"), ("steps", 5), ("steps", 6.0)):
@@ -204,9 +248,8 @@ def _dump(value) -> str:
     return json.dumps(value, sort_keys=True)
 
 
-@given(data=st.data())
-def test_any_single_field_change_is_flagged(catalog, data):
-    lines = _d1_lines(catalog)
+def _change_one_value(lines: list[dict], data) -> None:
+    """Replace one value nested anywhere in ``lines`` by different JSON."""
     targets = [
         (index, path)
         for index, line in enumerate(lines)
@@ -220,4 +263,24 @@ def test_any_single_field_change_is_flagged(catalog, data):
         holder = holder[key]
     old = _dump(holder[last])
     holder[last] = data.draw(JSON.filter(lambda new: _dump(new) != old))
+
+
+@given(data=st.data())
+def test_any_single_field_change_is_flagged(catalog, data):
+    lines = _d1_lines(catalog)
+    _change_one_value(lines, data)
+    assert replay_check(_text(lines), catalog) != []
+
+
+def test_a_changed_violation_detail_is_flagged(catalog):
+    lines = _aborted_lines(catalog)
+    lines[2]["detail"] = "sender of 'A6' did not produce 'X'"  # re-raised as recorded
+    (diag,) = replay_check(_text(lines), catalog)
+    assert diag.code == "E-TRACE" and "step 2: digest" in diag.message
+
+
+@given(data=st.data())
+def test_any_single_field_change_of_an_aborted_trace_is_flagged(catalog, data):
+    lines = _aborted_lines(catalog)
+    _change_one_value(lines, data)
     assert replay_check(_text(lines), catalog) != []

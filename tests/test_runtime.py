@@ -23,6 +23,7 @@ from haiproto import (
     Trace,
     Vector,
     classify,
+    load,
     parse,
     parse_agents,
     replay_check,
@@ -271,7 +272,7 @@ def test_run_scenario_d1_follows_the_script(catalog):
         assert select.produced["Y"]["value"] == oracles.D1_SCRIPT_LABELS[rep]
         annotate = trace.steps[5]
         assert annotate.produced == {}  # label and sample are already bound
-        assert annotate.bindings["X"]["value"] == {
+        assert trace.bindings_at(annotate.step)["X"]["value"] == {
             "vec": list(oracles.D1_SCRIPT_POINTS[rep])
         }
 
@@ -354,6 +355,26 @@ class _Custom(AgentBehavior):
 
 def _run_sample_annotation(catalog, model, user):
     return run(catalog, "sample-annotation", {"model": model, "user": user})
+
+
+def test_agents_cannot_assign_into_the_binding(catalog):
+    def assign(needed, binding):
+        binding["X"] = Payload(RAW, Vector((0.0, 0.0)))
+        return {}
+
+    trace = _run_sample_annotation(catalog, _Custom(assign), ScriptedAgent({}))
+    assert trace.outcome == {"aborted": {"step": 1, "code": "V-AGENT"}}
+    assert "does not support item assignment" in trace.steps[0].detail
+
+    class Receiver(AgentBehavior):
+        def on_receive(self, message, action, binding):
+            del binding["X"]
+
+    model = StubModelAgent(samples=[Vector((0.0, 0.0))])
+    trace = _run_sample_annotation(catalog, model, Receiver())
+    assert trace.outcome == {"aborted": {"step": 1, "code": "V-AGENT"}}
+    assert "receiver failed" in trace.steps[0].detail
+    assert trace.bindings_at(1) == trace.steps[0].produced != {}
 
 
 def test_agent_exception_aborts_with_v_agent(catalog):
@@ -448,12 +469,32 @@ def test_trace_jsonl_round_trip(catalog):
     (trace,) = run_scenario(catalog, "D1", _demo_agents(), seed=3)
     text = trace.to_jsonl()
     lines = text.splitlines()
-    assert lines[0] == '{"pattern":"D1","run":"D1-s3-r0","seed":3}'
+    assert lines[0] == '{"format":2,"pattern":"D1","run":"D1-s3-r0","seed":3}'
     assert lines[-1] == '{"outcome":"completed","run":"D1-s3-r0","steps":6}'
     assert Trace.from_jsonl(text) == trace
     assert replay_check(text, catalog) == []
     assert replay_check(trace, catalog) == []
     assert replay_check(lines, catalog) == []
+
+
+def _longest_step_line(directory, length: int) -> int:
+    """Run a flow of ``length`` provides, each binding its own vector."""
+    directory.mkdir()
+    names = [f"G{k}" for k in range(1, length + 1)]
+    text = "action give(X) := provide(X: input.raw_data);\n"
+    text += "".join(f"message {m} := user -> model : give(X{m});\n" for m in names)
+    text += f"pattern flat := [{', '.join(names)}];\n"
+    (directory / "flat.hai").write_text(text)
+    script = {f"{m}.X{m}": [Vector((0.125 * k, -1.5))] for k, m in enumerate(names)}
+    agents = {"user": ScriptedAgent(script), "model": ScriptedAgent({})}
+    trace = run(load([directory]), "flat", agents)
+    assert trace.outcome == "completed" and len(trace.steps) == length
+    return max(len(line) for line in trace.to_jsonl().splitlines()[1:-1])
+
+
+def test_trace_step_lines_do_not_grow_with_the_flow(tmp_path):
+    short = _longest_step_line(tmp_path / "short", 10)
+    assert _longest_step_line(tmp_path / "long", 1000) < 2 * short
 
 
 def test_trace_from_jsonl_needs_header_and_outcome():
