@@ -25,6 +25,7 @@ from .check import (
     check_action,
     check_message,
     check_pattern,
+    reference_rule,
     resolve,
 )
 from .core import (
@@ -170,12 +171,7 @@ def load_with_diagnostics(
             else:
                 pattern = decl.pattern
                 unknown = [m for m in pattern.messages if m not in messages]
-                for m in unknown:
-                    err(
-                        "E-UNRESOLVED",
-                        f"pattern {name!r} references unknown message {m!r}",
-                        path,
-                    )
+                diags.extend(reference_rule(pattern, m, path) for m in unknown)
                 if not unknown:
                     patterns[name] = pattern
 

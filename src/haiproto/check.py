@@ -172,6 +172,17 @@ def pattern_rule(
     ]
 
 
+def reference_rule(
+    pattern: Pattern, name: str, path: str = "<pattern>"
+) -> Diagnostic:
+    """``E-UNRESOLVED``: ``pattern`` references ``name``, which is no message."""
+    return _err(
+        "E-UNRESOLVED",
+        f"pattern {pattern.name!r} references unknown message {name!r}",
+        path,
+    )
+
+
 class Step(NamedTuple):  # a tuple: built once per message of every checked flow
     """A message resolved against its action.
 
@@ -379,13 +390,7 @@ def resolve(
     for name in pattern.messages:
         message = messages.get(name)
         if message is None:
-            diags.append(
-                _err(
-                    "E-UNRESOLVED",
-                    f"pattern {pattern.name!r} references unknown message {name!r}",
-                    path,
-                )
-            )
+            diags.append(reference_rule(pattern, name, path))
             continue
         step, found = resolve_step(message, actions, path)
         diags.extend(found)

@@ -26,6 +26,7 @@ from __future__ import annotations
 
 import functools
 import marshal
+import math
 import re
 import zlib
 from dataclasses import MISSING, dataclass, fields
@@ -53,12 +54,16 @@ import json
 
 @dataclass(frozen=True)
 class Vector:
-    """A numeric feature vector."""
+    """A numeric feature vector: ``ValueError`` if a coordinate is not finite,
+    since a trace writes each as a JSON number."""
 
     values: tuple[float, ...]
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "values", tuple(float(v) for v in self.values))
+        values = tuple(float(v) for v in self.values)
+        if not all(map(math.isfinite, values)):
+            raise ValueError(f"vector coordinates must be finite, got {values!r}")
+        object.__setattr__(self, "values", values)
 
 
 @dataclass(frozen=True)
@@ -73,9 +78,10 @@ Value = Union[Scalar, tuple]
 
 
 def _is_scalar(value: object) -> bool:
-    return isinstance(value, (str, int, float, Vector, Blob)) and not isinstance(
-        value, bool
-    )
+    """A string, an int (not a bool), a finite float, a vector or a blob."""
+    if isinstance(value, float):
+        return math.isfinite(value)
+    return isinstance(value, (str, int, Vector, Blob)) and not isinstance(value, bool)
 
 
 @dataclass(frozen=True)
@@ -139,6 +145,57 @@ def coerce_value(raw: object) -> Value:
 # ---------------------------------------------------------------------------
 
 
+class _Centroids:
+    """Per-label running sums and counts of example vectors, and the
+    nearest-centroid rule over them.
+
+    Each example is added coordinate by coordinate, in the order given, so
+    the same examples give the same floats however they arrive.  Example
+    lengths are kept in order of first appearance; once there are two, no
+    point fits every example, so the sums stop being kept.
+    """
+
+    def __init__(self) -> None:
+        self.sums: dict[str, list[float]] = {}
+        self.counts: dict[str, int] = {}
+        self.dims: dict[int, None] = {}  # an ordered set
+
+    def add(self, vec: tuple[float, ...], label: str) -> None:
+        self.dims.setdefault(len(vec))
+        if len(self.dims) > 1:
+            return
+        total = self.sums.get(label)
+        if total is None:
+            total = self.sums[label] = [0.0] * len(vec)
+            self.counts[label] = 0
+        for i, v in enumerate(vec):
+            total[i] += v
+        self.counts[label] += 1
+
+    def nearest(self, point: Union[Vector, Sequence[float]]) -> str:
+        """The label whose centroid has the smallest squared Euclidean
+        distance to ``point``; exact ties go to the smaller label."""
+        if not self.dims:
+            raise ValueError("cannot classify without examples")
+        coords = point.values if isinstance(point, Vector) else tuple(
+            float(v) for v in point
+        )
+        for dims in self.dims:  # the first example that does not fit
+            if dims != len(coords):
+                raise ValueError(
+                    f"dimension mismatch: example has {dims} coordinates, "
+                    f"point has {len(coords)}"
+                )
+        best: tuple[float, str] | None = None
+        for label, total in self.sums.items():
+            count = self.counts[label]
+            dist = sum((s / count - p) ** 2 for s, p in zip(total, coords))
+            if best is None or (dist, label) < best:
+                best = (dist, label)
+        assert best is not None
+        return best[1]
+
+
 def classify(
     examples: Sequence[tuple[Sequence[float], str]],
     point: Union[Vector, Sequence[float]],
@@ -147,36 +204,13 @@ def classify(
 
     Examples with the same label are averaged into one centroid; the label of
     the centroid with the smallest squared Euclidean distance wins, with exact
-    ties broken toward the lexicographically smaller label.
+    ties broken toward the lexicographically smaller label.  ``ValueError``
+    without examples, or if an example's length is not the point's.
     """
-    if not examples:
-        raise ValueError("cannot classify without examples")
-    coords = tuple(point.values) if isinstance(point, Vector) else tuple(
-        float(v) for v in point
-    )
-    sums: dict[str, list[float]] = {}
-    counts: dict[str, int] = {}
+    centroids = _Centroids()
     for vec, label in examples:
-        vec = tuple(float(v) for v in vec)
-        if len(vec) != len(coords):
-            raise ValueError(
-                f"dimension mismatch: example has {len(vec)} coordinates, "
-                f"point has {len(coords)}"
-            )
-        if label not in sums:
-            sums[label] = [0.0] * len(coords)
-            counts[label] = 0
-        for i, v in enumerate(vec):
-            sums[label][i] += v
-        counts[label] += 1
-    best: tuple[float, str] | None = None
-    for label in sums:
-        centroid = [s / counts[label] for s in sums[label]]
-        dist = sum((c - p) ** 2 for c, p in zip(centroid, coords))
-        if best is None or (dist, label) < best:
-            best = (dist, label)
-    assert best is not None
-    return best[1]
+        centroids.add(tuple(float(v) for v in vec), label)
+    return centroids.nearest(point)
 
 
 # ---------------------------------------------------------------------------
@@ -257,6 +291,13 @@ class StubModelAgent(AgentBehavior):
 
     with per-variable scripted overrides taking precedence.  Anything else
     raises, which the runtime reports as ``V-AGENT``.
+
+    The learner is incremental: each example, from ``examples=`` or from a
+    delivered message, updates per-label running sums and the vocabulary, so
+    learning and prediction each cost O(labels × dims), however many examples
+    are stored.  Predictions equal :func:`classify` over :attr:`examples`.
+    :attr:`examples` is the learner's record of what it was taught, in order;
+    treat it as read-only, since changing it does not change the sums.
     """
 
     def __init__(
@@ -267,14 +308,24 @@ class StubModelAgent(AgentBehavior):
         script: Mapping[str, Sequence[object]] | None = None,
     ):
         self.labels = tuple(labels)
-        self.examples: list[tuple[tuple[float, ...], str]] = [
-            (tuple(float(v) for v in vec), label) for vec, label in examples
-        ]
+        self.examples: list[tuple[tuple[float, ...], str]] = []
+        self._centroids = _Centroids()
+        self._vocab = set(self.labels)
+        self._sorted_vocab: tuple[str, ...] | None = None
+        for vec, label in examples:
+            self._learn(Vector(vec).values, label)
         self.samples = list(samples)
         self._sample_cursor = 0
         self._override = ScriptedAgent(script) if script else None
 
     # -- learning ------------------------------------------------------------
+
+    def _learn(self, vec: tuple[float, ...], label: str) -> None:
+        self.examples.append((vec, label))
+        self._centroids.add(vec, label)
+        if label not in self._vocab:
+            self._vocab.add(label)
+            self._sorted_vocab = None
 
     def on_receive(self, message, action, binding):
         head = action.primitive.head
@@ -290,13 +341,14 @@ class StubModelAgent(AgentBehavior):
             return
         source = self._map_source(action, to_message, head.var, binding, {})
         if source is not None:
-            self.examples.append((source.values, label_payload.value))
+            self._learn(source.values, label_payload.value)
 
     # -- producing -----------------------------------------------------------
 
     def _vocabulary(self) -> tuple[str, ...]:
-        seen = set(self.labels) | {label for _, label in self.examples}
-        return tuple(sorted(seen))
+        if self._sorted_vocab is None:
+            self._sorted_vocab = tuple(sorted(self._vocab))
+        return self._sorted_vocab
 
     def _next_sample(self) -> Value:
         if not self.samples:
@@ -326,7 +378,7 @@ class StubModelAgent(AgentBehavior):
             if typ.role is Role.OUTPUT and "raw_data" not in typ.subtypes:
                 source = self._map_source(action, to_message, param, binding, pending)
                 if source is not None and self.examples:
-                    return classify(self.examples, source)
+                    return self._centroids.nearest(source)
             if typ.role is Role.FEEDBACK:
                 return Blob(typ.subtypes[0] if typ.subtypes else "feedback")
             if typ.role in (Role.INPUT, Role.OUTPUT):
@@ -490,6 +542,14 @@ def parse_agents(text: str, path: str = "<agents>") -> dict[str, AgentBehavior]:
 _dump = json.JSONEncoder(sort_keys=True, separators=(",", ":")).encode
 
 
+def _not_json(constant: str) -> float:
+    raise ValueError(f"{constant} is not a JSON number")
+
+
+#: Reads one trace line; ``NaN`` and ``Infinity``, which no run writes, do not read.
+_load = json.JSONDecoder(parse_constant=_not_json).decode
+
+
 @dataclass(frozen=True)
 class TraceStep:
     """One executed message: what its sender produced, and the trace digest.
@@ -587,10 +647,12 @@ class Trace:
             if not line.strip():
                 continue
             try:
-                entry = json.loads(line)
+                entry = _load(line)
             except json.JSONDecodeError as exc:
                 problem = f"line {lineno}: {exc.msg} (column {exc.colno})"
                 raise ValueError(problem) from None
+            except ValueError as exc:
+                raise ValueError(f"line {lineno}: {exc}") from None
             if not isinstance(entry, dict):
                 raise ValueError(f"line {lineno} is not a JSON object")
             lines.append((lineno, entry))

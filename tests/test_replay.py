@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import json
 
 import pytest
@@ -174,6 +175,31 @@ def test_unreadable_traces_are_diagnosed(catalog, corrupt):
     assert replay_check(text, catalog) == []
     diags = replay_check(corrupt(text), catalog)
     assert _codes(diags) == ["E-TRACE"]
+
+
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
+def test_non_finite_numbers_are_one_finding(catalog, bad):
+    lines = _d1_lines(catalog)
+    assert lines[4]["message"] == "A4" and "vec" in lines[4]["produced"]["X"]["value"]
+    lines[4]["produced"]["X"]["value"]["vec"][1] = bad
+    text = _text(lines)
+    constant = json.dumps(bad)
+    assert constant in text  # not standard JSON, as Python writes it
+    (diag,) = replay_check(text, catalog)
+    assert diag.code == "E-TRACE"
+    assert f"line 5: {constant} is not a JSON number" in diag.message
+    lines = _d1_lines(catalog)
+    lines[0]["seed"] = bad
+    (diag,) = replay_check(_text(lines), catalog)
+    assert diag.code == "E-TRACE" and "line 1: " in diag.message
+    # a trace built in memory cannot re-run a non-finite vector either
+    trace = Trace.from_jsonl(_text(_d1_lines(catalog)))
+    step = trace.steps[3]
+    produced = {"X": {**step.produced["X"], "value": {"vec": [0.0, bad]}}}
+    steps = list(trace.steps)
+    steps[3] = dataclasses.replace(step, produced=produced)
+    (diag,) = replay_check(dataclasses.replace(trace, steps=tuple(steps)), catalog)
+    assert diag.code == "E-TRACE" and "finite" in diag.message
 
 
 def test_reading_names_the_file_line(catalog):

@@ -20,6 +20,7 @@ from haiproto import (
     Role,
     check_action,
     check_pattern,
+    load_with_diagnostics,
     parse,
     print_action,
     print_pattern,
@@ -128,3 +129,16 @@ def test_truncated_group_is_a_syntax_error():
     result = parse("action a(X) := provide([")
     assert result.file is None
     assert [d.code for d in result.diagnostics] == ["E-SYNTAX"]
+
+
+def test_loader_and_checker_report_an_unknown_message_alike(tmp_path):
+    path = tmp_path / "p.hai"
+    path.write_text("pattern p := [M1, M2, M1] @ hitl;\n")
+    _, loaded = load_with_diagnostics([path])
+    checked = check_pattern(
+        Pattern("p", ("M1", "M2", "M1"), frozenset({"hitl"})), {}, {}, path=str(path)
+    ).diagnostics
+    assert loaded == checked
+    assert [d.message for d in loaded] == [
+        f"pattern 'p' references unknown message {m!r}" for m in ("M1", "M2", "M1")
+    ]

@@ -3,9 +3,12 @@
 from __future__ import annotations
 
 import dataclasses
+import math
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import oracles
 from conftest import AGENTS_DIR
@@ -63,6 +66,20 @@ def _demo_agents():
 def test_vector_coerces_to_floats():
     assert Vector((1, 2)).values == (1.0, 2.0)
     assert isinstance(Vector((1, 2)).values[0], float)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_vector_coordinates_are_finite(bad):
+    with pytest.raises(ValueError, match="finite"):
+        Vector((0.0, bad))
+    with pytest.raises(ValueError, match="finite"):
+        Vector((str(bad),))  # coerced first, then checked
+    with pytest.raises(ValueError):
+        Payload(RAW, bad)
+    with pytest.raises(ValueError):
+        Payload(ListType(RAW), (1.0, bad))
+    with pytest.raises(ValueError, match="finite"):
+        StubModelAgent(examples=[((0.0, 0.0), "a"), ((bad, 0.0), "b")])
 
 
 def test_payload_shape_validation():
@@ -257,6 +274,168 @@ def test_parse_agents_rejects_malformed(text: str):
         parse_agents(text)
 
 
+def test_parse_agents_rejects_non_finite_vectors():
+    path = AGENTS_DIR / "robot_demo.agents"
+    text = path.read_text()
+    assert "A4.X = vec(0.0, 0.0)" in text
+    bad = text.replace("A4.X = vec(0.0, 0.0)", "A4.X = vec(nan, inf)")
+    lineno = bad.splitlines().index("A4.X = vec(nan, inf)") + 1
+    with pytest.raises(ValueError) as caught:
+        parse_agents(bad, str(path))
+    assert str(caught.value) == f"{path}:{lineno}: malformed vector 'vec(nan, inf)'"
+    with pytest.raises(ValueError, match="malformed vector"):
+        parse_agents("[model stub]\nexample = vec(1.0, -inf) -> happy\n")
+
+
+# ---------------------------------------------------------------------------
+# The stub learner against the reference classifier
+# ---------------------------------------------------------------------------
+
+LEARN_LABELS = ("a", "b", "c", "d")  # the stub's labels are drawn from b to d
+INTEGRAL = st.integers(-3, 3).map(float)  # small grid: exact ties are common
+FINITE = st.floats(allow_nan=False, allow_infinity=False)
+
+
+def _taught(coordinate, dims):
+    vector = st.lists(coordinate, min_size=dims, max_size=dims).map(tuple)
+    return st.lists(st.tuples(vector, st.sampled_from(LEARN_LABELS)), max_size=25)
+
+
+@st.composite
+def _lessons(draw, coordinate):
+    """Stub labels, taught examples, how many of them the constructor takes,
+    and a point, all of one length."""
+    dims = draw(st.integers(1, 3))
+    labels = draw(st.lists(st.sampled_from(LEARN_LABELS[1:]), max_size=3))
+    taught = draw(_taught(coordinate, dims))
+    given_first = draw(st.integers(0, len(taught)))
+    point = draw(st.lists(coordinate, min_size=dims, max_size=dims).map(tuple))
+    return labels, taught, given_first, point
+
+
+def _stub_after(labels, taught, given_first):
+    """A stub given the first examples and taught the rest through R1."""
+    actions, messages = _env(AGENT_ENV)
+    stub = StubModelAgent(labels=labels, examples=taught[:given_first])
+    for vec, label in taught[given_first:]:
+        binding = {"S": Payload(RAW, Vector(vec)), "P": Payload(LABEL, label)}
+        stub.on_receive(messages["R1"], actions["reply-label"], binding)
+    return stub
+
+
+def _predict(stub, point):
+    actions, messages = _env(AGENT_ENV)
+    binding = {"S": Payload(RAW, Vector(point))}
+    out = stub.produce(messages["R1"], actions["reply-label"], {"P": LABEL}, binding)
+    return out["P"].value
+
+
+def _vocabulary(stub):
+    actions, messages = _env(AGENT_ENV)
+    needed = {"L": ListType(LABEL)}
+    return stub.produce(messages["V1"], actions["offer-vocab"], needed, {})["L"].value
+
+
+def _outcome(call):
+    """What ``call()`` returns, or the type and text of what it raises."""
+    try:
+        return call()
+    except Exception as exc:
+        return type(exc), str(exc)
+
+
+def _check_stub(labels, taught, given_first, point):
+    stub = _stub_after(labels, taught, given_first)
+    assert stub.examples == taught
+    assert stub._vocabulary() == _vocabulary(stub) == tuple(
+        sorted(set(labels) | {label for _, label in taught})
+    )
+    if not taught:
+        return None
+    predicted = _outcome(lambda: _predict(stub, point))
+    assert predicted == _outcome(lambda: classify(stub.examples, point))
+    return predicted
+
+
+@settings(max_examples=300, deadline=None)
+@given(_lessons(INTEGRAL))
+def test_stub_matches_classify_and_the_oracle(lesson):
+    """On a small integer grid the float arithmetic of the stub, ``classify``
+    and the brute-force oracle round alike, so all three agree, ties included."""
+    labels, taught, given_first, point = lesson
+    predicted = _check_stub(labels, taught, given_first, point)
+    if taught:
+        assert predicted == oracles.oracle_classify(taught, point)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_lessons(FINITE))
+def test_stub_matches_classify_on_any_finite_floats(lesson):
+    """Running sums are added in example order, as ``classify`` adds them, so
+    the two agree on any finite input: on the label, or on what they raise
+    when a sum or a squared distance overflows."""
+    _check_stub(*lesson)
+
+
+def test_stub_adds_examples_in_the_order_taught():
+    taught = [((1e16,), "a"), ((-1e16,), "a"), ((1.0,), "a"), ((0.5,), "b")]
+    # a's sum is 1.0 in this order and 0.0 in sorted order, which flips the answer
+    assert classify(taught, (0.3,)) == "a"
+    assert classify(sorted(taught), (0.3,)) == "b"
+    for given_first in range(len(taught) + 1):
+        assert _predict(_stub_after([], taught, given_first), (0.3,)) == "a"
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    st.lists(st.integers(1, 3), min_size=1, max_size=12),
+    st.integers(0, 12),
+    st.integers(1, 3),
+)
+def test_stub_vocabulary_and_predictions_track_every_lesson(dims, given_first, point_dims):
+    """After each lesson the vocabulary and prediction are those of the
+    examples so far; mixed lengths raise the text ``classify`` raises."""
+    taught = [
+        (tuple(float(i + d) for d in range(n)), LEARN_LABELS[i % len(LEARN_LABELS)])
+        for i, n in enumerate(dims)
+    ]
+    given_first = min(given_first, len(taught))
+    actions, messages = _env(AGENT_ENV)
+    stub = StubModelAgent(labels=("c",), examples=taught[:given_first])
+    point = tuple(float(d) for d in range(point_dims))
+    for count in range(given_first, len(taught) + 1):
+        assert stub.examples == taught[:count]
+        assert _vocabulary(stub) == tuple(
+            sorted({"c"} | {label for _, label in taught[:count]})
+        )
+        if count:
+            assert _outcome(lambda: _predict(stub, point)) == _outcome(
+                lambda: classify(stub.examples, point)
+            )
+        if count < len(taught):
+            vec, label = taught[count]
+            binding = {"S": Payload(RAW, Vector(vec)), "P": Payload(LABEL, label)}
+            stub.on_receive(messages["R1"], actions["reply-label"], binding)
+
+
+def test_stub_dimension_mismatch_names_the_first_misfit(catalog):
+    taught = [((1.0, 2.0), "a"), ((1.0, 2.0, 3.0), "b"), ((1.0,), "a")]
+    stub = StubModelAgent(examples=taught)
+    for point, first in [((0.0, 0.0), 3), ((0.0,), 2), ((0.0, 0.0, 0.0), 2)]:
+        text = f"dimension mismatch: example has {first} coordinates, point has {len(point)}"
+        for predict in (lambda: classify(taught, point), lambda: _predict(stub, point)):
+            with pytest.raises(ValueError) as caught:
+                predict()
+            assert str(caught.value) == text
+    # in a run, the same text is the V-AGENT detail
+    user = ScriptedAgent({"A2.Y": ["a"], "A4.X": [Vector((4.0, 4.0))], "PE2.V": ["x"]})
+    (trace,) = run_scenario(catalog, "D2", {"user": user, "model": stub})
+    assert trace.outcome == {"aborted": {"code": "V-AGENT", "step": 5}}
+    assert trace.steps[4].detail == (
+        "producer failed: dimension mismatch: example has 3 coordinates, point has 2"
+    )
+
+
 # ---------------------------------------------------------------------------
 # Running patterns and scenarios
 # ---------------------------------------------------------------------------
@@ -315,6 +494,34 @@ def test_d2_surfaces_a_disagreement(catalog):
     assert prediction.produced["P"]["value"] == oracles.D2_EXPECTED_PREDICTION
     assert trace.steps[1].produced["Y"]["value"] == oracles.D2_USER_LABEL
     assert trace.steps[5].produced["V"]["value"] == "reject"
+
+
+def test_predictions_at_scale_equal_classify(catalog):
+    """D1 x300 then D2 x30: every PE1 prediction is ``classify`` over what the
+    stub was taught.  Seeded decimal vectors make the sums round, so the
+    order in which they are added matters."""
+    rng = random.Random(0x5CA1E)
+    extra = []
+    for _ in range(330 - len(oracles.D1_SCRIPT_POINTS)):
+        x, y = (round(rng.uniform(-5.0, 15.0), 3) for _ in range(2))
+        extra.append(f'A2.Y = "{rng.choice(("calm", "happy", "sad"))}"')
+        extra.append(f"A4.X = vec({x}, {y})")
+    text = (AGENTS_DIR / "robot_demo.agents").read_text().replace(
+        "PE2.V =", "\n".join(extra) + "\nPE2.V =", 1
+    )
+    agents = parse_agents(text)
+    stub = agents["model"]
+    run_scenario(catalog, "D1", agents, repeat=300)
+    assert len(stub.examples) == 300
+    predictions = []
+    for trace in run_scenario(catalog, "D2", agents, repeat=30):
+        assert trace.outcome == "completed"
+        (step,) = [s for s in trace.steps if s.message == "PE1"]
+        x = trace.bindings_at(step.step)["X"]["value"]["vec"]
+        predictions.append(step.produced["P"]["value"])
+        assert predictions[-1] == classify(stub.examples, x)
+    assert len(stub.examples) == 300
+    assert len(set(predictions)) > 1
 
 
 def test_run_accepts_anonymous_patterns(catalog):
@@ -385,6 +592,16 @@ def test_agent_exception_aborts_with_v_agent(catalog):
     assert trace.steps[0].verdict == "V-AGENT"
     assert "producer failed" in trace.steps[0].detail
     assert len(trace.steps) == 1
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+def test_non_finite_values_abort_with_v_agent(catalog, bad):
+    for make in (lambda: Vector((0.0, bad)), lambda: bad):
+        model = _Custom(lambda needed, binding: {"X": Payload(RAW, make())})
+        trace = _run_sample_annotation(catalog, model, ScriptedAgent({"A6.Y": ["x"]}))
+        assert trace.outcome == {"aborted": {"step": 1, "code": "V-AGENT"}}
+        assert trace.steps[0].detail.startswith("producer failed: ")
+        assert "NaN" not in trace.to_jsonl() and "Infinity" not in trace.to_jsonl()
 
 
 def test_stray_variable_aborts_with_v_agent(catalog):
