@@ -21,10 +21,13 @@ from typing import Iterable, Sequence
 
 from .check import (
     CheckReport,
+    Flow,
     Step,
     check_action,
+    check_flow,
     check_message,
     check_pattern,
+    pattern_rule,
     reference_rule,
     resolve,
 )
@@ -79,6 +82,17 @@ class Catalog:
         if name in self.scenarios:
             return _join(self, self.scenarios[name], name)
         raise KeyError(f"no pattern or scenario named {name!r}")
+
+    def flow(self, name: str) -> Flow:
+        """The pattern or scenario called ``name``, resolved and checked at
+        its own scope (:func:`~haiproto.check.check_flow`): a scenario must
+        close every request it opens.  Every consumer of a named flow checks
+        it here, and its diagnostics carry the path that declared ``name``.
+        ``KeyError`` if there is no such flow, ``ValueError`` if a scenario
+        does not join."""
+        pattern, path = self.resolve_flow(name), self.origins.get(name, "<catalog>")
+        scope = "pattern" if name in self.patterns else "scenario"
+        return check_flow(pattern, self.messages, self.actions, scope, path)
 
     def steps(self, flow: Pattern) -> tuple[Step, ...]:
         """The resolved steps of ``flow``; ``ValueError`` if a message does
@@ -195,6 +209,9 @@ def load_with_diagnostics(
             if name in patterns or name in scenarios:
                 err("E-DUP-NAME", f"scenario {name!r} clashes with an existing flow", path)
                 continue
+            if not steps:
+                diags.extend(pattern_rule(Pattern(name, ()), path))
+                continue
             missing = [s for s in steps if s not in patterns]
             for s in missing:
                 err(
@@ -268,21 +285,10 @@ def check_catalog(catalog: Catalog) -> list[CheckReport]:
                 catalog.origins.get(name, "<catalog>"),
             )
         )
-    for name in sorted(catalog.patterns):
-        reports.append(
-            check_pattern(
-                catalog.patterns[name],
-                catalog.messages,
-                catalog.actions,
-                scope="pattern",
-                path=catalog.origins.get(name, "<catalog>"),
-            )
-        )
-    for name in sorted(catalog.scenarios):
-        _, report = compose(catalog, catalog.scenarios[name])
-        reports.append(
-            CheckReport(f"scenario {name}", report.diagnostics)
-        )
+    for kind, flows in (("pattern", catalog.patterns), ("scenario", catalog.scenarios)):
+        for name in sorted(flows):
+            report = catalog.flow(name).report
+            reports.append(CheckReport(f"{kind} {name}", report.diagnostics))
     return reports
 
 

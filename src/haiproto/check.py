@@ -7,15 +7,17 @@ calls; the parser's calls make the first three codes come out at parse time:
 * :func:`variable_rule` — ``E-DUP-VAR``, ``E-PARAMS`` (parser, check_action,
   :func:`~haiproto.core.action_scope`);
 * :func:`arity_rule` — ``E-ARITY`` (parser, check_action);
-* :func:`pattern_rule` — ``E-EMPTY-PATTERN``, ``E-TAG`` (parser, check_pattern);
+* :func:`pattern_rule` — ``E-EMPTY-PATTERN``, ``E-TAG`` (parser, loader, check_flow);
 * :func:`instantiation_rule` — ``E-UNKNOWN-ACTION``, ``E-ARG-COUNT``
   (check_message, resolve_step).
 
 The resolver, :func:`resolve_step`, turns a message into a :class:`Step`:
 its action, typed slots and carried arguments, named by the message's own
 variables.  The checker, simulator and replay pair message arguments with
-action parameters nowhere else.  :func:`check_flow` resolves, checks and
-narrows a pattern once (``Flow.needed``); everything else reads its Flow.
+action parameters only there (:class:`~haiproto.runtime.StubModelAgent` still
+pairs them itself).  :func:`check_flow` resolves, checks and narrows a pattern
+once (``Flow.needed``), at the scope :meth:`~haiproto.catalog.Catalog.flow`
+picks for a named flow; everything else reads its Flow.
 
 * :func:`check_action` — the variable and arity rules, plus operations over
   declared variables with legal type shapes.

@@ -174,7 +174,8 @@ class _Centroids:
 
     def nearest(self, point: Union[Vector, Sequence[float]]) -> str:
         """The label whose centroid has the smallest squared Euclidean
-        distance to ``point``; exact ties go to the smaller label."""
+        distance to ``point``; exact ties go to the smaller label.
+        ``ValueError`` if a squared distance overflows a float."""
         if not self.dims:
             raise ValueError("cannot classify without examples")
         coords = point.values if isinstance(point, Vector) else tuple(
@@ -186,14 +187,15 @@ class _Centroids:
                     f"dimension mismatch: example has {dims} coordinates, "
                     f"point has {len(coords)}"
                 )
-        best: tuple[float, str] | None = None
-        for label, total in self.sums.items():
+
+        def distance(label: str) -> float:
             count = self.counts[label]
-            dist = sum((s / count - p) ** 2 for s, p in zip(total, coords))
-            if best is None or (dist, label) < best:
-                best = (dist, label)
-        assert best is not None
-        return best[1]
+            return sum((s / count - p) ** 2 for s, p in zip(self.sums[label], coords))
+
+        try:  # ** 2 raises where d * d would give inf, a tie
+            return min((distance(label), label) for label in self.sums)[1]
+        except OverflowError:
+            raise ValueError("a squared distance to a centroid overflows") from None
 
 
 def classify(
@@ -205,7 +207,8 @@ def classify(
     Examples with the same label are averaged into one centroid; the label of
     the centroid with the smallest squared Euclidean distance wins, with exact
     ties broken toward the lexicographically smaller label.  ``ValueError``
-    without examples, or if an example's length is not the point's.
+    without examples, if an example's length is not the point's, or if a
+    squared distance overflows a float.
     """
     centroids = _Centroids()
     for vec, label in examples:
@@ -642,6 +645,7 @@ class Trace:
 
     @classmethod
     def _read_each(cls, text: str) -> Iterator["Trace"]:
+        """Each run when its outcome line is read, and only then checked."""
         lines: list[tuple[int, dict]] = []
         for lineno, line in enumerate(text.splitlines(), start=1):
             if not line.strip():
@@ -655,44 +659,37 @@ class Trace:
                 raise ValueError(f"line {lineno}: {exc}") from None
             if not isinstance(entry, dict):
                 raise ValueError(f"line {lineno} is not a JSON object")
-            lines.append((lineno, entry))
-            if "outcome" in entry:
-                yield cls._from_lines(lines)
-                lines = []
+            if "outcome" not in entry:
+                lines.append((lineno, entry))
+                continue
+            if not lines:
+                raise ValueError(f"line {lineno}: an outcome line without a header")
+            (first, header), body, lines = lines[0], lines[1:], []
+            version = _dump(header.get("format", 1))
+            if version != "2":
+                raise ValueError(
+                    f"line {first}: the trace is format {version}, this reader reads "
+                    f"format 2: regenerate it with `haiproto run`"
+                )
+            steps = []
+            for number, (at, step) in enumerate(body, start=1):
+                try:
+                    steps.append(TraceStep(**step))
+                except TypeError:
+                    problem = f"malformed trace line {at}: step {number}: {_misfit(step)}"
+                    raise ValueError(problem) from None
+            try:
+                run_id, pattern, seed = header["run"], header["pattern"], header["seed"]
+            except KeyError as exc:
+                problem = f"malformed trace line {first}: {exc.args[0]} is missing"
+                raise ValueError(problem) from None
+            if _dump(entry) != _dump({**entry, "run": run_id, "steps": len(body)}):
+                raise ValueError(
+                    f"line {lineno}: outcome line of run {run_id!r} contradicts it"
+                )
+            yield cls(run_id, pattern, seed, tuple(steps), entry["outcome"])
         if lines:
             raise ValueError("trace ends without an outcome line")
-
-    @classmethod
-    def _from_lines(cls, lines: list[tuple[int, dict]]) -> "Trace":
-        """One run from its numbered lines: header, steps, outcome."""
-        (first, header), body, (last, footer) = lines[0], lines[1:-1], lines[-1]
-        if len(lines) == 1:
-            raise ValueError(f"line {last}: an outcome line without a header")
-        version = _dump(header.get("format", 1))
-        if version != "2":
-            raise ValueError(
-                f"line {first}: the trace is format {version}, this reader reads "
-                f"format 2: regenerate it with `haiproto run`"
-            )
-        steps = []
-        for number, (lineno, entry) in enumerate(body, start=1):
-            try:
-                steps.append(TraceStep(**entry))
-            except TypeError:
-                raise ValueError(
-                    f"malformed trace line {lineno}: step {number}: {_misfit(entry)}"
-                ) from None
-        try:
-            run_id, pattern, seed = header["run"], header["pattern"], header["seed"]
-        except KeyError as exc:
-            raise ValueError(
-                f"malformed trace line {first}: {exc.args[0]} is missing"
-            ) from None
-        if _dump(footer) != _dump({**footer, "run": run_id, "steps": len(body)}):
-            raise ValueError(
-                f"line {last}: outcome line of run {run_id!r} contradicts it"
-            )
-        return cls(run_id, pattern, seed, tuple(steps), footer["outcome"])
 
 
 class RunViolation(Exception):
@@ -718,15 +715,17 @@ def run(
 ) -> Trace:
     """Simulate one pass over a flow.
 
-    ``flow`` is a pattern or scenario name, a pattern, or a flow that
-    :func:`~haiproto.check.check_flow` already resolved and checked.  It must
-    check without errors (``ValueError`` otherwise); every participating
-    role must have an agent (``LookupError`` otherwise).  A violation aborts
-    the run and is recorded in the trace outcome rather than raised.
+    ``flow`` is a pattern or scenario name, checked at its own scope by
+    ``catalog.flow``; an ad-hoc pattern, checked at pattern scope; or a checked
+    :class:`~haiproto.check.Flow`, used as given.  It must check without errors
+    (``ValueError`` otherwise); every participating role must have an agent
+    (``LookupError`` otherwise).  A violation aborts the run and is recorded in
+    the trace outcome rather than raised.
     """
-    if not isinstance(flow, Flow):
-        pattern = catalog.resolve_flow(flow) if isinstance(flow, str) else flow
-        flow = check_flow(pattern, catalog.messages, catalog.actions)
+    if isinstance(flow, str):
+        flow = catalog.flow(flow)
+    elif not isinstance(flow, Flow):
+        flow = check_flow(flow, catalog.messages, catalog.actions)
     if flow.report.errors:
         raise ValueError(
             f"cannot run {flow.pattern.name!r}: "
@@ -834,19 +833,12 @@ def run_scenario(
 ) -> list[Trace]:
     """Run a named scenario (or pattern) ``repeat`` times.
 
-    The flow is resolved and checked once, a scenario at scenario scope;
-    each run refuses it if it has errors.  Each repetition starts from empty
-    bindings but keeps the same agent objects, so stateful agents accumulate
-    across repetitions.  ``repeat=0`` returns an empty list.
+    The flow is checked once, at its own scope, by ``catalog.flow``; each run
+    refuses it if it has errors.  Each repetition starts from empty bindings
+    but keeps the same agent objects, so stateful agents accumulate across
+    repetitions.  ``repeat=0`` returns an empty list.
     """
-    scope = "scenario" if name in catalog.scenarios else "pattern"
-    flow = check_flow(
-        catalog.resolve_flow(name),
-        catalog.messages,
-        catalog.actions,
-        scope=scope,
-        path=f"<{scope}>",
-    )
+    flow = catalog.flow(name)
     return [
         run(catalog, flow, agents, seed=seed, run_id=f"{name}-s{seed}-r{rep}")
         for rep in range(repeat)
@@ -863,12 +855,13 @@ def replay_check(
     flow or a message; ``E-BINDING``: the re-run aborts ``V-TYPE`` where the
     trace records ``ok``; ``E-TRACE``: any other difference, or text that does
     not read, where reading stops (text never raises).  Concatenated traces (a
-    ``--repeat`` file) are read and checked one at a time, at pattern scope.
+    ``--repeat`` file) are read and checked one at a time.  Each flow name is
+    checked once, at its own scope, by ``catalog.flow``, as :func:`run` does.
     """
     if not isinstance(trace, (Trace, str)):
         trace = "\n".join(trace)
     traces = [trace] if isinstance(trace, Trace) else Trace._read_each(trace)
-    flows: dict[str, Flow] = {}
+    flows = functools.lru_cache(maxsize=None)(catalog.flow)  # once per flow name
     parse = functools.lru_cache(maxsize=None)(parse_type)  # once per type string
     found: list[Diagnostic | None] = []
     try:
@@ -907,22 +900,19 @@ class _Recording(AgentBehavior):
 def _replay_one(
     trace: Trace,
     catalog: Catalog,
-    flows: dict[str, Flow],
+    flows: Callable[[str], Flow],
     parse: Callable[[str], TypeExpr],
 ) -> Diagnostic | None:
-    """``trace``'s first difference from its re-run; ``flows`` caches checked flows."""
+    """``trace``'s first difference from its re-run; ``flows`` checks a name."""
 
     def found(code: str, text: str) -> Diagnostic:
         return Diagnostic("error", code, f"run {trace.run_id}: {text}")
 
     name = trace.pattern
     try:
-        if name not in flows:
-            pattern = catalog.resolve_flow(name)
-            flows[name] = check_flow(pattern, catalog.messages, catalog.actions)
+        flow = flows(name)
     except (KeyError, TypeError, ValueError):  # unknown, not a name, an empty scenario
         return found("E-UNRESOLVED", f"flow {name!r} does not resolve")
-    flow = flows[name]
     if flow.report.errors:
         error = flow.report.errors[0]
         return found(error.code, f"flow {name!r} does not check: {error.message}")

@@ -128,6 +128,27 @@ def test_scenario_may_share_a_name_with_a_message(tmp_path):
     assert [d.code for d in diags] == ["E-DUP-NAME"]
 
 
+def test_an_empty_scenario_is_an_error_at_load(tmp_path):
+    _write(
+        tmp_path / "a.hai",
+        "action give(X) := provide(X: input.raw_data);\n"
+        "message M1 := user -> model : give(A);\n"
+        "pattern p := [M1];\n",
+    )
+    sidecar = _write(
+        tmp_path / "catalog.json",
+        json.dumps({"scenarios": {"E": []}, "annotations": {"E": "note"}}),
+    )
+    catalog, diags = load_with_diagnostics([tmp_path])
+    assert catalog is None
+    # the scenario is not kept, so its annotation matches nothing
+    assert [(d.code, d.path) for d in diags] == [
+        ("E-EMPTY-PATTERN", str(sidecar)),
+        ("E-UNRESOLVED", str(sidecar)),
+    ]
+    assert "'E' has no messages" in diags[0].message
+
+
 def test_resolve_flow_handles_patterns_scenarios_and_misses(catalog):
     assert catalog.resolve_flow("sample-annotation") is catalog.patterns[
         "sample-annotation"

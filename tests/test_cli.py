@@ -45,6 +45,16 @@ def test_check_reports_errors_with_exit_1(runner, tmp_path):
     assert "2 error(s)" in result.output
 
 
+def test_check_reports_an_empty_scenario_without_a_traceback(runner, tmp_path):
+    (tmp_path / "warn.hai").write_text(WARNING_ONLY)
+    (tmp_path / "catalog.json").write_text(json.dumps({"scenarios": {"E": []}}))
+    result = runner.invoke(main, ["check", str(tmp_path)])
+    assert result.exit_code == 1, result.output
+    assert "error[E-EMPTY-PATTERN]" in result.output
+    assert "Traceback" not in result.output
+    assert result.exception is None or isinstance(result.exception, SystemExit)
+
+
 def test_check_deny_warnings(runner, tmp_path):
     (tmp_path / "warn.hai").write_text(WARNING_ONLY)
     soft = runner.invoke(main, ["check", str(tmp_path)])

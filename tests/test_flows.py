@@ -1,4 +1,5 @@
-"""Flows are resolved once, and resolving them leaves every trace unchanged."""
+"""Flows are resolved once, at their own scope, and resolving them leaves
+every trace unchanged."""
 
 from __future__ import annotations
 
@@ -9,10 +10,22 @@ import sys
 from collections import Counter
 from pathlib import Path
 
+import pytest
+
+import haiproto.catalog
 import haiproto.check
-import haiproto.runtime
-from conftest import AGENTS_DIR
-from haiproto import Trace, parse_agents, replay_check, run_scenario
+from conftest import AGENTS_DIR, FIXTURES
+from haiproto import (
+    ScriptedAgent,
+    Trace,
+    check_catalog,
+    load,
+    parse_agents,
+    replay_check,
+    run,
+    run_scenario,
+)
+from haiproto.check import check_flow
 
 #: sha256 over every flow of the packaged corpus run with each demo agents
 #: file (seed 7, three repetitions), recorded before flows were resolved once,
@@ -87,7 +100,7 @@ def test_run_scenario_resolves_and_checks_the_flow_once(catalog, monkeypatch):
 
         monkeypatch.setattr(module, name, wrapper)
 
-    counted(haiproto.runtime, "check_flow")
+    counted(haiproto.catalog, "check_flow")
     counted(haiproto.check, "resolve_step")
     seen = {}
     for repeat in (1, 50):
@@ -98,6 +111,52 @@ def test_run_scenario_resolves_and_checks_the_flow_once(catalog, monkeypatch):
         seen[repeat] = dict(calls)
     d1_length = len(catalog.resolve_flow("D1").messages)
     assert seen[1] == seen[50] == {"check_flow": 1, "resolve_step": d1_length}
+    calls.clear()  # replaying the 50 runs checks their one flow once
+    assert replay_check("".join(trace.to_jsonl() for trace in traces), catalog) == []
+    assert dict(calls) == {"check_flow": 1, "resolve_step": d1_length}
+
+
+@pytest.fixture(scope="module")
+def open_scenario(tmp_path_factory):
+    """The packaged ``.hai`` files and one scenario, ``S``, made of a pattern
+    whose request is excused at pattern scope but open at scenario scope."""
+    sidecar = tmp_path_factory.mktemp("open") / "catalog.json"
+    sidecar.write_text(json.dumps({"scenarios": {"S": ["new_sample-annotation"]}}))
+    return load([*sorted(FIXTURES.glob("*.hai")), sidecar]), str(sidecar)
+
+
+#: Agents that complete ``new_sample-annotation``: the user offers a sample.
+def _open_agents():
+    return {"model": ScriptedAgent({}), "user": ScriptedAgent({"Q3.X": ["s1"]})}
+
+
+def test_check_catalog_checks_a_scenario_at_scenario_scope(open_scenario):
+    catalog, sidecar = open_scenario
+    (report,) = [r for r in check_catalog(catalog) if r.target == "scenario S"]
+    assert [(d.code, d.path) for d in report.diagnostics] == [("E-UNANSWERED", sidecar)]
+    assert "request 'Q3'" in report.diagnostics[0].message
+
+
+def test_run_refuses_an_open_scenario_as_run_scenario_does(open_scenario):
+    catalog, _ = open_scenario
+    assert run(catalog, "new_sample-annotation", _open_agents()).outcome == "completed"
+    with pytest.raises(ValueError) as by_run:
+        run(catalog, "S", _open_agents())
+    with pytest.raises(ValueError) as by_run_scenario:
+        run_scenario(catalog, "S", _open_agents())
+    assert str(by_run.value) == str(by_run_scenario.value)
+    assert "never answered" in str(by_run.value)
+
+
+def test_replay_checks_a_scenario_at_scenario_scope(open_scenario):
+    catalog, _ = open_scenario
+    loose = check_flow(catalog.resolve_flow("S"), catalog.messages, catalog.actions)
+    trace = run(catalog, loose, _open_agents())  # checked at pattern scope by hand
+    assert (trace.pattern, trace.outcome) == ("S", "completed")
+    for recorded in (trace, trace.to_jsonl()):
+        (diag,) = replay_check(recorded, catalog)
+        assert diag.code == "E-UNANSWERED"
+        assert "flow 'S' does not check" in diag.message
 
 
 def test_benchmark_smoke_run_passes():

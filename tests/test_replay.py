@@ -13,6 +13,7 @@ from conftest import AGENTS_DIR
 from haiproto import (
     AgentBehavior,
     BaseType,
+    CatalogError,
     Pattern,
     Payload,
     Role,
@@ -135,9 +136,15 @@ def test_unknown_flows_are_unresolved(catalog):
 def test_an_empty_scenario_does_not_resolve(tmp_path):
     (tmp_path / "give_use.hai").write_text(GIVE_USE)
     (tmp_path / "catalog.json").write_text(json.dumps({"scenarios": {"nothing": []}}))
+    with pytest.raises(CatalogError, match="E-EMPTY-PATTERN"):
+        load([tmp_path])
+    # a catalog built by hand may still hold one: replay reports it, never raises
+    catalog = dataclasses.replace(
+        load([tmp_path / "give_use.hai"]), scenarios={"nothing": ()}
+    )
     header = {"format": 2, "pattern": "nothing", "run": "x", "seed": 0}
     footer = {"outcome": "completed", "run": "x", "steps": 0}
-    diags = replay_check(_text([header, footer]), load([tmp_path]))
+    diags = replay_check(_text([header, footer]), catalog)
     assert _codes(diags) == ["E-UNRESOLVED"]
 
 

@@ -129,6 +129,12 @@ def test_classify_rejects_bad_input():
         classify(oracles.SIX_POINT_EXAMPLES, (0.0, 0.0, 0.0))
 
 
+def test_classify_turns_an_overflowing_distance_into_value_error():
+    with pytest.raises(ValueError, match="overflows"):
+        classify([((0.0,), "a")], (1.3407807929942597e154,))
+    assert classify([((0.0,), "a")], (1.3407807929942596e154,)) == "a"  # the float below
+
+
 # ---------------------------------------------------------------------------
 # Agents
 # ---------------------------------------------------------------------------
@@ -375,6 +381,16 @@ def test_stub_matches_classify_on_any_finite_floats(lesson):
     the two agree on any finite input: on the label, or on what they raise
     when a sum or a squared distance overflows."""
     _check_stub(*lesson)
+
+
+def test_stub_raises_what_classify_raises_on_an_overflowing_distance():
+    examples, point = [((0.0,), "a")], (1.3407807929942597e154,)
+    with pytest.raises(ValueError) as from_classify:
+        classify(examples, point)
+    for given_first in (0, 1):
+        with pytest.raises(ValueError) as from_stub:
+            _predict(_stub_after([], examples, given_first), point)
+        assert str(from_stub.value) == str(from_classify.value)
 
 
 def test_stub_adds_examples_in_the_order_taught():
