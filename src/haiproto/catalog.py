@@ -38,6 +38,7 @@ from .core import (
     Diagnostic,
     Message,
     Pattern,
+    Span,
 )
 from .dsl import (
     ActionDecl,
@@ -121,6 +122,35 @@ def _collect_paths(paths: Sequence[str | Path]) -> tuple[list[Path], list[Path]]
     return hai, sidecars
 
 
+def _sidecar_shape(data: object) -> list[str]:
+    """Each way a parsed sidecar is not the shape the loader reads: an object
+    whose ``scenarios`` map names to pattern-name lists, whose
+    ``annotations`` and ``interpretations`` map names to strings, and whose
+    ``provide_only`` is a list of pattern names."""
+    if not isinstance(data, dict):
+        return ["sidecar must be a JSON object"]
+
+    def names(value: object) -> bool:
+        return isinstance(value, list) and all(isinstance(s, str) for s in value)
+
+    problems: list[str] = []
+    for key in ("scenarios", "annotations", "interpretations"):
+        table = data.get(key, {})
+        if not isinstance(table, dict):
+            problems.append(f"sidecar key {key!r} must be an object")
+            continue
+        lists = key == "scenarios"
+        what = "a list of pattern names" if lists else "a string"
+        problems.extend(
+            f"sidecar key {key!r}: entry {name!r} must be {what}"
+            for name, value in table.items()
+            if not (names(value) if lists else isinstance(value, str))
+        )
+    if not names(data.get("provide_only", [])):
+        problems.append("sidecar key 'provide_only' must be a list of pattern names")
+    return problems
+
+
 def load_with_diagnostics(
     paths: Sequence[str | Path],
 ) -> tuple[Catalog | None, tuple[Diagnostic, ...]]:
@@ -134,8 +164,8 @@ def load_with_diagnostics(
     roles: set[str] = set(PREDECLARED_ROLES)
     names: set[str] = set()
 
-    def err(code: str, message: str, path: str) -> None:
-        diags.append(Diagnostic("error", code, message, path))
+    def err(code: str, message: str, path: str, span: Span | None = None) -> None:
+        diags.append(Diagnostic("error", code, message, path, span))
 
     for file_path in hai_files:
         path = str(file_path)
@@ -158,6 +188,7 @@ def load_with_diagnostics(
                     "E-DUP-NAME",
                     f"{name!r} is already declared in {origins[name]}",
                     path,
+                    decl.span,
                 )
                 continue
             names.add(name)
@@ -172,6 +203,7 @@ def load_with_diagnostics(
                         f"message {name!r} references unknown action "
                         f"{message.action!r}",
                         path,
+                        decl.span,
                     )
                     continue
                 for endpoint in (message.sender, message.receiver):
@@ -180,12 +212,13 @@ def load_with_diagnostics(
                             "E-UNKNOWN-ROLE",
                             f"message {name!r} uses undeclared role {endpoint!r}",
                             path,
+                            decl.span,
                         )
                 messages[name] = message
             else:
                 pattern = decl.pattern
                 unknown = [m for m in pattern.messages if m not in messages]
-                diags.extend(reference_rule(pattern, m, path) for m in unknown)
+                diags.extend(reference_rule(pattern, m, path, decl.span) for m in unknown)
                 if not unknown:
                     patterns[name] = pattern
 
@@ -200,8 +233,10 @@ def load_with_diagnostics(
         except (OSError, json.JSONDecodeError) as exc:
             err("E-SYNTAX", f"cannot read sidecar: {exc}", path)
             continue
-        if not isinstance(data, dict):
-            err("E-SYNTAX", "sidecar must be a JSON object", path)
+        shape = _sidecar_shape(data)
+        for problem in shape:
+            err("E-SYNTAX", problem, path)
+        if shape:
             continue
         for name, steps in data.get("scenarios", {}).items():
             # Scenarios share a namespace with patterns (both resolve as

@@ -175,13 +175,14 @@ def pattern_rule(
 
 
 def reference_rule(
-    pattern: Pattern, name: str, path: str = "<pattern>"
+    pattern: Pattern, name: str, path: str = "<pattern>", span: Span | None = None
 ) -> Diagnostic:
     """``E-UNRESOLVED``: ``pattern`` references ``name``, which is no message."""
     return _err(
         "E-UNRESOLVED",
         f"pattern {pattern.name!r} references unknown message {name!r}",
         path,
+        span,
     )
 
 

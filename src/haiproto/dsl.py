@@ -8,6 +8,11 @@ A ``.hai`` file is a sequence of declarations, each ended by ``;``::
     message A6 := user -> model : annotate-sample(X, Y) [X: WalkStand];
     pattern sample-annotation := [A5, A6] @ hitl;
 
+The lexer is one compiled regex.  A token is a ``(kind, value, start, end)``
+tuple of source offsets; a :class:`~haiproto.core.Span` (line, column,
+length) is built from a table of line starts only where one is stored or
+reported: declaration spans, rule findings and diagnostics.
+
 ``//`` starts a comment running to end of line.  Comments are preserved:
 full-line comments attach to the following declaration, a same-line comment
 after the closing ``;`` attaches to that declaration, and comments after the
@@ -22,7 +27,10 @@ rules (:mod:`haiproto.check`) to each declaration it builds.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import re
+from bisect import bisect_right
+from dataclasses import dataclass, field, replace
+from functools import cached_property
 from typing import Callable, TypeVar, Union
 
 from .check import arity_rule, pattern_rule, variable_rule
@@ -65,12 +73,28 @@ _PUNCT = {
 
 _PAIRS = {":=": "ASSIGN", "->": "ARROW", "<-": "LARROW"}
 
+# One match per token: the whitespace before it, then the token, named by its
+# kind.  A hyphen continues an identifier only when a word character follows,
+# so "user -> model" still lexes an arrow.  ``\w`` is exactly ``isalnum`` or
+# ``_``, but ``[^\W\d_]`` also admits non-letters such as ``²``, so a name
+# with a non-ASCII start (WORD) must pass ``str.isalpha``.  In a string, a
+# backslash before ``"`` or ``\`` always escapes it, so no match backtracks
+# into another reading.  BAD is any other character, the ``"`` of an
+# unterminated string among them.
+_TOKEN = re.compile(
+    r"[ \t\r\n]*(?:(?P<ID>[A-Za-z]\w*(?:-\w+)*)"
+    + "".join(f"|(?P<{kind}>{re.escape(s)})" for s, kind in {**_PAIRS, **_PUNCT}.items())
+    + r'|(?P<STRING>"(?:[^"\\\n]|\\["\\]|\\(?!["\\]))*")|(?P<COMMENT>//[^\n]*)'
+    r"|(?P<WORD>[^\W\d_]\w*(?:-\w+)*)|(?P<EOF>\Z)|(?P<BAD>.))"
+)
+_PLAIN = frozenset(["ID", *_PAIRS.values(), *_PUNCT.values()])  # value = source
+_ESCAPE = re.compile(r'\\(["\\])')
 
-@dataclass(frozen=True)
-class Token:
-    kind: str  # ID, STRING, EOF, or a _PAIRS or _PUNCT name
-    value: str
-    span: Span
+#: ``(kind, value, start, end)``: kind is ID, STRING, EOF or a _PAIRS or
+#: _PUNCT name, and ``text[start:end]`` is the token's source.
+Token = tuple[str, str, int, int]
+#: ``(start, end, text)``: the comment's text is without ``//`` and outer spaces.
+Comment = tuple[int, int, str]
 
 
 class LexError(Exception):
@@ -80,86 +104,49 @@ class LexError(Exception):
         self.span = span
 
 
-def tokenize(text: str) -> tuple[list[Token], list[tuple[Span, str]]]:
-    """Split ``text`` into tokens and comments.
+def _line_starts(text: str) -> list[int]:
+    return [0, *(m.end() for m in re.finditer("\n", text))]
 
-    Comments are returned separately as ``(span, text)`` pairs with the
-    leading ``//`` and surrounding whitespace stripped.  Raises
-    :class:`LexError` on characters outside the language.
+
+def _span(line_starts: list[int], start: int, end: int) -> Span:
+    """The ``Span`` of ``text[start:end]``, given ``_line_starts(text)``."""
+    line = bisect_right(line_starts, start)
+    return Span(line, start - line_starts[line - 1] + 1, end - start)
+
+
+def tokenize(text: str) -> tuple[list[Token], list[Comment]]:
+    """Split ``text`` into tokens and comments, one regex match each.
+
+    A token is a plain :data:`Token` tuple of source offsets, and the list
+    ends with an ``EOF`` token at ``len(text)``.  No ``Span`` is built here:
+    the parser makes one from the offsets (:func:`_span`) only for what it
+    stores or reports.  Comments are returned separately, as :data:`Comment`
+    tuples.  Raises :class:`LexError` on characters outside the language.
     """
     tokens: list[Token] = []
-    comments: list[tuple[Span, str]] = []
-    line, col = 1, 1
-    i, n = 0, len(text)
-    while i < n:
-        ch = text[i]
-        if ch == "\n":
-            i += 1
-            line += 1
-            col = 1
-            continue
-        if ch in " \t\r":
-            i += 1
-            col += 1
-            continue
-        if ch == "/" and text[i : i + 2] == "//":
-            start = i
-            while i < n and text[i] != "\n":
-                i += 1
-            body = text[start + 2 : i].strip()
-            comments.append((Span(line, col, i - start), body))
-            col += i - start
-            continue
-        pair = text[i : i + 2]
-        if pair in _PAIRS:
-            tokens.append(Token(_PAIRS[pair], pair, Span(line, col, 2)))
-            i += 2
-            col += 2
-            continue
-        if ch in _PUNCT:
-            tokens.append(Token(_PUNCT[ch], ch, Span(line, col, 1)))
-            i += 1
-            col += 1
-            continue
-        if ch == '"':
-            j = i + 1
-            out: list[str] = []
-            while j < n and text[j] != '"':
-                if text[j] == "\n":
-                    raise LexError("unterminated string", Span(line, col, j - i))
-                if text[j] == "\\" and j + 1 < n and text[j + 1] in ('"', "\\"):
-                    out.append(text[j + 1])
-                    j += 2
-                    continue
-                out.append(text[j])
-                j += 1
-            if j >= n:
-                raise LexError("unterminated string", Span(line, col, j - i))
-            length = j + 1 - i
-            tokens.append(Token("STRING", "".join(out), Span(line, col, length)))
-            i = j + 1
-            col += length
-            continue
-        if ch.isalpha():
-            j = i + 1
-            while j < n:
-                if text[j].isalnum() or text[j] == "_":
-                    j += 1
-                elif text[j] == "-" and j + 1 < n and (
-                    text[j + 1].isalnum() or text[j + 1] == "_"
-                ):
-                    # Hyphen continues an identifier only when followed by a
-                    # word character, so "user -> model" still lexes an arrow.
-                    j += 2
-                else:
-                    break
-            value = text[i:j]
-            tokens.append(Token("ID", value, Span(line, col, j - i)))
-            col += j - i
-            i = j
-            continue
-        raise LexError(f"unexpected character {ch!r}", Span(line, col, 1))
-    tokens.append(Token("EOF", "", Span(line, col, 0)))
+    comments: list[Comment] = []
+    append = tokens.append
+    for m in _TOKEN.finditer(text):
+        kind = m.lastgroup
+        start, end = m.span(kind)
+        if kind in _PLAIN:
+            append((kind, text[start:end], start, end))
+        elif kind == "STRING":
+            append((kind, _ESCAPE.sub(r"\1", text[start + 1 : end - 1]), start, end))
+        elif kind == "COMMENT":
+            comments.append((start, end, text[start + 2 : end].strip()))
+        elif kind == "WORD" and text[start].isalpha():
+            append(("ID", text[start:end], start, end))
+        elif kind == "EOF":
+            append((kind, "", start, end))
+            break
+        elif text[start] == '"':  # closes no string on its line
+            end = text.find("\n", start)
+            end = len(text) if end < 0 else end
+            raise LexError("unterminated string", _span(_line_starts(text), start, end))
+        else:
+            message = f"unexpected character {text[start]!r}"
+            raise LexError(message, _span(_line_starts(text), start, start + 1))
     return tokens, comments
 
 
@@ -230,7 +217,8 @@ class _ParseAbort(Exception):
 
 
 class _Parser:
-    def __init__(self, tokens: list[Token], comments: list[tuple[Span, str]], path: str):
+    def __init__(self, text: str, tokens: list[Token], comments: list[Comment], path: str):
+        self.text = text
         self.tokens = tokens
         self.comments = comments
         self.path = path
@@ -240,44 +228,57 @@ class _Parser:
 
     # -- token helpers ------------------------------------------------------
 
+    @cached_property
+    def line_starts(self) -> list[int]:
+        return _line_starts(self.text)
+
+    def span(self, tok: Token) -> Span:
+        return _span(self.line_starts, tok[2], tok[3])
+
     def peek(self) -> Token:
         return self.tokens[self.pos]
 
     def advance(self) -> Token:
         tok = self.tokens[self.pos]
-        if tok.kind != "EOF":
+        if tok[0] != "EOF":
             self.pos += 1
         return tok
 
     def error(self, message: str, span: Span, code: str = "E-SYNTAX") -> None:
         self.diagnostics.append(Diagnostic("error", code, message, self.path, span))
 
-    def fail(self, message: str, span: Span, code: str = "E-SYNTAX") -> None:
-        self.error(message, span, code)
+    def fail(self, message: str, tok: Token) -> None:
+        self.error(message, self.span(tok))
         raise _ParseAbort()
+
+    def report(self, found: list[Diagnostic | None], tok: Token) -> None:
+        """Keep a rule's findings, placed at ``tok`` (a span is built only
+        when there are any)."""
+        if any(found):
+            span = self.span(tok)
+            self.diagnostics.extend(replace(d, span=span) for d in found if d)
 
     # ``expect`` and ``match`` are the parser's hottest calls, so they index
     # the tokens directly; no caller asks for EOF, so neither moves past it.
     def expect(self, kind: str, what: str) -> Token:
         tok = self.tokens[self.pos]
-        if tok.kind != kind:
-            got = tok.value if tok.kind != "EOF" else "end of file"
-            self.fail(f"expected {what}, got {got!r}", tok.span)
+        if tok[0] != kind:
+            got = tok[1] if tok[0] != "EOF" else "end of file"
+            self.fail(f"expected {what}, got {got!r}", tok)
         self.pos += 1
         return tok
 
     def expect_var(self, what: str) -> Token:
         tok = self.expect("ID", what)
-        if not tok.value[0].isupper():
+        if not tok[1][0].isupper():
             self.fail(
-                f"variable names start with an uppercase letter, got {tok.value!r}",
-                tok.span,
+                f"variable names start with an uppercase letter, got {tok[1]!r}", tok
             )
         return tok
 
     def match(self, kind: str) -> Token | None:
         tok = self.tokens[self.pos]
-        if tok.kind != kind:
+        if tok[0] != kind:
             return None
         self.pos += 1
         return tok
@@ -293,15 +294,11 @@ class _Parser:
 
     def take_leading_comments(self) -> tuple[str, ...]:
         """Consume comments that occur before the next token."""
-        next_tok = self.peek()
+        before = self.peek()[2]
         out: list[str] = []
         while self.comment_pos < len(self.comments):
-            span, text = self.comments[self.comment_pos]
-            before = next_tok.kind == "EOF" or (span.line, span.col) < (
-                next_tok.span.line,
-                next_tok.span.col,
-            )
-            if not before:
+            start, _, text = self.comments[self.comment_pos]
+            if start > before:
                 break
             out.append(text)
             self.comment_pos += 1
@@ -310,8 +307,8 @@ class _Parser:
     def take_trailing_comment(self, semi: Token) -> str | None:
         """Consume a comment sitting on the same line as the closing ``;``."""
         if self.comment_pos < len(self.comments):
-            span, text = self.comments[self.comment_pos]
-            if span.line == semi.span.line and span.col > semi.span.col:
+            start, _, text = self.comments[self.comment_pos]
+            if start > semi[2] and self.text.find("\n", semi[3], start) < 0:
                 self.comment_pos += 1
                 return text
         return None
@@ -324,7 +321,7 @@ class _Parser:
         had_error = False
         while True:
             leading = self.take_leading_comments()
-            if self.peek().kind == "EOF":
+            if self.peek()[0] == "EOF":
                 trailing_file = leading
                 break
             try:
@@ -351,45 +348,41 @@ class _Parser:
     def recover(self) -> None:
         """Skip tokens until just past the next ``;`` (or EOF)."""
         while True:
-            tok = self.advance()
-            if tok.kind in ("SEMI", "EOF"):
+            if self.advance()[0] in ("SEMI", "EOF"):
                 return
 
     def parse_decl(self, leading: tuple[str, ...]) -> Decl:
         """A keyword, the declaration's body, and the closing ``;``."""
         keyword = self.peek()
-        if keyword.kind != "ID" or keyword.value not in _DECLS:
+        if keyword[0] != "ID" or keyword[1] not in _DECLS:
             self.fail(
                 "expected 'role', 'action', 'message' or 'pattern', "
-                f"got {keyword.value!r}",
-                keyword.span,
+                f"got {keyword[1]!r}",
+                keyword,
             )
-        parse_body, decl = _DECLS[self.advance().value]
+        parse_body, decl = _DECLS[self.advance()[1]]
         body = parse_body(self)
         semi = self.expect("SEMI", "';'")
-        return decl(body, leading, self.take_trailing_comment(semi), keyword.span)
+        return decl(body, leading, self.take_trailing_comment(semi), self.span(keyword))
 
     # role NAME
     def parse_role(self) -> str:
-        return self.expect("ID", "role name").value
+        return self.expect("ID", "role name")[1]
 
     # action NAME(P, Q) := provide(...) <- op(...), op(...)
     def parse_action(self) -> ActionDef:
         name = self.expect("ID", "action name")
         self.expect("LPAREN", "'('")
         params: list[Token] = []
-        if self.peek().kind != "RPAREN":
+        if self.peek()[0] != "RPAREN":
             params = self.separated(lambda: self.expect_var("parameter name"))
         self.expect("RPAREN", "')'")
         self.expect("ASSIGN", "':='")
         kind_tok = self.expect("ID", "'provide' or 'request'")
         try:
-            kind = PrimitiveKind(kind_tok.value)
+            kind = PrimitiveKind(kind_tok[1])
         except ValueError:
-            self.fail(
-                f"expected 'provide' or 'request', got {kind_tok.value!r}",
-                kind_tok.span,
-            )
+            self.fail(f"expected 'provide' or 'request', got {kind_tok[1]!r}", kind_tok)
         self.expect("LPAREN", "'('")
         args = self.separated(self.parse_arg)
         self.expect("RPAREN", "')'")
@@ -397,20 +390,18 @@ class _Parser:
         if self.match("LARROW"):
             operations = self.separated(lambda: (self.peek(), self.parse_operation()))
         action = ActionDef(
-            name=name.value,
-            params=tuple(p.value for p in params),
+            name=name[1],
+            params=tuple(p[1] for p in params),
             primitive=PrimitiveSpec(kind, args[0], tuple(args[1:])),
             operations=tuple(op for _, op in operations),
         )
-        self.diagnostics.extend(variable_rule(action, self.path, name.span))
+        self.report(variable_rule(action, self.path), name)
         for tok, op in operations:
-            arity = arity_rule(op, action, self.path, tok.span)
-            if arity is not None:
-                self.diagnostics.append(arity)
+            self.report([arity_rule(op, action, self.path)], tok)
         return action
 
     def parse_arg(self) -> Arg:
-        if self.peek().kind == "LBRACKET" and self._bracket_is_group():
+        if self.peek()[0] == "LBRACKET" and self._bracket_is_group():
             return Arg(None, self.parse_group())
         return Arg(*self.parse_typed_var())
 
@@ -423,20 +414,20 @@ class _Parser:
         last = len(self.tokens) - 1  # EOF, which ends every token list
         nxt = self.tokens[min(self.pos + 1, last)]
         after = self.tokens[min(self.pos + 2, last)]
-        return nxt.kind == "ID" and after.kind == "COLON"
+        return nxt[0] == "ID" and after[0] == "COLON"
 
     def parse_group(self) -> GroupType:
         open_tok = self.expect("LBRACKET", "'['")
         members = self.separated(self.parse_typed_var)
         self.expect("RBRACKET", "']'")
         if len(members) < 2:
-            self.fail("a group needs at least two members", open_tok.span)
+            self.fail("a group needs at least two members", open_tok)
         return GroupType(tuple(members))
 
     def parse_typed_var(self) -> tuple[str, BaseType | ListType]:
         var = self.expect_var("variable name")
         self.expect("COLON", "':'")
-        return var.value, self.parse_nongroup_type()
+        return var[1], self.parse_nongroup_type()
 
     def parse_nongroup_type(self) -> BaseType | ListType:
         if self.match("LBRACKET"):
@@ -448,34 +439,33 @@ class _Parser:
     def parse_base_type(self) -> BaseType:
         role_tok = self.expect("ID", "a role ('input', 'output' or 'feedback')")
         try:
-            role = Role(role_tok.value)
+            role = Role(role_tok[1])
         except ValueError:
             self.fail(
-                f"expected 'input', 'output' or 'feedback', got {role_tok.value!r}",
-                role_tok.span,
+                f"expected 'input', 'output' or 'feedback', got {role_tok[1]!r}", role_tok
             )
         subtypes: list[Token] = []
         if self.match("DOT"):
             subtypes = self.separated(lambda: self.expect("ID", "subtype name"), "PIPE")
-        names = [sub.value for sub in subtypes]
+        names = [sub[1] for sub in subtypes]
         for index, sub in enumerate(subtypes):
-            if sub.value in names[:index]:
-                self.fail(f"duplicate subtype {sub.value!r}", sub.span)
+            if sub[1] in names[:index]:
+                self.fail(f"duplicate subtype {sub[1]!r}", sub)
         return BaseType(role, tuple(names))
 
     def parse_operation(self) -> Operation:
         op_tok = self.expect("ID", "operation name")
         try:
-            kind = OpKind(op_tok.value)
+            kind = OpKind(op_tok[1])
         except ValueError:
             self.fail(
-                f"expected 'select', 'map', 'modify' or 'create', got {op_tok.value!r}",
-                op_tok.span,
+                f"expected 'select', 'map', 'modify' or 'create', got {op_tok[1]!r}",
+                op_tok,
             )
         self.expect("LPAREN", "'('")
         args = self.separated(lambda: self.expect("ID", "variable name"))
         self.expect("RPAREN", "')'")
-        return Operation(kind, tuple(arg.value for arg in args))
+        return Operation(kind, tuple(arg[1] for arg in args))
 
     # message NAME := sender -> receiver : action(A, B) [mods]
     def parse_message(self) -> Message:
@@ -488,7 +478,7 @@ class _Parser:
         action = self.expect("ID", "action name")
         self.expect("LPAREN", "'('")
         args: list[Token] = []
-        if self.peek().kind != "RPAREN":
+        if self.peek()[0] != "RPAREN":
             args = self.separated(lambda: self.expect_var("argument variable"))
         self.expect("RPAREN", "')'")
         modifiers: list[Modifier] = []
@@ -496,11 +486,11 @@ class _Parser:
             modifiers = self.separated(self.parse_modifier, "SEMI")
             self.expect("RBRACKET", "']'")
         return Message(
-            name=name.value,
-            sender=sender.value,
-            receiver=receiver.value,
-            action=action.value,
-            args=tuple(arg.value for arg in args),
+            name=name[1],
+            sender=sender[1],
+            receiver=receiver[1],
+            action=action[1],
+            args=tuple(arg[1] for arg in args),
             modifiers=tuple(modifiers),
         )
 
@@ -508,10 +498,10 @@ class _Parser:
         key = self.expect("ID", "modifier key")
         if self.match("COLON"):
             value = self.expect("ID", "modifier value")
-            return Modifier(key.value, value.value, "var")
+            return Modifier(key[1], value[1], "var")
         self.expect("EQ", "':' or '='")
         value = self.expect("STRING", "a string value")
-        return Modifier(key.value, value.value, "kv")
+        return Modifier(key[1], value[1], "kv")
 
     # pattern NAME := [M1, M2] @ tag1, tag2
     def parse_pattern(self) -> Pattern:
@@ -519,18 +509,18 @@ class _Parser:
         self.expect("ASSIGN", "':='")
         self.expect("LBRACKET", "'['")
         messages: list[Token] = []
-        if self.peek().kind != "RBRACKET":
+        if self.peek()[0] != "RBRACKET":
             messages = self.separated(lambda: self.expect("ID", "message name"))
         self.expect("RBRACKET", "']'")
         tags: list[Token] = []
         if self.match("AT"):
             tags = self.separated(lambda: self.expect("ID", "tag name"))
         pattern = Pattern(
-            name.value,
-            tuple(m.value for m in messages),
-            frozenset(t.value for t in tags),
+            name[1],
+            tuple(m[1] for m in messages),
+            frozenset(t[1] for t in tags),
         )
-        self.diagnostics.extend(pattern_rule(pattern, self.path, name.span))
+        self.report(pattern_rule(pattern, self.path), name)
         return pattern
 
 
@@ -565,7 +555,7 @@ def parse(text: str, path: str = "<input>") -> ParseResult:
     except LexError as exc:
         diag = Diagnostic("error", "E-LEX", exc.message, path, exc.span)
         return ParseResult(None, (diag,))
-    parser = _Parser(tokens, comments, path)
+    parser = _Parser(text, tokens, comments, path)
     source, diagnostics = parser.parse_file()
     return ParseResult(source, tuple(diagnostics))
 
@@ -577,14 +567,14 @@ def parse_type(text: str) -> TypeExpr:
     ``ValueError`` on malformed input.
     """
     try:
-        parser = _Parser(tokenize(text)[0], [], "<type>")
-        if parser.peek().kind == "LBRACKET" and parser._bracket_is_group():
+        parser = _Parser(text, tokenize(text)[0], [], "<type>")
+        if parser.peek()[0] == "LBRACKET" and parser._bracket_is_group():
             typ: TypeExpr = parser.parse_group()
         else:
             typ = parser.parse_nongroup_type()
     except (LexError, _ParseAbort):
         raise ValueError(f"malformed type expression {text!r}") from None
-    if parser.peek().kind != "EOF":
+    if parser.peek()[0] != "EOF":
         raise ValueError(f"trailing input in type expression {text!r}")
     return typ
 

@@ -286,3 +286,113 @@ PROVIDE_ONLY_EXPECTED: frozenset[str] = frozenset(
 ROLES_EXPECTED: frozenset[str] = frozenset(
     {"user", "model", "supervisor", "decision_subject", "human_controller"}
 )
+
+
+# --------------------------------------------------------------------------
+# Character-loop lexer oracle.
+# --------------------------------------------------------------------------
+
+_ORACLE_PUNCT = {
+    "(": "LPAREN",
+    ")": "RPAREN",
+    "[": "LBRACKET",
+    "]": "RBRACKET",
+    ",": "COMMA",
+    ";": "SEMI",
+    ".": "DOT",
+    ":": "COLON",
+    "|": "PIPE",
+    "@": "AT",
+    "=": "EQ",
+}
+
+_ORACLE_PAIRS = {":=": "ASSIGN", "->": "ARROW", "<-": "LARROW"}
+
+
+class OracleLexError(Exception):
+    """The oracle's lexing failure: message, 1-based line and col, length."""
+
+    def __init__(self, message: str, line: int, col: int, length: int) -> None:
+        super().__init__(message)
+        self.message = message
+        self.where = (line, col, length)
+
+
+def oracle_tokenize(text: str) -> tuple[list[tuple], list[tuple]]:
+    """The ``.hai`` lexer as a loop over characters, counting lines and columns.
+
+    Tokens are ``(kind, value, line, col, length, offset)`` and end with an
+    ``EOF`` token; comments are ``(line, col, length, text, offset)``.  Only
+    ``\\n`` starts a line; space, tab and ``\\r`` are skipped.  Raises
+    :class:`OracleLexError` on an unterminated string or any other character.
+    """
+    tokens: list[tuple[str, str, int, int, int, int]] = []
+    comments: list[tuple[int, int, int, str, int]] = []
+    line, col = 1, 1
+    i, n = 0, len(text)
+    while i < n:
+        ch = text[i]
+        if ch == "\n":
+            i += 1
+            line += 1
+            col = 1
+            continue
+        if ch in " \t\r":
+            i += 1
+            col += 1
+            continue
+        if ch == "/" and text[i : i + 2] == "//":
+            start = i
+            while i < n and text[i] != "\n":
+                i += 1
+            comments.append((line, col, i - start, text[start + 2 : i].strip(), start))
+            col += i - start
+            continue
+        pair = text[i : i + 2]
+        if pair in _ORACLE_PAIRS:
+            tokens.append((_ORACLE_PAIRS[pair], pair, line, col, 2, i))
+            i += 2
+            col += 2
+            continue
+        if ch in _ORACLE_PUNCT:
+            tokens.append((_ORACLE_PUNCT[ch], ch, line, col, 1, i))
+            i += 1
+            col += 1
+            continue
+        if ch == '"':
+            j = i + 1
+            out: list[str] = []
+            while j < n and text[j] != '"':
+                if text[j] == "\n":
+                    raise OracleLexError("unterminated string", line, col, j - i)
+                if text[j] == "\\" and j + 1 < n and text[j + 1] in ('"', "\\"):
+                    out.append(text[j + 1])
+                    j += 2
+                    continue
+                out.append(text[j])
+                j += 1
+            if j >= n:
+                raise OracleLexError("unterminated string", line, col, j - i)
+            length = j + 1 - i
+            tokens.append(("STRING", "".join(out), line, col, length, i))
+            i = j + 1
+            col += length
+            continue
+        if ch.isalpha():
+            j = i + 1
+            while j < n:
+                if text[j].isalnum() or text[j] == "_":
+                    j += 1
+                elif text[j] == "-" and j + 1 < n and (
+                    text[j + 1].isalnum() or text[j + 1] == "_"
+                ):
+                    j += 2
+                else:
+                    break
+            tokens.append(("ID", text[i:j], line, col, j - i, i))
+            col += j - i
+            i = j
+            continue
+        raise OracleLexError(f"unexpected character {ch!r}", line, col, 1)
+    tokens.append(("EOF", "", line, col, 0, n))
+    return tokens, comments

@@ -149,6 +149,57 @@ def test_an_empty_scenario_is_an_error_at_load(tmp_path):
     assert "'E' has no messages" in diags[0].message
 
 
+#: Sidecars of the wrong shape, each with the JSON key its finding names.
+MISSHAPEN_SIDECARS = [
+    ({"scenarios": "x"}, "'scenarios'"),
+    ({"annotations": ["a"]}, "'annotations'"),
+    ({"interpretations": 1}, "'interpretations'"),
+    ({"scenarios": {"D9": [{}]}}, "'D9'"),
+    ({"provide_only": [{}]}, "'provide_only'"),
+    ({"provide_only": "decision-notice"}, "'provide_only'"),
+    ({"scenarios": {"S": 3}}, "'S'"),
+    ({"scenarios": {"S": "sample-annotation"}}, "'S'"),
+    ({"annotations": {"sample-annotation": ["note"]}}, "'sample-annotation'"),
+]
+
+
+def _packaged_corpus_with(tmp_path: Path, sidecar: object) -> Path:
+    for source in FIXTURES.glob("*.hai"):
+        _write(tmp_path / source.name, source.read_text())
+    _write(tmp_path / "catalog.json", json.dumps(sidecar))
+    return tmp_path
+
+
+@pytest.mark.parametrize("sidecar,key", MISSHAPEN_SIDECARS, ids=json.dumps)
+def test_a_misshapen_sidecar_is_a_syntax_error(tmp_path, sidecar, key):
+    catalog, diags = load_with_diagnostics([_packaged_corpus_with(tmp_path, sidecar)])
+    assert catalog is None
+    assert [d.code for d in diags] == ["E-SYNTAX"]
+    assert key in diags[0].message and diags[0].path == str(tmp_path / "catalog.json")
+
+
+def test_loader_findings_point_at_the_declaration(tmp_path):
+    source = _write(
+        tmp_path / "a.hai",
+        "action give(X) := provide(X: input.raw_data);\n"
+        "message M1 := user -> oracle : give(A);\n"
+        "  message M2 := user -> model : ghost(A);\n"
+        "pattern p := [M1, M9];\n",
+    )
+    _write(
+        tmp_path / "b.hai",
+        "role oracle;\n\n   action give(Y) := provide(Y: input.raw_data);\n",
+    )
+    _, diags = load_with_diagnostics([tmp_path])
+    assert [(d.code, d.path, d.span.line, d.span.col) for d in diags] == [
+        ("E-UNKNOWN-ROLE", str(source), 2, 1),
+        ("E-UNRESOLVED", str(source), 3, 3),
+        ("E-UNRESOLVED", str(source), 4, 1),
+        ("E-DUP-NAME", str(tmp_path / "b.hai"), 3, 4),
+    ]
+    assert diags[2].format().startswith(f"{source}:4:1: error[E-UNRESOLVED]")
+
+
 def test_resolve_flow_handles_patterns_scenarios_and_misses(catalog):
     assert catalog.resolve_flow("sample-annotation") is catalog.patterns[
         "sample-annotation"

@@ -5,6 +5,8 @@ from __future__ import annotations
 import json
 from pathlib import Path
 
+import pytest
+
 import oracles
 from conftest import AGENTS_DIR, FIXTURES
 from haiproto.cli import main
@@ -51,6 +53,20 @@ def test_check_reports_an_empty_scenario_without_a_traceback(runner, tmp_path):
     result = runner.invoke(main, ["check", str(tmp_path)])
     assert result.exit_code == 1, result.output
     assert "error[E-EMPTY-PATTERN]" in result.output
+    assert "Traceback" not in result.output
+    assert result.exception is None or isinstance(result.exception, SystemExit)
+
+
+@pytest.mark.parametrize(
+    "sidecar", [{"scenarios": "x"}, {"provide_only": [{}]}, {"scenarios": {"S": "p"}}]
+)
+def test_check_reports_a_misshapen_sidecar_without_a_traceback(runner, tmp_path, sidecar):
+    for source in FIXTURES.glob("*.hai"):
+        (tmp_path / source.name).write_text(source.read_text())
+    (tmp_path / "catalog.json").write_text(json.dumps(sidecar))
+    result = runner.invoke(main, ["check", str(tmp_path)])
+    assert result.exit_code == 1, result.output
+    assert "error[E-SYNTAX]" in result.output
     assert "Traceback" not in result.output
     assert result.exception is None or isinstance(result.exception, SystemExit)
 

@@ -3,15 +3,18 @@
 from __future__ import annotations
 
 from pathlib import Path
+from unittest import mock
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from haiproto import parse, parse_type, print_source
+from haiproto import dsl, parse, parse_type, print_source
+from haiproto.core import Span
 from haiproto.dsl import print_action, print_message, print_pattern, tokenize
 
 from conftest import FIXTURES
+from oracles import OracleLexError, oracle_tokenize
 
 CANONICAL = """\
 role supervisor;
@@ -27,7 +30,7 @@ def _codes(result) -> list[str]:
 
 def test_tokenize_hyphen_identifiers_and_arrows():
     tokens, _ = tokenize("req-class_selection user -> model <- :=")
-    kinds = [(t.kind, t.value) for t in tokens[:-1]]
+    kinds = [t[:2] for t in tokens[:-1]]
     assert kinds == [
         ("ID", "req-class_selection"),
         ("ID", "user"),
@@ -189,3 +192,87 @@ def test_parser_never_crashes_on_arbitrary_text(text: str):
     assert (result.file is None) == any(
         d.severity == "error" for d in result.diagnostics
     )
+
+
+# Text the two lexers are compared on: a window of a corpus file with a few
+# characters inserted or replaced, drawn from those the lexer treats specially
+# (or must refuse): quotes, escapes, line ends, hyphens, slashes, a
+# superscript digit (alphanumeric but not alphabetic), non-ASCII letters,
+# form feed and no-break space.
+MUTATIONS = '$"\\\n\t\r-/\u00b2\u00aa\u00e9\x0c\xa0'
+CORPUS_TEXTS = [path.read_text() for path in sorted(FIXTURES.glob("*.hai"))]
+ACTION = "action a(X) := provide(X: input.a);\n"
+
+
+@st.composite
+def mutated_corpus(draw) -> str:
+    text = draw(st.sampled_from(CORPUS_TEXTS))
+    start = draw(st.integers(0, len(text)))
+    text = text[start : start + draw(st.integers(0, 600))]
+    edit = st.tuples(st.integers(0, len(text)), st.sampled_from(MUTATIONS), st.booleans())
+    for pos, char, replace in sorted(draw(st.lists(edit, max_size=4)), reverse=True):
+        text = text[:pos] + char + text[pos + replace :]
+    return text
+
+
+def _oracle_as_tokenize(text: str):
+    """The oracle's output in :func:`dsl.tokenize`'s form, to parse through."""
+    try:
+        tokens, comments = oracle_tokenize(text)
+    except OracleLexError as exc:
+        raise dsl.LexError(exc.message, Span(*exc.where)) from None
+    return (
+        [(kind, value, at, at + length) for kind, value, _, _, length, at in tokens],
+        [(at, at + length, body) for _, _, length, body, at in comments],
+    )
+
+
+def _parsed(text: str):
+    result = parse(text)
+    where = [(d.span.line, d.span.col, d.span.length) for d in result.diagnostics]
+    return result.file, [(d.code, d.message) for d in result.diagnostics], where
+
+
+@settings(max_examples=400, deadline=None)
+@given(mutated_corpus())
+@example("role \u00b2x;")
+@example("role \u00e9t\u00e9-\u00aa1;")
+@example(ACTION + 'message M := user -> model : a(X) [k="open')
+@example(ACTION + 'message M := user -> model : a(X) [k="open\n];')
+@example(ACTION + 'message M := user -> model : a(X) [k="a\\\\"];')
+@example(ACTION + 'message M := user -> model : a(X) [k="a\\q"];')
+@example('"a\\\\" "a\\q" "a\\"')
+@example("action x- := provide(X: input);")
+@example("pattern a--b := [M];")
+@example("role r;  // closing note")
+@example("// only a note")
+@example("role r;\r\n// note\r\nrole s;  // after\r\n")
+def test_lexer_matches_the_character_loop_oracle(text: str):
+    try:
+        expected = oracle_tokenize(text)
+    except OracleLexError as exc:
+        with pytest.raises(dsl.LexError) as raised:
+            tokenize(text)
+        span = raised.value.span
+        assert (raised.value.message, span.line, span.col, span.length) == (
+            exc.message,
+            *exc.where,
+        )
+    else:
+        tokens, comments = tokenize(text)
+        line_starts = dsl._line_starts(text)
+        spans = [dsl._span(line_starts, start, end) for *_, start, end in tokens]
+        got = [(t[0], t[1], s.line, s.col, s.length) for t, s in zip(tokens, spans)]
+        assert got == [token[:5] for token in expected[0]]
+        assert comments == [(at, at + n, body) for _, _, n, body, at in expected[1]]
+    with mock.patch.object(dsl, "tokenize", _oracle_as_tokenize):
+        oracle = _parsed(text)
+    assert _parsed(text) == oracle
+
+
+def test_superscript_digit_does_not_start_a_name():
+    result = parse("role \u00b2x;")
+    assert [(d.code, d.message) for d in result.diagnostics] == [
+        ("E-LEX", "unexpected character '\u00b2'")
+    ]
+    assert result.diagnostics[0].span == Span(1, 6, 1)
