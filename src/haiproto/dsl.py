@@ -14,9 +14,10 @@ length) is built from a table of line starts only where one is stored or
 reported: declaration spans, rule findings and diagnostics.
 
 ``//`` starts a comment running to end of line.  Comments are preserved:
-full-line comments attach to the following declaration, a same-line comment
-after the closing ``;`` attaches to that declaration, and comments after the
-last declaration attach to the file.
+full-line comments attach to the following declaration, and so do comments
+inside a declaration; a same-line comment after the closing ``;`` attaches
+to that declaration, and comments after the last declaration attach to the
+file.
 
 :func:`parse` never raises on bad input; it reports diagnostics and recovers
 at the next ``;``.  Besides syntax, it applies the checker's declaration
@@ -292,9 +293,8 @@ class _Parser:
 
     # -- comments -----------------------------------------------------------
 
-    def take_leading_comments(self) -> tuple[str, ...]:
-        """Consume comments that occur before the next token."""
-        before = self.peek()[2]
+    def take_comments(self, before: int) -> tuple[str, ...]:
+        """Consume comments that start before source offset ``before``."""
         out: list[str] = []
         while self.comment_pos < len(self.comments):
             start, _, text = self.comments[self.comment_pos]
@@ -320,12 +320,11 @@ class _Parser:
         names: set[str] = set()
         had_error = False
         while True:
-            leading = self.take_leading_comments()
             if self.peek()[0] == "EOF":
-                trailing_file = leading
+                trailing_file = self.take_comments(self.peek()[2])
                 break
             try:
-                decl = self.parse_decl(leading)
+                decl = self.parse_decl()
             except _ParseAbort:
                 had_error = True
                 self.recover()
@@ -351,8 +350,9 @@ class _Parser:
             if self.advance()[0] in ("SEMI", "EOF"):
                 return
 
-    def parse_decl(self, leading: tuple[str, ...]) -> Decl:
-        """A keyword, the declaration's body, and the closing ``;``."""
+    def parse_decl(self) -> Decl:
+        """A keyword, the declaration's body, and the closing ``;``.  Comments
+        before the ``;``, ahead of the keyword or inside the body, lead it."""
         keyword = self.peek()
         if keyword[0] != "ID" or keyword[1] not in _DECLS:
             self.fail(
@@ -363,6 +363,7 @@ class _Parser:
         parse_body, decl = _DECLS[self.advance()[1]]
         body = parse_body(self)
         semi = self.expect("SEMI", "';'")
+        leading = self.take_comments(semi[2])
         return decl(body, leading, self.take_trailing_comment(semi), self.span(keyword))
 
     # role NAME

@@ -27,6 +27,7 @@ from __future__ import annotations
 import functools
 import marshal
 import math
+import operator
 import re
 import zlib
 from dataclasses import MISSING, dataclass, fields
@@ -541,16 +542,23 @@ def parse_agents(text: str, path: str = "<agents>") -> dict[str, AgentBehavior]:
 # ---------------------------------------------------------------------------
 
 
-#: Canonical JSON: the bytes of a trace line, and a type-strict equality.
-_dump = json.JSONEncoder(sort_keys=True, separators=(",", ":")).encode
+#: Canonical JSON of finite numbers: a trace line's bytes, a type-strict equality.
+_dump = json.JSONEncoder(sort_keys=True, separators=(",", ":"), allow_nan=False).encode
 
 
 def _not_json(constant: str) -> float:
     raise ValueError(f"{constant} is not a JSON number")
 
 
-#: Reads one trace line; ``NaN`` and ``Infinity``, which no run writes, do not read.
-_load = json.JSONDecoder(parse_constant=_not_json).decode
+def _finite(text: str) -> float:
+    if math.isfinite(value := float(text)):
+        return value
+    raise ValueError(f"{text} is not a finite number")
+
+
+#: Reads one trace line; ``NaN``, ``Infinity`` and ``1e999``, which no run
+#: writes, do not read.
+_load = json.JSONDecoder(parse_float=_finite, parse_constant=_not_json).decode
 
 
 @dataclass(frozen=True)
@@ -575,14 +583,15 @@ class TraceStep:
     detail: str | None = None
 
     def to_json(self) -> dict:
-        data = dict(self.__dict__)
+        data = dict(zip(_STEP_FIELDS, _step_values(self)))
         if self.detail is None:
             del data["detail"]
         return data
 
 
-#: The fields of a trace step line, and those it may not leave out.
-_STEP_FIELDS = {field.name for field in fields(TraceStep)}
+#: A step line's fields in order, their values, and the fields it may not leave out.
+_STEP_FIELDS = tuple(field.name for field in fields(TraceStep))
+_step_values = operator.attrgetter(*_STEP_FIELDS)
 _REQUIRED = [field.name for field in fields(TraceStep) if field.default is MISSING]
 
 
@@ -665,11 +674,11 @@ class Trace:
             if not lines:
                 raise ValueError(f"line {lineno}: an outcome line without a header")
             (first, header), body, lines = lines[0], lines[1:], []
-            version = _dump(header.get("format", 1))
-            if version != "2":
+            version = header.get("format", 1)
+            if type(version) is not int or version != 2:
                 raise ValueError(
-                    f"line {first}: the trace is format {version}, this reader reads "
-                    f"format 2: regenerate it with `haiproto run`"
+                    f"line {first}: the trace is format {_dump(version)}, this reader "
+                    f"reads format 2: regenerate it with `haiproto run`"
                 )
             steps = []
             for number, (at, step) in enumerate(body, start=1):
@@ -683,7 +692,9 @@ class Trace:
             except KeyError as exc:
                 problem = f"malformed trace line {first}: {exc.args[0]} is missing"
                 raise ValueError(problem) from None
-            if _dump(entry) != _dump({**entry, "run": run_id, "steps": len(body)}):
+            expected = {**entry, "run": run_id, "steps": len(body)}
+            strict = type(run_id) is str and type(entry.get("steps")) is int  # so is ==
+            if not (strict and entry == expected) and _dump(entry) != _dump(expected):
                 raise ValueError(
                     f"line {lineno}: outcome line of run {run_id!r} contradicts it"
                 )
@@ -760,7 +771,8 @@ def run(
                 raise
             except Exception as exc:
                 raise RunViolation("V-AGENT", f"producer failed: {exc}") from exc
-            for var in sorted(produced):
+            order = sorted(produced)
+            for var in order:
                 if var not in message.args:
                     raise RunViolation(
                         "V-AGENT",
@@ -772,7 +784,7 @@ def run(
                         "V-AGENT",
                         f"sender of {message.name!r} may not produce {var!r}",
                     )
-            for var in sorted(produced):
+            for var in order:
                 if var in values and produced[var] != values[var]:
                     raise RunViolation(
                         "V-REBIND",
@@ -787,7 +799,8 @@ def run(
             for var, declared in step.slots:  # a bound value must fit every use
                 payload = produced[var] if var in needed else values.get(var)
                 typ = needed.get(var, declared)
-                if payload is not None and intersect(payload.type, typ) is None:
+                fits = payload is None or payload.type is typ  # intersect(t, t) is t
+                if not fits and intersect(payload.type, typ) is None:
                     raise RunViolation(
                         "V-TYPE", f"{var!r} expects {typ}, got {payload.type}"
                     )
@@ -855,18 +868,17 @@ def replay_check(
     flow or a message; ``E-BINDING``: the re-run aborts ``V-TYPE`` where the
     trace records ``ok``; ``E-TRACE``: any other difference, or text that does
     not read, where reading stops (text never raises).  Concatenated traces (a
-    ``--repeat`` file) are read and checked one at a time.  Each flow name is
-    checked once, at its own scope, by ``catalog.flow``, as :func:`run` does.
+    ``--repeat`` file) are read and checked one run at a time.  A flow is checked
+    once per catalog, by ``catalog.flow``; fields compare type-strictly (1 ≠ 1.0).
     """
     if not isinstance(trace, (Trace, str)):
         trace = "\n".join(trace)
     traces = [trace] if isinstance(trace, Trace) else Trace._read_each(trace)
-    flows = functools.lru_cache(maxsize=None)(catalog.flow)  # once per flow name
     parse = functools.lru_cache(maxsize=None)(parse_type)  # once per type string
     found: list[Diagnostic | None] = []
     try:
-        for parsed in traces:  # read one at a time: only one trace is in memory
-            found.append(_replay_one(parsed, catalog, flows, parse))
+        for parsed in traces:  # one run's objects at a time; every line is held
+            found.append(_replay_one(parsed, catalog, parse))
     except ValueError as exc:  # from reading: _replay_one raises no ValueError
         found.append(Diagnostic("error", "E-TRACE", f"unreadable trace: {exc}"))
     return [diag for diag in found if diag is not None]
@@ -898,19 +910,16 @@ class _Recording(AgentBehavior):
 
 
 def _replay_one(
-    trace: Trace,
-    catalog: Catalog,
-    flows: Callable[[str], Flow],
-    parse: Callable[[str], TypeExpr],
+    trace: Trace, catalog: Catalog, parse: Callable[[str], TypeExpr]
 ) -> Diagnostic | None:
-    """``trace``'s first difference from its re-run; ``flows`` checks a name."""
+    """``trace``'s first difference from its re-run."""
 
     def found(code: str, text: str) -> Diagnostic:
         return Diagnostic("error", code, f"run {trace.run_id}: {text}")
 
     name = trace.pattern
     try:
-        flow = flows(name)
+        flow = catalog.flow(name)
     except (KeyError, TypeError, ValueError):  # unknown, not a name, an empty scenario
         return found("E-UNRESOLVED", f"flow {name!r} does not resolve")
     if flow.report.errors:
@@ -918,11 +927,12 @@ def _replay_one(
         return found(error.code, f"flow {name!r} does not check: {error.message}")
     agents = dict.fromkeys(catalog.roles, _Recording(trace.steps, parse))
     rerun = run(catalog, flow, agents, trace.seed, trace.run_id)
-    replayed = [step.__dict__ for step in rerun.steps] + [{"outcome": rerun.outcome}]
-    recorded = [step.__dict__ for step in trace.steps] + [{"outcome": trace.outcome}]
     # unlike ==, marshal tells 1, 1.0 and True apart (format 2: no back-references)
+    replayed, recorded = ([*map(_step_values, t.steps), t.outcome] for t in (rerun, trace))
     if marshal.dumps(replayed, 2) == marshal.dumps(recorded, 2):
         return None
+    replayed = [step.to_json() for step in rerun.steps] + [{"outcome": rerun.outcome}]
+    recorded = [step.to_json() for step in trace.steps] + [{"outcome": trace.outcome}]
     for step in trace.steps:
         if not isinstance(step.message, str) or step.message not in catalog.messages:
             return found(

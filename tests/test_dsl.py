@@ -92,6 +92,20 @@ def test_comments_survive_round_trip():
     assert parse(print_source(result.file)).file == result.file
 
 
+def test_a_comment_inside_a_declaration_stays_with_it():
+    text = "action a(X) :=  // why a provides\n    provide(X: input.raw_data);\nrole r;\n"
+    result = parse(text)
+    assert result.file is not None
+    action, role = result.file.decls
+    assert action.leading_comments == ("why a provides",)
+    assert role.leading_comments == ()
+    printed = print_source(result.file)
+    assert printed == (
+        "// why a provides\naction a(X) := provide(X: input.raw_data);\nrole r;\n"
+    )
+    assert print_source(parse(printed).file) == printed
+
+
 def test_recovery_reports_each_bad_declaration_once():
     text = (
         "action ok(X) := provide(X: input.raw_data);\n"

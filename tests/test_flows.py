@@ -3,6 +3,7 @@ every trace unchanged."""
 
 from __future__ import annotations
 
+import dataclasses
 import hashlib
 import json
 import subprocess
@@ -88,7 +89,8 @@ def test_every_corpus_flow_keeps_its_golden_trace(catalog):
     assert digest_v2.hexdigest() == GOLDEN_V2_SHA256
 
 
-def test_run_scenario_resolves_and_checks_the_flow_once(catalog, monkeypatch):
+def test_run_scenario_resolves_and_checks_the_flow_once(monkeypatch):
+    catalog = load([FIXTURES])  # a fresh catalog: nothing checked yet
     calls: Counter = Counter()
 
     def counted(module, name):
@@ -102,18 +104,24 @@ def test_run_scenario_resolves_and_checks_the_flow_once(catalog, monkeypatch):
 
     counted(haiproto.catalog, "check_flow")
     counted(haiproto.check, "resolve_step")
-    seen = {}
-    for repeat in (1, 50):
-        calls.clear()
+    d1_once = {"check_flow": 1, "resolve_step": len(catalog.resolve_flow("D1").messages)}
+
+    def d1_runs(catalog, repeat):
         agents = parse_agents((AGENTS_DIR / "robot_demo.agents").read_text())
-        traces = run_scenario(catalog, "D1", agents, repeat=repeat)
-        assert len(traces) == repeat
-        seen[repeat] = dict(calls)
-    d1_length = len(catalog.resolve_flow("D1").messages)
-    assert seen[1] == seen[50] == {"check_flow": 1, "resolve_step": d1_length}
-    calls.clear()  # replaying the 50 runs checks their one flow once
+        return run_scenario(catalog, "D1", agents, repeat=repeat)
+
+    check_catalog(catalog)  # checks every flow and keeps none
+    assert catalog._flows == {}
+    calls.clear()
+    assert len(d1_runs(catalog, 1)) == 1
+    assert dict(calls) == d1_once
+    calls.clear()
+    traces = d1_runs(catalog, 50)
     assert replay_check("".join(trace.to_jsonl() for trace in traces), catalog) == []
-    assert dict(calls) == {"check_flow": 1, "resolve_step": d1_length}
+    assert dict(calls) == {}
+    copy = dataclasses.replace(catalog)  # a copy starts with no checked flow
+    assert copy == catalog and len(d1_runs(copy, 1)) == 1
+    assert dict(calls) == d1_once
 
 
 @pytest.fixture(scope="module")
