@@ -692,9 +692,7 @@ class Trace:
             except KeyError as exc:
                 problem = f"malformed trace line {first}: {exc.args[0]} is missing"
                 raise ValueError(problem) from None
-            expected = {**entry, "run": run_id, "steps": len(body)}
-            strict = type(run_id) is str and type(entry.get("steps")) is int  # so is ==
-            if not (strict and entry == expected) and _dump(entry) != _dump(expected):
+            if _dump(entry) != _dump({**entry, "run": run_id, "steps": len(body)}):
                 raise ValueError(
                     f"line {lineno}: outcome line of run {run_id!r} contradicts it"
                 )
@@ -799,8 +797,7 @@ def run(
             for var, declared in step.slots:  # a bound value must fit every use
                 payload = produced[var] if var in needed else values.get(var)
                 typ = needed.get(var, declared)
-                fits = payload is None or payload.type is typ  # intersect(t, t) is t
-                if not fits and intersect(payload.type, typ) is None:
+                if payload is not None and intersect(payload.type, typ) is None:
                     raise RunViolation(
                         "V-TYPE", f"{var!r} expects {typ}, got {payload.type}"
                     )

@@ -8,8 +8,6 @@ derived by hand from the shipped catalog design and frozen here.
 
 from __future__ import annotations
 
-import json
-
 
 # --------------------------------------------------------------------------
 # Brute-force nearest-centroid oracle.
@@ -398,31 +396,3 @@ def oracle_tokenize(text: str) -> tuple[list[tuple], list[tuple]]:
         raise OracleLexError(f"unexpected character {ch!r}", line, col, 1)
     tokens.append(("EOF", "", line, col, 0, n))
     return tokens, comments
-
-
-# --------------------------------------------------------------------------
-# Trace frame oracle: header and footer checks by canonical JSON text.
-# --------------------------------------------------------------------------
-
-_canonical = json.JSONEncoder(sort_keys=True, separators=(",", ":")).encode
-
-
-def oracle_frame_problem(
-    header: dict, first: int, steps: int, footer: dict, last: int
-) -> str | None:
-    """Why a parsed trace does not read, judged by comparing canonical JSON:
-    its header on line ``first``, ``steps`` well-formed step lines and its
-    outcome line on line ``last``; ``None`` if it reads."""
-    version = _canonical(header.get("format", 1))
-    if version != "2":
-        return (
-            f"line {first}: the trace is format {version}, this reader reads "
-            f"format 2: regenerate it with `haiproto run`"
-        )
-    for key in ("run", "pattern", "seed"):
-        if key not in header:
-            return f"malformed trace line {first}: {key} is missing"
-    run_id = header["run"]
-    if _canonical(footer) != _canonical({**footer, "run": run_id, "steps": steps}):
-        return f"line {last}: outcome line of run {run_id!r} contradicts it"
-    return None

@@ -9,7 +9,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-import oracles
 from conftest import AGENTS_DIR
 from haiproto import (
     AgentBehavior,
@@ -354,106 +353,6 @@ def test_a_trace_never_writes_a_non_finite_number(catalog):
     for bad in (float("nan"), float("inf")):
         with pytest.raises(ValueError):
             dataclasses.replace(trace, seed=bad).to_jsonl()
-
-
-#: JSON values with finite numbers only, as a trace may hold them.
-FINITE_JSON = st.recursive(
-    st.none()
-    | st.booleans()
-    | st.integers()
-    | st.floats(allow_nan=False, allow_infinity=False)
-    | st.text(max_size=3),
-    lambda inner: st.lists(inner, max_size=3)
-    | st.dictionaries(st.text(max_size=3), inner, max_size=3),
-    max_leaves=5,
-)
-
-#: A header or footer field that the line leaves out.
-ABSENT = object()
-
-FRAME_VALUES = (
-    st.sampled_from([ABSENT, None, True, False, 0.0, 1.0, 2.0, "2", 0, 1, 2, "x"])
-    | st.dictionaries(st.text(max_size=3), FINITE_JSON, min_size=2, max_size=4)
-    | FINITE_JSON
-)
-
-
-def _resembling(value, data):
-    """``value`` with its objects' keys in a drawn order, and each number
-    perhaps as another type (``1``, ``1.0``, ``true``): equal under ``==``,
-    and yet not the same JSON."""
-    if value is ABSENT:
-        return value
-    if isinstance(value, dict):
-        items = data.draw(st.permutations(list(value.items())))
-        return {key: _resembling(inner, data) for key, inner in items}
-    if isinstance(value, list):
-        return [_resembling(inner, data) for inner in value]
-    if isinstance(value, (int, float)) and abs(value) < 2**53:  # bools too
-        return data.draw(st.sampled_from([value, int(value), float(value), bool(value)]))
-    return value
-
-
-def _present(line: dict) -> dict:
-    return {key: value for key, value in line.items() if value is not ABSENT}
-
-
-def _reads_as_the_oracle_says(version, run_id, footer_run, footer_steps, count):
-    """The reader accepts a one-run trace with these header and footer
-    values, and ``count`` steps, exactly when the oracle does, and otherwise
-    raises the oracle's text."""
-    header = _present({"format": version, "pattern": "p", "seed": 0, "run": run_id})
-    step = {"message": "m", "sender": "a", "receiver": "b", "action": "x"}
-    step.update(produced={}, digest="00000000", verdict="ok")
-    steps = [{"step": number, **step} for number in range(1, count + 1)]
-    footer = {"outcome": "completed", "run": footer_run, "steps": footer_steps}
-    text = _text([header, *steps, _present(footer)])
-    parsed = [json.loads(line) for line in text.splitlines()]
-    expected = oracles.oracle_frame_problem(parsed[0], 1, count, parsed[-1], count + 2)
-    try:
-        Trace.all_from_jsonl(text)
-    except ValueError as exc:
-        assert str(exc) == expected
-    else:
-        assert expected is None
-
-
-@pytest.mark.parametrize(
-    "version, run_id, footer_run, footer_steps",
-    [
-        (2, "r", "r", 1),
-        (2.0, "r", "r", 1),
-        (True, "r", "r", 1),
-        ("2", "r", "r", 1),
-        (ABSENT, "r", "r", 1),
-        (2, "r", "r", True),
-        (2, "r", "r", 1.0),
-        (2, "r", "r", "1"),
-        (2, "r", "r", ABSENT),
-        (2, "r", ABSENT, 1),
-        (2, ABSENT, "r", 1),
-        (2, None, ABSENT, 1),
-        (2, 1, 1.0, 1),
-        (2, 1, True, 1),
-        (2, {"a": 1, "b": [2]}, {"b": [2], "a": 1}, 1),
-        (2, {"a": 1, "b": [2]}, {"b": [2], "a": 1.0}, 1),
-    ],
-)
-def test_the_reader_accepts_what_canonical_json_comparison_accepts(
-    version, run_id, footer_run, footer_steps
-):
-    _reads_as_the_oracle_says(version, run_id, footer_run, footer_steps, 1)
-
-
-@settings(max_examples=300, deadline=None)
-@given(data=st.data())
-def test_the_reader_agrees_with_canonical_json_comparison_on_drawn_values(data):
-    count = data.draw(st.integers(0, 2))
-    run_id = data.draw(st.text(max_size=3) | FRAME_VALUES)
-    version = data.draw(st.just(2) | st.sampled_from([2.0, True, "2"]) | FRAME_VALUES)
-    footer_run = _resembling(data.draw(st.just(run_id) | FRAME_VALUES), data)
-    footer_steps = _resembling(data.draw(st.just(count) | FRAME_VALUES), data)
-    _reads_as_the_oracle_says(version, run_id, footer_run, footer_steps, count)
 
 
 @settings(max_examples=200, deadline=None)
