@@ -169,6 +169,15 @@ def _sidecar_shape(data: object) -> list[str]:
     return problems
 
 
+def read_source(path: Path) -> str | Diagnostic:
+    """The text of a ``.hai`` file, or the E-LEX finding that it does not
+    read: a file that cannot be opened, or that is not UTF-8."""
+    try:
+        return path.read_text(encoding="utf-8")
+    except (OSError, UnicodeDecodeError) as exc:
+        return Diagnostic("error", "E-LEX", f"cannot read file: {exc}", str(path))
+
+
 def load_with_diagnostics(
     paths: Sequence[str | Path],
 ) -> tuple[Catalog | None, tuple[Diagnostic, ...]]:
@@ -187,10 +196,9 @@ def load_with_diagnostics(
 
     for file_path in hai_files:
         path = str(file_path)
-        try:
-            text = file_path.read_text(encoding="utf-8")
-        except OSError as exc:
-            err("E-LEX", f"cannot read file: {exc}", path)
+        text = read_source(file_path)
+        if isinstance(text, Diagnostic):
+            diags.append(text)
             continue
         result = parse(text, path)
         diags.extend(result.diagnostics)
@@ -248,7 +256,7 @@ def load_with_diagnostics(
         path = str(sidecar)
         try:
             data = json.loads(sidecar.read_text(encoding="utf-8"))
-        except (OSError, json.JSONDecodeError) as exc:
+        except (OSError, ValueError, RecursionError) as exc:  # not UTF-8, JSON, or too deep
             err("E-SYNTAX", f"cannot read sidecar: {exc}", path)
             continue
         shape = _sidecar_shape(data)

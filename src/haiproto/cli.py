@@ -16,7 +16,7 @@ import click
 
 from . import catalog as cataloglib
 from .catalog import CatalogError, check_catalog, load, load_with_diagnostics
-from .core import Pattern, PrimitiveKind
+from .core import Diagnostic, Pattern, PrimitiveKind
 from .dsl import parse, print_source, print_type
 from .runtime import parse_agents, run_scenario
 
@@ -105,7 +105,11 @@ def fmt(ctx: click.Context, paths: tuple[str, ...], check_only: bool) -> None:
         files.extend(sorted(p.glob("*.hai")) if p.is_dir() else [p])
     failed = False
     for file_path in files:
-        text = file_path.read_text(encoding="utf-8")
+        text = cataloglib.read_source(file_path)
+        if isinstance(text, Diagnostic):
+            click.echo(text.format())
+            failed = True
+            continue
         result = parse(text, str(file_path))
         if result.file is None:
             for diag in result.diagnostics:

@@ -32,7 +32,7 @@ import re
 import zlib
 from dataclasses import MISSING, dataclass, fields
 from types import MappingProxyType
-from typing import Callable, Iterable, Iterator, Mapping, Sequence, Union
+from typing import Callable, ClassVar, Iterable, Iterator, Mapping, Sequence, Union
 
 from .catalog import Catalog
 from .check import Flow, check_flow
@@ -413,6 +413,13 @@ _NUMBER_RE = re.compile(r"^-?\d+(\.\d+)?$")
 
 
 def _parse_literal(text: str, where: str) -> object:
+    try:
+        return _literal(text, where)
+    except RecursionError:
+        raise ValueError(f"{where}: literal nested too deeply") from None
+
+
+def _literal(text: str, where: str) -> object:
     text = text.strip()
     if text.startswith('"') and text.endswith('"') and len(text) >= 2:
         return text[1:-1].replace('\\"', '"').replace("\\\\", "\\")
@@ -431,7 +438,7 @@ def _parse_literal(text: str, where: str) -> object:
         inner = text[1:-1].strip()
         if not inner:
             return ()
-        return tuple(_parse_literal(p, where) for p in _split_top(inner))
+        return tuple(_literal(p, where) for p in _split_top(inner))
     if re.match(r"^[A-Za-z][A-Za-z0-9_-]*$", text):
         return text
     raise ValueError(f"{where}: cannot parse literal {text!r}")
@@ -544,6 +551,29 @@ def parse_agents(text: str, path: str = "<agents>") -> dict[str, AgentBehavior]:
 
 #: Canonical JSON of finite numbers: a trace line's bytes, a type-strict equality.
 _dump = json.JSONEncoder(sort_keys=True, separators=(",", ":"), allow_nan=False).encode
+_ascii = json.encoder.encode_basestring_ascii
+
+
+def _scalar(value: object) -> str:
+    """``_dump(value)``; a string or an int skips the encoder's set-up, which
+    costs more than the encoding."""
+    if type(value) is str:
+        return _ascii(value)
+    if type(value) is int:
+        return int.__repr__(value)  # the encoder's own text for an int
+    return _dump(value)
+
+
+def _step_line(step: "TraceStep", produced: str) -> str:
+    """``_dump(step.to_json())``, given ``produced``, ``_dump(step.produced)``:
+    the keys in sorted order, each value encoded by itself."""
+    detail = "" if step.detail is None else f'"detail":{_scalar(step.detail)},'
+    return (
+        f'{{"action":{_scalar(step.action)},{detail}"digest":{_scalar(step.digest)},'
+        f'"message":{_scalar(step.message)},"produced":{produced},'
+        f'"receiver":{_scalar(step.receiver)},"sender":{_scalar(step.sender)},'
+        f'"step":{_scalar(step.step)},"verdict":{_scalar(step.verdict)}}}'
+    )
 
 
 def _not_json(constant: str) -> float:
@@ -559,6 +589,16 @@ def _finite(text: str) -> float:
 #: Reads one trace line; ``NaN``, ``Infinity`` and ``1e999``, which no run
 #: writes, do not read.
 _load = json.JSONDecoder(parse_float=_finite, parse_constant=_not_json).decode
+
+
+def _lines(text: str, block: int = 1 << 16) -> Iterator[str]:
+    """``text.splitlines()``, split a block of about ``block`` characters at a
+    time: each block but the last ends with a newline, which ends a line."""
+    start = 0
+    while end := text.find("\n", start + block) + 1:
+        yield from text[start:end].splitlines()
+        start = end
+    yield from text[start:].splitlines()
 
 
 @dataclass(frozen=True)
@@ -606,7 +646,15 @@ def _misfit(entry: dict) -> str:
 
 @dataclass(frozen=True)
 class Trace:
-    """A full run: header, steps, and outcome, serializable to JSON lines."""
+    """A full run: header, steps, and outcome, serializable to JSON lines.
+
+    A trace from :func:`run` is a value: it keeps the canonical JSON of each
+    step's ``produced`` that its digest was computed over, and
+    :meth:`to_jsonl` writes that text, so a step's ``produced`` dict must not
+    be changed in place.  The kept text is not a field: ``fields``, ``==`` and
+    ``repr`` do not see it, and a ``dataclasses.replace`` copy or a trace
+    built by hand encodes its steps' ``produced`` when written.
+    """
 
     run_id: str
     pattern: str
@@ -614,13 +662,22 @@ class Trace:
     steps: tuple[TraceStep, ...]
     outcome: Union[str, dict]
 
+    #: ``_dump(step.produced)`` for each step, kept by :func:`run`.
+    _produced: ClassVar[tuple[str, ...] | None] = None
+
     def to_jsonl(self) -> str:
-        header = {"run": self.run_id, "pattern": self.pattern, "seed": self.seed}
-        lines = [_dump({"format": 2, **header})]
-        lines.extend(_dump(step.to_json()) for step in self.steps)
-        lines.append(
-            _dump({"run": self.run_id, "steps": len(self.steps), "outcome": self.outcome})
-        )
+        """The header, step and outcome lines, each ``_dump`` of its dict."""
+        produced = self._produced
+        if produced is None:
+            produced = [_dump(step.produced) for step in self.steps]
+        run_id = _scalar(self.run_id)
+        lines = [
+            f'{{"format":2,"pattern":{_scalar(self.pattern)},"run":{run_id},'
+            f'"seed":{_scalar(self.seed)}}}',
+            *map(_step_line, self.steps, produced),
+            f'{{"outcome":{_scalar(self.outcome)},"run":{run_id},'
+            f'"steps":{len(self.steps)}}}',
+        ]
         return "\n".join(lines) + "\n"
 
     def bindings_at(self, step: int) -> dict[str, dict]:
@@ -654,9 +711,10 @@ class Trace:
 
     @classmethod
     def _read_each(cls, text: str) -> Iterator["Trace"]:
-        """Each run when its outcome line is read, and only then checked."""
+        """Each run when its outcome line is read, and only then checked; the
+        text is split into lines as it is read, not all at once."""
         lines: list[tuple[int, dict]] = []
-        for lineno, line in enumerate(text.splitlines(), start=1):
+        for lineno, line in enumerate(_lines(text), start=1):
             if not line.strip():
                 continue
             try:
@@ -664,7 +722,7 @@ class Trace:
             except json.JSONDecodeError as exc:
                 problem = f"line {lineno}: {exc.msg} (column {exc.colno})"
                 raise ValueError(problem) from None
-            except ValueError as exc:
+            except (ValueError, RecursionError) as exc:  # a number, or nesting too deep
                 raise ValueError(f"line {lineno}: {exc}") from None
             if not isinstance(entry, dict):
                 raise ValueError(f"line {lineno} is not a JSON object")
@@ -729,7 +787,9 @@ def run(
     :class:`~haiproto.check.Flow`, used as given.  It must check without errors
     (``ValueError`` otherwise); every participating role must have an agent
     (``LookupError`` otherwise).  A violation aborts the run and is recorded in
-    the trace outcome rather than raised.
+    the trace outcome rather than raised.  The trace is a value: it keeps the
+    text its digest was computed over and writes it, so its steps' ``produced``
+    dicts must not be changed in place (see :class:`Trace`).
     """
     if isinstance(flow, str):
         flow = catalog.flow(flow)
@@ -750,6 +810,7 @@ def run(
     values: dict[str, Payload] = {}
     binding = MappingProxyType(values)  # what agents see: read-only, never copied
     steps: list[TraceStep] = []
+    texts: list[str] = []  # each step's produced, as digested and as written
     outcome: Union[str, dict] = "completed"
     digest = 0
 
@@ -813,7 +874,9 @@ def run(
         except RunViolation as violation:
             verdict, detail = violation.code, violation.detail
             outcome = {"aborted": {"code": violation.code, "step": index}}
-        digest = zlib.crc32(_dump(produced_json).encode(), digest)
+        text = _dump(produced_json) if produced_json else "{}"
+        texts.append(text)
+        digest = zlib.crc32(text.encode(), digest)
         if detail is not None:  # replay raises the recorded detail again: check it here
             digest = zlib.crc32(_dump(detail).encode(), digest)
         steps.append(
@@ -831,7 +894,9 @@ def run(
         )
         if verdict != "ok":
             break
-    return Trace(run_id, flow.pattern.name, seed, tuple(steps), outcome)
+    trace = Trace(run_id, flow.pattern.name, seed, tuple(steps), outcome)
+    object.__setattr__(trace, "_produced", tuple(texts))
+    return trace
 
 
 def run_scenario(
@@ -874,7 +939,7 @@ def replay_check(
     parse = functools.lru_cache(maxsize=None)(parse_type)  # once per type string
     found: list[Diagnostic | None] = []
     try:
-        for parsed in traces:  # one run's objects at a time; every line is held
+        for parsed in traces:  # one run's objects at a time, its lines read lazily
             found.append(_replay_one(parsed, catalog, parse))
     except ValueError as exc:  # from reading: _replay_one raises no ValueError
         found.append(Diagnostic("error", "E-TRACE", f"unreadable trace: {exc}"))

@@ -8,6 +8,8 @@ derived by hand from the shipped catalog design and frozen here.
 
 from __future__ import annotations
 
+import json
+
 
 # --------------------------------------------------------------------------
 # Brute-force nearest-centroid oracle.
@@ -396,3 +398,35 @@ def oracle_tokenize(text: str) -> tuple[list[tuple], list[tuple]]:
         raise OracleLexError(f"unexpected character {ch!r}", line, col, 1)
     tokens.append(("EOF", "", line, col, 0, n))
     return tokens, comments
+
+
+# --------------------------------------------------------------------------
+# The trace writer as one canonical JSON dump per line.
+# --------------------------------------------------------------------------
+
+_dump = json.JSONEncoder(sort_keys=True, separators=(",", ":"), allow_nan=False).encode
+
+
+def oracle_to_jsonl(trace) -> str:
+    """``trace``, anything with a trace's attributes, as JSON lines: a dump of
+    the header dict, of each step's dict (without ``detail`` when it is
+    ``None``) and of the outcome dict, keys sorted, finite numbers only."""
+    header = {"run": trace.run_id, "pattern": trace.pattern, "seed": trace.seed}
+    lines = [_dump({"format": 2, **header})]
+    for step in trace.steps:
+        entry = {
+            "step": step.step,
+            "message": step.message,
+            "sender": step.sender,
+            "receiver": step.receiver,
+            "action": step.action,
+            "produced": step.produced,
+            "digest": step.digest,
+            "verdict": step.verdict,
+        }
+        if step.detail is not None:
+            entry["detail"] = step.detail
+        lines.append(_dump(entry))
+    footer = {"run": trace.run_id, "steps": len(trace.steps), "outcome": trace.outcome}
+    lines.append(_dump(footer))
+    return "\n".join(lines) + "\n"

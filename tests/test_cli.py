@@ -71,6 +71,30 @@ def test_check_reports_a_misshapen_sidecar_without_a_traceback(runner, tmp_path,
     assert result.exception is None or isinstance(result.exception, SystemExit)
 
 
+def test_check_reports_unreadable_files_without_a_traceback(runner, tmp_path):
+    for source in FIXTURES.glob("*.hai"):
+        (tmp_path / source.name).write_text(source.read_text())
+    (tmp_path / "catalog.json").write_bytes(b'{"scenarios": {"\xff": []}}')
+    result = runner.invoke(main, ["check", str(tmp_path)])
+    assert result.exit_code == 1, result.output
+    assert "error[E-SYNTAX]: cannot read sidecar: 'utf-8' codec" in result.output
+    assert "Traceback" not in result.output
+    (tmp_path / "catalog.json").write_text("[" * 100000 + "]" * 100000)
+    result = runner.invoke(main, ["check", str(tmp_path)])
+    assert result.exit_code == 1, result.output
+    assert "error[E-SYNTAX]: cannot read sidecar: maximum recursion" in result.output
+    (tmp_path / "catalog.json").unlink()
+    (tmp_path / "bad.hai").write_bytes(b"role x;\n\xff\n")
+    for args in (["check", str(tmp_path)], ["fmt", "--check", str(tmp_path)]):
+        result = runner.invoke(main, args)
+        assert result.exit_code == 1, result.output
+        assert f"{tmp_path / 'bad.hai'}:0:0: error[E-LEX]: cannot read file: 'utf-8'" in (
+            result.output
+        )
+        assert "Traceback" not in result.output
+        assert result.exception is None or isinstance(result.exception, SystemExit)
+
+
 def test_check_deny_warnings(runner, tmp_path):
     (tmp_path / "warn.hai").write_text(WARNING_ONLY)
     soft = runner.invoke(main, ["check", str(tmp_path)])
@@ -253,6 +277,15 @@ def test_run_with_malformed_agents_file(runner, tmp_path):
     result = runner.invoke(main, ["run", "D1", "--agents", str(agents)])
     assert result.exit_code == 2
     assert "section" in result.output
+
+
+def test_run_with_deeply_nested_agents_file(runner, tmp_path):
+    agents = tmp_path / "deep.agents"
+    agents.write_text("[user scripted]\nA.X = " + "[" * 3000 + "]" * 3000 + "\n")
+    result = runner.invoke(main, ["run", "D1", "--agents", str(agents)])
+    assert result.exit_code == 2, result.output
+    assert f"{agents}:2: literal nested too deeply" in result.output
+    assert "Traceback" not in result.output
 
 
 def test_run_negative_repeat_is_a_usage_error(runner):

@@ -28,6 +28,7 @@ from haiproto import (
     run,
     run_scenario,
 )
+from haiproto.runtime import _lines
 
 GIVE_USE = """
 action give(X) := provide(X: input);
@@ -227,6 +228,32 @@ def test_reading_names_the_file_line(catalog):
     del edited[10]["digest"]
     with pytest.raises(ValueError, match="line 11: step 2: digest is missing"):
         Trace.all_from_jsonl(_text(edited))
+
+
+def test_deep_nesting_is_one_finding(catalog):
+    deep = "[" * 100000 + "]" * 100000
+    (diag,) = replay_check(deep, catalog)
+    assert diag.code == "E-TRACE" and "line 1: " in diag.message
+    with pytest.raises(ValueError, match="^line 1: "):
+        Trace.all_from_jsonl(deep)
+    text = _text(_d1_lines(catalog)) + deep + "\n"  # after a run that replays
+    (diag,) = replay_check(text, catalog)
+    assert diag.code == "E-TRACE" and "line 9: " in diag.message
+    with pytest.raises(ValueError, match="^line 9: "):
+        Trace.all_from_jsonl(text)
+
+
+#: Every line boundary of ``str.splitlines``, and characters that are none.
+_PIECES = [
+    *("\n", "\r", "\r\n", "\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x85"),
+    *("\u2028", "\u2029", "a", "{}", " ", "\t", "\x1f"),
+]
+
+
+@given(st.lists(st.sampled_from(_PIECES)).map("".join), st.integers(0, 12))
+def test_trace_lines_are_read_as_splitlines_splits_them(text, block):
+    assert list(_lines(text, block)) == text.splitlines()
+    assert list(_lines(text)) == text.splitlines()
 
 
 def test_format_1_traces_are_rejected(catalog):

@@ -24,6 +24,7 @@ from haiproto import (
     ScriptedAgent,
     StubModelAgent,
     Trace,
+    TraceStep,
     Vector,
     classify,
     load,
@@ -291,6 +292,17 @@ def test_parse_agents_rejects_non_finite_vectors():
     assert str(caught.value) == f"{path}:{lineno}: malformed vector 'vec(nan, inf)'"
     with pytest.raises(ValueError, match="malformed vector"):
         parse_agents("[model stub]\nexample = vec(1.0, -inf) -> happy\n")
+
+
+@pytest.mark.parametrize(
+    "line", ["A.X = {}", "sample = {}", "labels = calm, {}", "example = vec(0.0) -> {}"]
+)
+def test_parse_agents_rejects_deep_nesting(line):
+    deep = "[" * 3000 + "]" * 3000
+    section = "[model stub]" if line.split()[0] != "A.X" else "[user scripted]"
+    with pytest.raises(ValueError, match=r"^deep\.agents:3: literal nested too deeply$"):
+        parse_agents(f"{section}\n\n{line.format(deep)}\n", "deep.agents")
+    assert parse_agents(f"{section}\n\n{line.format('[[1], []]')}\n")  # not too deep
 
 
 # ---------------------------------------------------------------------------
@@ -774,6 +786,88 @@ def test_aborted_runs_still_serialize(catalog):
     parsed = Trace.from_jsonl(trace.to_jsonl())
     assert parsed.outcome == {"aborted": {"step": 1, "code": "V-AGENT"}}
     assert parsed == trace
+
+
+def _raise(message):
+    def make(needed, binding):
+        raise RuntimeError(message)
+
+    return make
+
+
+FEEDBACK = BaseType(Role.FEEDBACK)
+
+#: Agents for sample-annotation that complete, or abort with each verdict,
+#: given a vector and a label; each verdict's detail carries one of them.
+_OUTCOMES = {
+    "completed": lambda x, label: (
+        _Custom(lambda needed, binding: {"X": Payload(RAW, Vector(x))}),
+        ScriptedAgent({"A6.Y": [label]}),
+    ),
+    "V-AGENT": lambda x, label: (_Custom(_raise(label)), ScriptedAgent({})),
+    "V-REBIND": lambda x, label: (
+        _Custom(lambda needed, binding: {"X": Payload(RAW, Vector(x))}),
+        _Custom(lambda needed, binding: {
+            "Y": Payload(LABEL, label),
+            "X": Payload(RAW, Vector((*x, 0.0))),
+        }),
+    ),
+    "V-MISSING": lambda x, label: (
+        _Custom(lambda needed, binding: {"X": Payload(RAW, Vector(x))}),
+        ScriptedAgent({"A2.Y": [label]}),
+    ),
+    "V-TYPE": lambda x, label: (
+        _Custom(lambda needed, binding: {"X": Payload(FEEDBACK, Blob(label))}),
+        ScriptedAgent({}),
+    ),
+}
+
+_FLOATS = st.floats(allow_nan=False, allow_infinity=False)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    outcome=st.sampled_from(sorted(_OUTCOMES)),
+    x=st.lists(_FLOATS, min_size=1, max_size=3).map(tuple),
+    label=st.text(max_size=8),
+)
+def test_trace_lines_equal_the_per_line_encoder(catalog, outcome, x, label):
+    trace = _run_sample_annotation(catalog, *_OUTCOMES[outcome](x, label))
+    code = trace.outcome if outcome == "completed" else trace.outcome["aborted"]["code"]
+    assert code == outcome
+    assert (outcome == "completed") == (trace.steps[-1].detail is None)
+    expected = oracles.oracle_to_jsonl(trace)
+    assert trace.to_jsonl() == expected
+    assert dataclasses.replace(trace).to_jsonl() == expected  # no kept text
+
+
+_JSON = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=4),
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.text(max_size=3), inner, max_size=3),
+    max_leaves=6,
+)
+
+
+def _written(write, trace):
+    try:
+        return write(trace)
+    except Exception as exc:  # noqa: BLE001 - the type is what must agree
+        return type(exc)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    fields=st.lists(st.fixed_dictionaries({
+        name: _JSON for name in
+        ("step", "message", "sender", "receiver", "action", "produced", "digest", "verdict")
+    }, optional={"detail": _JSON}), max_size=3),
+    header=st.tuples(_JSON, _JSON, _JSON, _JSON),
+)
+def test_hand_built_traces_write_as_the_per_line_encoder(fields, header):
+    run_id, pattern, seed, outcome = header
+    trace = Trace(run_id, pattern, seed, tuple(TraceStep(**f) for f in fields), outcome)
+    assert _written(Trace.to_jsonl, trace) == _written(oracles.oracle_to_jsonl, trace)
 
 
 def test_seeded_random_agents_stay_deterministic(catalog):
