@@ -9,7 +9,12 @@ provides), and *interpretations* (reading notes for figure-derived flows).
 Loading resolves names in a single forward pass over files sorted by name:
 later declarations may reference earlier ones, never the reverse.  Names are
 corpus-global — declaring the same action, message, or pattern name twice is
-an error (``E-DUP-NAME``), while re-declaring a role is harmless.
+an error, while roles are their own namespace and re-declaring one is
+harmless.  The loader's rules have their owners in :mod:`haiproto.check`:
+``E-DUP-NAME`` is :func:`~haiproto.check.name_rule`, ``E-UNRESOLVED`` is
+:func:`~haiproto.check.reference_rule` and an empty scenario's
+``E-EMPTY-PATTERN`` is :func:`~haiproto.check.pattern_rule`.  Only
+``E-UNKNOWN-ROLE`` and the sidecar's ``E-SYNTAX`` (its shape) are its own.
 """
 
 from __future__ import annotations
@@ -27,6 +32,7 @@ from .check import (
     check_flow,
     check_message,
     check_pattern,
+    name_rule,
     pattern_rule,
     reference_rule,
     resolve,
@@ -40,15 +46,7 @@ from .core import (
     Pattern,
     Span,
 )
-from .dsl import (
-    ActionDecl,
-    MessageDecl,
-    PatternDecl,
-    RoleDecl,
-    decl_name,
-    parse,
-    print_type,
-)
+from .dsl import parse, print_type
 
 
 class CatalogError(Exception):
@@ -169,6 +167,11 @@ def _sidecar_shape(data: object) -> list[str]:
     return problems
 
 
+#: The sidecar's tables of notes on flows, each with the kind of flow its
+#: entries name: a pattern or scenario, or (``provide_only``) a pattern.
+_NOTES = {"annotations": "flow", "interpretations": "flow", "provide_only": "pattern"}
+
+
 def read_source(path: Path) -> str | Diagnostic:
     """The text of a ``.hai`` file, or the E-LEX finding that it does not
     read: a file that cannot be opened, or that is not UTF-8."""
@@ -189,7 +192,6 @@ def load_with_diagnostics(
     patterns: dict[str, Pattern] = {}
     origins: dict[str, str] = {}
     roles: set[str] = set(PREDECLARED_ROLES)
-    names: set[str] = set()
 
     def err(code: str, message: str, path: str, span: Span | None = None) -> None:
         diags.append(Diagnostic("error", code, message, path, span))
@@ -205,53 +207,41 @@ def load_with_diagnostics(
         if result.file is None:
             continue
         for decl in result.file.decls:
-            if isinstance(decl, RoleDecl):
-                roles.add(decl.name)
+            node, name, span = decl.node, decl.name, decl.span
+            if isinstance(node, str):  # roles are their own namespace
+                roles.add(node)
                 continue
-            name = decl_name(decl)
-            if name in names:
-                err(
-                    "E-DUP-NAME",
-                    f"{name!r} is already declared in {origins[name]}",
-                    path,
-                    decl.span,
-                )
+            if name in origins:
+                diags.append(name_rule(name, origins[name], path, span))
                 continue
-            names.add(name)
             origins[name] = path
-            if isinstance(decl, ActionDecl):
-                actions[name] = decl.action
-            elif isinstance(decl, MessageDecl):
-                message = decl.message
-                if message.action not in actions:
-                    err(
-                        "E-UNRESOLVED",
-                        f"message {name!r} references unknown action "
-                        f"{message.action!r}",
-                        path,
-                        decl.span,
-                    )
+            if isinstance(node, ActionDef):
+                actions[name] = node
+            elif isinstance(node, Message):
+                if node.action not in actions:
+                    owner = f"message {name!r}"
+                    diags.append(reference_rule(owner, "action", node.action, path, span))
                     continue
-                for endpoint in (message.sender, message.receiver):
+                for endpoint in (node.sender, node.receiver):
                     if endpoint not in roles:
                         err(
                             "E-UNKNOWN-ROLE",
                             f"message {name!r} uses undeclared role {endpoint!r}",
                             path,
-                            decl.span,
+                            span,
                         )
-                messages[name] = message
+                messages[name] = node
             else:
-                pattern = decl.pattern
-                unknown = [m for m in pattern.messages if m not in messages]
-                diags.extend(reference_rule(pattern, m, path, decl.span) for m in unknown)
+                unknown = [m for m in node.messages if m not in messages]
+                diags.extend(
+                    reference_rule(f"pattern {name!r}", "message", m, path, span)
+                    for m in unknown
+                )
                 if not unknown:
-                    patterns[name] = pattern
+                    patterns[name] = node
 
     scenarios: dict[str, tuple[str, ...]] = {}
-    annotations: dict[str, str] = {}
-    interpretations: dict[str, str] = {}
-    provide_only: set[str] = set()
+    notes: dict[str, dict[str, str]] = {key: {} for key in _NOTES}
     for sidecar in sidecars:
         path = str(sidecar)
         try:
@@ -265,46 +255,25 @@ def load_with_diagnostics(
         if shape:
             continue
         for name, steps in data.get("scenarios", {}).items():
-            # Scenarios share a namespace with patterns (both resolve as
-            # runnable flows), not with messages or actions.
-            if name in patterns or name in scenarios:
-                err("E-DUP-NAME", f"scenario {name!r} clashes with an existing flow", path)
+            if name in patterns or name in scenarios:  # both are runnable flows
+                diags.append(name_rule(name, origins[name], path))
                 continue
             if not steps:
                 diags.extend(pattern_rule(Pattern(name, ()), path))
                 continue
             missing = [s for s in steps if s not in patterns]
-            for s in missing:
-                err(
-                    "E-UNRESOLVED",
-                    f"scenario {name!r} references unknown pattern {s!r}",
-                    path,
-                )
+            owner = f"scenario {name!r}"
+            diags.extend(reference_rule(owner, "pattern", s, path) for s in missing)
             if not missing:
                 scenarios[name] = tuple(steps)
                 origins[name] = path
-        for table, target in (
-            ("annotations", annotations),
-            ("interpretations", interpretations),
-        ):
-            for name, text in data.get(table, {}).items():
-                if name not in patterns and name not in scenarios:
-                    err(
-                        "E-UNRESOLVED",
-                        f"{table} entry {name!r} matches no pattern or scenario",
-                        path,
-                    )
+        for key, kind in _NOTES.items():
+            entries = data.get(key, {})
+            for name in entries:  # an object's keys, or provide_only's list
+                if name in patterns or (kind == "flow" and name in scenarios):
+                    notes[key][name] = entries[name] if kind == "flow" else name
                 else:
-                    target[name] = text
-        for name in data.get("provide_only", []):
-            if name not in patterns:
-                err(
-                    "E-UNRESOLVED",
-                    f"provide_only entry {name!r} matches no pattern",
-                    path,
-                )
-            else:
-                provide_only.add(name)
+                    diags.append(reference_rule(f"sidecar key {key!r}", kind, name, path))
 
     if any(d.severity == "error" for d in diags):
         return None, tuple(diags)
@@ -313,9 +282,9 @@ def load_with_diagnostics(
         messages=messages,
         patterns=patterns,
         scenarios=scenarios,
-        annotations=annotations,
-        interpretations=interpretations,
-        provide_only=frozenset(provide_only),
+        annotations=notes["annotations"],
+        interpretations=notes["interpretations"],
+        provide_only=frozenset(notes["provide_only"]),
         roles=frozenset(roles),
         origins=origins,
         sources=tuple(str(p) for p in hai_files + sidecars),

@@ -8,6 +8,9 @@ calls; the parser's calls make the first three codes come out at parse time:
   :func:`~haiproto.core.action_scope`);
 * :func:`arity_rule` — ``E-ARITY`` (parser, check_action);
 * :func:`pattern_rule` — ``E-EMPTY-PATTERN``, ``E-TAG`` (parser, loader, check_flow);
+* :func:`name_rule` — ``E-DUP-NAME`` (parser per file, loader across files
+  and for scenarios);
+* :func:`reference_rule` — ``E-UNRESOLVED`` (loader, resolve, replay);
 * :func:`instantiation_rule` — ``E-UNKNOWN-ACTION``, ``E-ARG-COUNT``
   (check_message, resolve_step).
 
@@ -91,9 +94,7 @@ def _err(code: str, message: str, path: str, span: Span | None = None) -> Diagno
     return Diagnostic("error", code, message, path, span)
 
 
-def variable_rule(
-    action: ActionDef, path: str = "<action>", span: Span | None = None
-) -> list[Diagnostic]:
+def variable_rule(action: ActionDef, path: str = "<action>") -> list[Diagnostic]:
     """``E-DUP-VAR`` for each repeated variable and the first repeated
     parameter; otherwise ``E-PARAMS`` if the parameters are not the
     declared variables."""
@@ -107,7 +108,6 @@ def variable_rule(
                         "E-DUP-VAR",
                         f"duplicate variable {var!r} in {action.name!r}",
                         path,
-                        span,
                     )
                 )
             declared.add(var)
@@ -119,7 +119,6 @@ def variable_rule(
                 "E-DUP-VAR",
                 f"duplicate parameter {repeat!r} in {action.name!r}",
                 path,
-                span,
             )
         )
     elif set(params) != declared:
@@ -128,14 +127,13 @@ def variable_rule(
                 "E-PARAMS",
                 f"parameters of {action.name!r} do not match declared variables",
                 path,
-                span,
             )
         )
     return diags
 
 
 def arity_rule(
-    op: Operation, action: ActionDef, path: str = "<action>", span: Span | None = None
+    op: Operation, action: ActionDef, path: str = "<action>"
 ) -> Diagnostic | None:
     """``E-ARITY``: ``op`` takes as many arguments as its kind allows."""
     lo, hi = OP_ARITY[op.kind]
@@ -146,13 +144,10 @@ def arity_rule(
         f"{op.kind.value} in {action.name!r} takes "
         f"{lo if lo == hi else f'{lo} to {hi}'} arguments, got {len(op.args)}",
         path,
-        span,
     )
 
 
-def pattern_rule(
-    pattern: Pattern, path: str = "<pattern>", span: Span | None = None
-) -> list[Diagnostic]:
+def pattern_rule(pattern: Pattern, path: str = "<pattern>") -> list[Diagnostic]:
     """``E-EMPTY-PATTERN``, or else ``E-TAG`` for each unknown tag."""
     if not pattern.messages:
         return [
@@ -160,7 +155,6 @@ def pattern_rule(
                 "E-EMPTY-PATTERN",
                 f"pattern {pattern.name!r} has no messages",
                 path,
-                span,
             )
         ]
     return [
@@ -168,22 +162,25 @@ def pattern_rule(
             "E-TAG",
             f"pattern {pattern.name!r} carries unknown tag {tag!r}",
             path,
-            span,
         )
         for tag in sorted(pattern.tags - TAGS)
     ]
 
 
+def name_rule(name: str, origin: str, path: str, span: Span | None = None) -> Diagnostic:
+    """``E-DUP-NAME``: ``name``, declared at ``path``, is already declared in
+    ``origin``.  Actions, messages and patterns share one namespace, and
+    scenarios share the patterns'; roles are their own, so re-declaring one
+    is harmless."""
+    return _err("E-DUP-NAME", f"{name!r} is already declared in {origin}", path, span)
+
+
 def reference_rule(
-    pattern: Pattern, name: str, path: str = "<pattern>", span: Span | None = None
+    owner: str, kind: str, name: str, path: str = "<input>", span: Span | None = None
 ) -> Diagnostic:
-    """``E-UNRESOLVED``: ``pattern`` references ``name``, which is no message."""
-    return _err(
-        "E-UNRESOLVED",
-        f"pattern {pattern.name!r} references unknown message {name!r}",
-        path,
-        span,
-    )
+    """``E-UNRESOLVED``: ``owner`` (say ``pattern 'p'``) references ``name``,
+    which is no ``kind`` (say ``message``) that is known."""
+    return _err("E-UNRESOLVED", f"{owner} references unknown {kind} {name!r}", path, span)
 
 
 class Step(NamedTuple):  # a tuple: built once per message of every checked flow
@@ -393,7 +390,8 @@ def resolve(
     for name in pattern.messages:
         message = messages.get(name)
         if message is None:
-            diags.append(reference_rule(pattern, name, path))
+            owner = f"pattern {pattern.name!r}"
+            diags.append(reference_rule(owner, "message", name, path))
             continue
         step, found = resolve_step(message, actions, path)
         diags.extend(found)

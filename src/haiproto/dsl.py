@@ -32,9 +32,9 @@ import re
 from bisect import bisect_right
 from dataclasses import dataclass, field, replace
 from functools import cached_property
-from typing import Callable, TypeVar, Union
+from typing import Callable, TypeVar
 
-from .check import arity_rule, pattern_rule, variable_rule
+from .check import arity_rule, name_rule, pattern_rule, variable_rule
 from .core import (
     ActionDef,
     Arg,
@@ -157,38 +157,18 @@ def tokenize(text: str) -> tuple[list[Token], list[Comment]]:
 
 
 @dataclass(frozen=True)
-class RoleDecl:
-    name: str
+class Decl:
+    """One declaration: ``node`` is the role name, or the action, message or
+    pattern declared."""
+
+    node: str | ActionDef | Message | Pattern
     leading_comments: tuple[str, ...] = ()
     trailing_comment: str | None = None
     span: Span = field(default=Span(0, 0, 0), compare=False)
 
-
-@dataclass(frozen=True)
-class ActionDecl:
-    action: ActionDef
-    leading_comments: tuple[str, ...] = ()
-    trailing_comment: str | None = None
-    span: Span = field(default=Span(0, 0, 0), compare=False)
-
-
-@dataclass(frozen=True)
-class MessageDecl:
-    message: Message
-    leading_comments: tuple[str, ...] = ()
-    trailing_comment: str | None = None
-    span: Span = field(default=Span(0, 0, 0), compare=False)
-
-
-@dataclass(frozen=True)
-class PatternDecl:
-    pattern: Pattern
-    leading_comments: tuple[str, ...] = ()
-    trailing_comment: str | None = None
-    span: Span = field(default=Span(0, 0, 0), compare=False)
-
-
-Decl = Union[RoleDecl, ActionDecl, MessageDecl, PatternDecl]
+    @property
+    def name(self) -> str:
+        return self.node if isinstance(self.node, str) else self.node.name
 
 
 @dataclass(frozen=True)
@@ -318,29 +298,23 @@ class _Parser:
     def parse_file(self) -> tuple[SourceFile | None, list[Diagnostic]]:
         decls: list[Decl] = []
         names: set[str] = set()
-        had_error = False
         while True:
             if self.peek()[0] == "EOF":
                 trailing_file = self.take_comments(self.peek()[2])
                 break
             try:
                 decl = self.parse_decl()
-            except _ParseAbort:
-                had_error = True
+            except _ParseAbort:  # fail() has reported it
                 self.recover()
                 continue
-            name = decl_name(decl)
-            if name in names:
-                self.error(
-                    f"duplicate declaration name {name!r}",
-                    decl.span,
-                    "E-DUP-NAME",
-                )
-                had_error = True
-                continue
-            names.add(name)
+            if not isinstance(decl.node, str):  # roles are their own namespace
+                if decl.name in names:
+                    self.diagnostics.append(
+                        name_rule(decl.name, self.path, self.path, decl.span)
+                    )
+                names.add(decl.name)
             decls.append(decl)
-        if had_error or any(d.severity == "error" for d in self.diagnostics):
+        if any(d.severity == "error" for d in self.diagnostics):
             return None, self.diagnostics
         return SourceFile(tuple(decls), trailing_file, self.path), self.diagnostics
 
@@ -360,11 +334,10 @@ class _Parser:
                 f"got {keyword[1]!r}",
                 keyword,
             )
-        parse_body, decl = _DECLS[self.advance()[1]]
-        body = parse_body(self)
+        node = _DECLS[self.advance()[1]](self)
         semi = self.expect("SEMI", "';'")
         leading = self.take_comments(semi[2])
-        return decl(body, leading, self.take_trailing_comment(semi), self.span(keyword))
+        return Decl(node, leading, self.take_trailing_comment(semi), self.span(keyword))
 
     # role NAME
     def parse_role(self) -> str:
@@ -525,23 +498,13 @@ class _Parser:
         return pattern
 
 
-#: Declaration keyword -> (the parser method for its body, its syntax node).
+#: Declaration keyword -> the parser method for its body.
 _DECLS = {
-    "role": (_Parser.parse_role, RoleDecl),
-    "action": (_Parser.parse_action, ActionDecl),
-    "message": (_Parser.parse_message, MessageDecl),
-    "pattern": (_Parser.parse_pattern, PatternDecl),
+    "role": _Parser.parse_role,
+    "action": _Parser.parse_action,
+    "message": _Parser.parse_message,
+    "pattern": _Parser.parse_pattern,
 }
-
-
-def decl_name(decl: Decl) -> str:
-    if isinstance(decl, RoleDecl):
-        return decl.name
-    if isinstance(decl, ActionDecl):
-        return decl.action.name
-    if isinstance(decl, MessageDecl):
-        return decl.message.name
-    return decl.pattern.name
 
 
 def parse(text: str, path: str = "<input>") -> ParseResult:
@@ -636,14 +599,15 @@ def print_pattern(pattern: Pattern) -> str:
 
 
 def print_decl(decl: Decl) -> str:
-    if isinstance(decl, RoleDecl):
-        body = f"role {decl.name};"
-    elif isinstance(decl, ActionDecl):
-        body = print_action(decl.action)
-    elif isinstance(decl, MessageDecl):
-        body = print_message(decl.message)
+    node = decl.node
+    if isinstance(node, str):
+        body = f"role {node};"
+    elif isinstance(node, ActionDef):
+        body = print_action(node)
+    elif isinstance(node, Message):
+        body = print_message(node)
     else:
-        body = print_pattern(decl.pattern)
+        body = print_pattern(node)
     lines = [f"// {c}" if c else "//" for c in decl.leading_comments]
     if decl.trailing_comment is not None:
         body += f"  // {decl.trailing_comment}" if decl.trailing_comment else "  //"

@@ -35,7 +35,7 @@ from types import MappingProxyType
 from typing import Callable, ClassVar, Iterable, Iterator, Mapping, Sequence, Union
 
 from .catalog import Catalog
-from .check import Flow, check_flow
+from .check import Flow, check_flow, reference_rule
 from .core import (
     ActionDef,
     BaseType,
@@ -983,7 +983,7 @@ def _replay_one(
     try:
         flow = catalog.flow(name)
     except (KeyError, TypeError, ValueError):  # unknown, not a name, an empty scenario
-        return found("E-UNRESOLVED", f"flow {name!r} does not resolve")
+        return reference_rule(f"run {trace.run_id}", "flow", name)
     if flow.report.errors:
         error = flow.report.errors[0]
         return found(error.code, f"flow {name!r} does not check: {error.message}")
@@ -997,9 +997,8 @@ def _replay_one(
     recorded = [step.to_json() for step in trace.steps] + [{"outcome": trace.outcome}]
     for step in trace.steps:
         if not isinstance(step.message, str) or step.message not in catalog.messages:
-            return found(
-                "E-UNRESOLVED", f"step {step.step}: unknown message {step.message!r}"
-            )
+            owner = f"run {trace.run_id} step {step.step}"
+            return reference_rule(owner, "message", step.message)
     for number, (ours, theirs) in enumerate(zip(replayed, recorded), start=1):
         where = f"step {number}" if "step" in ours.keys() | theirs.keys() else "outcome"
         if ours.get("verdict") == "V-TYPE" and theirs.get("verdict") == "ok":

@@ -2,10 +2,14 @@
 
 from __future__ import annotations
 
+import dataclasses
 import json
 from pathlib import Path
 
 import pytest
+from click.testing import CliRunner
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 import oracles
 from conftest import FIXTURES
@@ -20,6 +24,7 @@ from haiproto import (
     load_with_diagnostics,
     query,
 )
+from haiproto.cli import main
 
 
 def _write(path: Path, text: str) -> Path:
@@ -61,6 +66,29 @@ def test_duplicate_names_across_files_are_errors(tmp_path):
     codes = [d.code for d in excinfo.value.diagnostics]
     assert codes == ["E-DUP-NAME"]
     assert "a.hai" in str(excinfo.value)
+
+
+@pytest.mark.parametrize(
+    "first,second",
+    [
+        ("role r;\n", "role r;\n"),
+        ("role x;\n", "action x(X) := provide(X: input);\n"),
+    ],
+)
+def test_roles_are_their_own_namespace_in_one_file_as_across_files(
+    tmp_path, first, second
+):
+    together, split = tmp_path / "together", tmp_path / "split"
+    together.mkdir()
+    split.mkdir()
+    _write(together / "a.hai", first + second)
+    _write(split / "a.hai", first)
+    _write(split / "b.hai", second)
+    (one, one_diags), (two, two_diags) = map(load_with_diagnostics, [[together], [split]])
+    assert one_diags == two_diags == ()
+    assert dataclasses.replace(one, origins={}, sources=()) == dataclasses.replace(
+        two, origins={}, sources=()
+    )
 
 
 def test_forward_reference_only(tmp_path):
@@ -176,6 +204,67 @@ def test_a_misshapen_sidecar_is_a_syntax_error(tmp_path, sidecar, key):
     assert catalog is None
     assert [d.code for d in diags] == ["E-SYNTAX"]
     assert key in diags[0].message and diags[0].path == str(tmp_path / "catalog.json")
+
+
+@pytest.fixture(scope="module")
+def corpus_copy(tmp_path_factory) -> Path:
+    """The packaged ``.hai`` files, beside which each example writes a sidecar."""
+    root = tmp_path_factory.mktemp("corpus")
+    for source in FIXTURES.glob("*.hai"):
+        _write(root / source.name, source.read_text())
+    return root
+
+
+SIDECAR = json.loads((FIXTURES / "catalog.json").read_text())
+#: Names a mutated sidecar may use: flows, other kinds of names, and misses.
+NAMES = st.sampled_from(
+    [*SIDECAR["scenarios"], *SIDECAR["annotations"], "A5", "give", "user", "", "ghost"]
+)
+VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=4) | NAMES,
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(NAMES, inner, max_size=3),
+    max_leaves=6,
+)
+TABLES = st.sampled_from([*SIDECAR, "other"])
+
+
+@st.composite
+def mutated_sidecars(draw) -> str:
+    """The packaged sidecar with tables dropped or replaced, entries added,
+    replaced or renamed, or its text cut short."""
+    data = json.loads(json.dumps(SIDECAR))
+    for _ in range(draw(st.integers(1, 4))):
+        key, how = draw(TABLES), draw(st.sampled_from(["drop", "replace", "entry"]))
+        table = data.get(key)
+        if how == "drop":
+            data.pop(key, None)
+        elif how == "replace" or not isinstance(table, (dict, list)):
+            data[key] = draw(VALUES)
+        elif isinstance(table, dict):
+            table[draw(NAMES)] = draw(VALUES | st.lists(NAMES, max_size=3))
+        else:
+            table.insert(draw(st.integers(0, len(table))), draw(VALUES))
+    text = json.dumps(data)
+    if draw(st.integers(0, 9)) == 0:
+        text = text[: draw(st.integers(0, len(text)))]
+    return text
+
+
+@settings(
+    max_examples=40, deadline=None, suppress_health_check=[HealthCheck.too_slow]
+)
+@given(mutated_sidecars())
+def test_a_mutated_sidecar_never_raises(corpus_copy, sidecar):
+    _write(corpus_copy / "catalog.json", sidecar)
+    catalog, diags = load_with_diagnostics([corpus_copy])
+    assert (catalog is None) == any(d.severity == "error" for d in diags)
+    if catalog is not None:
+        check_catalog(catalog)
+        export_json(catalog)
+    result = CliRunner().invoke(main, ["check", str(corpus_copy)])
+    assert result.exit_code in (0, 1), result.output
+    assert "Traceback" not in result.output
+    assert result.exception is None or isinstance(result.exception, SystemExit)
 
 
 def test_loader_findings_point_at_the_declaration(tmp_path):

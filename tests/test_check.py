@@ -10,6 +10,7 @@ from haiproto import (
     BaseType,
     GroupType,
     ListType,
+    Message,
     Operation,
     OpKind,
     Pattern,
@@ -21,7 +22,6 @@ from haiproto import (
     check_pattern,
     parse,
 )
-from haiproto.dsl import ActionDecl, MessageDecl, PatternDecl
 
 RAW = BaseType(Role.INPUT, ("raw_data",))
 VEC = BaseType(Role.INPUT, ("fvector",))
@@ -43,12 +43,12 @@ def _env(src: str):
     assert result.file is not None, [d.format() for d in result.diagnostics]
     actions, messages, patterns = {}, {}, {}
     for decl in result.file.decls:
-        if isinstance(decl, ActionDecl):
-            actions[decl.action.name] = decl.action
-        elif isinstance(decl, MessageDecl):
-            messages[decl.message.name] = decl.message
-        elif isinstance(decl, PatternDecl):
-            patterns[decl.pattern.name] = decl.pattern
+        if isinstance(decl.node, ActionDef):
+            actions[decl.name] = decl.node
+        elif isinstance(decl.node, Message):
+            messages[decl.name] = decl.node
+        elif isinstance(decl.node, Pattern):
+            patterns[decl.name] = decl.node
     return actions, messages, patterns
 
 

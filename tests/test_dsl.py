@@ -151,7 +151,7 @@ def test_empty_message_args_allowed_by_parser():
     result = parse(text)
     # Arity against the action is the checker's job, not the parser's.
     assert result.file is not None
-    assert result.file.decls[1].message.args == ()
+    assert result.file.decls[1].node.args == ()
 
 
 def test_parse_type_standalone():

@@ -1,10 +1,18 @@
-"""The parser and the checker enforce the same declaration rules."""
+"""The parser and the checker enforce the same declaration rules, and
+each rule has one owner in ``haiproto.check``."""
 
 from __future__ import annotations
 
+import dataclasses
+import json
+from pathlib import Path
+
+import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import haiproto
+from conftest import AGENTS_DIR, FIXTURES
 from haiproto import (
     TAGS,
     ActionDef,
@@ -20,10 +28,14 @@ from haiproto import (
     Role,
     check_action,
     check_pattern,
+    load,
     load_with_diagnostics,
     parse,
+    parse_agents,
     print_action,
     print_pattern,
+    replay_check,
+    run_scenario,
 )
 
 ACTION_RULES = {"E-DUP-VAR", "E-PARAMS", "E-ARITY"}
@@ -142,3 +154,169 @@ def test_loader_and_checker_report_an_unknown_message_alike(tmp_path):
     assert [d.message for d in loaded] == [
         f"pattern 'p' references unknown message {m!r}" for m in ("M1", "M2", "M1")
     ]
+
+
+GIVE = """action give(X) := provide(X: input.raw_data);
+message M1 := user -> model : give(A);
+pattern p := [M1];
+"""
+
+
+def _load(tmp_path: Path, files: dict[str, str]):
+    """Write ``files`` (sidecars given as objects) under ``tmp_path`` and load
+    each directory they name, in order."""
+    dirs: dict[Path, None] = {}
+    for name, content in files.items():
+        path = tmp_path / name
+        path.parent.mkdir(parents=True, exist_ok=True)
+        path.write_text(content if isinstance(content, str) else json.dumps(content))
+        dirs[path.parent] = None
+    return load_with_diagnostics(list(dirs))[1]
+
+
+def _with_sidecar(tmp: Path, sidecar: dict):
+    return _load(tmp, {"a.hai": GIVE, "catalog.json": sidecar})
+
+
+def _replayed(edit):
+    catalog = load([FIXTURES])
+    agents = parse_agents((AGENTS_DIR / "robot_demo.agents").read_text())
+    (trace,) = run_scenario(catalog, "D1", agents, seed=3)
+    return replay_check(edit(trace), catalog)
+
+
+def _renamed(trace):
+    return dataclasses.replace(trace, pattern="nosuch")
+
+
+def _unknown_first_message(trace):
+    step = dataclasses.replace(trace.steps[0], message="nosuch")
+    return dataclasses.replace(trace, steps=(step, *trace.steps[1:]))
+
+
+#: Every source of E-DUP-NAME and E-UNRESOLVED: how to raise it, then its
+#: code, its message, its path under the test's directory (``None``: no
+#: file) and its ``line:col`` (``None``: a finding from no ``.hai`` file).
+NAME_AND_REFERENCE_SOURCES = {
+    "parser": (
+        lambda tmp: parse(
+            "action a(X) := provide(X: input);\n  action a(Y) := provide(Y: input);\n",
+            str(tmp / "x.hai"),
+        ).diagnostics,
+        "E-DUP-NAME",
+        "'a' is already declared in {tmp}/x.hai",
+        "x.hai",
+        (2, 3),
+    ),
+    "loader, across files": (
+        lambda tmp: _load(
+            tmp, {"a.hai": GIVE, "b.hai": "role r;\n message M1 := user -> r : give(B);\n"}
+        ),
+        "E-DUP-NAME",
+        "'M1' is already declared in {tmp}/a.hai",
+        "b.hai",
+        (2, 2),
+    ),
+    "scenario and pattern": (
+        lambda tmp: _with_sidecar(tmp, {"scenarios": {"p": ["p"]}}),
+        "E-DUP-NAME",
+        "'p' is already declared in {tmp}/a.hai",
+        "catalog.json",
+        None,
+    ),
+    "scenario and scenario": (
+        lambda tmp: _load(
+            tmp,
+            {
+                "a.hai": GIVE,
+                "one/catalog.json": {"scenarios": {"s": ["p"]}},
+                "two/catalog.json": {"scenarios": {"s": ["p", "p"]}},
+            },
+        ),
+        "E-DUP-NAME",
+        "'s' is already declared in {tmp}/one/catalog.json",
+        "two/catalog.json",
+        None,
+    ),
+    "message to action": (
+        lambda tmp: _load(tmp, {"a.hai": "\n\nmessage M := user -> model : ghost(A);\n"}),
+        "E-UNRESOLVED",
+        "message 'M' references unknown action 'ghost'",
+        "a.hai",
+        (3, 1),
+    ),
+    "pattern to message, at load": (
+        lambda tmp: _load(tmp, {"a.hai": GIVE + "   pattern q := [M1, M9];\n"}),
+        "E-UNRESOLVED",
+        "pattern 'q' references unknown message 'M9'",
+        "a.hai",
+        (4, 4),
+    ),
+    "pattern to message, at check": (
+        lambda tmp: check_pattern(
+            Pattern("q", ("M9",)), {}, {}, path=str(tmp / "q.hai")
+        ).diagnostics,
+        "E-UNRESOLVED",
+        "pattern 'q' references unknown message 'M9'",
+        "q.hai",
+        None,
+    ),
+    "scenario to pattern": (
+        lambda tmp: _with_sidecar(tmp, {"scenarios": {"s": ["ghost"]}}),
+        "E-UNRESOLVED",
+        "scenario 's' references unknown pattern 'ghost'",
+        "catalog.json",
+        None,
+    ),
+    "annotation": (
+        lambda tmp: _with_sidecar(tmp, {"annotations": {"q": ""}}),
+        "E-UNRESOLVED",
+        "sidecar key 'annotations' references unknown flow 'q'",
+        "catalog.json",
+        None,
+    ),
+    "interpretation, of a message's name": (
+        lambda tmp: _with_sidecar(tmp, {"interpretations": {"M1": ""}}),
+        "E-UNRESOLVED",
+        "sidecar key 'interpretations' references unknown flow 'M1'",
+        "catalog.json",
+        None,
+    ),
+    "provide_only, of a scenario's name": (
+        lambda tmp: _with_sidecar(tmp, {"scenarios": {"s": ["p"]}, "provide_only": ["s"]}),
+        "E-UNRESOLVED",
+        "sidecar key 'provide_only' references unknown pattern 's'",
+        "catalog.json",
+        None,
+    ),
+    "replay, flow": (
+        lambda tmp: _replayed(_renamed),
+        "E-UNRESOLVED",
+        "run D1-s3-r0 references unknown flow 'nosuch'",
+        None,
+        None,
+    ),
+    "replay, message": (
+        lambda tmp: _replayed(_unknown_first_message),
+        "E-UNRESOLVED",
+        "run D1-s3-r0 step 1 references unknown message 'nosuch'",
+        None,
+        None,
+    ),
+}
+
+
+@pytest.mark.parametrize("source", NAME_AND_REFERENCE_SOURCES)
+def test_each_name_and_reference_source_reports_alike(tmp_path, source):
+    raise_it, code, message, path, place = NAME_AND_REFERENCE_SOURCES[source]
+    (diag,) = raise_it(tmp_path)
+    assert (diag.code, diag.message) == (code, message.format(tmp=tmp_path))
+    assert diag.path == (str(tmp_path / path) if path else "<input>")
+    assert (diag.span and (diag.span.line, diag.span.col)) == place
+
+
+def test_name_and_reference_rules_are_written_in_check_only():
+    package = Path(haiproto.__file__).parent
+    for code in ("E-DUP-NAME", "E-UNRESOLVED"):
+        owners = [p.name for p in package.glob("*.py") if f'"{code}"' in p.read_text()]
+        assert owners == ["check.py"], code

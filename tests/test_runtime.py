@@ -13,11 +13,13 @@ from hypothesis import strategies as st
 import oracles
 from conftest import AGENTS_DIR
 from haiproto import (
+    ActionDef,
     AgentBehavior,
     BaseType,
     Blob,
     GroupType,
     ListType,
+    Message,
     Pattern,
     Payload,
     Role,
@@ -34,7 +36,6 @@ from haiproto import (
     run,
     run_scenario,
 )
-from haiproto.dsl import ActionDecl, MessageDecl
 from haiproto.runtime import coerce_value
 
 LABEL = BaseType(Role.OUTPUT, ("label",))
@@ -45,12 +46,10 @@ def _env(src: str):
     result = parse(src)
     assert result.file is not None, [d.format() for d in result.diagnostics]
     actions = {
-        d.action.name: d.action for d in result.file.decls if isinstance(d, ActionDecl)
+        d.name: d.node for d in result.file.decls if isinstance(d.node, ActionDef)
     }
     messages = {
-        d.message.name: d.message
-        for d in result.file.decls
-        if isinstance(d, MessageDecl)
+        d.name: d.node for d in result.file.decls if isinstance(d.node, Message)
     }
     return actions, messages
 
