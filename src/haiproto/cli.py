@@ -8,6 +8,7 @@ missing files, unusable configuration).
 
 from __future__ import annotations
 
+import dataclasses
 import importlib.resources
 import json
 from pathlib import Path
@@ -18,7 +19,7 @@ from . import catalog as cataloglib
 from .catalog import CatalogError, check_catalog, load, load_with_diagnostics
 from .core import Diagnostic, Pattern, PrimitiveKind
 from .dsl import parse, print_source, print_type
-from .runtime import parse_agents, run_scenario
+from .runtime import parse_agents, replay_check, run_scenario
 
 
 def default_fixtures_dir() -> Path:
@@ -279,6 +280,27 @@ def run_command(
             err=True,
         )
     if failed:
+        ctx.exit(1)
+
+
+# ---------------------------------------------------------------------------
+# replay
+# ---------------------------------------------------------------------------
+
+
+@main.command(name="replay")
+@click.argument("trace_path", metavar="TRACE", type=click.Path(exists=True, dir_okay=False))
+@click.pass_context
+def replay_command(ctx: click.Context, trace_path: str) -> None:
+    """Re-run a JSONL trace file against the corpus and report each run's
+    first difference (exit 1 if there is one)."""
+    catalog = _load_corpus(ctx)
+    with open(trace_path, encoding="utf-8") as lines:  # read a line at a time
+        diags = replay_check(lines, catalog)
+    for diag in diags:
+        click.echo(dataclasses.replace(diag, path=trace_path).format())
+    click.echo(f"replayed {trace_path}: {len(diags)} finding(s)")
+    if diags:
         ctx.exit(1)
 
 

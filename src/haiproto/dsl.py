@@ -31,7 +31,6 @@ from __future__ import annotations
 import re
 from bisect import bisect_right
 from dataclasses import dataclass, field, replace
-from functools import cached_property
 from typing import Callable, TypeVar
 
 from .check import arity_rule, name_rule, pattern_rule, variable_rule
@@ -206,14 +205,15 @@ class _Parser:
         self.pos = 0
         self.comment_pos = 0
         self.diagnostics: list[Diagnostic] = []
+        # built by the first span; not a cached_property, whose write to the
+        # instance __dict__ slows every later attribute access on CPython 3.11
+        self.line_starts: list[int] | None = None
 
     # -- token helpers ------------------------------------------------------
 
-    @cached_property
-    def line_starts(self) -> list[int]:
-        return _line_starts(self.text)
-
     def span(self, tok: Token) -> Span:
+        if self.line_starts is None:
+            self.line_starts = _line_starts(self.text)
         return _span(self.line_starts, tok[2], tok[3])
 
     def peek(self) -> Token:

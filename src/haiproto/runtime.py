@@ -19,13 +19,13 @@ the same pattern, agents and seed yield byte-identical traces.  A trace is
 linear in its length: each step records only the values it produced, plus a
 fixed-size ``digest`` chained over every step so far, and
 :meth:`Trace.bindings_at` rebuilds the values bound after any step.  Replay
-re-runs a trace through :func:`run` and compares every field.
+re-runs a trace as it reads it, through :func:`run`'s step interpreter, and
+compares each line with its re-run's canonical line.
 """
 
 from __future__ import annotations
 
 import functools
-import marshal
 import math
 import operator
 import re
@@ -549,14 +549,28 @@ def parse_agents(text: str, path: str = "<agents>") -> dict[str, AgentBehavior]:
 # ---------------------------------------------------------------------------
 
 
-#: Canonical JSON of finite numbers: a trace line's bytes, a type-strict equality.
-_dump = json.JSONEncoder(sort_keys=True, separators=(",", ":"), allow_nan=False).encode
 _ascii = json.encoder.encode_basestring_ascii
 
 
+def _make_dump() -> Callable[[object], str]:
+    """The canonical encoder's ``encode``, with its C encoder built once, not per
+    call.  Given no record of the containers it is in, which an error would
+    leave stale, the C encoder raises ``RecursionError`` for a cycle."""
+    encoder = json.JSONEncoder(sort_keys=True, separators=(",", ":"), allow_nan=False)
+    if json.encoder.c_make_encoder is None:
+        return encoder.encode
+    encode = json.encoder.c_make_encoder(
+        None, encoder.default, _ascii, None, ":", ",", True, False, False
+    )
+    return lambda value: "".join(encode(value, 0))
+
+
+#: Canonical JSON of finite numbers: a trace line's bytes, a type-strict equality.
+_dump = _make_dump()
+
+
 def _scalar(value: object) -> str:
-    """``_dump(value)``; a string or an int skips the encoder's set-up, which
-    costs more than the encoding."""
+    """``_dump(value)``; a string or an int skips the encoder."""
     if type(value) is str:
         return _ascii(value)
     if type(value) is int:
@@ -564,16 +578,22 @@ def _scalar(value: object) -> str:
     return _dump(value)
 
 
-def _step_line(step: "TraceStep", produced: str) -> str:
-    """``_dump(step.to_json())``, given ``produced``, ``_dump(step.produced)``:
-    the keys in sorted order, each value encoded by itself."""
-    detail = "" if step.detail is None else f'"detail":{_scalar(step.detail)},'
+def _step_line(values: tuple, produced: str) -> str:
+    """The canonical JSON line of a step, given its fields' values in order and
+    ``_dump`` of its ``produced``: the keys sorted, each value encoded alone.
+    Traces are written with it, and replay compares a recorded line with it."""
+    step, message, sender, receiver, action, _, digest, verdict, detail = values
+    detail = "" if detail is None else f'"detail":{_scalar(detail)},'
     return (
-        f'{{"action":{_scalar(step.action)},{detail}"digest":{_scalar(step.digest)},'
-        f'"message":{_scalar(step.message)},"produced":{produced},'
-        f'"receiver":{_scalar(step.receiver)},"sender":{_scalar(step.sender)},'
-        f'"step":{_scalar(step.step)},"verdict":{_scalar(step.verdict)}}}'
+        f'{{"action":{_scalar(action)},{detail}"digest":{_scalar(digest)},'
+        f'"message":{_scalar(message)},"produced":{produced},'
+        f'"receiver":{_scalar(receiver)},"sender":{_scalar(sender)},'
+        f'"step":{_scalar(step)},"verdict":{_scalar(verdict)}}}'
     )
+
+
+def _outcome_line(outcome: object, run: object, steps: int) -> str:
+    return f'{{"outcome":{_scalar(outcome)},"run":{_scalar(run)},"steps":{steps}}}'
 
 
 def _not_json(constant: str) -> float:
@@ -635,13 +655,14 @@ _step_values = operator.attrgetter(*_STEP_FIELDS)
 _REQUIRED = [field.name for field in fields(TraceStep) if field.default is MISSING]
 
 
-def _misfit(entry: dict) -> str:
-    """Why ``entry`` is not a :class:`TraceStep`: its first unknown or missing field."""
+def _misfit(entry: dict) -> str | None:
+    """Why ``entry`` is not a :class:`TraceStep`: its first unknown or missing
+    field; ``None`` if it is one."""
     unknown = sorted(entry.keys() - _STEP_FIELDS)
     if unknown:
         return f"{unknown[0]} is not a trace field"
     missing = [name for name in _REQUIRED if name not in entry]
-    return f"{missing[0]} is missing"
+    return f"{missing[0]} is missing" if missing else None
 
 
 @dataclass(frozen=True)
@@ -670,13 +691,11 @@ class Trace:
         produced = self._produced
         if produced is None:
             produced = [_dump(step.produced) for step in self.steps]
-        run_id = _scalar(self.run_id)
         lines = [
-            f'{{"format":2,"pattern":{_scalar(self.pattern)},"run":{run_id},'
+            f'{{"format":2,"pattern":{_scalar(self.pattern)},"run":{_scalar(self.run_id)},'
             f'"seed":{_scalar(self.seed)}}}',
-            *map(_step_line, self.steps, produced),
-            f'{{"outcome":{_scalar(self.outcome)},"run":{run_id},'
-            f'"steps":{len(self.steps)}}}',
+            *map(_step_line, map(_step_values, self.steps), produced),
+            _outcome_line(self.outcome, self.run_id, len(self.steps)),
         ]
         return "\n".join(lines) + "\n"
 
@@ -707,56 +726,76 @@ class Trace:
         ``ValueError``, naming the line, if a line is not a JSON object, a
         header is not format 2, a step's fields are not :class:`TraceStep`'s,
         or an outcome line contradicts its run."""
-        return list(cls._read_each(text))
+        return [run.trace for run in _each_run(_lines(text), _Run)]
 
-    @classmethod
-    def _read_each(cls, text: str) -> Iterator["Trace"]:
-        """Each run when its outcome line is read, and only then checked; the
-        text is split into lines as it is read, not all at once."""
-        lines: list[tuple[int, dict]] = []
-        for lineno, line in enumerate(_lines(text), start=1):
-            if not line.strip():
-                continue
-            try:
-                entry = _load(line)
-            except json.JSONDecodeError as exc:
-                problem = f"line {lineno}: {exc.msg} (column {exc.colno})"
-                raise ValueError(problem) from None
-            except (ValueError, RecursionError) as exc:  # a number, or nesting too deep
-                raise ValueError(f"line {lineno}: {exc}") from None
-            if not isinstance(entry, dict):
-                raise ValueError(f"line {lineno} is not a JSON object")
-            if "outcome" not in entry:
-                lines.append((lineno, entry))
-                continue
-            if not lines:
+
+class _Run:
+    """A run of a trace file, checked as its lines are read, its steps kept.
+    The first problem, in this order, raises ``ValueError`` at its outcome
+    line: a header not format 2, a step without :class:`TraceStep`'s fields,
+    a header without ``run``, ``pattern`` or ``seed``, an outcome line whose
+    ``run`` or ``steps`` is not the run's."""
+
+    def __init__(self, lineno: int, header: dict):
+        self.header, self.run_id, self.count, self.steps = header, header.get("run"), 0, []
+        version = header.get("format", 1)
+        self.problem = None if type(version) is int and version == 2 else (
+            f"line {lineno}: the trace is format {_dump(version)}, this reader "
+            f"reads format 2: regenerate it with `haiproto run`"
+        )
+        missing = next((k for k in ("run", "pattern", "seed") if k not in header), None)
+        self.missing = missing and f"malformed trace line {lineno}: {missing} is missing"
+
+    def step(self, lineno: int, line: str | None, entry: dict) -> None:
+        self.count += 1
+        if self.fits(lineno, entry):
+            self.steps.append(TraceStep(**entry))
+
+    def fits(self, lineno: int, entry: dict) -> bool:
+        misfit = _misfit(entry)
+        if misfit is not None and self.problem is None:
+            self.problem = f"malformed trace line {lineno}: step {self.count}: {misfit}"
+        return misfit is None
+
+    def end(self, lineno: int, line: str | None, entry: dict) -> None:
+        problem = self.problem or self.missing
+        footer = {**entry, "run": self.run_id, "steps": self.count}
+        if problem is None and _dump(entry) != _dump(footer):
+            problem = f"line {lineno}: outcome line of run {self.run_id!r} contradicts it"
+        if problem is not None:
+            raise ValueError(problem)
+        run_id, pattern, seed = (self.header[key] for key in ("run", "pattern", "seed"))
+        self.trace = Trace(run_id, pattern, seed, tuple(self.steps), entry["outcome"])
+
+
+def _each_run(lines: Iterable[str], start: Callable[[int, dict], _Run]) -> Iterator[_Run]:
+    """Each run of a trace file's ``lines`` once its outcome line is read;
+    ``start`` makes a run from its first line.  ``ValueError``, naming the
+    line, for a line that is not a JSON object, or a run that does not read."""
+    run = None
+    for lineno, line in enumerate(lines, start=1):
+        if not line or line.isspace():
+            continue
+        try:
+            entry = _load(line)
+        except json.JSONDecodeError as exc:
+            raise ValueError(f"line {lineno}: {exc.msg} (column {exc.colno})") from None
+        except (ValueError, RecursionError) as exc:  # a number, or nesting too deep
+            raise ValueError(f"line {lineno}: {exc}") from None
+        if not isinstance(entry, dict):
+            raise ValueError(f"line {lineno} is not a JSON object")
+        if "outcome" in entry:
+            if run is None:
                 raise ValueError(f"line {lineno}: an outcome line without a header")
-            (first, header), body, lines = lines[0], lines[1:], []
-            version = header.get("format", 1)
-            if type(version) is not int or version != 2:
-                raise ValueError(
-                    f"line {first}: the trace is format {_dump(version)}, this reader "
-                    f"reads format 2: regenerate it with `haiproto run`"
-                )
-            steps = []
-            for number, (at, step) in enumerate(body, start=1):
-                try:
-                    steps.append(TraceStep(**step))
-                except TypeError:
-                    problem = f"malformed trace line {at}: step {number}: {_misfit(step)}"
-                    raise ValueError(problem) from None
-            try:
-                run_id, pattern, seed = header["run"], header["pattern"], header["seed"]
-            except KeyError as exc:
-                problem = f"malformed trace line {first}: {exc.args[0]} is missing"
-                raise ValueError(problem) from None
-            if _dump(entry) != _dump({**entry, "run": run_id, "steps": len(body)}):
-                raise ValueError(
-                    f"line {lineno}: outcome line of run {run_id!r} contradicts it"
-                )
-            yield cls(run_id, pattern, seed, tuple(steps), entry["outcome"])
-        if lines:
-            raise ValueError("trace ends without an outcome line")
+            run.end(lineno, line, entry)
+            yield run
+            run = None
+        elif run is None:
+            run = start(lineno, entry)
+        else:
+            run.step(lineno, line, entry)
+    if run is not None:
+        raise ValueError("trace ends without an outcome line")
 
 
 class RunViolation(Exception):
@@ -806,14 +845,24 @@ def run(
                 raise LookupError(f"no agent for role {role!r}")
     if run_id is None:
         run_id = f"{flow.pattern.name}-s{seed}-r0"
-
-    values: dict[str, Payload] = {}
-    binding = MappingProxyType(values)  # what agents see: read-only, never copied
     steps: list[TraceStep] = []
     texts: list[str] = []  # each step's produced, as digested and as written
-    outcome: Union[str, dict] = "completed"
-    digest = 0
+    last = None
+    for last, text in _execute(flow, agents):
+        steps.append(TraceStep(*last))
+        texts.append(text)
+    trace = Trace(run_id, flow.pattern.name, seed, tuple(steps), _outcome(last))
+    object.__setattr__(trace, "_produced", tuple(texts))
+    return trace
 
+
+def _execute(flow: Flow, agents: Mapping[str, AgentBehavior]) -> Iterator[tuple]:
+    """Take the steps of a run of ``flow``, yielding each as it is taken: its
+    :class:`TraceStep` fields' values in order, and its ``produced``'s
+    canonical JSON.  Stops after a step that is not ``ok``."""
+    values: dict[str, Payload] = {}
+    binding = MappingProxyType(values)  # what agents see: read-only, never copied
+    digest = 0
     for index, (step, pairs) in enumerate(zip(flow.steps, flow.needed), start=1):
         message, action = step.message, step.action
         needed = dict(pairs)
@@ -821,11 +870,8 @@ def run(
         verdict, detail = "ok", None
         try:
             try:
-                produced = dict(
-                    agents[message.sender].produce(
-                        message, action, dict(needed), binding
-                    )
-                )
+                sender = agents[message.sender]
+                produced = dict(sender.produce(message, action, dict(needed), binding))
             except RunViolation:
                 raise
             except Exception as exc:
@@ -833,35 +879,25 @@ def run(
             order = sorted(produced)
             for var in order:
                 if var not in message.args:
-                    raise RunViolation(
-                        "V-AGENT",
-                        f"agent produced {var!r}, not a variable of "
-                        f"{message.name!r}",
-                    )
+                    problem = f"agent produced {var!r}, not a variable of {message.name!r}"
+                    raise RunViolation("V-AGENT", problem)
                 if var not in needed and var not in values:
-                    raise RunViolation(
-                        "V-AGENT",
-                        f"sender of {message.name!r} may not produce {var!r}",
-                    )
+                    problem = f"sender of {message.name!r} may not produce {var!r}"
+                    raise RunViolation("V-AGENT", problem)
             for var in order:
                 if var in values and produced[var] != values[var]:
-                    raise RunViolation(
-                        "V-REBIND",
-                        f"{var!r} is already bound to a different value",
-                    )
+                    problem = f"{var!r} is already bound to a different value"
+                    raise RunViolation("V-REBIND", problem)
             for var in needed:
                 if var not in produced:
-                    raise RunViolation(
-                        "V-MISSING",
-                        f"sender of {message.name!r} did not produce {var!r}",
-                    )
+                    problem = f"sender of {message.name!r} did not produce {var!r}"
+                    raise RunViolation("V-MISSING", problem)
             for var, declared in step.slots:  # a bound value must fit every use
                 payload = produced[var] if var in needed else values.get(var)
                 typ = needed.get(var, declared)
                 if payload is not None and intersect(payload.type, typ) is None:
-                    raise RunViolation(
-                        "V-TYPE", f"{var!r} expects {typ}, got {payload.type}"
-                    )
+                    problem = f"{var!r} expects {typ}, got {payload.type}"
+                    raise RunViolation("V-TYPE", problem)
             for var in sorted(needed):  # the key order of a parsed trace
                 values[var] = produced[var]
                 produced_json[var] = produced[var].to_json()
@@ -873,30 +909,23 @@ def run(
                 raise RunViolation("V-AGENT", f"receiver failed: {exc}") from exc
         except RunViolation as violation:
             verdict, detail = violation.code, violation.detail
-            outcome = {"aborted": {"code": violation.code, "step": index}}
         text = _dump(produced_json) if produced_json else "{}"
-        texts.append(text)
         digest = zlib.crc32(text.encode(), digest)
         if detail is not None:  # replay raises the recorded detail again: check it here
             digest = zlib.crc32(_dump(detail).encode(), digest)
-        steps.append(
-            TraceStep(
-                step=index,
-                message=message.name,
-                sender=message.sender,
-                receiver=message.receiver,
-                action=action.name,
-                produced=produced_json,
-                digest=f"{digest:08x}",
-                verdict=verdict,
-                detail=detail,
-            )
-        )
+        yield (
+            index, message.name, message.sender, message.receiver, action.name,
+            produced_json, f"{digest:08x}", verdict, detail,
+        ), text
         if verdict != "ok":
-            break
-    trace = Trace(run_id, flow.pattern.name, seed, tuple(steps), outcome)
-    object.__setattr__(trace, "_produced", tuple(texts))
-    return trace
+            return
+
+
+def _outcome(last: tuple | None) -> Union[str, dict]:
+    """The outcome of a run whose last step has the field values ``last``."""
+    if last is None or last[7] == "ok":
+        return "completed"
+    return {"aborted": {"code": last[7], "step": last[0]}}
 
 
 def run_scenario(
@@ -923,89 +952,126 @@ def run_scenario(
 def replay_check(
     trace: Union[Trace, str, Iterable[str]], catalog: Catalog
 ) -> list[Diagnostic]:
-    """Re-run each trace through :func:`run` and report its first difference.
+    """Re-run each trace as it is read, a step per recorded step, and report
+    each run's first difference.
 
-    One agent plays every role: it serves each step's recorded payloads and
-    re-raises its recorded violation.  ``E-UNRESOLVED``: the catalog lacks the
-    flow or a message; ``E-BINDING``: the re-run aborts ``V-TYPE`` where the
-    trace records ``ok``; ``E-TRACE``: any other difference, or text that does
-    not read, where reading stops (text never raises).  Concatenated traces (a
-    ``--repeat`` file) are read and checked one run at a time.  A flow is checked
-    once per catalog, by ``catalog.flow``; fields compare type-strictly (1 ≠ 1.0).
+    ``trace`` is a :class:`Trace`, a trace file's text, or its lines (an open
+    file, say), read lazily, with or without line breaks.  A re-run step whose
+    canonical line is the recorded line is verified; another is compared field
+    by field, type-strictly (1 ≠ 1.0), so other spacing or key order replays
+    clean.  A run reports, by precedence: ``E-TRACE`` for text that does not
+    read (see :meth:`Trace.all_from_jsonl`), where reading stops, as text never
+    raises; ``E-UNRESOLVED`` if the catalog lacks the flow or any step's
+    message; the first differing field, ``E-BINDING`` where the re-run aborts
+    ``V-TYPE`` and the trace says ``ok``, else ``E-TRACE``.
     """
-    if not isinstance(trace, (Trace, str)):
-        trace = "\n".join(trace)
-    traces = [trace] if isinstance(trace, Trace) else Trace._read_each(trace)
     parse = functools.lru_cache(maxsize=None)(parse_type)  # once per type string
-    found: list[Diagnostic | None] = []
+    found: list[Diagnostic] = []
     try:
-        for parsed in traces:  # one run's objects at a time, its lines read lazily
-            found.append(_replay_one(parsed, catalog, parse))
-    except ValueError as exc:  # from reading: _replay_one raises no ValueError
+        if isinstance(trace, Trace):  # its fields, read as its lines' would be
+            run_id, steps = trace.run_id, trace.steps
+            header = dict(format=2, pattern=trace.pattern, run=run_id, seed=trace.seed)
+            footer = dict(outcome=trace.outcome, run=run_id, steps=len(steps))
+            runs = [replayed := _Replay(0, header, catalog, parse)]
+            for step in steps:
+                replayed.step(0, None, step.to_json())
+            replayed.end(0, None, footer)
+        else:  # an iterable's item is a line or more, with or without its break
+            lines = _lines(trace) if isinstance(trace, str) else (
+                line for item in trace for line in item.splitlines() or ("",)
+            )
+            runs = _each_run(lines, lambda at, head: _Replay(at, head, catalog, parse))
+        for replayed in runs:
+            if replayed.found or replayed.difference:
+                found.append(replayed.found or replayed.difference)
+    except ValueError as exc:  # from reading: replay raises no ValueError
         found.append(Diagnostic("error", "E-TRACE", f"unreadable trace: {exc}"))
-    return [diag for diag in found if diag is not None]
+    return found
 
 
-class _Recording(AgentBehavior):
-    """Serves each step's recorded payloads and re-raises its violation: from
-    ``produce`` if it produced nothing, else from ``on_receive``."""
+class _Replay(_Run, AgentBehavior):
+    """A run re-run as it is read, and compared with the trace up to the first
+    difference.  It plays every role: it serves the step just read and raises
+    its violation again, from ``produce`` if it produced nothing, else from
+    ``on_receive``.  Of the findings, ``found``, for the flow or a message,
+    wins over ``difference``."""
 
-    def __init__(self, steps: Sequence[TraceStep], parse: Callable[[str], TypeExpr]):
-        self.steps = steps
-        self.parse = parse
-        self.index = -1
+    def __init__(self, lineno: int, header: dict, catalog: Catalog, parse: Callable):
+        super().__init__(lineno, header)
+        self.messages, self.parse, self.entry = catalog.messages, parse, None
+        self.rerun = self.last = self.found = self.difference = None
+        if self.problem or self.missing:
+            return
+        name = header["pattern"]
+        try:
+            flow = catalog.flow(name)
+        except (KeyError, TypeError, ValueError):  # unknown, not a name, an empty scenario
+            self.found = reference_rule(f"run {self.run_id}", "flow", name)
+            return
+        if flow.report.errors:
+            error = flow.report.errors[0]
+            text = f"flow {name!r} does not check: {error.message}"
+            self.found = Diagnostic("error", error.code, f"run {self.run_id}: {text}")
+        else:  # a cycle through the agents, broken when the re-run ends
+            self.rerun = _execute(flow, dict.fromkeys(catalog.roles, self))
 
     def produce(self, message, action, needed, binding):
-        self.index += 1
-        step = self.steps[self.index]
-        if step.verdict != "ok" and not step.produced:
-            raise RunViolation(step.verdict, step.detail)
+        step = self.entry
+        if step["verdict"] != "ok" and not step["produced"]:
+            raise RunViolation(step["verdict"], step.get("detail"))
         return {
             var: Payload(self.parse(data["type"]), _value_from_json(data["value"]))
-            for var, data in step.produced.items()
+            for var, data in step["produced"].items()
         }
 
     def on_receive(self, message, action, binding):
-        step = self.steps[self.index]
-        if step.verdict != "ok":
-            raise RunViolation(step.verdict, step.detail)
+        if self.entry["verdict"] != "ok":
+            raise RunViolation(self.entry["verdict"], self.entry.get("detail"))
 
+    def step(self, lineno: int, line: str | None, entry: dict) -> None:
+        self.count += 1
+        if self.rerun is not None:
+            self.entry = entry
+            taken = next(self.rerun, None)
+            if taken is not None:
+                self.last = taken[0]
+                if line == _step_line(*taken):
+                    return  # the same text: the same fields, type for type
+            self.compare(self.count, taken, entry)
+        if self.fits(lineno, entry) and self.found is None:
+            message = entry["message"]
+            if not isinstance(message, str) or message not in self.messages:
+                owner = f"run {self.run_id} step {entry['step']}"
+                self.found = reference_rule(owner, "message", message)
 
-def _replay_one(
-    trace: Trace, catalog: Catalog, parse: Callable[[str], TypeExpr]
-) -> Diagnostic | None:
-    """``trace``'s first difference from its re-run."""
+    def end(self, lineno: int, line: str | None, entry: dict) -> None:
+        rerun, self.rerun, self.entry = self.rerun, None, None  # past the last step
+        if rerun is not None:
+            taken = next(rerun, None)
+            if taken is None and self.problem is None and line == _outcome_line(
+                _outcome(self.last), self.run_id, self.count
+            ):
+                return
+        super().end(lineno, line, entry)
+        if rerun is not None:
+            self.compare(self.count + 1, taken, {"outcome": entry["outcome"]})
 
-    def found(code: str, text: str) -> Diagnostic:
-        return Diagnostic("error", code, f"run {trace.run_id}: {text}")
-
-    name = trace.pattern
-    try:
-        flow = catalog.flow(name)
-    except (KeyError, TypeError, ValueError):  # unknown, not a name, an empty scenario
-        return reference_rule(f"run {trace.run_id}", "flow", name)
-    if flow.report.errors:
-        error = flow.report.errors[0]
-        return found(error.code, f"flow {name!r} does not check: {error.message}")
-    agents = dict.fromkeys(catalog.roles, _Recording(trace.steps, parse))
-    rerun = run(catalog, flow, agents, trace.seed, trace.run_id)
-    # unlike ==, marshal tells 1, 1.0 and True apart (format 2: no back-references)
-    replayed, recorded = ([*map(_step_values, t.steps), t.outcome] for t in (rerun, trace))
-    if marshal.dumps(replayed, 2) == marshal.dumps(recorded, 2):
-        return None
-    replayed = [step.to_json() for step in rerun.steps] + [{"outcome": rerun.outcome}]
-    recorded = [step.to_json() for step in trace.steps] + [{"outcome": trace.outcome}]
-    for step in trace.steps:
-        if not isinstance(step.message, str) or step.message not in catalog.messages:
-            owner = f"run {trace.run_id} step {step.step}"
-            return reference_rule(owner, "message", step.message)
-    for number, (ours, theirs) in enumerate(zip(replayed, recorded), start=1):
+    def compare(self, number: int, taken: tuple | None, theirs: dict) -> None:
+        """Name the first difference of the trace's entry ``theirs`` at place
+        ``number`` from the re-run's: its step ``taken``, or its outcome once it
+        has stopped.  Comparing ends there, and after the re-run's outcome."""
+        ours = TraceStep(*taken[0]).to_json() if taken else {"outcome": _outcome(self.last)}
         where = f"step {number}" if "step" in ours.keys() | theirs.keys() else "outcome"
         if ours.get("verdict") == "V-TYPE" and theirs.get("verdict") == "ok":
-            return found("E-BINDING", f"{where}: {ours['detail']}, the trace says ok")
-        for key in sorted(ours.keys() | theirs.keys()):
-            was, now = _dump(theirs.get(key)), _dump(ours.get(key))
-            if was != now:
-                text = f"{where}: {key} is {was} in the trace, {now} on re-run"
-                return found("E-TRACE", text)
-    return None
+            code, text = "E-BINDING", f"{where}: {ours['detail']}, the trace says ok"
+        else:
+            code, text = "E-TRACE", None
+            for key in sorted(ours.keys() | theirs.keys()):
+                was, now = _dump(theirs.get(key)), _dump(ours.get(key))
+                if was != now:
+                    text = f"{where}: {key} is {was} in the trace, {now} on re-run"
+                    break
+        if text is not None:
+            self.difference = Diagnostic("error", code, f"run {self.run_id}: {text}")
+        if text is not None or taken is None:
+            self.rerun = None

@@ -1,14 +1,18 @@
 """Independently derived expectations used by the test suite.
 
 Everything in this module is written without importing ``haiproto`` so that the
-package under test cannot influence the expected values.  The classifier oracle
-is a deliberately naive brute-force implementation; the tables below were
-derived by hand from the shipped catalog design and frozen here.
+package under test cannot influence the expected values, except the replay
+reference, which re-runs a trace through ``haiproto.run`` by design.  The
+classifier oracle is a deliberately naive brute-force implementation; the
+tables below were derived by hand from the shipped catalog design and frozen
+here.
 """
 
 from __future__ import annotations
 
 import json
+import marshal
+import math
 
 
 # --------------------------------------------------------------------------
@@ -430,3 +434,163 @@ def oracle_to_jsonl(trace) -> str:
     footer = {"run": trace.run_id, "steps": len(trace.steps), "outcome": trace.outcome}
     lines.append(_dump(footer))
     return "\n".join(lines) + "\n"
+
+
+# --------------------------------------------------------------------------
+# Replay as a whole-trace comparison.
+# --------------------------------------------------------------------------
+
+_STEP_FIELDS = (
+    "step", "message", "sender", "receiver", "action", "produced", "digest", "verdict", "detail",
+)
+
+
+def _not_json(constant):
+    raise ValueError(f"{constant} is not a JSON number")
+
+
+def _finite(text):
+    if math.isfinite(value := float(text)):
+        return value
+    raise ValueError(f"{text} is not a finite number")
+
+
+_load = json.JSONDecoder(parse_float=_finite, parse_constant=_not_json).decode
+
+
+def _misfit(entry: dict) -> str | None:
+    unknown = sorted(entry.keys() - set(_STEP_FIELDS))
+    if unknown:
+        return f"{unknown[0]} is not a trace field"
+    missing = [name for name in _STEP_FIELDS[:-1] if name not in entry]
+    return f"{missing[0]} is missing" if missing else None
+
+
+def _read_runs(text: str):
+    """Each run as ``(run_id, pattern, seed, steps, outcome)`` once its outcome
+    line is read, the steps as dicts; ``ValueError`` naming the line."""
+    lines: list[tuple[int, dict]] = []
+    for lineno, line in enumerate(text.splitlines(), start=1):
+        if not line.strip():
+            continue
+        try:
+            entry = _load(line)
+        except json.JSONDecodeError as exc:
+            raise ValueError(f"line {lineno}: {exc.msg} (column {exc.colno})") from None
+        except (ValueError, RecursionError) as exc:
+            raise ValueError(f"line {lineno}: {exc}") from None
+        if not isinstance(entry, dict):
+            raise ValueError(f"line {lineno} is not a JSON object")
+        if "outcome" not in entry:
+            lines.append((lineno, entry))
+            continue
+        if not lines:
+            raise ValueError(f"line {lineno}: an outcome line without a header")
+        (first, header), body, lines = lines[0], lines[1:], []
+        version = header.get("format", 1)
+        if type(version) is not int or version != 2:
+            raise ValueError(
+                f"line {first}: the trace is format {_dump(version)}, this reader "
+                f"reads format 2: regenerate it with `haiproto run`"
+            )
+        for number, (at, step) in enumerate(body, start=1):
+            if _misfit(step) is not None:
+                raise ValueError(f"malformed trace line {at}: step {number}: {_misfit(step)}")
+        for key in ("run", "pattern", "seed"):
+            if key not in header:
+                raise ValueError(f"malformed trace line {first}: {key} is missing")
+        run_id = header["run"]
+        if _dump(entry) != _dump({**entry, "run": run_id, "steps": len(body)}):
+            raise ValueError(f"line {lineno}: outcome line of run {run_id!r} contradicts it")
+        steps = [{"detail": None, **step} for _, step in body]
+        yield run_id, header["pattern"], header["seed"], steps, entry["outcome"]
+    if lines:
+        raise ValueError("trace ends without an outcome line")
+
+
+class _Recording:
+    """Serves each recorded step's payloads and raises its violation again:
+    from ``produce`` if it produced nothing, else from ``on_receive``."""
+
+    def __init__(self, steps, parse, hp):
+        self.steps, self.parse, self.hp, self.index = steps, parse, hp, -1
+
+    def produce(self, message, action, needed, binding):
+        self.index += 1
+        step = self.steps[self.index]
+        if step["verdict"] != "ok" and not step["produced"]:
+            raise self.hp.RunViolation(step["verdict"], step["detail"])
+        return {
+            var: self.hp.Payload(self.parse(data["type"]), self.hp._value_from_json(data["value"]))
+            for var, data in step["produced"].items()
+        }
+
+    def on_receive(self, message, action, binding):
+        step = self.steps[self.index]
+        if step["verdict"] != "ok":
+            raise self.hp.RunViolation(step["verdict"], step["detail"])
+
+
+def _as_json(values: tuple) -> dict:
+    data = dict(zip(_STEP_FIELDS, values))
+    if data["detail"] is None:
+        del data["detail"]
+    return data
+
+
+def oracle_replay_check(text: str, catalog) -> list:
+    """Replay by reading each run whole, re-running it through ``haiproto.run``,
+    comparing everything at once with ``marshal`` (which tells 1, 1.0 and True
+    apart) and, only if that differs, naming the first differing field."""
+    import functools
+
+    from haiproto import runtime as hp
+    from haiproto.core import Diagnostic
+    from haiproto.dsl import parse_type
+
+    parse = functools.lru_cache(maxsize=None)(parse_type)
+    found = []
+    try:
+        for run_id, pattern, seed, steps, outcome in _read_runs(text):
+            found.append(_replay_one(run_id, pattern, seed, steps, outcome, catalog, parse, hp))
+    except ValueError as exc:
+        found.append(Diagnostic("error", "E-TRACE", f"unreadable trace: {exc}"))
+    return [diag for diag in found if diag is not None]
+
+
+def _replay_one(run_id, name, seed, steps, outcome, catalog, parse, hp):
+    from haiproto.check import reference_rule
+    from haiproto.core import Diagnostic
+
+    def found(code, text):
+        return Diagnostic("error", code, f"run {run_id}: {text}")
+
+    try:
+        flow = catalog.flow(name)
+    except (KeyError, TypeError, ValueError):
+        return reference_rule(f"run {run_id}", "flow", name)
+    if flow.report.errors:
+        error = flow.report.errors[0]
+        return found(error.code, f"flow {name!r} does not check: {error.message}")
+    agents = dict.fromkeys(catalog.roles, _Recording(steps, parse, hp))
+    rerun = hp.run(catalog, flow, agents, seed, run_id)
+    replayed = [
+        tuple(getattr(step, field) for field in _STEP_FIELDS) for step in rerun.steps
+    ] + [rerun.outcome]
+    recorded = [tuple(step[field] for field in _STEP_FIELDS) for step in steps] + [outcome]
+    if marshal.dumps(replayed, 2) == marshal.dumps(recorded, 2):
+        return None
+    ours_all = [_as_json(values) for values in replayed[:-1]] + [{"outcome": rerun.outcome}]
+    theirs_all = [_as_json(values) for values in recorded[:-1]] + [{"outcome": outcome}]
+    for step in steps:
+        if not isinstance(step["message"], str) or step["message"] not in catalog.messages:
+            return reference_rule(f"run {run_id} step {step['step']}", "message", step["message"])
+    for number, (ours, theirs) in enumerate(zip(ours_all, theirs_all), start=1):
+        where = f"step {number}" if "step" in ours.keys() | theirs.keys() else "outcome"
+        if ours.get("verdict") == "V-TYPE" and theirs.get("verdict") == "ok":
+            return found("E-BINDING", f"{where}: {ours['detail']}, the trace says ok")
+        for key in sorted(ours.keys() | theirs.keys()):
+            was, now = _dump(theirs.get(key)), _dump(ours.get(key))
+            if was != now:
+                return found("E-TRACE", f"{where}: {key} is {was} in the trace, {now} on re-run")
+    return None

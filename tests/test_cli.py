@@ -368,3 +368,56 @@ def test_unloadable_corpus_is_a_usage_error(runner, tmp_path):
     result = runner.invoke(main, ["--fixtures", str(tmp_path), "catalog", "list"])
     assert result.exit_code == 2
     assert "does not load" in result.output
+
+
+# ---------------------------------------------------------------------------
+# replay
+# ---------------------------------------------------------------------------
+
+
+def _d1_trace_file(runner, tmp_path, repeat: int = 2) -> Path:
+    path = tmp_path / "d1.jsonl"
+    args = ["run", "D1", "--agents", str(AGENTS_DIR / "robot_demo.agents")]
+    result = runner.invoke(main, args + ["--repeat", str(repeat), "--trace", str(path)])
+    assert result.exit_code == 0, result.output
+    return path
+
+
+def test_replay_of_a_clean_trace_exits_0(runner, tmp_path):
+    path = _d1_trace_file(runner, tmp_path)
+    result = runner.invoke(main, ["replay", str(path)])
+    assert result.exit_code == 0, result.output
+    assert result.output == f"replayed {path}: 0 finding(s)\n"
+
+
+def test_replay_prints_each_finding_and_exits_1(runner, tmp_path):
+    path = _d1_trace_file(runner, tmp_path)
+    lines = path.read_text(encoding="utf-8").splitlines(keepends=True)
+    lines[3] = lines[3].replace('"sender":"model"', '"sender":"user"')
+    lines[12] = lines[12].replace('"message":"A4"', '"message":"ZZ"')
+    path.write_text("".join(lines), encoding="utf-8")
+    result = runner.invoke(main, ["replay", str(path)])
+    assert result.exit_code == 1, result.output
+    first, second, summary = result.output.splitlines()
+    assert first.startswith(f"{path}:0:0: error[E-TRACE]: run D1-s0-r0: step 3: sender")
+    assert second == (
+        f"{path}:0:0: error[E-UNRESOLVED]: run D1-s0-r1 step 4 references unknown message 'ZZ'"
+    )
+    assert summary == f"replayed {path}: 2 finding(s)"
+
+
+def test_replay_of_bytes_that_are_not_utf8_is_one_finding(runner, tmp_path):
+    path = _d1_trace_file(runner, tmp_path, repeat=1)
+    path.write_bytes(path.read_bytes().replace(b'"happy"', b'"h\xffppy"', 1))
+    result = runner.invoke(main, ["replay", str(path)])
+    assert result.exit_code == 1, result.output
+    assert result.exception is None or isinstance(result.exception, SystemExit)
+    finding, summary = result.output.splitlines()
+    assert finding.startswith(f"{path}:0:0: error[E-TRACE]: unreadable trace: 'utf-8' codec")
+    assert summary == f"replayed {path}: 1 finding(s)"
+
+
+def test_replay_of_a_missing_file_is_a_usage_error(runner, tmp_path):
+    result = runner.invoke(main, ["replay", str(tmp_path / "nothing.jsonl")])
+    assert result.exit_code == 2
+    assert "does not exist" in result.output

@@ -3,12 +3,15 @@
 from __future__ import annotations
 
 import dataclasses
+import io
 import json
+import random
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import oracles
 from conftest import AGENTS_DIR
 from haiproto import (
     AgentBehavior,
@@ -39,11 +42,12 @@ pattern give-use := [G, U] @ hitl;
 """
 
 
-def _d1_lines(catalog) -> list[dict]:
+def _d1_lines(catalog, repeat: int = 1) -> list[dict]:
     agents = parse_agents((AGENTS_DIR / "robot_demo.agents").read_text())
-    (trace,) = run_scenario(catalog, "D1", agents, seed=3)
-    assert trace.outcome == "completed"
-    return [json.loads(line) for line in trace.to_jsonl().splitlines()]
+    traces = run_scenario(catalog, "D1", agents, seed=3, repeat=repeat)
+    assert all(trace.outcome == "completed" for trace in traces)
+    text = "".join(trace.to_jsonl() for trace in traces)
+    return [json.loads(line) for line in text.splitlines()]
 
 
 def _aborted_lines(catalog) -> list[dict]:
@@ -59,6 +63,16 @@ def _text(lines: list[dict]) -> str:
 
 def _codes(diags) -> list[str]:
     return [d.code for d in diags]
+
+
+def _replay(text: str, catalog) -> list[Diagnostic]:
+    """``replay_check(text)``, which must equal the whole-trace reference's."""
+    diags = replay_check(text, catalog)
+    assert diags == oracles.oracle_replay_check(text, catalog)
+    assert [d.message for d in diags] == [
+        d.message for d in oracles.oracle_replay_check(text, catalog)
+    ]
+    return diags
 
 
 class _Fvector(AgentBehavior):
@@ -160,6 +174,23 @@ def test_runs_read_before_unreadable_text_are_still_checked(catalog):
     assert "without an outcome line" in diags[1].message
 
 
+def test_lines_are_read_as_replay_needs_them(catalog):
+    lines = _d1_lines(catalog, repeat=2)
+    lines[3]["sender"] = "nobody"
+    text = _text(lines).splitlines(keepends=True)
+
+    def source():
+        yield from text[:8]  # the first run
+        raise UnicodeDecodeError("utf-8", b"\xff", 0, 1, "invalid start byte")
+
+    diags = replay_check(source(), catalog)
+    assert _codes(diags) == ["E-TRACE", "E-TRACE"]
+    assert "step 3: sender" in diags[0].message
+    assert diags[1].message.startswith("unreadable trace: 'utf-8' codec can't decode")
+    assert replay_check(iter(text[:8] + ["", "\n"] + text[8:]), catalog) == diags[:1]
+    assert replay_check(["".join(text[:8]), "".join(text[8:])], catalog) == diags[:1]
+
+
 def _missing_field(text):
     lines = text.splitlines()
     step = json.loads(lines[2])
@@ -217,8 +248,9 @@ def test_reading_names_the_file_line(catalog):
     text[9] = text[9][:-1]  # the second run's step 1 loses its closing brace
     with pytest.raises(ValueError, match=r"^line 10: .* \(column \d+\)$"):
         Trace.all_from_jsonl("\n".join(text))
-    (diag,) = replay_check("\n".join(text), catalog)
-    assert diag.code == "E-TRACE" and "line 10: " in diag.message
+    for given_text in ("\n".join(text), io.StringIO("\n".join(text)), [f"{t}\r\n" for t in text]):
+        (diag,) = replay_check(given_text, catalog)
+        assert diag.code == "E-TRACE" and "line 10: " in diag.message
 
     edited = [dict(line) for line in lines]
     edited[12]["bindings"] = {}
@@ -330,7 +362,21 @@ def _change_one_value(lines: list[dict], data) -> None:
 def test_any_single_field_change_is_flagged(catalog, data):
     lines = _d1_lines(catalog)
     _change_one_value(lines, data)
-    assert replay_check(_text(lines), catalog) != []
+    assert _replay(_text(lines), catalog) != []
+
+
+def test_a_trace_that_ends_early_or_holds_a_null_extra_field_is_flagged(catalog):
+    lines = _d1_lines(catalog)
+    del lines[6]
+    lines[-1]["steps"] = 5
+    (diag,) = _replay(_text(lines), catalog)
+    assert diag.message == (
+        'run D1-s3-r0: step 6: action is null in the trace, "annotate-sample" on re-run'
+    )
+    lines = _d1_lines(catalog)
+    lines[3]["bindings"] = None  # the same values as the re-run's, but no trace field
+    (diag,) = _replay(_text(lines), catalog)
+    assert diag.message.endswith("line 4: step 3: bindings is not a trace field")
 
 
 def test_a_changed_violation_detail_is_flagged(catalog):
@@ -344,7 +390,7 @@ def test_a_changed_violation_detail_is_flagged(catalog):
 def test_any_single_field_change_of_an_aborted_trace_is_flagged(catalog, data):
     lines = _aborted_lines(catalog)
     _change_one_value(lines, data)
-    assert replay_check(_text(lines), catalog) != []
+    assert _replay(_text(lines), catalog) != []
 
 
 @pytest.mark.parametrize(
@@ -397,9 +443,71 @@ def test_byte_mutated_traces_give_diagnostics_never_exceptions(catalog, data):
         else:
             raw.insert(at, byte)
     text = raw.decode("utf-8", errors="replace")
-    diags = replay_check(text, catalog)
+    diags = _replay(text, catalog)
     assert all(isinstance(diag, Diagnostic) for diag in diags)
     try:
         Trace.all_from_jsonl(text)
     except ValueError:
         pass
+
+
+def _edit_lines(lines: list[dict], data) -> None:
+    """One edit: a changed value, an added field, a run's last steps dropped
+    (its footer kept true), or a line deleted, repeated or moved."""
+    edit = data.draw(st.sampled_from(["change", "add", "drop", "delete", "repeat", "move"]))
+    if edit == "change":
+        _change_one_value(lines, data)
+        return
+    at = data.draw(st.integers(0, len(lines) - 1))
+    if edit == "add":
+        lines[at][data.draw(st.sampled_from(["bindings", "detail", "step"]))] = data.draw(JSON)
+    elif edit == "drop":
+        end = next(i for i in range(at, len(lines)) if "outcome" in lines[i])
+        start = max(i for i in range(end) if "format" in lines[i]) + 1
+        cut = data.draw(st.integers(start, end))
+        lines[cut:end] = []
+        lines[cut]["steps"] = cut - start
+    elif edit == "delete":
+        del lines[at]
+    elif edit == "repeat":
+        lines.insert(at, lines[at])
+    else:
+        lines.insert(data.draw(st.integers(0, len(lines) - 1)), lines.pop(at))
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data())
+def test_replay_of_an_edited_repeat_file_matches_the_whole_trace_reference(catalog, data):
+    lines = _d1_lines(catalog, repeat=3)
+    _edit_lines(lines, data)
+    _replay(_text(lines), catalog)
+
+
+@settings(max_examples=100, deadline=None)
+@given(data=st.data())
+def test_replay_of_truncated_text_matches_the_whole_trace_reference(catalog, data):
+    text = _text(_d1_lines(catalog, repeat=2) + _aborted_lines(catalog))
+    cut = data.draw(st.integers(0, len(text)))
+    _replay(text[:cut], catalog)
+    _replay(text[cut:], catalog)
+
+
+def _shuffled(value, rng: random.Random):
+    """``value`` with the keys of every object in a random order."""
+    if isinstance(value, dict):
+        items = [(key, _shuffled(inner, rng)) for key, inner in value.items()]
+        rng.shuffle(items)
+        return dict(items)
+    if isinstance(value, list):
+        return [_shuffled(inner, rng) for inner in value]
+    return value
+
+
+@settings(max_examples=50, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1))
+def test_a_clean_trace_written_another_way_replays_clean(catalog, seed):
+    rng = random.Random(seed)
+    lines = _d1_lines(catalog, repeat=2) + _aborted_lines(catalog)
+    text = "".join(json.dumps(_shuffled(line, rng)) + "\n" for line in lines)
+    assert text != _text(lines)
+    assert _replay(text, catalog) == []

@@ -3,8 +3,10 @@
 from __future__ import annotations
 
 import dataclasses
+import json
 import math
 import random
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings
@@ -36,6 +38,7 @@ from haiproto import (
     run,
     run_scenario,
 )
+from haiproto import runtime
 from haiproto.runtime import coerce_value
 
 LABEL = BaseType(Role.OUTPUT, ("label",))
@@ -721,7 +724,7 @@ def test_trace_jsonl_round_trip(catalog):
     assert replay_check(lines, catalog) == []
 
 
-def _longest_step_line(directory, length: int) -> int:
+def _flat_run(directory, length: int):
     """Run a flow of ``length`` provides, each binding its own vector."""
     directory.mkdir()
     names = [f"G{k}" for k in range(1, length + 1)]
@@ -731,14 +734,63 @@ def _longest_step_line(directory, length: int) -> int:
     (directory / "flat.hai").write_text(text)
     script = {f"{m}.X{m}": [Vector((0.125 * k, -1.5))] for k, m in enumerate(names)}
     agents = {"user": ScriptedAgent(script), "model": ScriptedAgent({})}
-    trace = run(load([directory]), "flat", agents)
+    catalog = load([directory])
+    trace = run(catalog, "flat", agents)
     assert trace.outcome == "completed" and len(trace.steps) == length
+    return catalog, trace
+
+
+def _longest_step_line(directory, length: int) -> int:
+    _, trace = _flat_run(directory, length)
     return max(len(line) for line in trace.to_jsonl().splitlines()[1:-1])
 
 
 def test_trace_step_lines_do_not_grow_with_the_flow(tmp_path):
     short = _longest_step_line(tmp_path / "short", 10)
     assert _longest_step_line(tmp_path / "long", 1000) < 2 * short
+
+
+def test_replay_memory_follows_the_values_bound_not_the_trace(tmp_path):
+    steps = 8000
+    catalog, trace = _flat_run(tmp_path / "flat", steps)
+    text = trace.to_jsonl()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        assert replay_check(text, catalog) == []
+        peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+    assert peak / steps <= 1000, f"{peak / steps:.0f} B per step"
+
+
+JSON = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.text()
+    | st.floats(allow_nan=False, allow_infinity=False),
+    lambda inner: st.lists(inner, max_size=4)
+    | st.dictionaries(st.text(max_size=5), inner, max_size=4),
+    max_leaves=12,
+)
+_CANONICAL = json.JSONEncoder(sort_keys=True, separators=(",", ":"), allow_nan=False).encode
+
+
+@given(JSON)
+def test_dump_is_the_canonical_encoder(value):
+    assert runtime._dump(value) == _CANONICAL(value)
+
+
+def test_dump_refuses_non_finite_numbers_with_or_without_the_c_encoder(monkeypatch):
+    dumps = [runtime._dump]
+    monkeypatch.setattr(json.encoder, "c_make_encoder", None)
+    dumps.append(runtime._make_dump())
+    for dump in dumps:
+        assert dump({"b": [1, 2.5, True, None], "a": "\u00e9"}) == (
+            '{"a":"\\u00e9","b":[1,2.5,true,null]}'
+        )
+        for bad in (math.nan, math.inf, -math.inf):
+            for value in (bad, [bad], {"x": {"y": bad}}):
+                with pytest.raises(ValueError):
+                    dump(value)
 
 
 def test_trace_from_jsonl_needs_header_and_outcome():
