@@ -15,12 +15,17 @@ harmless.  The loader's rules have their owners in :mod:`haiproto.check`:
 :func:`~haiproto.check.reference_rule` and an empty scenario's
 ``E-EMPTY-PATTERN`` is :func:`~haiproto.check.pattern_rule`.  Only
 ``E-UNKNOWN-ROLE`` and the sidecar's ``E-SYNTAX`` (its shape) are its own.
+
+The loader records where each name is declared (:attr:`Catalog.declared`),
+and every finding on a declaration, from the loader or from
+:func:`check_catalog`, is placed there: at the declaration's keyword in its
+``.hai`` file, or at a sidecar scenario's file.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import Iterable, Sequence
 
@@ -34,6 +39,7 @@ from .check import (
     check_pattern,
     name_rule,
     pattern_rule,
+    placed,
     reference_rule,
     resolve,
 )
@@ -61,7 +67,10 @@ class CatalogError(Exception):
 @dataclass(frozen=True)
 class Catalog:
     """A fully resolved corpus.  Its tables must not change after load:
-    :meth:`flow` keeps what it checked from them."""
+    :meth:`flow` keeps what it checked from them.  ``declared[kind][name]``
+    is where the action, message, pattern or scenario ``name`` is declared:
+    ``(path, line, col)`` of its keyword, or ``(path,)`` for a sidecar's
+    scenario; plain tuples, as a corpus may declare thousands of names."""
 
     actions: dict[str, ActionDef]
     messages: dict[str, Message]
@@ -71,7 +80,7 @@ class Catalog:
     interpretations: dict[str, str]
     provide_only: frozenset[str]
     roles: frozenset[str]
-    origins: dict[str, str] = field(default_factory=dict)
+    declared: dict[str, dict[str, tuple]] = field(default_factory=dict)
     sources: tuple[str, ...] = ()
     _flows: dict[str, Flow] = field(
         default_factory=dict, init=False, repr=False, compare=False
@@ -90,7 +99,7 @@ class Catalog:
         """The pattern or scenario called ``name``, resolved and checked at
         its own scope (:func:`~haiproto.check.check_flow`): a scenario must
         close every request it opens.  Every consumer of a named flow checks
-        it here, and its diagnostics carry the path that declared ``name``.
+        it here, and its diagnostics are placed at the declaration of ``name``.
         ``KeyError`` if there is no such flow, ``ValueError`` if a scenario
         does not join.
 
@@ -106,10 +115,19 @@ class Catalog:
         return flow
 
     def _check(self, name: str) -> Flow:
-        """Check ``name`` at its own scope, with the path that declared it."""
-        pattern, path = self.resolve_flow(name), self.origins.get(name, "<catalog>")
-        scope = "pattern" if name in self.patterns else "scenario"
-        return check_flow(pattern, self.messages, self.actions, scope, path)
+        """Check ``name`` at its own scope, placed where it is declared."""
+        kind = "pattern" if name in self.patterns else "scenario"
+        flow = check_flow(self.resolve_flow(name), self.messages, self.actions, kind)
+        return replace(flow, report=self.place(kind, name, flow.report))
+
+    def place(self, kind: str, name: str, report: CheckReport) -> CheckReport:
+        """``report``, on the ``kind`` called ``name``, placed at its keyword
+        (whose text is ``kind``), or at ``<catalog>`` if it is not declared."""
+        if not report.diagnostics:
+            return report
+        path, *at = self.declared.get(kind, {}).get(name, ("<catalog>",))
+        span = Span(*at, len(kind)) if at else None
+        return CheckReport(report.target, placed(report.diagnostics, path, span))
 
     def steps(self, flow: Pattern) -> tuple[Step, ...]:
         """The resolved steps of ``flow``; ``ValueError`` if a message does
@@ -190,7 +208,8 @@ def load_with_diagnostics(
     actions: dict[str, ActionDef] = {}
     messages: dict[str, Message] = {}
     patterns: dict[str, Pattern] = {}
-    origins: dict[str, str] = {}
+    declared: dict[str, dict] = {kind: {} for kind in ("action", "message", "pattern", "scenario")}
+    action_at, message_at, pattern_at, scenario_at = declared.values()
     roles: set[str] = set(PREDECLARED_ROLES)
 
     def err(code: str, message: str, path: str, span: Span | None = None) -> None:
@@ -211,16 +230,18 @@ def load_with_diagnostics(
             if isinstance(node, str):  # roles are their own namespace
                 roles.add(node)
                 continue
-            if name in origins:
-                diags.append(name_rule(name, origins[name], path, span))
+            first = action_at.get(name) or message_at.get(name) or pattern_at.get(name)
+            if first:
+                diags.extend(placed([name_rule(name, first[0])], path, span))
                 continue
-            origins[name] = path
+            at = (path, span.line, span.col)
             if isinstance(node, ActionDef):
-                actions[name] = node
+                actions[name], action_at[name] = node, at
             elif isinstance(node, Message):
+                message_at[name] = at
                 if node.action not in actions:
                     owner = f"message {name!r}"
-                    diags.append(reference_rule(owner, "action", node.action, path, span))
+                    diags.extend(placed([reference_rule(owner, "action", node.action)], path, span))
                     continue
                 for endpoint in (node.sender, node.receiver):
                     if endpoint not in roles:
@@ -232,11 +253,10 @@ def load_with_diagnostics(
                         )
                 messages[name] = node
             else:
+                pattern_at[name] = at
                 unknown = [m for m in node.messages if m not in messages]
-                diags.extend(
-                    reference_rule(f"pattern {name!r}", "message", m, path, span)
-                    for m in unknown
-                )
+                found = [reference_rule(f"pattern {name!r}", "message", m) for m in unknown]
+                diags.extend(placed(found, path, span))
                 if not unknown:
                     patterns[name] = node
 
@@ -254,26 +274,29 @@ def load_with_diagnostics(
             err("E-SYNTAX", problem, path)
         if shape:
             continue
+        found = []
         for name, steps in data.get("scenarios", {}).items():
-            if name in patterns or name in scenarios:  # both are runnable flows
-                diags.append(name_rule(name, origins[name], path))
+            first = pattern_at.get(name) or scenario_at.get(name)
+            if first:  # patterns and scenarios are both runnable flows
+                found.append(name_rule(name, first[0]))
                 continue
             if not steps:
-                diags.extend(pattern_rule(Pattern(name, ()), path))
+                found.extend(pattern_rule(Pattern(name, ())))
                 continue
             missing = [s for s in steps if s not in patterns]
             owner = f"scenario {name!r}"
-            diags.extend(reference_rule(owner, "pattern", s, path) for s in missing)
+            found.extend(reference_rule(owner, "pattern", s) for s in missing)
             if not missing:
                 scenarios[name] = tuple(steps)
-                origins[name] = path
+                scenario_at[name] = (path,)
         for key, kind in _NOTES.items():
             entries = data.get(key, {})
             for name in entries:  # an object's keys, or provide_only's list
                 if name in patterns or (kind == "flow" and name in scenarios):
                     notes[key][name] = entries[name] if kind == "flow" else name
                 else:
-                    diags.append(reference_rule(f"sidecar key {key!r}", kind, name, path))
+                    found.append(reference_rule(f"sidecar key {key!r}", kind, name))
+        diags.extend(placed(found, path))
 
     if any(d.severity == "error" for d in diags):
         return None, tuple(diags)
@@ -286,7 +309,7 @@ def load_with_diagnostics(
         interpretations=notes["interpretations"],
         provide_only=frozenset(notes["provide_only"]),
         roles=frozenset(roles),
-        origins=origins,
+        declared=declared,
         sources=tuple(str(p) for p in hai_files + sidecars),
     )
     return catalog, tuple(diags)
@@ -304,17 +327,10 @@ def check_catalog(catalog: Catalog) -> list[CheckReport]:
     """Run every check over a loaded catalog, deterministically ordered."""
     reports: list[CheckReport] = []
     for name in sorted(catalog.actions):
-        reports.append(
-            check_action(catalog.actions[name], catalog.origins.get(name, "<catalog>"))
-        )
+        reports.append(catalog.place("action", name, check_action(catalog.actions[name])))
     for name in sorted(catalog.messages):
-        reports.append(
-            check_message(
-                catalog.messages[name],
-                catalog.actions,
-                catalog.origins.get(name, "<catalog>"),
-            )
-        )
+        report = check_message(catalog.messages[name], catalog.actions)
+        reports.append(catalog.place("message", name, report))
     for kind, flows in (("pattern", catalog.patterns), ("scenario", catalog.scenarios)):
         for name in sorted(flows):
             report = catalog._check(name).report  # keeps no flow: see Catalog.flow
@@ -428,13 +444,7 @@ def compose(
     check report; composing an empty list raises ``ValueError``.
     """
     combined = _join(catalog, names, "+".join(names))
-    report = check_pattern(
-        combined,
-        catalog.messages,
-        catalog.actions,
-        scope="scenario",
-        path="<scenario>",
-    )
+    report = check_pattern(combined, catalog.messages, catalog.actions, "scenario")
     return combined, report
 
 

@@ -1,8 +1,12 @@
 """Semantic checks for actions, messages, and patterns.
 
 All checks report :class:`~haiproto.core.Diagnostic` values instead of
-raising.  Each rule has one owner, the function every layer enforcing it
-calls; the parser's calls make the first three codes come out at parse time:
+raising.  A rule says what it found, not where: its findings carry the
+default path and no span until :func:`placed` puts them at the declaration
+they concern, which only the parser, the loader and
+:meth:`~haiproto.catalog.Catalog.place` know.  Each rule has one owner, the
+function every layer enforcing it calls; the parser's calls make the first
+three codes come out at parse time:
 
 * :func:`variable_rule` — ``E-DUP-VAR``, ``E-PARAMS`` (parser, check_action,
   :func:`~haiproto.core.action_scope`);
@@ -44,8 +48,8 @@ exemption: composed flows must close every request.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Mapping, NamedTuple
+from dataclasses import dataclass, replace
+from typing import Iterable, Mapping, NamedTuple
 
 from .core import (
     OP_ARITY,
@@ -90,11 +94,20 @@ class CheckReport:
         return "pass"
 
 
-def _err(code: str, message: str, path: str, span: Span | None = None) -> Diagnostic:
-    return Diagnostic("error", code, message, path, span)
+def _err(code: str, message: str) -> Diagnostic:
+    return Diagnostic("error", code, message)
 
 
-def variable_rule(action: ActionDef, path: str = "<action>") -> list[Diagnostic]:
+def placed(
+    found: Iterable[Diagnostic], path: str, span: Span | None = None
+) -> tuple[Diagnostic, ...]:
+    """Each finding in ``found`` placed at ``path`` and ``span``: the rules
+    report what they found, and the parser, loader and catalog, which know
+    the declaration it was found in, say where."""
+    return tuple(replace(d, path=path, span=span) for d in found)
+
+
+def variable_rule(action: ActionDef) -> list[Diagnostic]:
     """``E-DUP-VAR`` for each repeated variable and the first repeated
     parameter; otherwise ``E-PARAMS`` if the parameters are not the
     declared variables."""
@@ -103,38 +116,23 @@ def variable_rule(action: ActionDef, path: str = "<action>") -> list[Diagnostic]
     for arg in action.primitive.args():
         for var, _ in arg.variables():
             if var in declared:
-                diags.append(
-                    _err(
-                        "E-DUP-VAR",
-                        f"duplicate variable {var!r} in {action.name!r}",
-                        path,
-                    )
-                )
+                diags.append(_err("E-DUP-VAR", f"duplicate variable {var!r} in {action.name!r}"))
             declared.add(var)
     params = action.params
     if len(set(params)) != len(params):
         repeat = next(p for i, p in enumerate(params) if p in params[:i])
-        diags.append(
-            _err(
-                "E-DUP-VAR",
-                f"duplicate parameter {repeat!r} in {action.name!r}",
-                path,
-            )
-        )
+        diags.append(_err("E-DUP-VAR", f"duplicate parameter {repeat!r} in {action.name!r}"))
     elif set(params) != declared:
         diags.append(
             _err(
                 "E-PARAMS",
                 f"parameters of {action.name!r} do not match declared variables",
-                path,
             )
         )
     return diags
 
 
-def arity_rule(
-    op: Operation, action: ActionDef, path: str = "<action>"
-) -> Diagnostic | None:
+def arity_rule(op: Operation, action: ActionDef) -> Diagnostic | None:
     """``E-ARITY``: ``op`` takes as many arguments as its kind allows."""
     lo, hi = OP_ARITY[op.kind]
     if lo <= len(op.args) <= hi:
@@ -143,44 +141,30 @@ def arity_rule(
         "E-ARITY",
         f"{op.kind.value} in {action.name!r} takes "
         f"{lo if lo == hi else f'{lo} to {hi}'} arguments, got {len(op.args)}",
-        path,
     )
 
 
-def pattern_rule(pattern: Pattern, path: str = "<pattern>") -> list[Diagnostic]:
+def pattern_rule(pattern: Pattern) -> list[Diagnostic]:
     """``E-EMPTY-PATTERN``, or else ``E-TAG`` for each unknown tag."""
     if not pattern.messages:
-        return [
-            _err(
-                "E-EMPTY-PATTERN",
-                f"pattern {pattern.name!r} has no messages",
-                path,
-            )
-        ]
+        return [_err("E-EMPTY-PATTERN", f"pattern {pattern.name!r} has no messages")]
     return [
-        _err(
-            "E-TAG",
-            f"pattern {pattern.name!r} carries unknown tag {tag!r}",
-            path,
-        )
+        _err("E-TAG", f"pattern {pattern.name!r} carries unknown tag {tag!r}")
         for tag in sorted(pattern.tags - TAGS)
     ]
 
 
-def name_rule(name: str, origin: str, path: str, span: Span | None = None) -> Diagnostic:
-    """``E-DUP-NAME``: ``name``, declared at ``path``, is already declared in
-    ``origin``.  Actions, messages and patterns share one namespace, and
-    scenarios share the patterns'; roles are their own, so re-declaring one
-    is harmless."""
-    return _err("E-DUP-NAME", f"{name!r} is already declared in {origin}", path, span)
+def name_rule(name: str, origin: str) -> Diagnostic:
+    """``E-DUP-NAME``: ``name`` is already declared in the file ``origin``.
+    Actions, messages and patterns share one namespace, and scenarios share
+    the patterns'; roles are their own, so re-declaring one is harmless."""
+    return _err("E-DUP-NAME", f"{name!r} is already declared in {origin}")
 
 
-def reference_rule(
-    owner: str, kind: str, name: str, path: str = "<input>", span: Span | None = None
-) -> Diagnostic:
+def reference_rule(owner: str, kind: str, name: str) -> Diagnostic:
     """``E-UNRESOLVED``: ``owner`` (say ``pattern 'p'``) references ``name``,
     which is no ``kind`` (say ``message``) that is known."""
-    return _err("E-UNRESOLVED", f"{owner} references unknown {kind} {name!r}", path, span)
+    return _err("E-UNRESOLVED", f"{owner} references unknown {kind} {name!r}")
 
 
 class Step(NamedTuple):  # a tuple: built once per message of every checked flow
@@ -198,7 +182,7 @@ class Step(NamedTuple):  # a tuple: built once per message of every checked flow
 
 
 def instantiation_rule(
-    message: Message, actions: Mapping[str, ActionDef], path: str = "<message>"
+    message: Message, actions: Mapping[str, ActionDef]
 ) -> tuple[ActionDef | None, list[Diagnostic]]:
     """``E-UNKNOWN-ACTION``, or else ``E-ARG-COUNT`` if the action does not
     take one argument per message argument.  Returns the action, if known."""
@@ -208,7 +192,6 @@ def instantiation_rule(
             _err(
                 "E-UNKNOWN-ACTION",
                 f"message {message.name!r} uses unknown action {message.action!r}",
-                path,
             )
         ]
     if len(message.args) != len(action.params):
@@ -217,21 +200,20 @@ def instantiation_rule(
                 "E-ARG-COUNT",
                 f"message {message.name!r} passes {len(message.args)} arguments "
                 f"to {action.name!r}, which takes {len(action.params)}",
-                path,
             )
         ]
     return action, []
 
 
 def resolve_step(
-    message: Message, actions: Mapping[str, ActionDef], path: str = "<message>"
+    message: Message, actions: Mapping[str, ActionDef]
 ) -> tuple[Step | None, list[Diagnostic]]:
     """Resolve ``message``, or report why it does not resolve.
 
     The action is not checked again: it must satisfy :func:`variable_rule`,
     as every action the parser accepts does.
     """
-    action, diags = instantiation_rule(message, actions, path)
+    action, diags = instantiation_rule(message, actions)
     if action is None or diags:
         return None, diags
     names = dict(zip(action.params, message.args))
@@ -252,16 +234,16 @@ def resolve_step(
 # ---------------------------------------------------------------------------
 
 
-def check_action(action: ActionDef, path: str = "<action>") -> CheckReport:
+def check_action(action: ActionDef) -> CheckReport:
     """Validate an action's variables and operations."""
-    diags = variable_rule(action, path)
+    diags = variable_rule(action)
     scope: dict[str, TypeExpr] = {}
     for arg in action.primitive.args():
         for var, typ in arg.variables():
             scope.setdefault(var, typ)
 
     for op in action.operations:
-        arity = arity_rule(op, action, path)
+        arity = arity_rule(op, action)
         if arity is not None:
             diags.append(arity)
             continue
@@ -273,7 +255,6 @@ def check_action(action: ActionDef, path: str = "<action>") -> CheckReport:
                     f"{op.kind.value} in {action.name!r} uses undeclared "
                     f"variable{'s' if len(unknown) > 1 else ''} "
                     f"{', '.join(repr(v) for v in unknown)}",
-                    path,
                 )
             )
             continue
@@ -285,7 +266,6 @@ def check_action(action: ActionDef, path: str = "<action>") -> CheckReport:
                         "E-MODIFY-TYPE",
                         f"modify({', '.join(op.args)}) in {action.name!r} "
                         f"relates incompatible types {a} and {b}",
-                        path,
                     )
                 )
         elif op.kind is OpKind.SELECT and len(op.args) == 2:
@@ -296,7 +276,6 @@ def check_action(action: ActionDef, path: str = "<action>") -> CheckReport:
                         "E-SELECT-LIST",
                         f"select({', '.join(op.args)}) in {action.name!r} "
                         f"needs a list to select from, got {source}",
-                        path,
                     )
                 )
             elif not type_compatible(item, source.element):
@@ -305,7 +284,6 @@ def check_action(action: ActionDef, path: str = "<action>") -> CheckReport:
                         "E-SELECT-ELEM",
                         f"select({', '.join(op.args)}) in {action.name!r} "
                         f"selects {item} from a list of {source.element}",
-                        path,
                     )
                 )
     return CheckReport(f"action {action.name}", tuple(diags))
@@ -316,14 +294,10 @@ def check_action(action: ActionDef, path: str = "<action>") -> CheckReport:
 # ---------------------------------------------------------------------------
 
 
-def check_message(
-    message: Message,
-    actions: Mapping[str, ActionDef],
-    path: str = "<message>",
-) -> CheckReport:
+def check_message(message: Message, actions: Mapping[str, ActionDef]) -> CheckReport:
     """Validate a message against the actions it may instantiate."""
     target = f"message {message.name}"
-    action, found = instantiation_rule(message, actions, path)
+    action, found = instantiation_rule(message, actions)
     if action is None:
         return CheckReport(target, tuple(found))
     diags: list[Diagnostic] = []
@@ -333,7 +307,6 @@ def check_message(
                 "E-SELF-SEND",
                 f"message {message.name!r} has sender and receiver "
                 f"{message.sender!r}",
-                path,
             )
         )
     diags.extend(found)
@@ -344,7 +317,6 @@ def check_message(
                 _err(
                     "E-DUP-MOD",
                     f"message {message.name!r} repeats modifier key {mod.key!r}",
-                    path,
                 )
             )
         seen_keys.add(mod.key)
@@ -354,7 +326,6 @@ def check_message(
                     "E-UNKNOWN-MOD-VAR",
                     f"modifier {mod.key!r} on message {message.name!r} names "
                     f"no argument of the message",
-                    path,
                 )
             )
     return CheckReport(target, tuple(diags))
@@ -381,7 +352,6 @@ def resolve(
     pattern: Pattern,
     messages: Mapping[str, Message],
     actions: Mapping[str, ActionDef],
-    path: str = "<pattern>",
 ) -> tuple[tuple[Step, ...], list[Diagnostic]]:
     """Resolve every message of ``pattern``; those that fail are reported
     and left out of the steps."""
@@ -391,9 +361,9 @@ def resolve(
         message = messages.get(name)
         if message is None:
             owner = f"pattern {pattern.name!r}"
-            diags.append(reference_rule(owner, "message", name, path))
+            diags.append(reference_rule(owner, "message", name))
             continue
-        step, found = resolve_step(message, actions, path)
+        step, found = resolve_step(message, actions)
         diags.extend(found)
         if step is not None:
             steps.append(step)
@@ -436,14 +406,13 @@ def check_flow(
     messages: Mapping[str, Message],
     actions: Mapping[str, ActionDef],
     scope: str = "pattern",
-    path: str = "<pattern>",
 ) -> Flow:
     """Resolve ``pattern`` and check it; see :func:`check_pattern`."""
     if scope not in ("pattern", "scenario"):
         raise ValueError(f"unknown scope {scope!r}")
     target = f"pattern {pattern.name}"
-    diags = pattern_rule(pattern, path)
-    steps, unresolved = resolve(pattern, messages, actions, path)
+    diags = pattern_rule(pattern)
+    steps, unresolved = resolve(pattern, messages, actions)
     diags.extend(unresolved)
     if unresolved:
         return Flow(pattern, steps, CheckReport(target, tuple(diags)), ())
@@ -462,7 +431,6 @@ def check_flow(
                         "E-BINDING",
                         f"variable {var!r} is {before} but message "
                         f"{step.message.name!r} uses it as {declared}",
-                        path,
                     )
                 )
         carried = {var for variables, _ in step.carried for var in variables}
@@ -506,9 +474,9 @@ def check_flow(
             f"for {ob.head}) is never answered"
         )
         if scope == "scenario":
-            diags.append(_err("E-UNANSWERED", detail, path))
+            diags.append(_err("E-UNANSWERED", detail))
         else:
-            diags.append(Diagnostic("warning", "W-UNANSWERED", detail, path))
+            diags.append(Diagnostic("warning", "W-UNANSWERED", detail))
     return Flow(pattern, steps, CheckReport(target, tuple(diags)), tuple(needed))
 
 
@@ -517,7 +485,6 @@ def check_pattern(
     messages: Mapping[str, Message],
     actions: Mapping[str, ActionDef],
     scope: str = "pattern",
-    path: str = "<pattern>",
 ) -> CheckReport:
     """Validate a pattern's structure, bindings, and dialogue coherence.
 
@@ -525,4 +492,4 @@ def check_pattern(
     counter-requests and otherwise warn) or ``"scenario"`` (every open request
     is an error).
     """
-    return check_flow(pattern, messages, actions, scope, path).report
+    return check_flow(pattern, messages, actions, scope).report

@@ -295,8 +295,8 @@ def replay_command(ctx: click.Context, trace_path: str) -> None:
     """Re-run a JSONL trace file against the corpus and report each run's
     first difference (exit 1 if there is one)."""
     catalog = _load_corpus(ctx)
-    with open(trace_path, encoding="utf-8") as lines:  # read a line at a time
-        diags = replay_check(lines, catalog)
+    with open(trace_path, "rb") as raw:  # a line at a time, each decoded alone
+        diags = replay_check((line.decode("utf-8") for line in raw), catalog)
     for diag in diags:
         click.echo(dataclasses.replace(diag, path=trace_path).format())
     click.echo(f"replayed {trace_path}: {len(diags)} finding(s)")

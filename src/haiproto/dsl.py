@@ -30,10 +30,11 @@ from __future__ import annotations
 
 import re
 from bisect import bisect_right
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
+from sys import intern
 from typing import Callable, TypeVar
 
-from .check import arity_rule, name_rule, pattern_rule, variable_rule
+from .check import arity_rule, name_rule, pattern_rule, placed, variable_rule
 from .core import (
     ActionDef,
     Arg,
@@ -136,7 +137,7 @@ def tokenize(text: str) -> tuple[list[Token], list[Comment]]:
         elif kind == "COMMENT":
             comments.append((start, end, text[start + 2 : end].strip()))
         elif kind == "WORD" and text[start].isalpha():
-            append(("ID", text[start:end], start, end))
+            append(("ID", intern(text[start:end]), start, end))  # a name kept once
         elif kind == "EOF":
             append((kind, "", start, end))
             break
@@ -236,8 +237,7 @@ class _Parser:
         """Keep a rule's findings, placed at ``tok`` (a span is built only
         when there are any)."""
         if any(found):
-            span = self.span(tok)
-            self.diagnostics.extend(replace(d, span=span) for d in found if d)
+            self.diagnostics.extend(placed(filter(None, found), self.path, self.span(tok)))
 
     # ``expect`` and ``match`` are the parser's hottest calls, so they index
     # the tokens directly; no caller asks for EOF, so neither moves past it.
@@ -309,9 +309,8 @@ class _Parser:
                 continue
             if not isinstance(decl.node, str):  # roles are their own namespace
                 if decl.name in names:
-                    self.diagnostics.append(
-                        name_rule(decl.name, self.path, self.path, decl.span)
-                    )
+                    found = [name_rule(decl.name, self.path)]
+                    self.diagnostics.extend(placed(found, self.path, decl.span))
                 names.add(decl.name)
             decls.append(decl)
         if any(d.severity == "error" for d in self.diagnostics):
@@ -369,9 +368,9 @@ class _Parser:
             primitive=PrimitiveSpec(kind, args[0], tuple(args[1:])),
             operations=tuple(op for _, op in operations),
         )
-        self.report(variable_rule(action, self.path), name)
+        self.report(variable_rule(action), name)
         for tok, op in operations:
-            self.report([arity_rule(op, action, self.path)], tok)
+            self.report([arity_rule(op, action)], tok)
         return action
 
     def parse_arg(self) -> Arg:
@@ -494,7 +493,7 @@ class _Parser:
             tuple(m[1] for m in messages),
             frozenset(t[1] for t in tags),
         )
-        self.report(pattern_rule(pattern, self.path), name)
+        self.report(pattern_rule(pattern), name)
         return pattern
 
 

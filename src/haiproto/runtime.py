@@ -30,7 +30,7 @@ import math
 import operator
 import re
 import zlib
-from dataclasses import MISSING, dataclass, fields
+from dataclasses import MISSING, dataclass, fields, replace
 from types import MappingProxyType
 from typing import Callable, ClassVar, Iterable, Iterator, Mapping, Sequence, Union
 
@@ -46,6 +46,7 @@ from .core import (
     OpKind,
     Pattern,
     Role,
+    Span,
     TypeExpr,
     intersect,
 )
@@ -612,13 +613,27 @@ _load = json.JSONDecoder(parse_float=_finite, parse_constant=_not_json).decode
 
 
 def _lines(text: str, block: int = 1 << 16) -> Iterator[str]:
-    """``text.splitlines()``, split a block of about ``block`` characters at a
-    time: each block but the last ends with a newline, which ends a line."""
+    """``text.split("\\n")``, a block of about ``block`` characters at a time.
+    Not ``splitlines``: a JSON string may hold a raw U+2028, which it splits
+    at, and the ``\\r`` of a CRLF line is JSON whitespace."""
     start = 0
     while end := text.find("\n", start + block) + 1:
-        yield from text[start:end].splitlines()
+        yield from text[start : end - 1].split("\n")
         start = end
-    yield from text[start:].splitlines()
+    yield from text[start:].split("\n")
+
+
+class _Unreadable(ValueError):
+    """Trace text that does not read at line ``line``, which its message names."""
+
+    def __init__(self, line: int, text: str) -> None:
+        super().__init__(f"line {line}: {text}")
+        self.line = line
+
+
+def _on(line: int) -> Span | None:
+    """Where a replay finding about trace line ``line`` goes: a Trace has none (0)."""
+    return Span(line, 1) if line else None
 
 
 @dataclass(frozen=True)
@@ -739,12 +754,12 @@ class _Run:
     def __init__(self, lineno: int, header: dict):
         self.header, self.run_id, self.count, self.steps = header, header.get("run"), 0, []
         version = header.get("format", 1)
-        self.problem = None if type(version) is int and version == 2 else (
-            f"line {lineno}: the trace is format {_dump(version)}, this reader "
-            f"reads format 2: regenerate it with `haiproto run`"
+        self.problem = None if type(version) is int and version == 2 else _Unreadable(
+            lineno, f"the trace is format {_dump(version)}, this reader reads "
+            "format 2: regenerate it with `haiproto run`"
         )
         missing = next((k for k in ("run", "pattern", "seed") if k not in header), None)
-        self.missing = missing and f"malformed trace line {lineno}: {missing} is missing"
+        self.missing = missing and _Unreadable(lineno, f"{missing} is missing")
 
     def step(self, lineno: int, line: str | None, entry: dict) -> None:
         self.count += 1
@@ -754,16 +769,16 @@ class _Run:
     def fits(self, lineno: int, entry: dict) -> bool:
         misfit = _misfit(entry)
         if misfit is not None and self.problem is None:
-            self.problem = f"malformed trace line {lineno}: step {self.count}: {misfit}"
+            self.problem = _Unreadable(lineno, f"step {self.count}: {misfit}")
         return misfit is None
 
     def end(self, lineno: int, line: str | None, entry: dict) -> None:
         problem = self.problem or self.missing
         footer = {**entry, "run": self.run_id, "steps": self.count}
         if problem is None and _dump(entry) != _dump(footer):
-            problem = f"line {lineno}: outcome line of run {self.run_id!r} contradicts it"
+            problem = _Unreadable(lineno, f"outcome line of run {self.run_id!r} contradicts it")
         if problem is not None:
-            raise ValueError(problem)
+            raise problem
         run_id, pattern, seed = (self.header[key] for key in ("run", "pattern", "seed"))
         self.trace = Trace(run_id, pattern, seed, tuple(self.steps), entry["outcome"])
 
@@ -771,29 +786,33 @@ class _Run:
 def _each_run(lines: Iterable[str], start: Callable[[int, dict], _Run]) -> Iterator[_Run]:
     """Each run of a trace file's ``lines`` once its outcome line is read;
     ``start`` makes a run from its first line.  ``ValueError``, naming the
-    line, for a line that is not a JSON object, or a run that does not read."""
-    run = None
-    for lineno, line in enumerate(lines, start=1):
-        if not line or line.isspace():
-            continue
-        try:
-            entry = _load(line)
-        except json.JSONDecodeError as exc:
-            raise ValueError(f"line {lineno}: {exc.msg} (column {exc.colno})") from None
-        except (ValueError, RecursionError) as exc:  # a number, or nesting too deep
-            raise ValueError(f"line {lineno}: {exc}") from None
-        if not isinstance(entry, dict):
-            raise ValueError(f"line {lineno} is not a JSON object")
-        if "outcome" in entry:
-            if run is None:
-                raise ValueError(f"line {lineno}: an outcome line without a header")
-            run.end(lineno, line, entry)
-            yield run
-            run = None
-        elif run is None:
-            run = start(lineno, entry)
-        else:
-            run.step(lineno, line, entry)
+    line, for a line that is not a JSON object or does not decode, or a run
+    that does not read."""
+    run, lineno = None, 0
+    try:
+        for lineno, line in enumerate(lines, start=1):
+            if not line or line.isspace():
+                continue
+            try:
+                entry = _load(line)
+            except json.JSONDecodeError as exc:
+                raise _Unreadable(lineno, f"{exc.msg} (column {exc.colno})") from None
+            except (ValueError, RecursionError) as exc:  # a number, or nesting too deep
+                raise _Unreadable(lineno, str(exc)) from None
+            if not isinstance(entry, dict):
+                raise _Unreadable(lineno, "not a JSON object")
+            if "outcome" in entry:
+                if run is None:
+                    raise _Unreadable(lineno, "an outcome line without a header")
+                run.end(lineno, line, entry)
+                yield run
+                run = None
+            elif run is None:
+                run = start(lineno, entry)
+            else:
+                run.step(lineno, line, entry)
+    except UnicodeDecodeError as exc:  # from ``lines``, reading the next line
+        raise _Unreadable(lineno + 1, str(exc)) from None
     if run is not None:
         raise ValueError("trace ends without an outcome line")
 
@@ -953,10 +972,10 @@ def replay_check(
     trace: Union[Trace, str, Iterable[str]], catalog: Catalog
 ) -> list[Diagnostic]:
     """Re-run each trace as it is read, a step per recorded step, and report
-    each run's first difference.
+    each run's first difference, at the trace line it is about (a Trace: none).
 
     ``trace`` is a :class:`Trace`, a trace file's text, or its lines (an open
-    file, say), read lazily, with or without line breaks.  A re-run step whose
+    file, say), read lazily; a line ends at ``\\n`` only.  A re-run step whose
     canonical line is the recorded line is verified; another is compared field
     by field, type-strictly (1 ≠ 1.0), so other spacing or key order replays
     clean.  A run reports, by precedence: ``E-TRACE`` for text that does not
@@ -978,14 +997,15 @@ def replay_check(
             replayed.end(0, None, footer)
         else:  # an iterable's item is a line or more, with or without its break
             lines = _lines(trace) if isinstance(trace, str) else (
-                line for item in trace for line in item.splitlines() or ("",)
+                line for item in trace for line in item.removesuffix("\n").split("\n")
             )
             runs = _each_run(lines, lambda at, head: _Replay(at, head, catalog, parse))
         for replayed in runs:
             if replayed.found or replayed.difference:
                 found.append(replayed.found or replayed.difference)
     except ValueError as exc:  # from reading: replay raises no ValueError
-        found.append(Diagnostic("error", "E-TRACE", f"unreadable trace: {exc}"))
+        span = _on(exc.line) if isinstance(exc, _Unreadable) else None
+        found.append(Diagnostic("error", "E-TRACE", f"unreadable trace: {exc}", span=span))
     return found
 
 
@@ -1006,12 +1026,13 @@ class _Replay(_Run, AgentBehavior):
         try:
             flow = catalog.flow(name)
         except (KeyError, TypeError, ValueError):  # unknown, not a name, an empty scenario
-            self.found = reference_rule(f"run {self.run_id}", "flow", name)
+            found = reference_rule(f"run {self.run_id}", "flow", name)
+            self.found = replace(found, span=_on(lineno))
             return
         if flow.report.errors:
             error = flow.report.errors[0]
-            text = f"flow {name!r} does not check: {error.message}"
-            self.found = Diagnostic("error", error.code, f"run {self.run_id}: {text}")
+            text = f"run {self.run_id}: flow {name!r} does not check: {error.message}"
+            self.found = Diagnostic("error", error.code, text, span=_on(lineno))
         else:  # a cycle through the agents, broken when the re-run ends
             self.rerun = _execute(flow, dict.fromkeys(catalog.roles, self))
 
@@ -1037,12 +1058,12 @@ class _Replay(_Run, AgentBehavior):
                 self.last = taken[0]
                 if line == _step_line(*taken):
                     return  # the same text: the same fields, type for type
-            self.compare(self.count, taken, entry)
+            self.compare(lineno, self.count, taken, entry)
         if self.fits(lineno, entry) and self.found is None:
             message = entry["message"]
             if not isinstance(message, str) or message not in self.messages:
                 owner = f"run {self.run_id} step {entry['step']}"
-                self.found = reference_rule(owner, "message", message)
+                self.found = replace(reference_rule(owner, "message", message), span=_on(lineno))
 
     def end(self, lineno: int, line: str | None, entry: dict) -> None:
         rerun, self.rerun, self.entry = self.rerun, None, None  # past the last step
@@ -1054,12 +1075,13 @@ class _Replay(_Run, AgentBehavior):
                 return
         super().end(lineno, line, entry)
         if rerun is not None:
-            self.compare(self.count + 1, taken, {"outcome": entry["outcome"]})
+            self.compare(lineno, self.count + 1, taken, {"outcome": entry["outcome"]})
 
-    def compare(self, number: int, taken: tuple | None, theirs: dict) -> None:
-        """Name the first difference of the trace's entry ``theirs`` at place
-        ``number`` from the re-run's: its step ``taken``, or its outcome once it
-        has stopped.  Comparing ends there, and after the re-run's outcome."""
+    def compare(self, lineno: int, number: int, taken: tuple | None, theirs: dict) -> None:
+        """Name the first difference of the trace's entry ``theirs``, read at
+        line ``lineno``, at place ``number`` from the re-run's: its step
+        ``taken``, or its outcome once it has stopped.  Comparing ends there,
+        and after the re-run's outcome."""
         ours = TraceStep(*taken[0]).to_json() if taken else {"outcome": _outcome(self.last)}
         where = f"step {number}" if "step" in ours.keys() | theirs.keys() else "outcome"
         if ours.get("verdict") == "V-TYPE" and theirs.get("verdict") == "ok":
@@ -1072,6 +1094,7 @@ class _Replay(_Run, AgentBehavior):
                     text = f"{where}: {key} is {was} in the trace, {now} on re-run"
                     break
         if text is not None:
-            self.difference = Diagnostic("error", code, f"run {self.run_id}: {text}")
+            text = f"run {self.run_id}: {text}"
+            self.difference = Diagnostic("error", code, text, span=_on(lineno))
         if text is not None or taken is None:
             self.rerun = None

@@ -470,7 +470,7 @@ def _read_runs(text: str):
     """Each run as ``(run_id, pattern, seed, steps, outcome)`` once its outcome
     line is read, the steps as dicts; ``ValueError`` naming the line."""
     lines: list[tuple[int, dict]] = []
-    for lineno, line in enumerate(text.splitlines(), start=1):
+    for lineno, line in enumerate(text.split("\n"), start=1):
         if not line.strip():
             continue
         try:
@@ -480,7 +480,7 @@ def _read_runs(text: str):
         except (ValueError, RecursionError) as exc:
             raise ValueError(f"line {lineno}: {exc}") from None
         if not isinstance(entry, dict):
-            raise ValueError(f"line {lineno} is not a JSON object")
+            raise ValueError(f"line {lineno}: not a JSON object")
         if "outcome" not in entry:
             lines.append((lineno, entry))
             continue
@@ -495,10 +495,10 @@ def _read_runs(text: str):
             )
         for number, (at, step) in enumerate(body, start=1):
             if _misfit(step) is not None:
-                raise ValueError(f"malformed trace line {at}: step {number}: {_misfit(step)}")
+                raise ValueError(f"line {at}: step {number}: {_misfit(step)}")
         for key in ("run", "pattern", "seed"):
             if key not in header:
-                raise ValueError(f"malformed trace line {first}: {key} is missing")
+                raise ValueError(f"line {first}: {key} is missing")
         run_id = header["run"]
         if _dump(entry) != _dump({**entry, "run": run_id, "steps": len(body)}):
             raise ValueError(f"line {lineno}: outcome line of run {run_id!r} contradicts it")

@@ -54,7 +54,7 @@ def test_load_accepts_individual_files(tmp_path):
     )
     catalog = load([src])
     assert set(catalog.patterns) == {"p"}
-    assert catalog.origins["M1"] == str(src)
+    assert catalog.declared["message"]["M1"] == (str(src), 2, 1)
     assert catalog.sources == (str(src),)
 
 
@@ -86,8 +86,8 @@ def test_roles_are_their_own_namespace_in_one_file_as_across_files(
     _write(split / "b.hai", second)
     (one, one_diags), (two, two_diags) = map(load_with_diagnostics, [[together], [split]])
     assert one_diags == two_diags == ()
-    assert dataclasses.replace(one, origins={}, sources=()) == dataclasses.replace(
-        two, origins={}, sources=()
+    assert dataclasses.replace(one, declared={}, sources=()) == dataclasses.replace(
+        two, declared={}, sources=()
     )
 
 

@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import dataclasses
+import json
+
 import pytest
 
 from haiproto import (
@@ -18,8 +21,10 @@ from haiproto import (
     PrimitiveSpec,
     Role,
     check_action,
+    check_catalog,
     check_message,
     check_pattern,
+    load_with_diagnostics,
     parse,
 )
 
@@ -363,10 +368,144 @@ def test_non_exempt_open_request_warns_even_after_discharging(catalog):
 
 def test_every_catalog_pattern_is_warning_free(catalog):
     for name in sorted(catalog.patterns):
-        report = check_pattern(
-            catalog.patterns[name],
-            catalog.messages,
-            catalog.actions,
-            path=catalog.origins.get(name, "<pattern>"),
-        )
+        report = check_pattern(catalog.patterns[name], catalog.messages, catalog.actions)
         assert report.verdict == "pass", (name, [d.format() for d in report.diagnostics])
+
+
+# ---------------------------------------------------------------------------
+# Where findings are placed
+# ---------------------------------------------------------------------------
+
+GIVE = """action give(X) := provide(X: input.raw_data);
+message M1 := user -> model : give(A);
+pattern p := [M1];
+"""
+
+ASK = """action ask(Y) := request(Y: output.label);
+message Q := user -> model : ask(Y);
+pattern asking := [Q];
+"""
+
+
+def _no_actions(catalog):
+    return dataclasses.replace(catalog, actions={})
+
+
+#: Every code the loader and checker report, each from a corpus of ``.hai``
+#: files and sidecars (objects), as ``haiproto check DIR`` prints it: the
+#: path under the corpus, ``line:col``, severity and code.  A declaration's
+#: finding from the checker sits at its keyword; the parser's rules sit at
+#: the token at fault; a sidecar's scenario has no line.  ``edit`` changes
+#: the loaded catalog before it is checked.
+PLACES = {
+    "E-DUP-VAR": (
+        {"a.hai": "action a(X, X) := provide(X: input);\n"},
+        ["a.hai:1:8: error[E-DUP-VAR]"],
+    ),
+    "E-PARAMS": (
+        {"a.hai": "action a(Y) := provide(X: input);\n"},
+        ["a.hai:1:8: error[E-PARAMS]"],
+    ),
+    "E-ARITY": (
+        {"a.hai": "action a(X) := provide(X: input) <- create(X, X);\n"},
+        ["a.hai:1:37: error[E-ARITY]"],
+    ),
+    "E-EMPTY-PATTERN": (
+        {"a.hai": GIVE + "pattern q := [];\n"},
+        ["a.hai:4:9: error[E-EMPTY-PATTERN]"],
+    ),
+    "E-TAG": ({"a.hai": GIVE + "pattern q := [M1] @ nope;\n"}, ["a.hai:4:9: error[E-TAG]"]),
+    "E-DUP-NAME": (
+        {"a.hai": GIVE, "b.hai": "\n  pattern p := [M1];\n"},
+        ["b.hai:2:3: error[E-DUP-NAME]"],
+    ),
+    "E-UNRESOLVED": ({"a.hai": GIVE + "pattern q := [M9];\n"}, ["a.hai:4:1: error[E-UNRESOLVED]"]),
+    "E-DUP-NAME, of a name whose first declaration does not resolve": (
+        {"a.hai": "message M1 := user -> model : ghost(A);\n", "b.hai": GIVE},
+        [
+            "a.hai:1:1: error[E-UNRESOLVED]",
+            "b.hai:2:1: error[E-DUP-NAME]",
+            "b.hai:3:1: error[E-UNRESOLVED]",
+        ],
+    ),
+    "E-UNKNOWN-ROLE": (
+        {"a.hai": GIVE + "message M2 := user -> nobody : give(A);\n"},
+        ["a.hai:4:1: error[E-UNKNOWN-ROLE]"],
+    ),
+    "E-UNKNOWN-ACTION": (
+        {"a.hai": GIVE},
+        ["a.hai:2:1: error[E-UNKNOWN-ACTION]", "a.hai:3:1: error[E-UNKNOWN-ACTION]"],
+        _no_actions,
+    ),
+    "E-OP-VAR": (
+        {"a.hai": "action a(X) := provide(X: input) <- create(Z);\n"},
+        ["a.hai:1:1: error[E-OP-VAR]"],
+    ),
+    "E-SELECT-LIST": (
+        {"a.hai": "\naction s(X, Y) := provide(X: input, Y: output.label) <- select(X, Y);\n"},
+        ["a.hai:2:1: error[E-SELECT-LIST]"],
+    ),
+    "E-SELECT-ELEM": (
+        {"a.hai": "action s(X, Y) := provide(X: input, Y: [output.label]) <- select(X, Y);\n"},
+        ["a.hai:1:1: error[E-SELECT-ELEM]"],
+    ),
+    "E-MODIFY-TYPE, E-ARG-COUNT and W-UNANSWERED": (
+        {
+            "a.hai": "action give(X) := provide(X: input.raw_data);\n"
+            "action swap(X, Y) := provide(X: input.raw_data, Y: output.label) <- modify(X, Y);\n"
+            "message M1 := user -> model : give(A, B);\n"
+            "action ask(Y) := request(Y: output.label);\n"
+            "message Q := user -> model : ask(Y);\n"
+            "pattern p := [Q];\n"
+        },
+        [
+            "a.hai:2:1: error[E-MODIFY-TYPE]",
+            "a.hai:3:1: error[E-ARG-COUNT]",
+            "a.hai:6:1: warning[W-UNANSWERED]",
+        ],
+    ),
+    "E-SELF-SEND, on a message named as a scenario": (
+        {
+            "a.hai": "action give(X) := provide(X: input.raw_data);\n"
+            "message D1 := user -> user : give(A);\n"
+            "pattern p := [D1];\n",
+            "catalog.json": {"scenarios": {"D1": ["p"]}},
+        },
+        ["a.hai:2:1: error[E-SELF-SEND]"],
+    ),
+    "E-DUP-MOD": (
+        {"a.hai": GIVE + 'message M2 := user -> model : give(A) [note="x"; note="y"];\n'},
+        ["a.hai:4:1: error[E-DUP-MOD]"],
+    ),
+    "E-UNKNOWN-MOD-VAR": (
+        {"a.hai": GIVE + "message M2 := user -> model : give(A) [B: sample];\n"},
+        ["a.hai:4:1: error[E-UNKNOWN-MOD-VAR]"],
+    ),
+    "E-BINDING": (
+        {
+            "a.hai": GIVE + "action label(X) := provide(X: output.label);\n"
+            "message M2 := model -> user : label(A);\n"
+            "pattern q := [M1, M2];\n"
+        },
+        ["a.hai:6:1: error[E-BINDING]"],
+    ),
+    "E-UNANSWERED": (
+        {"a.hai": ASK, "catalog.json": {"scenarios": {"s": ["asking"]}}},
+        ["a.hai:3:1: warning[W-UNANSWERED]", "catalog.json:0:0: error[E-UNANSWERED]"],
+    ),
+}
+
+
+@pytest.mark.parametrize("case", PLACES)
+def test_each_finding_is_placed_at_its_declaration(tmp_path, case):
+    files, expected, *edits = PLACES[case]
+    for name, content in files.items():
+        text = content if isinstance(content, str) else json.dumps(content)
+        (tmp_path / name).write_text(text, encoding="utf-8")
+    catalog, found = load_with_diagnostics([tmp_path])
+    if catalog is not None:
+        for edit in edits:
+            catalog = edit(catalog)
+        found += tuple(d for report in check_catalog(catalog) for d in report.diagnostics)
+    printed = [d.format().split("]:")[0] + "]" for d in found]
+    assert [p.removeprefix(f"{tmp_path}/") for p in printed] == expected

@@ -6,6 +6,9 @@ import json
 from pathlib import Path
 
 import pytest
+from click.testing import CliRunner
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 import oracles
 from conftest import AGENTS_DIR, FIXTURES
@@ -399,21 +402,22 @@ def test_replay_prints_each_finding_and_exits_1(runner, tmp_path):
     result = runner.invoke(main, ["replay", str(path)])
     assert result.exit_code == 1, result.output
     first, second, summary = result.output.splitlines()
-    assert first.startswith(f"{path}:0:0: error[E-TRACE]: run D1-s0-r0: step 3: sender")
+    assert first.startswith(f"{path}:4:1: error[E-TRACE]: run D1-s0-r0: step 3: sender")
     assert second == (
-        f"{path}:0:0: error[E-UNRESOLVED]: run D1-s0-r1 step 4 references unknown message 'ZZ'"
+        f"{path}:13:1: error[E-UNRESOLVED]: run D1-s0-r1 step 4 references unknown message 'ZZ'"
     )
     assert summary == f"replayed {path}: 2 finding(s)"
 
 
 def test_replay_of_bytes_that_are_not_utf8_is_one_finding(runner, tmp_path):
     path = _d1_trace_file(runner, tmp_path, repeat=1)
+    assert b'"happy"' in path.read_bytes().splitlines()[1]
     path.write_bytes(path.read_bytes().replace(b'"happy"', b'"h\xffppy"', 1))
     result = runner.invoke(main, ["replay", str(path)])
     assert result.exit_code == 1, result.output
     assert result.exception is None or isinstance(result.exception, SystemExit)
     finding, summary = result.output.splitlines()
-    assert finding.startswith(f"{path}:0:0: error[E-TRACE]: unreadable trace: 'utf-8' codec")
+    assert finding.startswith(f"{path}:2:1: error[E-TRACE]: unreadable trace: line 2: 'utf-8'")
     assert summary == f"replayed {path}: 1 finding(s)"
 
 
@@ -421,3 +425,57 @@ def test_replay_of_a_missing_file_is_a_usage_error(runner, tmp_path):
     result = runner.invoke(main, ["replay", str(tmp_path / "nothing.jsonl")])
     assert result.exit_code == 2
     assert "does not exist" in result.output
+
+
+# ---------------------------------------------------------------------------
+# every command on mutated inputs
+# ---------------------------------------------------------------------------
+
+
+@pytest.fixture(scope="module")
+def inputs_copy(tmp_path_factory) -> Path:
+    """The packaged corpus, an agents file and a D1 trace, to mutate."""
+    root = tmp_path_factory.mktemp("inputs")
+    for source in [*FIXTURES.glob("*.hai"), FIXTURES / "catalog.json"]:
+        (root / source.name).write_bytes(source.read_bytes())
+    (root / "d1.agents").write_bytes((AGENTS_DIR / "robot_demo.agents").read_bytes())
+    _d1_trace_file(CliRunner(), root)
+    return root
+
+
+#: Each command, on the corpus at ``{root}``, with the agents and trace there.
+COMMANDS = [
+    ["check"],
+    ["fmt", "--check"],
+    ["catalog", "list"],
+    ["catalog", "export"],
+    ["catalog", "diff", "sample-annotation", "query-P2"],
+    ["diagram", "D1"],
+    ["run", "D1", "--agents", "{root}/d1.agents"],
+    ["replay", "{root}/d1.jsonl"],
+]
+#: What a mutation writes into a file: syntax of each input, line breaks,
+#: and bytes that are not UTF-8.
+BYTES = [b'"', b"{", b"]", b";", b",", b"=", b"\n", b"\r", b"\xe2\x80\xa8", b"\xff", b"-", b"9"]
+
+
+@settings(
+    max_examples=15, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture]
+)
+@given(data=st.data())
+def test_every_command_on_a_mutated_input_exits_0_1_or_2(inputs_copy, data):
+    path = data.draw(st.sampled_from(sorted(inputs_copy.iterdir())))
+    original = text = path.read_bytes()
+    for _ in range(data.draw(st.integers(1, 4))):
+        at, cut = data.draw(st.integers(0, len(text))), data.draw(st.integers(0, 3))
+        text = text[:at] + data.draw(st.sampled_from(BYTES)) + text[at + cut :]
+    path.write_bytes(text)
+    try:
+        for command in COMMANDS:
+            args = [arg.format(root=inputs_copy) for arg in command]
+            result = CliRunner().invoke(main, ["--fixtures", str(inputs_copy), *args])
+            assert result.exit_code in (0, 1, 2), (args, result.output)
+            assert "Traceback" not in result.output
+            assert result.exception is None or isinstance(result.exception, SystemExit)
+    finally:
+        path.write_bytes(original)

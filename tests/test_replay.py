@@ -186,7 +186,8 @@ def test_lines_are_read_as_replay_needs_them(catalog):
     diags = replay_check(source(), catalog)
     assert _codes(diags) == ["E-TRACE", "E-TRACE"]
     assert "step 3: sender" in diags[0].message
-    assert diags[1].message.startswith("unreadable trace: 'utf-8' codec can't decode")
+    assert diags[1].message.startswith("unreadable trace: line 9: 'utf-8' codec can't decode")
+    assert (diags[0].span.line, diags[1].span.line) == (4, 9)
     assert replay_check(iter(text[:8] + ["", "\n"] + text[8:]), catalog) == diags[:1]
     assert replay_check(["".join(text[:8]), "".join(text[8:])], catalog) == diags[:1]
 
@@ -283,9 +284,23 @@ _PIECES = [
 
 
 @given(st.lists(st.sampled_from(_PIECES)).map("".join), st.integers(0, 12))
-def test_trace_lines_are_read_as_splitlines_splits_them(text, block):
-    assert list(_lines(text, block)) == text.splitlines()
-    assert list(_lines(text)) == text.splitlines()
+def test_trace_lines_split_at_line_feeds_only(text, block):
+    assert list(_lines(text, block)) == text.split("\n")
+    assert list(_lines(text)) == text.split("\n")
+
+
+def test_a_string_holding_a_raw_line_separator_reads_and_replays(catalog, tmp_path):
+    lines = _d1_lines(catalog)
+    lines[0]["run"] = lines[-1]["run"] = "D1\u2028\u2029\x85"
+    text = "".join(json.dumps(line, ensure_ascii=False) + "\n" for line in lines)
+    assert "\u2028" in text
+    assert Trace.from_jsonl(text).run_id == "D1\u2028\u2029\x85"
+    assert _replay(text, catalog) == []
+    assert _replay(text.replace("\n", "\r\n"), catalog) == []
+    path = tmp_path / "d1.jsonl"
+    path.write_text(text, encoding="utf-8")
+    with open(path, encoding="utf-8") as lines_of_a_file:
+        assert replay_check(lines_of_a_file, catalog) == []
 
 
 def test_format_1_traces_are_rejected(catalog):
@@ -315,7 +330,7 @@ def test_trace_footer_must_match_header_and_body(catalog):
             Trace.from_jsonl(_text(edited))
     edited = [dict(line) for line in lines]
     edited[2]["extra"] = 1
-    with pytest.raises(ValueError, match="malformed"):
+    with pytest.raises(ValueError, match="^line 3: step 2: extra is not a trace field$"):
         Trace.all_from_jsonl(_text(edited))
 
 

@@ -4,6 +4,7 @@ each rule has one owner in ``haiproto.check``."""
 from __future__ import annotations
 
 import dataclasses
+import inspect
 import json
 from pathlib import Path
 
@@ -12,6 +13,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import haiproto
+import haiproto.check
 from conftest import AGENTS_DIR, FIXTURES
 from haiproto import (
     TAGS,
@@ -37,6 +39,7 @@ from haiproto import (
     replay_check,
     run_scenario,
 )
+from haiproto.check import placed
 
 ACTION_RULES = {"E-DUP-VAR", "E-PARAMS", "E-ARITY"}
 PATTERN_RULES = {"E-EMPTY-PATTERN", "E-TAG"}
@@ -147,10 +150,8 @@ def test_loader_and_checker_report_an_unknown_message_alike(tmp_path):
     path = tmp_path / "p.hai"
     path.write_text("pattern p := [M1, M2, M1] @ hitl;\n")
     _, loaded = load_with_diagnostics([path])
-    checked = check_pattern(
-        Pattern("p", ("M1", "M2", "M1"), frozenset({"hitl"})), {}, {}, path=str(path)
-    ).diagnostics
-    assert loaded == checked
+    checked = check_pattern(Pattern("p", ("M1", "M2", "M1"), frozenset({"hitl"})), {}, {})
+    assert loaded == placed(checked.diagnostics, str(path))
     assert [d.message for d in loaded] == [
         f"pattern 'p' references unknown message {m!r}" for m in ("M1", "M2", "M1")
     ]
@@ -182,7 +183,7 @@ def _replayed(edit):
     catalog = load([FIXTURES])
     agents = parse_agents((AGENTS_DIR / "robot_demo.agents").read_text())
     (trace,) = run_scenario(catalog, "D1", agents, seed=3)
-    return replay_check(edit(trace), catalog)
+    return replay_check(edit(trace).to_jsonl(), catalog)
 
 
 def _renamed(trace):
@@ -196,7 +197,8 @@ def _unknown_first_message(trace):
 
 #: Every source of E-DUP-NAME and E-UNRESOLVED: how to raise it, then its
 #: code, its message, its path under the test's directory (``None``: no
-#: file) and its ``line:col`` (``None``: a finding from no ``.hai`` file).
+#: file) and its ``line:col`` (``None``: placed at no line: an unplaced
+#: rule, or a sidecar's finding).  Replay places a finding at its trace line.
 NAME_AND_REFERENCE_SOURCES = {
     "parser": (
         lambda tmp: parse(
@@ -253,12 +255,10 @@ NAME_AND_REFERENCE_SOURCES = {
         (4, 4),
     ),
     "pattern to message, at check": (
-        lambda tmp: check_pattern(
-            Pattern("q", ("M9",)), {}, {}, path=str(tmp / "q.hai")
-        ).diagnostics,
+        lambda tmp: check_pattern(Pattern("q", ("M9",)), {}, {}).diagnostics,
         "E-UNRESOLVED",
         "pattern 'q' references unknown message 'M9'",
-        "q.hai",
+        None,
         None,
     ),
     "scenario to pattern": (
@@ -294,14 +294,14 @@ NAME_AND_REFERENCE_SOURCES = {
         "E-UNRESOLVED",
         "run D1-s3-r0 references unknown flow 'nosuch'",
         None,
-        None,
+        (1, 1),
     ),
     "replay, message": (
         lambda tmp: _replayed(_unknown_first_message),
         "E-UNRESOLVED",
         "run D1-s3-r0 step 1 references unknown message 'nosuch'",
         None,
-        None,
+        (2, 1),
     ),
 }
 
@@ -313,6 +313,17 @@ def test_each_name_and_reference_source_reports_alike(tmp_path, source):
     assert (diag.code, diag.message) == (code, message.format(tmp=tmp_path))
     assert diag.path == (str(tmp_path / path) if path else "<input>")
     assert (diag.span and (diag.span.line, diag.span.col)) == place
+
+
+def test_only_placed_says_where_a_finding_is_in_check():
+    functions = inspect.getmembers(haiproto.check, inspect.isfunction)
+    placing = [
+        name
+        for name, function in functions
+        if function.__module__ == "haiproto.check"
+        and {"path", "span"} & inspect.signature(function).parameters.keys()
+    ]
+    assert placing == ["placed"]
 
 
 def test_name_and_reference_rules_are_written_in_check_only():

@@ -307,6 +307,26 @@ def test_parse_agents_rejects_deep_nesting(line):
     assert parse_agents(f"{section}\n\n{line.format('[[1], []]')}\n")  # not too deep
 
 
+AGENTS_TEXTS = [path.read_text() for path in sorted(AGENTS_DIR.glob("*.agents"))]
+#: What a mutation writes into an ``.agents`` file: its syntax, literals that
+#: do not read, and line breaks ``splitlines`` splits at.
+AGENTS_PIECES = ["[", "]", "=", "(", ")", ",", "->", "//", '"', "\n", "\u2028", "vec(", "1e999"]
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_mutated_agents_text_gives_agents_or_a_value_error(data):
+    text = data.draw(st.sampled_from(AGENTS_TEXTS))
+    for _ in range(data.draw(st.integers(1, 4))):
+        at, cut = data.draw(st.integers(0, len(text))), data.draw(st.integers(0, 3))
+        text = text[:at] + data.draw(st.sampled_from(AGENTS_PIECES)) + text[at + cut :]
+    try:
+        agents = parse_agents(text)
+    except ValueError:
+        return
+    assert agents and all(isinstance(agent, AgentBehavior) for agent in agents.values())
+
+
 # ---------------------------------------------------------------------------
 # The stub learner against the reference classifier
 # ---------------------------------------------------------------------------
