@@ -41,7 +41,6 @@ from .check import (
     pattern_rule,
     placed,
     reference_rule,
-    resolve,
 )
 from .core import (
     PREDECLARED_ROLES,
@@ -129,13 +128,13 @@ class Catalog:
         span = Span(*at, len(kind)) if at else None
         return CheckReport(report.target, placed(report.diagnostics, path, span))
 
-    def steps(self, flow: Pattern) -> tuple[Step, ...]:
-        """The resolved steps of ``flow``; ``ValueError`` if a message does
-        not resolve."""
-        steps, problems = resolve(flow, self.messages, self.actions)
-        if problems:
-            raise ValueError("; ".join(d.message for d in problems))
-        return steps
+    def steps(self, name: str) -> tuple[Step, ...]:
+        """The resolved steps of the flow called ``name`` (:meth:`flow`);
+        ``ValueError`` if a message does not resolve."""
+        flow = self.flow(name)
+        if len(flow.steps) < len(flow.pattern.messages):
+            raise ValueError("; ".join(d.message for d in flow.report.errors))
+        return flow.steps
 
 
 def _collect_paths(paths: Sequence[str | Path]) -> tuple[list[Path], list[Path]]:
@@ -379,10 +378,10 @@ class PatternDiff:
         return PatternDiff(self.b, self.a, self.shared, self.only_in_b, self.only_in_a)
 
 
-def _diff_sequence(catalog: Catalog, pattern: Pattern) -> list[DiffItem]:
+def _diff_sequence(catalog: Catalog, name: str) -> list[DiffItem]:
     return [
         (f"{step.message.sender}>{step.message.receiver}", step.action.name)
-        for step in catalog.steps(pattern)
+        for step in catalog.steps(name)
     ]
 
 
@@ -429,8 +428,8 @@ def diff(catalog: Catalog, name_a: str, name_b: str) -> PatternDiff:
             raise KeyError(f"no pattern named {name!r}")
     if name_b < name_a:
         return diff(catalog, name_b, name_a).transpose()
-    seq_a = _diff_sequence(catalog, catalog.patterns[name_a])
-    seq_b = _diff_sequence(catalog, catalog.patterns[name_b])
+    seq_a = _diff_sequence(catalog, name_a)
+    seq_b = _diff_sequence(catalog, name_b)
     shared, only_a, only_b = _lcs_diff(seq_a, seq_b)
     return PatternDiff(name_a, name_b, shared, only_a, only_b)
 
@@ -493,13 +492,11 @@ def export_json(catalog: Catalog) -> dict:
         }
         for a in (catalog.actions[n] for n in sorted(catalog.actions))
     ]
-    patterns = []
-    for name in sorted(catalog.patterns):
-        p = catalog.patterns[name]
-        entry: dict = {
+    patterns = [
+        {
             "name": p.name,
             "tags": sorted(p.tags),
-            "provide_only": name in catalog.provide_only,
+            "provide_only": p.name in catalog.provide_only,
             "messages": [
                 {
                     "name": m.name,
@@ -512,11 +509,8 @@ def export_json(catalog: Catalog) -> dict:
                 for m in (catalog.messages[mn] for mn in p.messages)
             ],
         }
-        if name in catalog.annotations:
-            entry["annotation"] = catalog.annotations[name]
-        if name in catalog.interpretations:
-            entry["interpretation"] = catalog.interpretations[name]
-        patterns.append(entry)
+        for p in (catalog.patterns[n] for n in sorted(catalog.patterns))
+    ]
     scenarios = [
         {
             "name": name,
@@ -525,4 +519,9 @@ def export_json(catalog: Catalog) -> dict:
         }
         for name in sorted(catalog.scenarios)
     ]
+    notes = (("annotation", catalog.annotations), ("interpretation", catalog.interpretations))
+    for entry in patterns + scenarios:  # the sidecar's notes on a flow
+        for key, table in notes:
+            if entry["name"] in table:
+                entry[key] = table[entry["name"]]
     return {"actions": actions, "patterns": patterns, "scenarios": scenarios}

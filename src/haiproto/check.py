@@ -14,7 +14,7 @@ three codes come out at parse time:
 * :func:`pattern_rule` — ``E-EMPTY-PATTERN``, ``E-TAG`` (parser, loader, check_flow);
 * :func:`name_rule` — ``E-DUP-NAME`` (parser per file, loader across files
   and for scenarios);
-* :func:`reference_rule` — ``E-UNRESOLVED`` (loader, resolve, replay);
+* :func:`reference_rule` — ``E-UNRESOLVED`` (loader, check_flow, replay);
 * :func:`instantiation_rule` — ``E-UNKNOWN-ACTION``, ``E-ARG-COUNT``
   (check_message, resolve_step).
 
@@ -348,28 +348,6 @@ class Flow:
     needed: tuple[tuple[tuple[str, TypeExpr], ...], ...]
 
 
-def resolve(
-    pattern: Pattern,
-    messages: Mapping[str, Message],
-    actions: Mapping[str, ActionDef],
-) -> tuple[tuple[Step, ...], list[Diagnostic]]:
-    """Resolve every message of ``pattern``; those that fail are reported
-    and left out of the steps."""
-    steps: list[Step] = []
-    diags: list[Diagnostic] = []
-    for name in pattern.messages:
-        message = messages.get(name)
-        if message is None:
-            owner = f"pattern {pattern.name!r}"
-            diags.append(reference_rule(owner, "message", name))
-            continue
-        step, found = resolve_step(message, actions)
-        diags.extend(found)
-        if step is not None:
-            steps.append(step)
-    return tuple(steps), diags
-
-
 def _carried_types(step: Step) -> tuple[TypeExpr, ...]:
     """Types the step puts on the table; a group contributes both the group
     type and each member type."""
@@ -412,9 +390,18 @@ def check_flow(
         raise ValueError(f"unknown scope {scope!r}")
     target = f"pattern {pattern.name}"
     diags = pattern_rule(pattern)
-    steps, unresolved = resolve(pattern, messages, actions)
-    diags.extend(unresolved)
-    if unresolved:
+    resolved: list[Step] = []
+    for name in pattern.messages:  # one that does not resolve is reported, left out
+        message = messages.get(name)
+        if message is None:
+            diags.append(reference_rule(f"pattern {pattern.name!r}", "message", name))
+            continue
+        step, found = resolve_step(message, actions)
+        diags.extend(found)
+        if step is not None:
+            resolved.append(step)
+    steps = tuple(resolved)
+    if len(steps) < len(pattern.messages):
         return Flow(pattern, steps, CheckReport(target, tuple(diags)), ())
 
     # Binding consistency: a variable shared between messages must keep a

@@ -17,7 +17,7 @@ import click
 
 from . import catalog as cataloglib
 from .catalog import CatalogError, check_catalog, load, load_with_diagnostics
-from .core import Diagnostic, Pattern, PrimitiveKind
+from .core import Diagnostic, PrimitiveKind
 from .dsl import parse, print_source, print_type
 from .runtime import parse_agents, replay_check, run_scenario
 
@@ -309,16 +309,17 @@ def replay_command(ctx: click.Context, trace_path: str) -> None:
 # ---------------------------------------------------------------------------
 
 
-def mermaid_diagram(catalog: cataloglib.Catalog, flow: Pattern) -> str:
-    """Render a flow as a Mermaid sequence diagram.
+def mermaid_diagram(catalog: cataloglib.Catalog, name: str) -> str:
+    """Render the pattern or scenario ``name`` as a Mermaid sequence diagram.
 
     Participants appear in order of first appearance; requests use ``->>``,
     provides ``-->>``, and each arrow is labeled with the action and the type
-    of its head.  Raises ``ValueError`` if a message does not resolve.
+    of its head.  ``KeyError`` if there is no such flow, ``ValueError`` if a
+    message does not resolve.
     """
     participants: list[str] = []
     arrows: list[str] = []
-    for step in catalog.steps(flow):
+    for step in catalog.steps(name):
         message, action = step.message, step.action
         for role in (message.sender, message.receiver):
             if role not in participants:
@@ -351,7 +352,7 @@ def diagram(ctx: click.Context, name: str, format_name: str) -> None:
         raise click.UsageError(f"unknown diagram format {format_name!r}")
     catalog = _load_corpus(ctx)
     try:
-        text = mermaid_diagram(catalog, catalog.resolve_flow(name))
+        text = mermaid_diagram(catalog, name)
     except KeyError as exc:
         raise click.UsageError(str(exc.args[0])) from exc
     except ValueError as exc:

@@ -298,7 +298,6 @@ class Pattern:
     name: str
     messages: tuple[str, ...]
     tags: frozenset[str] = frozenset()
-    notes: str = ""
 
 
 @dataclass

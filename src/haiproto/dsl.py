@@ -185,10 +185,6 @@ class ParseResult:
     file: SourceFile | None
     diagnostics: tuple[Diagnostic, ...]
 
-    @property
-    def ok(self) -> bool:
-        return self.file is not None
-
 
 T = TypeVar("T")
 
@@ -206,15 +202,11 @@ class _Parser:
         self.pos = 0
         self.comment_pos = 0
         self.diagnostics: list[Diagnostic] = []
-        # built by the first span; not a cached_property, whose write to the
-        # instance __dict__ slows every later attribute access on CPython 3.11
-        self.line_starts: list[int] | None = None
+        self.line_starts = _line_starts(text)
 
     # -- token helpers ------------------------------------------------------
 
     def span(self, tok: Token) -> Span:
-        if self.line_starts is None:
-            self.line_starts = _line_starts(self.text)
         return _span(self.line_starts, tok[2], tok[3])
 
     def peek(self) -> Token:

@@ -316,7 +316,6 @@ class StubModelAgent(AgentBehavior):
         self.examples: list[tuple[tuple[float, ...], str]] = []
         self._centroids = _Centroids()
         self._vocab = set(self.labels)
-        self._sorted_vocab: tuple[str, ...] | None = None
         for vec, label in examples:
             self._learn(Vector(vec).values, label)
         self.samples = list(samples)
@@ -328,9 +327,7 @@ class StubModelAgent(AgentBehavior):
     def _learn(self, vec: tuple[float, ...], label: str) -> None:
         self.examples.append((vec, label))
         self._centroids.add(vec, label)
-        if label not in self._vocab:
-            self._vocab.add(label)
-            self._sorted_vocab = None
+        self._vocab.add(label)
 
     def on_receive(self, message, action, binding):
         head = action.primitive.head
@@ -351,9 +348,7 @@ class StubModelAgent(AgentBehavior):
     # -- producing -----------------------------------------------------------
 
     def _vocabulary(self) -> tuple[str, ...]:
-        if self._sorted_vocab is None:
-            self._sorted_vocab = tuple(sorted(self._vocab))
-        return self._sorted_vocab
+        return tuple(sorted(self._vocab))
 
     def _next_sample(self) -> Value:
         if not self.samples:
@@ -411,6 +406,11 @@ class StubModelAgent(AgentBehavior):
 
 _SECTION_RE = re.compile(r"^\[([A-Za-z_][A-Za-z0-9_]*)\s+(scripted|stub)\]$")
 _NUMBER_RE = re.compile(r"^-?\d+(\.\d+)?$")
+#: A string literal, in which ``\"`` and ``\\`` are escapes; the pieces of
+#: a line, where an unclosed string runs to its end; a line up to its comment.
+_STRING_RE = re.compile(r'"(?:[^"\\]|\\.)*"')
+_PIECE_RE = re.compile(r'"(?:[^"\\]|\\.)*"?|.')
+_CODE_RE = re.compile(r'(?:[^"/]|/(?!/)|"(?:[^"\\]|\\.)*"?)*')
 
 
 def _parse_literal(text: str, where: str) -> object:
@@ -422,7 +422,7 @@ def _parse_literal(text: str, where: str) -> object:
 
 def _literal(text: str, where: str) -> object:
     text = text.strip()
-    if text.startswith('"') and text.endswith('"') and len(text) >= 2:
+    if _STRING_RE.fullmatch(text):
         return text[1:-1].replace('\\"', '"').replace("\\\\", "\\")
     if _NUMBER_RE.match(text):
         return float(text) if "." in text else int(text)
@@ -446,21 +446,19 @@ def _literal(text: str, where: str) -> object:
 
 
 def _split_top(text: str) -> list[str]:
-    """Split on commas not nested inside parentheses or brackets."""
+    """Split on commas not inside a string or nested inside parentheses or brackets."""
     parts: list[str] = []
-    depth = 0
-    current: list[str] = []
-    for ch in text:
+    depth = start = 0
+    for piece in _PIECE_RE.finditer(text):
+        ch = piece.group()
         if ch in "([":
             depth += 1
         elif ch in ")]":
             depth -= 1
-        if ch == "," and depth == 0:
-            parts.append("".join(current))
-            current = []
-        else:
-            current.append(ch)
-    parts.append("".join(current))
+        elif ch == "," and depth == 0:
+            parts.append(text[start : piece.start()])
+            start = piece.end()
+    parts.append(text[start:])
     return parts
 
 
@@ -503,8 +501,8 @@ def parse_agents(text: str, path: str = "<agents>") -> dict[str, AgentBehavior]:
             )
         script, stub = {}, {}
 
-    for lineno, raw_line in enumerate(text.splitlines(), start=1):
-        line = raw_line.split("//", 1)[0].strip()
+    for lineno, raw_line in enumerate(text.split("\n"), start=1):
+        line = _CODE_RE.match(raw_line).group().strip()
         if not line:
             continue
         where = f"{path}:{lineno}"
@@ -526,7 +524,7 @@ def parse_agents(text: str, path: str = "<agents>") -> dict[str, AgentBehavior]:
         elif kind == "stub" and key == "example":
             if "->" not in value:
                 raise ValueError(f"{where}: example needs 'vec(...) -> label'")
-            vec_text, label_text = value.rsplit("->", 1)
+            vec_text, label_text = value.split("->", 1)
             vec = _parse_literal(vec_text, where)
             if not isinstance(vec, Vector):
                 raise ValueError(f"{where}: example input must be a vector")
@@ -793,6 +791,7 @@ def _each_run(lines: Iterable[str], start: Callable[[int, dict], _Run]) -> Itera
         for lineno, line in enumerate(lines, start=1):
             if not line or line.isspace():
                 continue
+            last = lineno
             try:
                 entry = _load(line)
             except json.JSONDecodeError as exc:
@@ -814,7 +813,7 @@ def _each_run(lines: Iterable[str], start: Callable[[int, dict], _Run]) -> Itera
     except UnicodeDecodeError as exc:  # from ``lines``, reading the next line
         raise _Unreadable(lineno + 1, str(exc)) from None
     if run is not None:
-        raise ValueError("trace ends without an outcome line")
+        raise _Unreadable(last, "trace ends without an outcome line")
 
 
 class RunViolation(Exception):

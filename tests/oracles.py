@@ -505,7 +505,7 @@ def _read_runs(text: str):
         steps = [{"detail": None, **step} for _, step in body]
         yield run_id, header["pattern"], header["seed"], steps, entry["outcome"]
     if lines:
-        raise ValueError("trace ends without an outcome line")
+        raise ValueError(f"line {lines[-1][0]}: trace ends without an outcome line")
 
 
 class _Recording:

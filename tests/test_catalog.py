@@ -444,3 +444,18 @@ def test_export_json_is_deterministic_and_complete(catalog):
     scenario = next(s for s in data["scenarios"] if s["name"] == "D1")
     assert scenario["patterns"] == list(catalog.scenarios["D1"])
     assert scenario["messages"] == oracles.SCENARIO_LENGTHS["D1"]
+
+
+def test_export_json_keeps_the_notes_on_patterns_and_scenarios(tmp_path):
+    _write(
+        tmp_path / "a.hai",
+        "action give(X) := provide(X: input.raw_data);\n"
+        "message M1 := user -> model : give(A);\n"
+        "pattern p := [M1];\n",
+    )
+    notes = {"annotations": {"p": "ap", "s": "as"}, "interpretations": {"s": "is"}}
+    _write(tmp_path / "catalog.json", json.dumps({"scenarios": {"s": ["p"]}, **notes}))
+    data = export_json(load([tmp_path]))
+    (pattern,), (scenario,) = data["patterns"], data["scenarios"]
+    assert (pattern["annotation"], "interpretation" in pattern) == ("ap", False)
+    assert (scenario["annotation"], scenario["interpretation"]) == ("as", "is")

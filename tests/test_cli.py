@@ -325,6 +325,20 @@ def test_diagram_composes_scenarios(runner):
     assert len(arrows) == oracles.SCENARIO_LENGTHS["D1"]
 
 
+@pytest.mark.parametrize("args", [["diagram", "p"], ["catalog", "diff", "p", "q"]])
+def test_a_flow_whose_message_does_not_resolve_is_an_error(runner, tmp_path, args):
+    (tmp_path / "a.hai").write_text(
+        "action give(X) := provide(X: input.raw_data);\n"
+        "message M1 := user -> model : give(A, B);\n"
+        "message M2 := user -> model : give(C);\n"
+        "pattern p := [M2, M1];\n"
+        "pattern q := [M2];\n"
+    )
+    result = runner.invoke(main, ["--fixtures", str(tmp_path), *args])
+    assert result.exit_code == 1
+    assert result.output == "Error: message 'M1' passes 2 arguments to 'give', which takes 1\n"
+
+
 def test_diagram_unknown_format(runner):
     result = runner.invoke(main, ["diagram", "D1", "--format", "plantuml"])
     assert result.exit_code == 2

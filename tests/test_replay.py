@@ -168,10 +168,13 @@ def test_runs_read_before_unreadable_text_are_still_checked(catalog):
     first, second = _d1_lines(catalog), _d1_lines(catalog)
     first[3]["sender"] = "nobody"
     text = _text(first) + _text(second)
-    diags = replay_check(text[: text.rindex('{"outcome"')], catalog)
+    cut = text[: text.rindex('{"outcome"')]
+    diags = replay_check(cut, catalog)
     assert _codes(diags) == ["E-TRACE", "E-TRACE"]
     assert "step 3: sender" in diags[0].message
-    assert "without an outcome line" in diags[1].message
+    last = cut.count("\n")  # the last line read, a step of the second run
+    assert diags[1].message == f"unreadable trace: line {last}: trace ends without an outcome line"
+    assert diags[1].span.line == last
 
 
 def test_lines_are_read_as_replay_needs_them(catalog):

@@ -3,6 +3,7 @@ each rule has one owner in ``haiproto.check``."""
 
 from __future__ import annotations
 
+import ast
 import dataclasses
 import inspect
 import json
@@ -331,3 +332,17 @@ def test_name_and_reference_rules_are_written_in_check_only():
     for code in ("E-DUP-NAME", "E-UNRESOLVED"):
         owners = [p.name for p in package.glob("*.py") if f'"{code}"' in p.read_text()]
         assert owners == ["check.py"], code
+
+
+def test_a_flow_is_resolved_in_check_flow_only():
+    assert not hasattr(haiproto.check, "resolve")
+    package = Path(haiproto.__file__).parent
+    callers = [
+        (path.name, function.name)
+        for path in sorted(package.glob("*.py"))
+        for function in ast.walk(ast.parse(path.read_text()))
+        if isinstance(function, ast.FunctionDef)
+        for call in ast.walk(function)
+        if isinstance(call, ast.Call) and "resolve_step" in ast.dump(call.func)
+    ]
+    assert callers == [("check.py", "check_flow")]

@@ -268,6 +268,28 @@ def test_parse_agents_literal_forms():
 
 
 @pytest.mark.parametrize(
+    "text, read",
+    [
+        ('[u scripted]\nA.Y = "ha\x85ppy"\n', {"script": {"A.Y": ["ha\x85ppy"]}}),
+        ('[u scripted]\nA.Y = "http://x"  // a comment\n', {"script": {"A.Y": ["http://x"]}}),
+        ('[u scripted]\nA.Y = ["a,b"]\n', {"script": {"A.Y": [("a,b",)]}}),
+        ('[u stub]\nlabels = "a,b", c\n', {"labels": ("a,b", "c")}),
+        ('[u stub]\nexample = vec(1) -> "x->y"\n', {"examples": [((1.0,), "x->y")]}),
+        ('[u scripted]\nA.Y = "a" "b"\n', "<agents>:2: cannot parse literal '\"a\" \"b\"'"),
+        ('[u scripted]\r\nA.Y = "a\u2028b"  // c\r\n\r\nA.Z = 2\r\n', {"script": {"A.Y": ["a\u2028b"], "A.Z": [2]}}),
+    ],
+)
+def test_parse_agents_reads_a_string_whole(text, read):
+    if isinstance(read, str):
+        with pytest.raises(ValueError) as caught:
+            parse_agents(text)
+        assert str(caught.value) == read
+    else:
+        agent = parse_agents(text)["u"]
+        assert {key: getattr(agent, key) for key in read} == read
+
+
+@pytest.mark.parametrize(
     "text",
     [
         "M.A = 1\n",  # key before any section
@@ -825,8 +847,9 @@ def test_multi_run_trace_files_read_back(catalog):
     assert replay_check(text, catalog) == []
     with pytest.raises(ValueError, match="found 3"):
         Trace.from_jsonl(text)
-    with pytest.raises(ValueError, match="without an outcome"):
-        Trace.all_from_jsonl(text + '{"run":"x","pattern":"p","seed":0}\n')
+    last = text.count("\n") + 1  # the header that no outcome line follows
+    with pytest.raises(ValueError, match=f"^line {last}: trace ends without an outcome line$"):
+        Trace.all_from_jsonl(text + '{"run":"x","pattern":"p","seed":0}\n\n')
 
 
 def test_replay_check_catches_tampered_payload_types(catalog):
