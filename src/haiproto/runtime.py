@@ -321,6 +321,15 @@ class StubModelAgent(AgentBehavior):
         self.samples = list(samples)
         self._sample_cursor = 0
         self._override = ScriptedAgent(script) if script else None
+        self._pairings: dict[tuple, tuple[dict, dict]] = {}
+
+    def _names(self, message: Message, action: ActionDef) -> tuple[dict, dict]:
+        """Each parameter's message variable and each variable's parameter."""
+        key = (action.params, message.args)  # all that they depend on
+        if (names := self._pairings.get(key)) is None:
+            to_message = dict(zip(*key))
+            names = self._pairings[key] = to_message, {m: p for p, m in to_message.items()}
+        return names
 
     # -- learning ------------------------------------------------------------
 
@@ -337,7 +346,7 @@ class StubModelAgent(AgentBehavior):
             return
         if head.type.subtypes and "label" not in head.type.subtypes:
             return
-        to_message = dict(zip(action.params, message.args))
+        to_message = self._names(message, action)[0]
         label_payload = binding.get(to_message[head.var])
         if label_payload is None or not isinstance(label_payload.value, str):
             return
@@ -361,8 +370,7 @@ class StubModelAgent(AgentBehavior):
         out: dict[str, Payload] = {}
         if self._override is not None:
             out.update(self._override.produce(message, action, needed, binding))
-        to_message = dict(zip(action.params, message.args))
-        to_param = {msg: param for param, msg in to_message.items()}
+        to_message, to_param = self._names(message, action)
         for var, typ in needed.items():
             if var in out:
                 continue
@@ -577,18 +585,24 @@ def _scalar(value: object) -> str:
     return _dump(value)
 
 
-def _step_line(values: tuple, produced: str) -> str:
-    """The canonical JSON line of a step, given its fields' values in order and
-    ``_dump`` of its ``produced``: the keys sorted, each value encoded alone.
-    Traces are written with it, and replay compares a recorded line with it."""
-    step, message, sender, receiver, action, _, digest, verdict, detail = values
+def _template(step, message, sender, receiver, action, verdict="ok", detail=None) -> tuple:
+    """A step's line before its digest, between its digest and its ``produced``,
+    and after, given its other fields: the keys sorted, each value encoded
+    alone.  It depends on neither the digest nor ``produced``."""
     detail = "" if detail is None else f'"detail":{_scalar(detail)},'
     return (
-        f'{{"action":{_scalar(action)},{detail}"digest":{_scalar(digest)},'
-        f'"message":{_scalar(message)},"produced":{produced},'
-        f'"receiver":{_scalar(receiver)},"sender":{_scalar(sender)},'
-        f'"step":{_scalar(step)},"verdict":{_scalar(verdict)}}}'
+        f'{{"action":{_scalar(action)},{detail}"digest":',
+        f',"message":{_scalar(message)},"produced":',
+        f',"receiver":{_scalar(receiver)},"sender":{_scalar(sender)},'
+        f'"step":{_scalar(step)},"verdict":{_scalar(verdict)}}}',
     )
+
+
+def _step_line(values: tuple, produced: str) -> str:
+    """A step's canonical JSON line, given its fields' values and ``_dump(produced)``."""
+    step, message, sender, receiver, action, _, digest, verdict, detail = values
+    head, middle, tail = _template(step, message, sender, receiver, action, verdict, detail)
+    return f"{head}{_scalar(digest)}{middle}{produced}{tail}"
 
 
 def _outcome_line(outcome: object, run: object, steps: int) -> str:
@@ -668,13 +682,13 @@ _step_values = operator.attrgetter(*_STEP_FIELDS)
 _REQUIRED = [field.name for field in fields(TraceStep) if field.default is MISSING]
 
 
-def _misfit(entry: dict) -> str | None:
-    """Why ``entry`` is not a :class:`TraceStep`: its first unknown or missing
-    field; ``None`` if it is one."""
-    unknown = sorted(entry.keys() - _STEP_FIELDS)
+def _misfit(entry: dict, known=_STEP_FIELDS, required=_REQUIRED) -> str | None:
+    """Why ``entry`` is not a line of fields ``known`` that needs ``required`` (a
+    :class:`TraceStep`): its first unknown or missing field; ``None`` if none."""
+    unknown = sorted(entry.keys() - known)
     if unknown:
         return f"{unknown[0]} is not a trace field"
-    missing = [name for name in _REQUIRED if name not in entry]
+    missing = [name for name in required if name not in entry]
     return f"{missing[0]} is missing" if missing else None
 
 
@@ -682,12 +696,12 @@ def _misfit(entry: dict) -> str | None:
 class Trace:
     """A full run: header, steps, and outcome, serializable to JSON lines.
 
-    A trace from :func:`run` is a value: it keeps the canonical JSON of each
-    step's ``produced`` that its digest was computed over, and
-    :meth:`to_jsonl` writes that text, so a step's ``produced`` dict must not
-    be changed in place.  The kept text is not a field: ``fields``, ``==`` and
-    ``repr`` do not see it, and a ``dataclasses.replace`` copy or a trace
-    built by hand encodes its steps' ``produced`` when written.
+    A trace from :func:`run` is a value: it keeps each step's line, holding the
+    text of ``produced`` its digest was computed over, and :meth:`to_jsonl`
+    writes those lines, so a step's ``produced`` dict must not be changed in
+    place.  The kept lines are not a field: ``fields``, ``==`` and ``repr`` do
+    not see them, and a ``dataclasses.replace`` copy or a trace built by hand
+    encodes its steps when written.
     """
 
     run_id: str
@@ -696,21 +710,20 @@ class Trace:
     steps: tuple[TraceStep, ...]
     outcome: Union[str, dict]
 
-    #: ``_dump(step.produced)`` for each step, kept by :func:`run`.
-    _produced: ClassVar[tuple[str, ...] | None] = None
+    #: Each step's line, kept by :func:`run`.
+    _step_lines: ClassVar[tuple[str, ...] | None] = None
 
     def to_jsonl(self) -> str:
         """The header, step and outcome lines, each ``_dump`` of its dict."""
-        produced = self._produced
-        if produced is None:
-            produced = [_dump(step.produced) for step in self.steps]
-        lines = [
+        lines = self._step_lines
+        if lines is None:
+            lines = [_step_line(_step_values(s), _dump(s.produced)) for s in self.steps]
+        return "\n".join([
             f'{{"format":2,"pattern":{_scalar(self.pattern)},"run":{_scalar(self.run_id)},'
             f'"seed":{_scalar(self.seed)}}}',
-            *map(_step_line, map(_step_values, self.steps), produced),
+            *lines,
             _outcome_line(self.outcome, self.run_id, len(self.steps)),
-        ]
-        return "\n".join(lines) + "\n"
+        ]) + "\n"
 
     def bindings_at(self, step: int) -> dict[str, dict]:
         """The values bound after step ``step`` (0 for none), by variable name.
@@ -746,8 +759,9 @@ class _Run:
     """A run of a trace file, checked as its lines are read, its steps kept.
     The first problem, in this order, raises ``ValueError`` at its outcome
     line: a header not format 2, a step without :class:`TraceStep`'s fields,
-    a header without ``run``, ``pattern`` or ``seed``, an outcome line whose
-    ``run`` or ``steps`` is not the run's."""
+    a header with a field not ``format``, ``run``, ``pattern`` or ``seed``, or
+    without one of the last three, an outcome line with a field not ``outcome``,
+    ``run`` or ``steps``, or whose ``run`` or ``steps`` is not the run's."""
 
     def __init__(self, lineno: int, header: dict):
         self.header, self.run_id, self.count, self.steps = header, header.get("run"), 0, []
@@ -756,8 +770,9 @@ class _Run:
             lineno, f"the trace is format {_dump(version)}, this reader reads "
             "format 2: regenerate it with `haiproto run`"
         )
-        missing = next((k for k in ("run", "pattern", "seed") if k not in header), None)
-        self.missing = missing and _Unreadable(lineno, f"{missing} is missing")
+        named = ("run", "pattern", "seed")
+        misfit = _misfit(header, ("format", *named), named)
+        self.misfit = misfit and _Unreadable(lineno, misfit)
 
     def step(self, lineno: int, line: str | None, entry: dict) -> None:
         self.count += 1
@@ -771,7 +786,8 @@ class _Run:
         return misfit is None
 
     def end(self, lineno: int, line: str | None, entry: dict) -> None:
-        problem = self.problem or self.missing
+        misfit = _misfit(entry, ("outcome", "run", "steps"), ())
+        problem = self.problem or self.misfit or (misfit and _Unreadable(lineno, misfit))
         footer = {**entry, "run": self.run_id, "steps": self.count}
         if problem is None and _dump(entry) != _dump(footer):
             problem = _Unreadable(lineno, f"outcome line of run {self.run_id!r} contradicts it")
@@ -844,9 +860,9 @@ def run(
     :class:`~haiproto.check.Flow`, used as given.  It must check without errors
     (``ValueError`` otherwise); every participating role must have an agent
     (``LookupError`` otherwise).  A violation aborts the run and is recorded in
-    the trace outcome rather than raised.  The trace is a value: it keeps the
-    text its digest was computed over and writes it, so its steps' ``produced``
-    dicts must not be changed in place (see :class:`Trace`).
+    the trace outcome rather than raised.  The trace is a value: it keeps its
+    step lines and writes them, so its steps' ``produced`` dicts must not be
+    changed in place (see :class:`Trace`).
     """
     if isinstance(flow, str):
         flow = catalog.flow(flow)
@@ -864,24 +880,30 @@ def run(
     if run_id is None:
         run_id = f"{flow.pattern.name}-s{seed}-r0"
     steps: list[TraceStep] = []
-    texts: list[str] = []  # each step's produced, as digested and as written
+    lines: list[str] = []
     last = None
-    for last, text in _execute(flow, agents):
+    for last, line in _execute(flow, agents):
         steps.append(TraceStep(*last))
-        texts.append(text)
+        lines.append(line)
     trace = Trace(run_id, flow.pattern.name, seed, tuple(steps), _outcome(last))
-    object.__setattr__(trace, "_produced", tuple(texts))
+    object.__setattr__(trace, "_step_lines", tuple(lines))
     return trace
 
 
 def _execute(flow: Flow, agents: Mapping[str, AgentBehavior]) -> Iterator[tuple]:
     """Take the steps of a run of ``flow``, yielding each as it is taken: its
-    :class:`TraceStep` fields' values in order, and its ``produced``'s
-    canonical JSON.  Stops after a step that is not ``ok``."""
+    :class:`TraceStep` fields' values in order, and its canonical line.  Stops
+    after a step that is not ``ok``."""
     values: dict[str, Payload] = {}
     binding = MappingProxyType(values)  # what agents see: read-only, never copied
     digest = 0
-    for index, (step, pairs) in enumerate(zip(flow.steps, flow.needed), start=1):
+    if "_templates" not in vars(flow):  # kept on the flow: a template needs only its step
+        vars(flow)["_templates"] = tuple([  # 3 texts a step, flat: no tuple a step for GC
+            text for index, (m, a, _, _) in enumerate(flow.steps, start=1)
+            for text in _template(index, m.name, m.sender, m.receiver, a.name)
+        ])
+    steps = zip(flow.steps, flow.needed, *[iter(vars(flow)["_templates"])] * 3)
+    for index, (step, pairs, head, middle, tail) in enumerate(steps, start=1):
         message, action = step.message, step.action
         needed = dict(pairs)
         produced_json: dict[str, dict] = {}
@@ -913,7 +935,9 @@ def _execute(flow: Flow, agents: Mapping[str, AgentBehavior]) -> Iterator[tuple]
             for var, declared in step.slots:  # a bound value must fit every use
                 payload = produced[var] if var in needed else values.get(var)
                 typ = needed.get(var, declared)
-                if payload is not None and intersect(payload.type, typ) is None:
+                if payload is not None and payload.type is not typ and (
+                    intersect(payload.type, typ) is None
+                ):
                     problem = f"{var!r} expects {typ}, got {payload.type}"
                     raise RunViolation("V-TYPE", problem)
             for var in sorted(needed):  # the key order of a parsed trace
@@ -931,12 +955,14 @@ def _execute(flow: Flow, agents: Mapping[str, AgentBehavior]) -> Iterator[tuple]
         digest = zlib.crc32(text.encode(), digest)
         if detail is not None:  # replay raises the recorded detail again: check it here
             digest = zlib.crc32(_dump(detail).encode(), digest)
-        yield (
+        taken = (
             index, message.name, message.sender, message.receiver, action.name,
             produced_json, f"{digest:08x}", verdict, detail,
-        ), text
+        )
         if verdict != "ok":
+            yield taken, _step_line(taken, text)
             return
+        yield taken, f'{head}"{taken[6]}"{middle}{text}{tail}'
 
 
 def _outcome(last: tuple | None) -> Union[str, dict]:
@@ -1019,7 +1045,7 @@ class _Replay(_Run, AgentBehavior):
         super().__init__(lineno, header)
         self.messages, self.parse, self.entry = catalog.messages, parse, None
         self.rerun = self.last = self.found = self.difference = None
-        if self.problem or self.missing:
+        if self.problem or self.misfit:
             return
         name = header["pattern"]
         try:
@@ -1039,10 +1065,13 @@ class _Replay(_Run, AgentBehavior):
         step = self.entry
         if step["verdict"] != "ok" and not step["produced"]:
             raise RunViolation(step["verdict"], step.get("detail"))
-        return {
-            var: Payload(self.parse(data["type"]), _value_from_json(data["value"]))
-            for var, data in step["produced"].items()
-        }
+        served = {}
+        for var, data in step["produced"].items():
+            typ = self.parse(data["type"])
+            if typ == needed.get(var):  # the flow's own object, as a run's agent serves
+                typ = needed[var]
+            served[var] = Payload(typ, _value_from_json(data["value"]))
+        return served
 
     def on_receive(self, message, action, binding):
         if self.entry["verdict"] != "ok":
@@ -1055,7 +1084,7 @@ class _Replay(_Run, AgentBehavior):
             taken = next(self.rerun, None)
             if taken is not None:
                 self.last = taken[0]
-                if line == _step_line(*taken):
+                if line == taken[1]:
                     return  # the same text: the same fields, type for type
             self.compare(lineno, self.count, taken, entry)
         if self.fits(lineno, entry) and self.found is None:

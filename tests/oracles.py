@@ -496,9 +496,15 @@ def _read_runs(text: str):
         for number, (at, step) in enumerate(body, start=1):
             if _misfit(step) is not None:
                 raise ValueError(f"line {at}: step {number}: {_misfit(step)}")
+        unknown = sorted(header.keys() - {"format", "pattern", "run", "seed"})
+        if unknown:
+            raise ValueError(f"line {first}: {unknown[0]} is not a trace field")
         for key in ("run", "pattern", "seed"):
             if key not in header:
                 raise ValueError(f"line {first}: {key} is missing")
+        unknown = sorted(entry.keys() - {"outcome", "run", "steps"})
+        if unknown:
+            raise ValueError(f"line {lineno}: {unknown[0]} is not a trace field")
         run_id = header["run"]
         if _dump(entry) != _dump({**entry, "run": run_id, "steps": len(body)}):
             raise ValueError(f"line {lineno}: outcome line of run {run_id!r} contradicts it")

@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import dataclasses
 import hashlib
+import itertools
 import json
 import subprocess
 import sys
@@ -15,6 +16,7 @@ import pytest
 
 import haiproto.catalog
 import haiproto.check
+import oracles
 from conftest import AGENTS_DIR, FIXTURES
 from haiproto import (
     ScriptedAgent,
@@ -25,6 +27,7 @@ from haiproto import (
     replay_check,
     run,
     run_scenario,
+    runtime,
 )
 from haiproto.check import check_flow
 
@@ -87,6 +90,46 @@ def test_every_corpus_flow_keeps_its_golden_trace(catalog):
     assert replayed == {True: 15, False: 177}
     assert digest.hexdigest() == GOLDEN_SHA256
     assert digest_v2.hexdigest() == GOLDEN_V2_SHA256
+
+
+def _agents(agents_file: str) -> dict:
+    return parse_agents((AGENTS_DIR / agents_file).read_text())
+
+
+def test_step_templates_write_what_a_fresh_run_writes(catalog):
+    """A flow keeps the template of each step's line from its first run on.
+    Runs that reuse them, after an aborted run or interleaved with another
+    run, write what runs on a catalog that has run nothing write."""
+    shared = dataclasses.replace(catalog)  # runs every flow, keeping its templates
+    aborted = completed = 0
+    for name in sorted({*catalog.patterns, *catalog.scenarios}):
+        for agents_file in ("rl_demo.agents", "robot_demo.agents"):
+            agents = _agents(agents_file)
+            try:  # each run on a copy of the catalog that has run nothing
+                fresh = [
+                    run(dataclasses.replace(catalog), name, agents, 7, f"{name}-s7-r{rep}")
+                    for rep in range(3)
+                ]
+            except (LookupError, ValueError):  # no agent for a role, check errors
+                continue
+            expected = "".join(map(oracles.oracle_to_jsonl, fresh))
+            assert "".join(trace.to_jsonl() for trace in fresh) == expected
+            mute = run(shared, name, dict.fromkeys(catalog.roles, ScriptedAgent({})))
+            aborted += mute.outcome != "completed"
+            traces = run_scenario(shared, name, _agents(agents_file), seed=7, repeat=3)
+            assert "".join(trace.to_jsonl() for trace in traces) == expected
+            completed += traces[0].outcome == "completed"
+
+            flow, taken = shared.flow(name), ([], [])
+            runs = [runtime._execute(flow, _agents(agents_file)) for _ in taken]
+            for steps in itertools.zip_longest(*runs):  # a step of each in turn
+                for kept, step in zip(taken, steps):
+                    kept.extend([step] if step else [])
+            for kept in taken:
+                assert [line for _, line in kept] == fresh[0].to_jsonl().split("\n")[1:-2]
+                for values, line in kept:
+                    assert line == runtime._step_line(values, runtime._dump(values[5]))
+    assert (aborted, completed) == (64, 5)
 
 
 def test_run_scenario_resolves_and_checks_the_flow_once(monkeypatch):

@@ -25,11 +25,13 @@ from haiproto import (
     StubModelAgent,
     Trace,
     Vector,
+    intersect,
     load,
     parse_agents,
     replay_check,
     run,
     run_scenario,
+    runtime,
 )
 from haiproto.runtime import _lines
 
@@ -335,6 +337,52 @@ def test_trace_footer_must_match_header_and_body(catalog):
     edited[2]["extra"] = 1
     with pytest.raises(ValueError, match="^line 3: step 2: extra is not a trace field$"):
         Trace.all_from_jsonl(_text(edited))
+
+
+def test_a_header_field_a_trace_does_not_have_does_not_read(catalog):
+    lines = _d1_lines(catalog)
+    lines[0]["zzz"] = 1
+    with pytest.raises(ValueError, match="^line 1: zzz is not a trace field$"):
+        Trace.all_from_jsonl(_text(lines))
+    (diag,) = _replay(_text(lines), catalog)
+    assert (diag.code, diag.span.line) == ("E-TRACE", 1)
+    assert diag.message == "unreadable trace: line 1: zzz is not a trace field"
+
+
+def test_an_outcome_field_a_trace_does_not_have_does_not_read(catalog):
+    lines = _d1_lines(catalog)
+    lines[-1]["zzz"] = 1
+    last = len(lines)
+    with pytest.raises(ValueError, match=f"^line {last}: zzz is not a trace field$"):
+        Trace.all_from_jsonl(_text(lines))
+    (diag,) = _replay(_text(lines), catalog)
+    assert (diag.code, diag.span.line) == ("E-TRACE", last)
+    assert diag.message == f"unreadable trace: line {last}: zzz is not a trace field"
+
+
+def test_a_value_of_its_needed_type_is_not_intersected_again(tmp_path, monkeypatch):
+    names = [f"G{k}" for k in range(1, 51)]
+    (tmp_path / "gives.hai").write_text(
+        "action give(X) := provide(X: input);\n"
+        + "".join(f"message {m} := user -> model : give(X{m});\n" for m in names)
+        + f"pattern gives := [{', '.join(names)}];\n"
+    )
+    catalog = load([tmp_path])
+    calls = []
+
+    def counted(a, b):
+        calls.append((a, b))
+        return intersect(a, b)
+
+    monkeypatch.setattr(runtime, "intersect", counted)
+    agents = {"user": StubModelAgent(samples=["s"]), "model": StubModelAgent()}
+    (trace,) = run_scenario(catalog, "gives", agents)
+    assert (trace.outcome, len(trace.steps), len(calls)) == ("completed", 50, 0)
+    text = trace.to_jsonl()
+    assert replay_check(text, catalog) == [] and calls == []
+    other = text.replace('"type":"input"', '"type":"input.raw_data"', 1)  # fits, is not it
+    (diag,) = replay_check(other, catalog)
+    assert "step 1: digest" in diag.message and len(calls) == 1
 
 
 JSON = st.recursive(

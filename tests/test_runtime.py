@@ -536,6 +536,45 @@ def test_run_scenario_trains_the_stub(catalog):
     ]
 
 
+def _teach(params: str, vector: str, predict: str) -> str:
+    return f"""
+action show(X) := provide(X: input.fvector);
+action annotate{params} := provide(Y: output.label, X: input.fvector) <- map(X, Y);
+message S := user -> model : show({vector});
+message T := user -> model : annotate(V, L);
+message S2 := user -> model : show(W);
+message P := model -> user : annotate{predict};
+pattern teach := [S, T, S2, P];
+"""
+
+
+def test_one_stub_on_catalogs_that_pair_names_differently_acts_as_fresh_stubs(tmp_path):
+    """Message T pairs action annotate's parameters with V and L one way in one
+    catalog and the other way in the other, so V is the vector in one and the
+    label in the other.  The model learns from T and predicts P's label M."""
+    runs = []
+    for params, vector, label, predict, point, name in (
+        ("(X, Y)", "V", "L", "(W, M)", (1.0, 2.0), "happy"),
+        ("(Y, X)", "L", "V", "(M, W)", (8.0, 9.0), "sad"),
+    ):
+        (tmp_path / label).mkdir()
+        (tmp_path / label / "teach.hai").write_text(_teach(params, vector, predict))
+        script = {f"S.{vector}": [Vector(point)], f"T.{label}": [name], "S2.W": [Vector(point)]}
+        runs.append((load([tmp_path / label]), script, point, name))
+    shared = StubModelAgent(labels=["calm"], examples=[((0.0, 0.0), "calm")])
+    for catalog, script, point, name in runs + runs:  # each catalog twice, in turn
+        fresh = StubModelAgent(labels=["calm"], examples=shared.examples)
+        written = [
+            run(catalog, "teach", {"user": ScriptedAgent(script), "model": stub}).to_jsonl()
+            for stub in (shared, fresh)
+        ]
+        assert written[0] == written[1] and shared.examples == fresh.examples
+        assert shared.examples[-1] == (point, name)  # learned from T
+        *_, predicted, outcome = map(json.loads, written[0].splitlines())
+        assert predicted["produced"]["M"]["value"] == name
+        assert outcome["outcome"] == "completed"
+
+
 def test_runs_are_deterministic(catalog):
     first = [
         t.to_jsonl() for t in run_scenario(catalog, "D1", _demo_agents(), 7, repeat=3)
