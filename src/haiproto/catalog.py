@@ -19,15 +19,18 @@ harmless.  The loader's rules have their owners in :mod:`haiproto.check`:
 The loader records where each name is declared (:attr:`Catalog.declared`),
 and every finding on a declaration, from the loader or from
 :func:`check_catalog`, is placed there: at the declaration's keyword in its
-``.hai`` file, or at a sidecar scenario's file.
+``.hai`` file, or at a sidecar scenario's key.  ``json.loads`` keeps no
+positions, so a scenario's key is found in its sidecar's text only when a
+finding is placed there.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field, replace
+from json.decoder import WHITESPACE, scanstring
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from .check import (
     CheckReport,
@@ -69,7 +72,8 @@ class Catalog:
     :meth:`flow` keeps what it checked from them.  ``declared[kind][name]``
     is where the action, message, pattern or scenario ``name`` is declared:
     ``(path, line, col)`` of its keyword, or ``(path,)`` for a sidecar's
-    scenario; plain tuples, as a corpus may declare thousands of names."""
+    scenario, whose key :meth:`place` finds; plain tuples, as a corpus may
+    declare thousands of names."""
 
     actions: dict[str, ActionDef]
     messages: dict[str, Message]
@@ -82,6 +86,9 @@ class Catalog:
     declared: dict[str, dict[str, tuple]] = field(default_factory=dict)
     sources: tuple[str, ...] = ()
     _flows: dict[str, Flow] = field(
+        default_factory=dict, init=False, repr=False, compare=False
+    )
+    _keys: dict[str, dict[str, Span]] = field(  # each sidecar's scenario keys, once placed
         default_factory=dict, init=False, repr=False, compare=False
     )
 
@@ -121,11 +128,17 @@ class Catalog:
 
     def place(self, kind: str, name: str, report: CheckReport) -> CheckReport:
         """``report``, on the ``kind`` called ``name``, placed at its keyword
-        (whose text is ``kind``), or at ``<catalog>`` if it is not declared."""
+        (whose text is ``kind``), at a sidecar scenario's key, or at
+        ``<catalog>`` if it is not declared."""
         if not report.diagnostics:
             return report
         path, *at = self.declared.get(kind, {}).get(name, ("<catalog>",))
-        span = Span(*at, len(kind)) if at else None
+        if at:
+            span = Span(*at, len(kind))
+        else:  # a sidecar's scenario: its file is read again, once
+            if path not in self._keys:
+                self._keys[path] = _sidecar_keys(path)
+            span = self._keys[path].get(name)
         return CheckReport(report.target, placed(report.diagnostics, path, span))
 
     def steps(self, name: str) -> tuple[Step, ...]:
@@ -182,6 +195,50 @@ def _sidecar_shape(data: object) -> list[str]:
     if not names(data.get("provide_only", [])):
         problems.append("sidecar key 'provide_only' must be a list of pattern names")
     return problems
+
+
+#: Decodes the JSON value at an offset of a text: the value, and where it ends.
+_decode_at = json.JSONDecoder().raw_decode
+
+
+def _members(text: str, at: int) -> Iterator[tuple[str, int, int, int]]:
+    """Each member of the JSON object whose ``{`` is at offset ``at`` of
+    ``text``, which ``json.loads`` reads: its key, where the key's string
+    starts and ends, and where its value starts."""
+    at = WHITESPACE.match(text, at + 1).end()
+    while text[at] != "}":
+        key, end = scanstring(text, at + 1)
+        value = WHITESPACE.match(text, WHITESPACE.match(text, end).end() + 1).end()
+        yield key, at, end, value
+        at = WHITESPACE.match(text, _decode_at(text, value)[1]).end()
+        if text[at] == ",":
+            at = WHITESPACE.match(text, at + 1).end()
+
+
+def _scenario_keys(text: str) -> dict[str, Span]:
+    """Where the sidecar ``text``, which is the loader's shape, names each
+    scenario: its key in the last ``scenarios`` object, the last key of a
+    name, since ``json.loads`` keeps the last of a repeated key."""
+    spans: dict[str, Span] = {}
+    top = _members(text, WHITESPACE.match(text).end())
+    tables = [value for key, _, _, value in top if key == "scenarios"]
+    line, start = 1, 0
+    for name, at, end, _ in _members(text, tables[-1]) if tables else ():
+        line += text.count("\n", start, at)
+        start = at
+        spans[name] = Span(line, at - text.rfind("\n", 0, at), end - at)
+    return spans
+
+
+def _sidecar_keys(path: str) -> dict[str, Span]:
+    """:func:`_scenario_keys` of the sidecar at ``path``; none if it no longer
+    reads as a sidecar."""
+    try:
+        text = Path(path).read_text(encoding="utf-8")
+        shape = _sidecar_shape(json.loads(text))
+    except (OSError, ValueError, RecursionError):
+        return {}
+    return {} if shape else _scenario_keys(text)
 
 
 #: The sidecar's tables of notes on flows, each with the kind of flow its
@@ -264,7 +321,8 @@ def load_with_diagnostics(
     for sidecar in sidecars:
         path = str(sidecar)
         try:
-            data = json.loads(sidecar.read_text(encoding="utf-8"))
+            text = sidecar.read_text(encoding="utf-8")
+            data = json.loads(text)
         except (OSError, ValueError, RecursionError) as exc:  # not UTF-8, JSON, or too deep
             err("E-SYNTAX", f"cannot read sidecar: {exc}", path)
             continue
@@ -273,21 +331,24 @@ def load_with_diagnostics(
             err("E-SYNTAX", problem, path)
         if shape:
             continue
-        found = []
+        keys = None  # the scenarios' keys, found for the first finding on one
         for name, steps in data.get("scenarios", {}).items():
             first = pattern_at.get(name) or scenario_at.get(name)
             if first:  # patterns and scenarios are both runnable flows
-                found.append(name_rule(name, first[0]))
-                continue
-            if not steps:
-                found.extend(pattern_rule(Pattern(name, ())))
-                continue
-            missing = [s for s in steps if s not in patterns]
-            owner = f"scenario {name!r}"
-            found.extend(reference_rule(owner, "pattern", s) for s in missing)
-            if not missing:
-                scenarios[name] = tuple(steps)
-                scenario_at[name] = (path,)
+                found = [name_rule(name, first[0])]
+            elif not steps:
+                found = pattern_rule(Pattern(name, ()))
+            else:
+                owner = f"scenario {name!r}"
+                found = [reference_rule(owner, "pattern", s) for s in steps if s not in patterns]
+                if not found:
+                    scenarios[name] = tuple(steps)
+                    scenario_at[name] = (path,)
+                    continue
+            if keys is None:
+                keys = _scenario_keys(text)
+            diags.extend(placed(found, path, keys[name]))
+        found = []
         for key, kind in _NOTES.items():
             entries = data.get(key, {})
             for name in entries:  # an object's keys, or provide_only's list

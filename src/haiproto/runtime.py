@@ -27,12 +27,11 @@ from __future__ import annotations
 
 import functools
 import math
-import operator
 import re
 import zlib
-from dataclasses import MISSING, dataclass, fields, replace
+from dataclasses import dataclass, replace
 from types import MappingProxyType
-from typing import Callable, ClassVar, Iterable, Iterator, Mapping, Sequence, Union
+from typing import Callable, ClassVar, Iterable, Iterator, Mapping, NamedTuple, Sequence, Union
 
 from .catalog import Catalog
 from .check import Flow, check_flow, reference_rule
@@ -648,15 +647,16 @@ def _on(line: int) -> Span | None:
     return Span(line, 1) if line else None
 
 
-@dataclass(frozen=True)
-class TraceStep:
+class TraceStep(NamedTuple):  # a tuple: one record per step of every run
     """One executed message: what its sender produced, and the trace digest.
 
     ``digest`` is 8 hex digits of a running ``zlib.crc32`` over the canonical
     JSON of each step's ``produced`` (and of an aborted step's ``detail``),
     from the first step through this one.  It is the trace's only record of
     what came before, so replay, which re-runs the recorded values, notices a
-    changed value.  :meth:`Trace.bindings_at` rebuilds the values bound.
+    changed value.  :meth:`Trace.bindings_at` rebuilds the values bound.  A
+    step is a named tuple: it iterates and compares as its values in field
+    order, and ``_replace`` gives an edited copy.
     """
 
     step: int
@@ -670,16 +670,15 @@ class TraceStep:
     detail: str | None = None
 
     def to_json(self) -> dict:
-        data = dict(zip(_STEP_FIELDS, _step_values(self)))
+        data = self._asdict()
         if self.detail is None:
             del data["detail"]
         return data
 
 
-#: A step line's fields in order, their values, and the fields it may not leave out.
-_STEP_FIELDS = tuple(field.name for field in fields(TraceStep))
-_step_values = operator.attrgetter(*_STEP_FIELDS)
-_REQUIRED = [field.name for field in fields(TraceStep) if field.default is MISSING]
+#: A step line's fields in order, and the fields it may not leave out.
+_STEP_FIELDS = TraceStep._fields
+_REQUIRED = [name for name in _STEP_FIELDS if name not in TraceStep._field_defaults]
 
 
 def _misfit(entry: dict, known=_STEP_FIELDS, required=_REQUIRED) -> str | None:
@@ -717,7 +716,7 @@ class Trace:
         """The header, step and outcome lines, each ``_dump`` of its dict."""
         lines = self._step_lines
         if lines is None:
-            lines = [_step_line(_step_values(s), _dump(s.produced)) for s in self.steps]
+            lines = [_step_line(s, _dump(s.produced)) for s in self.steps]
         return "\n".join([
             f'{{"format":2,"pattern":{_scalar(self.pattern)},"run":{_scalar(self.run_id)},'
             f'"seed":{_scalar(self.seed)}}}',
@@ -883,7 +882,7 @@ def run(
     lines: list[str] = []
     last = None
     for last, line in _execute(flow, agents):
-        steps.append(TraceStep(*last))
+        steps.append(tuple.__new__(TraceStep, last))
         lines.append(line)
     trace = Trace(run_id, flow.pattern.name, seed, tuple(steps), _outcome(last))
     object.__setattr__(trace, "_step_lines", tuple(lines))
@@ -897,12 +896,18 @@ def _execute(flow: Flow, agents: Mapping[str, AgentBehavior]) -> Iterator[tuple]
     values: dict[str, Payload] = {}
     binding = MappingProxyType(values)  # what agents see: read-only, never copied
     digest = 0
-    if "_templates" not in vars(flow):  # kept on the flow: a template needs only its step
-        vars(flow)["_templates"] = tuple([  # 3 texts a step, flat: no tuple a step for GC
+    kept = vars(flow)  # what a run needs of the flow alone, made on its first run
+    if "_templates" not in kept:
+        kept["_templates"] = tuple([  # 3 texts a step, flat: no tuple a step for GC
             text for index, (m, a, _, _) in enumerate(flow.steps, start=1)
             for text in _template(index, m.name, m.sender, m.receiver, a.name)
         ])
-    steps = zip(flow.steps, flow.needed, *[iter(vars(flow)["_templates"])] * 3)
+        # The type each variable is bound at.  check_flow's narrowing proved it
+        # meets every type a later step declares for the variable, so a value
+        # of exactly that type needs no intersection at a later use.
+        kept["_bound_at"] = {var: typ for pairs in flow.needed for var, typ in pairs}
+    bound_at = kept["_bound_at"]
+    steps = zip(flow.steps, flow.needed, *[iter(kept["_templates"])] * 3)
     for index, (step, pairs, head, middle, tail) in enumerate(steps, start=1):
         message, action = step.message, step.action
         needed = dict(pairs)
@@ -935,7 +940,7 @@ def _execute(flow: Flow, agents: Mapping[str, AgentBehavior]) -> Iterator[tuple]
             for var, declared in step.slots:  # a bound value must fit every use
                 payload = produced[var] if var in needed else values.get(var)
                 typ = needed.get(var, declared)
-                if payload is not None and payload.type is not typ and (
+                if payload is not None and payload.type is not bound_at[var] and (
                     intersect(payload.type, typ) is None
                 ):
                     problem = f"{var!r} expects {typ}, got {payload.type}"
@@ -1110,7 +1115,7 @@ class _Replay(_Run, AgentBehavior):
         line ``lineno``, at place ``number`` from the re-run's: its step
         ``taken``, or its outcome once it has stopped.  Comparing ends there,
         and after the re-run's outcome."""
-        ours = TraceStep(*taken[0]).to_json() if taken else {"outcome": _outcome(self.last)}
+        ours = TraceStep._make(taken[0]).to_json() if taken else {"outcome": _outcome(self.last)}
         where = f"step {number}" if "step" in ours.keys() | theirs.keys() else "outcome"
         if ours.get("verdict") == "V-TYPE" and theirs.get("verdict") == "ok":
             code, text = "E-BINDING", f"{where}: {ours['detail']}, the trace says ok"

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import dataclasses
 import json
+from json.decoder import scanstring
 from pathlib import Path
 
 import pytest
@@ -11,6 +12,7 @@ from click.testing import CliRunner
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+import haiproto.catalog as catalog_module
 import oracles
 from conftest import FIXTURES
 from haiproto import (
@@ -287,6 +289,54 @@ def test_loader_findings_point_at_the_declaration(tmp_path):
         ("E-DUP-NAME", str(tmp_path / "b.hai"), 3, 4),
     ]
     assert diags[2].format().startswith(f"{source}:4:1: error[E-UNRESOLVED]")
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.lists(st.text(max_size=4), min_size=1, max_size=4),
+    st.sampled_from([None, 0, 2, "\t"]),
+    st.booleans(),
+)
+def test_a_scenario_key_is_found_where_the_sidecar_text_has_it(names, indent, ascii_only):
+    """Escapes, layout and repeated keys, of which ``json.loads`` keeps the last."""
+    scenarios = "{" + ", ".join(json.dumps(n, ensure_ascii=ascii_only) + ": []" for n in names)
+    text = json.dumps({"scenarios": 1, "annotations": {"s": "{"}}, indent=indent)
+    text = text[:-1] + f', "scenarios":\n {scenarios}}}\n}}'
+    assert set(json.loads(text)["scenarios"]) == set(names)
+    lines = text.split("\n")
+    spans = catalog_module._scenario_keys(text)
+    assert spans.keys() == set(names)
+    for name, span in spans.items():
+        at = sum(len(line) + 1 for line in lines[: span.line - 1]) + span.col - 1
+        key, end = scanstring(text, at + 1)
+        assert (text[at], key, end - at) == ('"', name, span.length)
+        assert f"{json.dumps(name, ensure_ascii=ascii_only)}: [" not in text[end:]
+
+
+def test_a_scenario_key_is_looked_for_only_to_place_a_finding(tmp_path, monkeypatch):
+    calls = []
+    keys = catalog_module._scenario_keys
+    monkeypatch.setattr(
+        catalog_module, "_scenario_keys", lambda text: calls.append(1) or keys(text)
+    )
+    catalog = load([FIXTURES])
+    assert all(not report.diagnostics for report in check_catalog(catalog))
+    assert calls == []
+    _write(
+        tmp_path / "a.hai",
+        "action ask(Y) := request(Y: output.label);\n"
+        "message Q := user -> model : ask(Y);\n"
+        "pattern asking := [Q];\n",
+    )
+    sidecar = _write(tmp_path / "catalog.json", '{"scenarios":\n {"s": ["asking"], "t": []}}')
+    _, diags = load_with_diagnostics([tmp_path])
+    assert [(d.code, d.span.line, d.span.col) for d in diags] == [("E-EMPTY-PATTERN", 2, 20)]
+    _write(sidecar, '{"scenarios": {"s": ["asking"]}}')
+    catalog = load([tmp_path])
+    sidecar.unlink()  # a sidecar that no longer reads places its findings at no line
+    (diag,) = catalog.flow("s").report.errors
+    assert (diag.code, diag.path, diag.span) == ("E-UNANSWERED", str(sidecar), None)
+    assert len(calls) == 1
 
 
 def test_resolve_flow_handles_patterns_scenarios_and_misses(catalog):

@@ -491,7 +491,19 @@ PLACES = {
     ),
     "E-UNANSWERED": (
         {"a.hai": ASK, "catalog.json": {"scenarios": {"s": ["asking"]}}},
-        ["a.hai:3:1: warning[W-UNANSWERED]", "catalog.json:0:0: error[E-UNANSWERED]"],
+        ["a.hai:3:1: warning[W-UNANSWERED]", "catalog.json:1:16: error[E-UNANSWERED]"],
+    ),
+    "E-UNANSWERED, of a scenario on a later line of its sidecar": (
+        {
+            "a.hai": GIVE + ASK,
+            "catalog.json": '{\n  "scenarios": {\n    "given": ["p"],\n'
+            '    "s": ["p", "asking"]\n  }\n}\n',
+        },
+        ["a.hai:6:1: warning[W-UNANSWERED]", "catalog.json:4:5: error[E-UNANSWERED]"],
+    ),
+    "E-EMPTY-PATTERN, of a scenario on a later line of its sidecar": (
+        {"a.hai": GIVE, "catalog.json": '{"annotations": {"p": "{"},\n "scenarios":\n\t{"s": []}}'},
+        ["catalog.json:3:3: error[E-EMPTY-PATTERN]"],
     ),
 }
 

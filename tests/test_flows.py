@@ -7,10 +7,7 @@ import dataclasses
 import hashlib
 import itertools
 import json
-import subprocess
-import sys
 from collections import Counter
-from pathlib import Path
 
 import pytest
 
@@ -208,15 +205,3 @@ def test_replay_checks_a_scenario_at_scenario_scope(open_scenario):
         (diag,) = replay_check(recorded, catalog)
         assert diag.code == "E-UNANSWERED"
         assert "flow 'S' does not check" in diag.message
-
-
-def test_benchmark_smoke_run_passes():
-    root = Path(__file__).resolve().parent.parent
-    done = subprocess.run(
-        [sys.executable, "perfbench/run.py", "--smoke"],
-        cwd=root,
-        capture_output=True,
-        text=True,
-        timeout=600,
-    )
-    assert done.returncode == 0, done.stdout[-3000:] + done.stderr[-3000:]

@@ -243,7 +243,7 @@ def test_non_finite_numbers_are_one_finding(catalog, bad):
     step = trace.steps[3]
     produced = {"X": {**step.produced["X"], "value": {"vec": [0.0, bad]}}}
     steps = list(trace.steps)
-    steps[3] = dataclasses.replace(step, produced=produced)
+    steps[3] = step._replace(produced=produced)
     (diag,) = replay_check(dataclasses.replace(trace, steps=tuple(steps)), catalog)
     assert diag.code == "E-TRACE" and "finite" in diag.message
 
@@ -383,6 +383,54 @@ def test_a_value_of_its_needed_type_is_not_intersected_again(tmp_path, monkeypat
     other = text.replace('"type":"input"', '"type":"input.raw_data"', 1)  # fits, is not it
     (diag,) = replay_check(other, catalog)
     assert "step 1: digest" in diag.message and len(calls) == 1
+
+
+def _counting_intersect(monkeypatch) -> list:
+    calls = []
+
+    def counted(a, b):
+        calls.append((a, b))
+        return intersect(a, b)
+
+    monkeypatch.setattr(runtime, "intersect", counted)
+    return calls
+
+
+def test_a_value_bound_at_its_needed_type_is_not_intersected_at_a_later_use(
+    catalog, monkeypatch
+):
+    """D1 uses bound variables again at later steps: a clean run and a clean
+    replay of it intersect no type."""
+    agents = parse_agents((AGENTS_DIR / "robot_demo.agents").read_text())
+    catalog.flow("D1")  # checked before counting: the checker intersects too
+    calls = _counting_intersect(monkeypatch)
+    (trace,) = run_scenario(catalog, "D1", agents, seed=3)
+    assert (trace.outcome, calls) == ("completed", [])
+    assert replay_check(trace.to_jsonl(), catalog) == [] and calls == []
+
+
+def test_a_value_bound_at_another_fitting_type_is_intersected_at_each_use(
+    tmp_path, monkeypatch
+):
+    (tmp_path / "label.hai").write_text(
+        "action give(X) := provide(X: output);\n"
+        "action label(X) := provide(X: output.label);\n"
+        "message G := model -> user : give(X);\n"
+        "message L := model -> user : label(X);\n"
+        "pattern give-label := [G, L];\n"
+    )
+    catalog = load([tmp_path])
+
+    class Score(AgentBehavior):
+        def produce(self, message, action, needed, binding):
+            return {var: Payload(BaseType(Role.OUTPUT, ("score",)), "s") for var in needed}
+
+    calls = _counting_intersect(monkeypatch)
+    trace = run(catalog, "give-label", {"model": Score(), "user": Score()})
+    assert trace.outcome == {"aborted": {"code": "V-TYPE", "step": 2}}
+    assert trace.steps[1].detail == "'X' expects output.label, got output.score"
+    assert len(calls) == 2  # at its binding step, and at its later use
+    assert replay_check(trace.to_jsonl(), catalog) == []
 
 
 JSON = st.recursive(

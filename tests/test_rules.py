@@ -10,7 +10,7 @@ import json
 from pathlib import Path
 
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import example, given, settings, target
 from hypothesis import strategies as st
 
 import haiproto
@@ -23,14 +23,18 @@ from haiproto import (
     BaseType,
     GroupType,
     ListType,
+    Message,
     Operation,
     OpKind,
     Pattern,
     PrimitiveKind,
     PrimitiveSpec,
     Role,
+    Trace,
+    TraceStep,
     check_action,
     check_pattern,
+    intersect,
     load,
     load_with_diagnostics,
     parse,
@@ -40,7 +44,7 @@ from haiproto import (
     replay_check,
     run_scenario,
 )
-from haiproto.check import placed
+from haiproto.check import check_flow, placed
 
 ACTION_RULES = {"E-DUP-VAR", "E-PARAMS", "E-ARITY"}
 PATTERN_RULES = {"E-EMPTY-PATTERN", "E-TAG"}
@@ -192,14 +196,15 @@ def _renamed(trace):
 
 
 def _unknown_first_message(trace):
-    step = dataclasses.replace(trace.steps[0], message="nosuch")
+    step = trace.steps[0]._replace(message="nosuch")
     return dataclasses.replace(trace, steps=(step, *trace.steps[1:]))
 
 
 #: Every source of E-DUP-NAME and E-UNRESOLVED: how to raise it, then its
 #: code, its message, its path under the test's directory (``None``: no
 #: file) and its ``line:col`` (``None``: placed at no line: an unplaced
-#: rule, or a sidecar's finding).  Replay places a finding at its trace line.
+#: rule, or a finding on a sidecar's notes).  A finding on a sidecar's
+#: scenario is placed at its key; replay places a finding at its trace line.
 NAME_AND_REFERENCE_SOURCES = {
     "parser": (
         lambda tmp: parse(
@@ -225,7 +230,7 @@ NAME_AND_REFERENCE_SOURCES = {
         "E-DUP-NAME",
         "'p' is already declared in {tmp}/a.hai",
         "catalog.json",
-        None,
+        (1, 16),
     ),
     "scenario and scenario": (
         lambda tmp: _load(
@@ -239,7 +244,7 @@ NAME_AND_REFERENCE_SOURCES = {
         "E-DUP-NAME",
         "'s' is already declared in {tmp}/one/catalog.json",
         "two/catalog.json",
-        None,
+        (1, 16),
     ),
     "message to action": (
         lambda tmp: _load(tmp, {"a.hai": "\n\nmessage M := user -> model : ghost(A);\n"}),
@@ -267,7 +272,7 @@ NAME_AND_REFERENCE_SOURCES = {
         "E-UNRESOLVED",
         "scenario 's' references unknown pattern 'ghost'",
         "catalog.json",
-        None,
+        (1, 16),
     ),
     "annotation": (
         lambda tmp: _with_sidecar(tmp, {"annotations": {"q": ""}}),
@@ -346,3 +351,75 @@ def test_a_flow_is_resolved_in_check_flow_only():
         if isinstance(call, ast.Call) and "resolve_step" in ast.dump(call.func)
     ]
     assert callers == [("check.py", "check_flow")]
+
+
+def _distinct(args: list[Arg]) -> list[Arg]:
+    """``args`` with every variable renamed apart, so the action they make
+    declares each once; messages reuse names, not actions."""
+    fresh = (f"P{n}" for n in range(100))
+    return [
+        Arg(next(fresh), arg.type) if arg.var is not None
+        else Arg(None, GroupType(tuple((next(fresh), t) for _, t in arg.type.members)))
+        for arg in args
+    ]
+
+
+@st.composite
+def _flows(draw):
+    """A pattern of 1 to 4 messages, each of its own action, over variables
+    ``X``, ``Y`` and ``Z``, with the tables it resolves against."""
+    actions, messages = {}, {}
+    for index in range(draw(st.integers(1, 4))):
+        head, *refs = _distinct([draw(ARG), *draw(st.lists(ARG, max_size=2))])
+        kind = draw(st.sampled_from(list(PrimitiveKind)))
+        params = tuple(var for arg in (head, *refs) for var, _ in arg.variables())
+        name = f"a{index}"
+        actions[name] = ActionDef(name, params, PrimitiveSpec(kind, head, tuple(refs)))
+        args = tuple(draw(VARS) for _ in params)
+        sender, receiver = draw(st.permutations(["user", "model"]))
+        messages[f"M{index}"] = Message(f"M{index}", sender, receiver, name, args)
+    return Pattern("p", tuple(messages)), messages, actions
+
+
+def _needed_meets_every_later_use(flow) -> int:
+    """Assert that each variable's needed type, where a step binds it,
+    intersects every type a later step declares for it; count those uses."""
+    uses = 0
+    for index, pairs in enumerate(flow.needed):
+        for var, bound in pairs:
+            for later in flow.steps[index + 1 :]:
+                for used, declared in later.slots:
+                    if used == var:
+                        assert intersect(bound, declared) is not None, (var, bound, declared)
+                        uses += 1
+    return uses
+
+
+@settings(max_examples=400, deadline=None)
+@given(_flows(), st.sampled_from(["pattern", "scenario"]))
+def test_a_needed_type_meets_every_later_use_in_a_flow_that_checks(drawn, scope):
+    """What lets a run skip the check of a value bound at its needed type.
+    Most drawn flows do not check; the search is steered to those with more
+    later uses to check."""
+    flow = check_flow(*drawn, scope)
+    target(0.0 if flow.report.errors else float(_needed_meets_every_later_use(flow)))
+
+
+def test_a_needed_type_meets_every_later_use_in_the_corpus_and_traces_read_back():
+    catalog = load([FIXTURES])
+    uses = 0
+    for name in sorted({*catalog.patterns, *catalog.scenarios}):
+        flow = catalog.flow(name)
+        assert not flow.report.errors, name
+        uses += _needed_meets_every_later_use(flow)
+        for agents_file in ("rl_demo.agents", "robot_demo.agents"):
+            agents = parse_agents((AGENTS_DIR / agents_file).read_text())
+            try:
+                traces = run_scenario(catalog, name, agents, seed=7, repeat=2)
+            except LookupError:  # no agent for a role
+                continue
+            text = "".join(trace.to_jsonl() for trace in traces)
+            read = [trace.steps for trace in Trace.all_from_jsonl(text)]
+            assert read == [trace.steps for trace in traces]
+            assert all(type(step) is TraceStep for steps in read for step in steps)
+    assert uses > 0

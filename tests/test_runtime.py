@@ -894,8 +894,8 @@ def test_multi_run_trace_files_read_back(catalog):
 def test_replay_check_catches_tampered_payload_types(catalog):
     (trace,) = run_scenario(catalog, "D1", _demo_agents())
     step = trace.steps[1]
-    tampered = dataclasses.replace(
-        step, produced={"Y": {"type": "feedback.eval", "value": {"blob": "x"}}}
+    tampered = step._replace(
+        produced={"Y": {"type": "feedback.eval", "value": {"blob": "x"}}}
     )
     bad = dataclasses.replace(
         trace, steps=trace.steps[:1] + (tampered,) + trace.steps[2:]
@@ -907,7 +907,7 @@ def test_replay_check_catches_tampered_payload_types(catalog):
 
 def test_replay_check_flags_unknown_messages(catalog):
     (trace,) = run_scenario(catalog, "D1", _demo_agents())
-    tampered = dataclasses.replace(trace.steps[0], message="ZZ")
+    tampered = trace.steps[0]._replace(message="ZZ")
     bad = dataclasses.replace(trace, steps=(tampered,) + trace.steps[1:])
     assert [d.code for d in replay_check(bad, catalog)] == ["E-UNRESOLVED"]
 
