@@ -19,13 +19,14 @@ harmless.  The loader's rules have their owners in :mod:`haiproto.check`:
 The loader records where each name is declared (:attr:`Catalog.declared`),
 and every finding on a declaration, from the loader or from
 :func:`check_catalog`, is placed there: at the declaration's keyword in its
-``.hai`` file, or at a sidecar scenario's key.  ``json.loads`` keeps no
-positions, so a scenario's key is found in its sidecar's text only when a
-finding is placed there.
+``.hai`` file, or at its key or ``provide_only`` item in a sidecar.
+``json.loads`` keeps no positions, so a key is found in its sidecar's text
+only when a finding is placed there.
 """
 
 from __future__ import annotations
 
+import functools
 import json
 from dataclasses import dataclass, field, replace
 from json.decoder import WHITESPACE, scanstring
@@ -88,7 +89,7 @@ class Catalog:
     _flows: dict[str, Flow] = field(
         default_factory=dict, init=False, repr=False, compare=False
     )
-    _keys: dict[str, dict[str, Span]] = field(  # each sidecar's scenario keys, once placed
+    _keys: dict[str, dict[tuple, Span]] = field(  # each sidecar's keys, once placed
         default_factory=dict, init=False, repr=False, compare=False
     )
 
@@ -138,7 +139,7 @@ class Catalog:
         else:  # a sidecar's scenario: its file is read again, once
             if path not in self._keys:
                 self._keys[path] = _sidecar_keys(path)
-            span = self._keys[path].get(name)
+            span = self._keys[path].get(("scenarios", name))
         return CheckReport(report.target, placed(report.diagnostics, path, span))
 
     def steps(self, name: str) -> tuple[Step, ...]:
@@ -168,32 +169,32 @@ def _collect_paths(paths: Sequence[str | Path]) -> tuple[list[Path], list[Path]]
     return hai, sidecars
 
 
-def _sidecar_shape(data: object) -> list[str]:
-    """Each way a parsed sidecar is not the shape the loader reads: an object
-    whose ``scenarios`` map names to pattern-name lists, whose
-    ``annotations`` and ``interpretations`` map names to strings, and whose
-    ``provide_only`` is a list of pattern names."""
+def _sidecar_shape(data: object) -> list[tuple[str, str | None, str | None]]:
+    """Each way a parsed sidecar is not the shape the loader reads, with the
+    table and key it is about (see :func:`_keys`): an object whose ``scenarios``
+    map names to pattern-name lists, whose ``annotations`` and ``interpretations``
+    map names to strings, and whose ``provide_only`` lists pattern names."""
     if not isinstance(data, dict):
-        return ["sidecar must be a JSON object"]
+        return [("sidecar must be a JSON object", None, None)]
 
     def names(value: object) -> bool:
         return isinstance(value, list) and all(isinstance(s, str) for s in value)
 
-    problems: list[str] = []
+    problems: list[tuple[str, str | None, str | None]] = []
     for key in ("scenarios", "annotations", "interpretations"):
         table = data.get(key, {})
         if not isinstance(table, dict):
-            problems.append(f"sidecar key {key!r} must be an object")
+            problems.append((f"sidecar key {key!r} must be an object", None, key))
             continue
         lists = key == "scenarios"
         what = "a list of pattern names" if lists else "a string"
         problems.extend(
-            f"sidecar key {key!r}: entry {name!r} must be {what}"
+            (f"sidecar key {key!r}: entry {name!r} must be {what}", key, name)
             for name, value in table.items()
             if not (names(value) if lists else isinstance(value, str))
         )
-    if not names(data.get("provide_only", [])):
-        problems.append("sidecar key 'provide_only' must be a list of pattern names")
+    if not names(data.get(key := "provide_only", [])):
+        problems.append((f"sidecar key {key!r} must be a list of pattern names", None, key))
     return problems
 
 
@@ -201,44 +202,48 @@ def _sidecar_shape(data: object) -> list[str]:
 _decode_at = json.JSONDecoder().raw_decode
 
 
-def _members(text: str, at: int) -> Iterator[tuple[str, int, int, int]]:
-    """Each member of the JSON object whose ``{`` is at offset ``at`` of
-    ``text``, which ``json.loads`` reads: its key, where the key's string
-    starts and ends, and where its value starts."""
+def _members(text: str, at: int) -> Iterator[tuple[object, int, int, int]]:
+    """Each member of the JSON object or list whose bracket is at offset ``at``
+    of ``text``, which ``json.loads`` reads: an object's key or a list's item,
+    where it starts and ends, and where its value (an item: itself) starts."""
+    keyed = text[at] == "{"
     at = WHITESPACE.match(text, at + 1).end()
-    while text[at] != "}":
-        key, end = scanstring(text, at + 1)
-        value = WHITESPACE.match(text, WHITESPACE.match(text, end).end() + 1).end()
+    while text[at] not in "]}":
+        key, end = scanstring(text, at + 1) if keyed else _decode_at(text, at)
+        value = WHITESPACE.match(text, WHITESPACE.match(text, end).end() + 1).end() if keyed else at
         yield key, at, end, value
         at = WHITESPACE.match(text, _decode_at(text, value)[1]).end()
         if text[at] == ",":
             at = WHITESPACE.match(text, at + 1).end()
 
 
-def _scenario_keys(text: str) -> dict[str, Span]:
-    """Where the sidecar ``text``, which is the loader's shape, names each
-    scenario: its key in the last ``scenarios`` object, the last key of a
-    name, since ``json.loads`` keeps the last of a repeated key."""
-    spans: dict[str, Span] = {}
-    top = _members(text, WHITESPACE.match(text).end())
-    tables = [value for key, _, _, value in top if key == "scenarios"]
+def _keys(text: str) -> dict[tuple, Span]:
+    """Where the sidecar ``text``, which ``json.loads`` reads, has itself
+    ``(None, None)``, each key of its object ``(None, key)``, and each key or
+    string item of a top-level table ``(table, key)``: a repeated key's last."""
+    at = WHITESPACE.match(text).end()
+    places = [(None, None, at, at + 1)]
+    for table, start, end, value in _members(text, at) if text[at] == "{" else ():
+        places.append((None, table, start, end))
+        members = _members(text, value) if text[value] in "[{" else ()
+        places += [(table, *member[:3]) for member in members if isinstance(member[0], str)]
+    spans: dict[tuple, Span] = {}
     line, start = 1, 0
-    for name, at, end, _ in _members(text, tables[-1]) if tables else ():
+    for table, key, at, end in places:
         line += text.count("\n", start, at)
         start = at
-        spans[name] = Span(line, at - text.rfind("\n", 0, at), end - at)
+        spans[table, key] = Span(line, at - text.rfind("\n", 0, at), end - at)
     return spans
 
 
-def _sidecar_keys(path: str) -> dict[str, Span]:
-    """:func:`_scenario_keys` of the sidecar at ``path``; none if it no longer
-    reads as a sidecar."""
+def _sidecar_keys(path: str) -> dict[tuple, Span]:
+    """:func:`_keys` of the sidecar at ``path``; none if it no longer reads as one."""
     try:
         text = Path(path).read_text(encoding="utf-8")
         shape = _sidecar_shape(json.loads(text))
     except (OSError, ValueError, RecursionError):
         return {}
-    return {} if shape else _scenario_keys(text)
+    return {} if shape else _keys(text)
 
 
 #: The sidecar's tables of notes on flows, each with the kind of flow its
@@ -326,12 +331,12 @@ def load_with_diagnostics(
         except (OSError, ValueError, RecursionError) as exc:  # not UTF-8, JSON, or too deep
             err("E-SYNTAX", f"cannot read sidecar: {exc}", path)
             continue
+        keys = functools.cache(functools.partial(_keys, text))  # for the first finding
         shape = _sidecar_shape(data)
-        for problem in shape:
-            err("E-SYNTAX", problem, path)
+        for problem, *at in shape:
+            err("E-SYNTAX", problem, path, keys()[tuple(at)])
         if shape:
             continue
-        keys = None  # the scenarios' keys, found for the first finding on one
         for name, steps in data.get("scenarios", {}).items():
             first = pattern_at.get(name) or scenario_at.get(name)
             if first:  # patterns and scenarios are both runnable flows
@@ -345,18 +350,15 @@ def load_with_diagnostics(
                     scenarios[name] = tuple(steps)
                     scenario_at[name] = (path,)
                     continue
-            if keys is None:
-                keys = _scenario_keys(text)
-            diags.extend(placed(found, path, keys[name]))
-        found = []
+            diags.extend(placed(found, path, keys()["scenarios", name]))
         for key, kind in _NOTES.items():
             entries = data.get(key, {})
             for name in entries:  # an object's keys, or provide_only's list
                 if name in patterns or (kind == "flow" and name in scenarios):
                     notes[key][name] = entries[name] if kind == "flow" else name
                 else:
-                    found.append(reference_rule(f"sidecar key {key!r}", kind, name))
-        diags.extend(placed(found, path))
+                    found = [reference_rule(f"sidecar key {key!r}", kind, name)]
+                    diags.extend(placed(found, path, keys()[key, name]))
 
     if any(d.severity == "error" for d in diags):
         return None, tuple(diags)

@@ -618,9 +618,10 @@ def _finite(text: str) -> float:
     raise ValueError(f"{text} is not a finite number")
 
 
-#: Reads one trace line; ``NaN``, ``Infinity`` and ``1e999``, which no run
-#: writes, do not read.
-_load = json.JSONDecoder(parse_float=_finite, parse_constant=_not_json).decode
+#: Read a trace line, and a value at an offset of one; ``NaN``, ``Infinity``
+#: and ``1e999``, which no run writes, do not read.
+_decoder = json.JSONDecoder(parse_float=_finite, parse_constant=_not_json)
+_load, _decode_at = _decoder.decode, _decoder.raw_decode
 
 
 def _lines(text: str, block: int = 1 << 16) -> Iterator[str]:
@@ -640,6 +641,19 @@ class _Unreadable(ValueError):
     def __init__(self, line: int, text: str) -> None:
         super().__init__(f"line {line}: {text}")
         self.line = line
+
+
+def _entry(lineno: int, line: str) -> dict:
+    """Trace line ``line`` decoded in full; ``_Unreadable`` if it is no JSON object."""
+    try:
+        entry = _load(line)
+    except json.JSONDecodeError as exc:
+        raise _Unreadable(lineno, f"{exc.msg} (column {exc.colno})") from None
+    except (ValueError, RecursionError) as exc:  # a number, or nesting too deep
+        raise _Unreadable(lineno, str(exc)) from None
+    if not isinstance(entry, dict):
+        raise _Unreadable(lineno, "not a JSON object")
+    return entry
 
 
 def _on(line: int) -> Span | None:
@@ -773,6 +787,9 @@ class _Run:
         misfit = _misfit(header, ("format", *named), named)
         self.misfit = misfit and _Unreadable(lineno, misfit)
 
+    def take(self, lineno: int, line: str) -> bool:  # a step line is decoded in full
+        return False
+
     def step(self, lineno: int, line: str | None, entry: dict) -> None:
         self.count += 1
         if self.fits(lineno, entry):
@@ -798,23 +815,19 @@ class _Run:
 
 def _each_run(lines: Iterable[str], start: Callable[[int, dict], _Run]) -> Iterator[_Run]:
     """Each run of a trace file's ``lines`` once its outcome line is read;
-    ``start`` makes a run from its first line.  ``ValueError``, naming the
-    line, for a line that is not a JSON object or does not decode, or a run
-    that does not read."""
+    ``start`` makes a run from its first line; a later line the run does not
+    :meth:`~_Run.take` is decoded in full.  ``ValueError``, naming the line, for
+    a line that is not a JSON object or does not decode, or a run that does not
+    read."""
     run, lineno = None, 0
     try:
         for lineno, line in enumerate(lines, start=1):
             if not line or line.isspace():
                 continue
             last = lineno
-            try:
-                entry = _load(line)
-            except json.JSONDecodeError as exc:
-                raise _Unreadable(lineno, f"{exc.msg} (column {exc.colno})") from None
-            except (ValueError, RecursionError) as exc:  # a number, or nesting too deep
-                raise _Unreadable(lineno, str(exc)) from None
-            if not isinstance(entry, dict):
-                raise _Unreadable(lineno, "not a JSON object")
+            if run is not None and run.take(lineno, line):
+                continue
+            entry = _entry(lineno, line)
             if "outcome" in entry:
                 if run is None:
                     raise _Unreadable(lineno, "an outcome line without a header")
@@ -889,6 +902,20 @@ def run(
     return trace
 
 
+def _kept(flow: Flow) -> tuple[tuple[str, ...], dict[str, TypeExpr]]:
+    """What runs and replays need of ``flow`` alone, made once and kept on it:
+    each step's 3 line texts, flat (no tuple a step for GC), and the type each
+    variable is bound at, which check_flow's narrowing proved meets every later
+    use, so a value of exactly that type needs no intersection there."""
+    kept = vars(flow)
+    if "_kept" not in kept:
+        kept["_kept"] = tuple([
+            text for index, (m, a, _, _) in enumerate(flow.steps, start=1)
+            for text in _template(index, m.name, m.sender, m.receiver, a.name)
+        ]), {var: typ for pairs in flow.needed for var, typ in pairs}
+    return kept["_kept"]
+
+
 def _execute(flow: Flow, agents: Mapping[str, AgentBehavior]) -> Iterator[tuple]:
     """Take the steps of a run of ``flow``, yielding each as it is taken: its
     :class:`TraceStep` fields' values in order, and its canonical line.  Stops
@@ -896,18 +923,8 @@ def _execute(flow: Flow, agents: Mapping[str, AgentBehavior]) -> Iterator[tuple]
     values: dict[str, Payload] = {}
     binding = MappingProxyType(values)  # what agents see: read-only, never copied
     digest = 0
-    kept = vars(flow)  # what a run needs of the flow alone, made on its first run
-    if "_templates" not in kept:
-        kept["_templates"] = tuple([  # 3 texts a step, flat: no tuple a step for GC
-            text for index, (m, a, _, _) in enumerate(flow.steps, start=1)
-            for text in _template(index, m.name, m.sender, m.receiver, a.name)
-        ])
-        # The type each variable is bound at.  check_flow's narrowing proved it
-        # meets every type a later step declares for the variable, so a value
-        # of exactly that type needs no intersection at a later use.
-        kept["_bound_at"] = {var: typ for pairs in flow.needed for var, typ in pairs}
-    bound_at = kept["_bound_at"]
-    steps = zip(flow.steps, flow.needed, *[iter(kept["_templates"])] * 3)
+    templates, bound_at = _kept(flow)
+    steps = zip(flow.steps, flow.needed, *[iter(templates)] * 3)
     for index, (step, pairs, head, middle, tail) in enumerate(steps, start=1):
         message, action = step.message, step.action
         needed = dict(pairs)
@@ -1005,14 +1022,18 @@ def replay_check(
     each run's first difference, at the trace line it is about (a Trace: none).
 
     ``trace`` is a :class:`Trace`, a trace file's text, or its lines (an open
-    file, say), read lazily; a line ends at ``\\n`` only.  A re-run step whose
-    canonical line is the recorded line is verified; another is compared field
-    by field, type-strictly (1 ≠ 1.0), so other spacing or key order replays
-    clean.  A run reports, by precedence: ``E-TRACE`` for text that does not
-    read (see :meth:`Trace.all_from_jsonl`), where reading stops, as text never
-    raises; ``E-UNRESOLVED`` if the catalog lacks the flow or any step's
-    message; the first differing field, ``E-BINDING`` where the re-run aborts
-    ``V-TYPE`` and the trace says ``ok``, else ``E-TRACE``.
+    file, say), read lazily; a line ends at ``\\n`` only.  A step line that is
+    its flow's template for the step, verdict ``ok``, around a 10-character
+    digest slot and a ``produced`` object has only that object decoded; header
+    and outcome lines, and every other line, are decoded in full.  A re-run
+    step whose canonical line is the recorded line is verified; another line
+    is decoded in full and compared field by field, type-strictly (1 ≠ 1.0), so
+    other spacing or key order replays clean.  A run reports, by precedence:
+    ``E-TRACE`` for text that does not read (see :meth:`Trace.all_from_jsonl`),
+    where reading stops, as text never raises; ``E-UNRESOLVED`` if the catalog
+    lacks the flow or any step's message; the first differing field,
+    ``E-BINDING`` where the re-run aborts ``V-TYPE`` and the trace says ``ok``,
+    else ``E-TRACE``.
     """
     parse = functools.lru_cache(maxsize=None)(parse_type)  # once per type string
     found: list[Diagnostic] = []
@@ -1065,6 +1086,7 @@ class _Replay(_Run, AgentBehavior):
             self.found = Diagnostic("error", error.code, text, span=_on(lineno))
         else:  # a cycle through the agents, broken when the re-run ends
             self.rerun = _execute(flow, dict.fromkeys(catalog.roles, self))
+            self.templates = _kept(flow)[0]
 
     def produce(self, message, action, needed, binding):
         step = self.entry
@@ -1082,7 +1104,29 @@ class _Replay(_Run, AgentBehavior):
         if self.entry["verdict"] != "ok":
             raise RunViolation(self.entry["verdict"], self.entry.get("detail"))
 
-    def step(self, lineno: int, line: str | None, entry: dict) -> None:
+    def take(self, lineno: int, line: str) -> bool:
+        """Replay ``line`` if it is the next step's template, verdict ``ok``, around
+        a 10-character digest slot, which the re-run's line checks, and a
+        ``produced`` object, the one value decoded; else return False at once."""
+        at = 3 * self.count
+        if self.rerun is None or at >= len(self.templates):
+            return False
+        head, middle, tail = self.templates[at : at + 3]
+        digest = len(head)
+        start = digest + 10 + len(middle)
+        if not (line.startswith(head) and line.endswith(tail)
+                and line.startswith(middle, digest + 10)):
+            return False
+        try:
+            produced, end = _decode_at(line, start)
+        except (ValueError, RecursionError):  # the full decode says why
+            return False
+        if type(produced) is not dict or end != len(line) - len(tail):
+            return False
+        self.step(lineno, line, {"verdict": "ok", "produced": produced}, False)
+        return True
+
+    def step(self, lineno: int, line: str | None, entry: dict, whole: bool = True) -> None:
         self.count += 1
         if self.rerun is not None:
             self.entry = entry
@@ -1091,6 +1135,7 @@ class _Replay(_Run, AgentBehavior):
                 self.last = taken[0]
                 if line == taken[1]:
                     return  # the same text: the same fields, type for type
+            entry = entry if whole else _entry(lineno, line)  # all of it, to compare
             self.compare(lineno, self.count, taken, entry)
         if self.fits(lineno, entry) and self.found is None:
             message = entry["message"]

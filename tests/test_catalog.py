@@ -206,6 +206,21 @@ def test_a_misshapen_sidecar_is_a_syntax_error(tmp_path, sidecar, key):
     assert catalog is None
     assert [d.code for d in diags] == ["E-SYNTAX"]
     assert key in diags[0].message and diags[0].path == str(tmp_path / "catalog.json")
+    text = json.dumps(sidecar)  # the finding sits at the key or entry at fault
+    assert text[_offset(text, diags[0].span) :].startswith(key.replace("'", '"') + ":")
+
+
+def test_a_sidecar_note_is_placed_at_its_key_or_item(tmp_path):
+    root = _packaged_corpus_with(tmp_path, {})
+    _write(root / "catalog.json", '\n\n  ["D1"]')
+    (diag,) = load_with_diagnostics([root])[1]
+    assert (diag.code, diag.span.line, diag.span.col) == ("E-SYNTAX", 3, 3)
+    text = '{"provide_only": ["sample-annotation",\n "D1", "ghost"],\n "annotations": {"x": ""}}'
+    _write(root / "catalog.json", text)
+    diags = load_with_diagnostics([root])[1]
+    assert [(d.code, d.span.line, d.span.col) for d in diags] == [
+        ("E-UNRESOLVED", 3, 18), ("E-UNRESOLVED", 2, 2), ("E-UNRESOLVED", 2, 8)
+    ]  # x, then D1, a scenario, and ghost
 
 
 @pytest.fixture(scope="module")
@@ -291,6 +306,11 @@ def test_loader_findings_point_at_the_declaration(tmp_path):
     assert diags[2].format().startswith(f"{source}:4:1: error[E-UNRESOLVED]")
 
 
+def _offset(text: str, span) -> int:
+    """Where in ``text`` the 1-based ``span`` starts."""
+    return sum(len(line) + 1 for line in text.split("\n")[: span.line - 1]) + span.col - 1
+
+
 @settings(max_examples=60, deadline=None)
 @given(
     st.lists(st.text(max_size=4), min_size=1, max_size=4),
@@ -303,11 +323,11 @@ def test_a_scenario_key_is_found_where_the_sidecar_text_has_it(names, indent, as
     text = json.dumps({"scenarios": 1, "annotations": {"s": "{"}}, indent=indent)
     text = text[:-1] + f', "scenarios":\n {scenarios}}}\n}}'
     assert set(json.loads(text)["scenarios"]) == set(names)
-    lines = text.split("\n")
-    spans = catalog_module._scenario_keys(text)
+    found = catalog_module._keys(text).items()
+    spans = {key: span for (table, key), span in found if table == "scenarios"}
     assert spans.keys() == set(names)
     for name, span in spans.items():
-        at = sum(len(line) + 1 for line in lines[: span.line - 1]) + span.col - 1
+        at = _offset(text, span)
         key, end = scanstring(text, at + 1)
         assert (text[at], key, end - at) == ('"', name, span.length)
         assert f"{json.dumps(name, ensure_ascii=ascii_only)}: [" not in text[end:]
@@ -315,10 +335,8 @@ def test_a_scenario_key_is_found_where_the_sidecar_text_has_it(names, indent, as
 
 def test_a_scenario_key_is_looked_for_only_to_place_a_finding(tmp_path, monkeypatch):
     calls = []
-    keys = catalog_module._scenario_keys
-    monkeypatch.setattr(
-        catalog_module, "_scenario_keys", lambda text: calls.append(1) or keys(text)
-    )
+    keys = catalog_module._keys
+    monkeypatch.setattr(catalog_module, "_keys", lambda text: calls.append(1) or keys(text))
     catalog = load([FIXTURES])
     assert all(not report.diagnostics for report in check_catalog(catalog))
     assert calls == []

@@ -12,7 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
-from conftest import AGENTS_DIR
+from conftest import AGENTS_DIR, FIXTURES
 from haiproto import (
     AgentBehavior,
     BaseType,
@@ -625,3 +625,101 @@ def test_a_clean_trace_written_another_way_replays_clean(catalog, seed):
     text = "".join(json.dumps(_shuffled(line, rng)) + "\n" for line in lines)
     assert text != _text(lines)
     assert _replay(text, catalog) == []
+
+
+def _decoded(monkeypatch) -> list[str]:
+    """The lines that replay decodes in full from now on."""
+    decoded, decode = [], runtime._load
+
+    def counting(line):
+        decoded.append(line)
+        return decode(line)
+
+    monkeypatch.setattr(runtime, "_load", counting)
+    return decoded
+
+
+def test_a_clean_trace_is_decoded_in_full_only_at_its_header_and_outcome_lines(
+    catalog, monkeypatch
+):
+    text = _text(_d1_lines(catalog, repeat=3))
+    decoded = _decoded(monkeypatch)
+    assert replay_check(text, load([FIXTURES])) == []  # no run has made its templates
+    kinds = [json.loads(line).keys() & {"format", "outcome"} for line in decoded]
+    assert kinds == [{"format"}, {"outcome"}] * 3
+
+
+def _edited(index: int, edit):
+    """An edit of the D1 trace's line ``index`` as JSON, written canonically."""
+
+    def apply(lines: list[str]) -> list[str]:
+        entry = json.loads(lines[index])
+        edit(entry)
+        lines[index] = json.dumps(entry, sort_keys=True, separators=(",", ":"))
+        return lines
+
+    return apply
+
+
+def _digest_slot(slot: str):
+    """Step 2's digest slot, quotes included, replaced by ``slot``."""
+
+    def apply(lines: list[str]) -> list[str]:
+        at = lines[2].index('"digest":') + len('"digest":')
+        lines[2] = lines[2][:at] + slot + lines[2][at + 10 :]
+        return lines
+
+    return apply
+
+
+#: Edits of the D1 trace's lines that replay cannot verify against the step's
+#: template, what it then reports, and the step lines it decodes in full: the
+#: edited line, and every line after a difference, where comparing stops.
+FALLBACKS = {
+    "CRLF": (lambda lines: [line + "\r" for line in lines], [], range(1, 7)),
+    "other spacing": (
+        lambda lines: lines[:3] + [json.dumps(json.loads(lines[3]))] + lines[4:], [], [3]
+    ),
+    "a non-hex digest": (_digest_slot('"8A0CDE19"'), ["E-TRACE"], range(2, 7)),
+    "an escaped digest": (_digest_slot('"\\"abcdef"'), ["E-TRACE"], range(2, 7)),
+    "a field in the digest slot": (_digest_slot('1,"step":2'), ["E-TRACE"], range(2, 7)),
+    "a list for produced": (
+        _edited(2, lambda entry: entry.update(produced=[])), ["E-TRACE"], range(2, 7)
+    ),
+    "a repeated produced key": (
+        lambda lines: lines[:4] + [lines[4].replace('"produced":{', '"produced":{"X":0,')]
+        + lines[5:],
+        [],
+        [4],
+    ),
+    "a step past the flow's end": (
+        lambda lines: lines[:7] + [lines[6].replace('"step":6', '"step":7')]
+        + [lines[7].replace('"steps":6', '"steps":7')],
+        ["E-TRACE"],
+        [7],
+    ),
+}
+
+
+@pytest.mark.parametrize("edit, codes, full", FALLBACKS.values(), ids=list(FALLBACKS))
+def test_a_line_off_its_template_is_decoded_in_full(catalog, monkeypatch, edit, codes, full):
+    lines = edit(_text(_d1_lines(catalog)).splitlines())
+    decoded = _decoded(monkeypatch)
+    assert _codes(_replay("\n".join(lines) + "\n", catalog)) == codes
+    assert decoded == [lines[0], *(lines[at] for at in full), lines[-1]]
+
+
+def test_an_unreadable_line_wins_over_a_changed_value_read_by_its_template(catalog):
+    lines = _text(_d1_lines(catalog)).splitlines()
+    changed = _edited(2, lambda entry: entry["produced"]["Y"].update(value="sad"))(lines)
+    assert replay_check("\n".join(changed) + "\n", catalog)[0].message.startswith(
+        "run D1-s3-r0: step 2: digest is"
+    )
+    changed[5] = changed[5][:-1]
+    (diag,) = _replay("\n".join(changed) + "\n", catalog)
+    assert diag.message.startswith("unreadable trace: line 6: ")
+    assert diag.span.line == 6
+    lines = _text(_d1_lines(catalog)).splitlines()
+    unclosed = _digest_slot('"abcdefg\\"')(lines)  # its string runs into the next field
+    (diag,) = _replay("\n".join(unclosed) + "\n", catalog)
+    assert diag.message.startswith("unreadable trace: line 3: ")

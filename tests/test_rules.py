@@ -202,9 +202,9 @@ def _unknown_first_message(trace):
 
 #: Every source of E-DUP-NAME and E-UNRESOLVED: how to raise it, then its
 #: code, its message, its path under the test's directory (``None``: no
-#: file) and its ``line:col`` (``None``: placed at no line: an unplaced
-#: rule, or a finding on a sidecar's notes).  A finding on a sidecar's
-#: scenario is placed at its key; replay places a finding at its trace line.
+#: file) and its ``line:col`` (``None``: placed at no line, an unplaced
+#: rule).  A finding on a sidecar's scenario or note is placed at its key, or
+#: at its item of ``provide_only``; replay places one at its trace line.
 NAME_AND_REFERENCE_SOURCES = {
     "parser": (
         lambda tmp: parse(
@@ -279,21 +279,21 @@ NAME_AND_REFERENCE_SOURCES = {
         "E-UNRESOLVED",
         "sidecar key 'annotations' references unknown flow 'q'",
         "catalog.json",
-        None,
+        (1, 18),
     ),
     "interpretation, of a message's name": (
         lambda tmp: _with_sidecar(tmp, {"interpretations": {"M1": ""}}),
         "E-UNRESOLVED",
         "sidecar key 'interpretations' references unknown flow 'M1'",
         "catalog.json",
-        None,
+        (1, 22),
     ),
     "provide_only, of a scenario's name": (
         lambda tmp: _with_sidecar(tmp, {"scenarios": {"s": ["p"]}, "provide_only": ["s"]}),
         "E-UNRESOLVED",
         "sidecar key 'provide_only' references unknown pattern 's'",
         "catalog.json",
-        None,
+        (1, 46),
     ),
     "replay, flow": (
         lambda tmp: _replayed(_renamed),
