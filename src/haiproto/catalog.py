@@ -219,14 +219,16 @@ def _members(text: str, at: int) -> Iterator[tuple[object, int, int, int]]:
 
 def _keys(text: str) -> dict[tuple, Span]:
     """Where the sidecar ``text``, which ``json.loads`` reads, has itself
-    ``(None, None)``, each key of its object ``(None, key)``, and each key or
-    string item of a top-level table ``(table, key)``: a repeated key's last."""
+    ``(None, None)``, each key of its object ``(None, key)``, each key of a
+    top-level table ``(table, key)``, a repeated key's last as ``json.loads``
+    keeps it, and each item of a top-level list ``(table, index)``."""
     at = WHITESPACE.match(text).end()
     places = [(None, None, at, at + 1)]
     for table, start, end, value in _members(text, at) if text[at] == "{" else ():
         places.append((None, table, start, end))
         members = _members(text, value) if text[value] in "[{" else ()
-        places += [(table, *member[:3]) for member in members if isinstance(member[0], str)]
+        keyed = text[value] == "{"
+        places += [(table, m[0] if keyed else n, *m[1:3]) for n, m in enumerate(members)]
     spans: dict[tuple, Span] = {}
     line, start = 1, 0
     for table, key, at, end in places:
@@ -329,7 +331,8 @@ def load_with_diagnostics(
             text = sidecar.read_text(encoding="utf-8")
             data = json.loads(text)
         except (OSError, ValueError, RecursionError) as exc:  # not UTF-8, JSON, or too deep
-            err("E-SYNTAX", f"cannot read sidecar: {exc}", path)
+            at = Span(exc.lineno, exc.colno) if isinstance(exc, json.JSONDecodeError) else None
+            err("E-SYNTAX", f"cannot read sidecar: {exc}", path, at)
             continue
         keys = functools.cache(functools.partial(_keys, text))  # for the first finding
         shape = _sidecar_shape(data)
@@ -352,13 +355,14 @@ def load_with_diagnostics(
                     continue
             diags.extend(placed(found, path, keys()["scenarios", name]))
         for key, kind in _NOTES.items():
-            entries = data.get(key, {})
-            for name in entries:  # an object's keys, or provide_only's list
+            entries = data.get(key, {})  # an object, or provide_only's list
+            places = entries if isinstance(entries, dict) else range(len(entries))
+            for place, name in zip(places, entries):  # a key, or an item and its index
                 if name in patterns or (kind == "flow" and name in scenarios):
                     notes[key][name] = entries[name] if kind == "flow" else name
                 else:
                     found = [reference_rule(f"sidecar key {key!r}", kind, name)]
-                    diags.extend(placed(found, path, keys()[key, name]))
+                    diags.extend(placed(found, path, keys()[key, place]))
 
     if any(d.severity == "error" for d in diags):
         return None, tuple(diags)

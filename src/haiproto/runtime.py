@@ -28,10 +28,11 @@ from __future__ import annotations
 import functools
 import math
 import re
+import sys
 import zlib
 from dataclasses import dataclass, replace
 from types import MappingProxyType
-from typing import Callable, ClassVar, Iterable, Iterator, Mapping, NamedTuple, Sequence, Union
+from typing import Callable, Iterable, Iterator, Mapping, NamedTuple, Sequence, Union
 
 from .catalog import Catalog
 from .check import Flow, check_flow, reference_rule
@@ -575,37 +576,54 @@ def _make_dump() -> Callable[[object], str]:
 _dump = _make_dump()
 
 
-def _scalar(value: object) -> str:
-    """``_dump(value)``; a string or an int skips the encoder."""
-    if type(value) is str:
+def _text(value: object) -> str:
+    """``_dump(_value_json(value))``, a field's or a payload value's canonical
+    JSON written from the value; any other type, a subclass too, is encoded."""
+    cls = type(value)
+    if cls is str:
         return _ascii(value)
-    if type(value) is int:
+    if cls is int:
         return int.__repr__(value)  # the encoder's own text for an int
-    return _dump(value)
+    if cls is Vector:
+        return f'{{"vec":[{",".join(map(float.__repr__, value.values))}]}}'
+    if cls is tuple:
+        return f'[{",".join(map(_text, value))}]'
+    return _dump(_value_json(value))
+
+
+def _needed(pairs: Iterable[tuple[str, TypeExpr]]) -> tuple[tuple[str, TypeExpr, str], ...]:
+    """A step's needed ``(var, type)`` pairs, sorted, each with the text of its
+    ``produced`` entry before a value of that type."""
+    return tuple((var, typ, f'{_ascii(var)}:{{"type":{_ascii(print_type(typ))},"value":')
+                 for var, typ in sorted(pairs))  # no variable twice: check_flow's fresh ones
+
+
+def _produced(needed: tuple, produced: Mapping[str, Payload]) -> str:
+    """``_dump`` of a step's ``produced`` JSON, written from its payloads, given
+    its :func:`_needed`: a payload whose type is not that very object is encoded
+    whole."""
+    return "{%s}" % ",".join([
+        f"{prefix}{_text(p.value)}}}" if (p := produced[var]).type is typ
+        else f"{_ascii(var)}:{_dump(p.to_json())}"
+        for var, typ, prefix in needed
+    ])
 
 
 def _template(step, message, sender, receiver, action, verdict="ok", detail=None) -> tuple:
     """A step's line before its digest, between its digest and its ``produced``,
     and after, given its other fields: the keys sorted, each value encoded
     alone.  It depends on neither the digest nor ``produced``."""
-    detail = "" if detail is None else f'"detail":{_scalar(detail)},'
+    detail = "" if detail is None else f'"detail":{_text(detail)},'
     return (
-        f'{{"action":{_scalar(action)},{detail}"digest":',
-        f',"message":{_scalar(message)},"produced":',
-        f',"receiver":{_scalar(receiver)},"sender":{_scalar(sender)},'
-        f'"step":{_scalar(step)},"verdict":{_scalar(verdict)}}}',
+        f'{{"action":{_text(action)},{detail}"digest":',
+        f',"message":{_text(message)},"produced":',
+        f',"receiver":{_text(receiver)},"sender":{_text(sender)},'
+        f'"step":{_text(step)},"verdict":{_text(verdict)}}}',
     )
 
 
-def _step_line(values: tuple, produced: str) -> str:
-    """A step's canonical JSON line, given its fields' values and ``_dump(produced)``."""
-    step, message, sender, receiver, action, _, digest, verdict, detail = values
-    head, middle, tail = _template(step, message, sender, receiver, action, verdict, detail)
-    return f"{head}{_scalar(digest)}{middle}{produced}{tail}"
-
-
 def _outcome_line(outcome: object, run: object, steps: int) -> str:
-    return f'{{"outcome":{_scalar(outcome)},"run":{_scalar(run)},"steps":{steps}}}'
+    return f'{{"outcome":{_text(outcome)},"run":{_text(run)},"steps":{steps}}}'
 
 
 def _not_json(constant: str) -> float:
@@ -661,7 +679,7 @@ def _on(line: int) -> Span | None:
     return Span(line, 1) if line else None
 
 
-class TraceStep(NamedTuple):  # a tuple: one record per step of every run
+class TraceStep(NamedTuple):  # a tuple: one record per step read
     """One executed message: what its sender produced, and the trace digest.
 
     ``digest`` is 8 hex digits of a running ``zlib.crc32`` over the canonical
@@ -670,7 +688,8 @@ class TraceStep(NamedTuple):  # a tuple: one record per step of every run
     what came before, so replay, which re-runs the recorded values, notices a
     changed value.  :meth:`Trace.bindings_at` rebuilds the values bound.  A
     step is a named tuple: it iterates and compares as its values in field
-    order, and ``_replace`` gives an edited copy.
+    order, and ``_replace`` gives an edited copy; its ``produced`` dict must
+    not be changed in place (see :class:`Trace`).
     """
 
     step: int
@@ -688,6 +707,13 @@ class TraceStep(NamedTuple):  # a tuple: one record per step of every run
         if self.detail is None:
             del data["detail"]
         return data
+
+
+#: Decode a run's own step line, each key and each text but the digest
+#: interned: the names, types and labels that steps repeat are each one string.
+_read_line = json.JSONDecoder(object_pairs_hook=lambda pairs: {
+    sys.intern(k): sys.intern(v) if type(v) is str and k != "digest" else v for k, v in pairs
+}).decode
 
 
 #: A step line's fields in order, and the fields it may not leave out.
@@ -709,12 +735,13 @@ def _misfit(entry: dict, known=_STEP_FIELDS, required=_REQUIRED) -> str | None:
 class Trace:
     """A full run: header, steps, and outcome, serializable to JSON lines.
 
-    A trace from :func:`run` is a value: it keeps each step's line, holding the
-    text of ``produced`` its digest was computed over, and :meth:`to_jsonl`
-    writes those lines, so a step's ``produced`` dict must not be changed in
-    place.  The kept lines are not a field: ``fields``, ``==`` and ``repr`` do
-    not see them, and a ``dataclasses.replace`` copy or a trace built by hand
-    encodes its steps when written.
+    A trace from :func:`run` is its lines: one string a step, and no
+    :class:`TraceStep` until ``steps`` is first read, which decodes the lines
+    and keeps the steps.  :meth:`to_jsonl` writes and counts the lines, decoding
+    none, so a step's ``produced`` dict must not be changed in place.  The lines
+    are no field: ``fields`` names the five below, and ``==``, ``repr`` and
+    ``replace`` read ``steps``.  A trace built by hand, or a ``replace`` copy,
+    writes its lines from its steps each time it is written.
     """
 
     run_id: str
@@ -723,19 +750,23 @@ class Trace:
     steps: tuple[TraceStep, ...]
     outcome: Union[str, dict]
 
-    #: Each step's line, kept by :func:`run`.
-    _step_lines: ClassVar[tuple[str, ...] | None] = None
+    def __getattr__(self, name: str):  # only for what is not set: a run's unread steps
+        if name != "steps" or "_lines" not in vars(self):
+            raise AttributeError(name)
+        steps = vars(self)["steps"] = tuple(TraceStep(**_read_line(line)) for line in self._lines)
+        return steps
 
     def to_jsonl(self) -> str:
         """The header, step and outcome lines, each ``_dump`` of its dict."""
-        lines = self._step_lines
-        if lines is None:
-            lines = [_step_line(s, _dump(s.produced)) for s in self.steps]
+        lines = vars(self).get("_lines")
+        if lines is None:  # written from the steps, a field at a time
+            lines = [f"{head}{_text(s.digest)}{middle}{_dump(s.produced)}{tail}"
+                     for s in self.steps for head, middle, tail in [_template(*s[:5], *s[7:])]]
         return "\n".join([
-            f'{{"format":2,"pattern":{_scalar(self.pattern)},"run":{_scalar(self.run_id)},'
-            f'"seed":{_scalar(self.seed)}}}',
+            f'{{"format":2,"pattern":{_text(self.pattern)},"run":{_text(self.run_id)},'
+            f'"seed":{_text(self.seed)}}}',
             *lines,
-            _outcome_line(self.outcome, self.run_id, len(self.steps)),
+            _outcome_line(self.outcome, self.run_id, len(lines)),
         ]) + "\n"
 
     def bindings_at(self, step: int) -> dict[str, dict]:
@@ -872,9 +903,9 @@ def run(
     :class:`~haiproto.check.Flow`, used as given.  It must check without errors
     (``ValueError`` otherwise); every participating role must have an agent
     (``LookupError`` otherwise).  A violation aborts the run and is recorded in
-    the trace outcome rather than raised.  The trace is a value: it keeps its
-    step lines and writes them, so its steps' ``produced`` dicts must not be
-    changed in place (see :class:`Trace`).
+    the trace outcome rather than raised.  The trace keeps only its step
+    lines, written straight from the payloads; its ``steps`` are read from
+    them when first asked for (see :class:`Trace`).
     """
     if isinstance(flow, str):
         flow = catalog.flow(flow)
@@ -891,45 +922,45 @@ def run(
                 raise LookupError(f"no agent for role {role!r}")
     if run_id is None:
         run_id = f"{flow.pattern.name}-s{seed}-r0"
-    steps: list[TraceStep] = []
     lines: list[str] = []
     last = None
     for last, line in _execute(flow, agents):
-        steps.append(tuple.__new__(TraceStep, last))
         lines.append(line)
-    trace = Trace(run_id, flow.pattern.name, seed, tuple(steps), _outcome(last))
-    object.__setattr__(trace, "_step_lines", tuple(lines))
+    trace = object.__new__(Trace)  # its lines, and no steps until they are read
+    vars(trace).update(run_id=run_id, pattern=flow.pattern.name, seed=seed,
+                       outcome=_outcome(last), _lines=tuple(lines))
     return trace
 
 
-def _kept(flow: Flow) -> tuple[tuple[str, ...], dict[str, TypeExpr]]:
+def _kept(flow: Flow) -> tuple[tuple[str, ...], tuple[dict, ...], tuple[tuple, ...], dict]:
     """What runs and replays need of ``flow`` alone, made once and kept on it:
-    each step's 3 line texts, flat (no tuple a step for GC), and the type each
-    variable is bound at, which check_flow's narrowing proved meets every later
-    use, so a value of exactly that type needs no intersection there."""
+    each step's 3 line texts, flat (no tuple a step for GC); each step's needed
+    types as a dict and as its :func:`_needed`; and the type each variable is
+    bound at, which check_flow's narrowing proved meets every later use, so a
+    value of exactly that type needs no intersection there."""
     kept = vars(flow)
     if "_kept" not in kept:
         kept["_kept"] = tuple([
             text for index, (m, a, _, _) in enumerate(flow.steps, start=1)
             for text in _template(index, m.name, m.sender, m.receiver, a.name)
-        ]), {var: typ for pairs in flow.needed for var, typ in pairs}
+        ]), tuple(map(dict, flow.needed)), tuple(map(_needed, flow.needed)), {
+            var: typ for pairs in flow.needed for var, typ in pairs
+        }
     return kept["_kept"]
 
 
 def _execute(flow: Flow, agents: Mapping[str, AgentBehavior]) -> Iterator[tuple]:
     """Take the steps of a run of ``flow``, yielding each as it is taken: its
-    :class:`TraceStep` fields' values in order, and its canonical line.  Stops
-    after a step that is not ``ok``."""
+    number and verdict, and its canonical line.  Stops after a step that is
+    not ``ok``."""
     values: dict[str, Payload] = {}
     binding = MappingProxyType(values)  # what agents see: read-only, never copied
     digest = 0
-    templates, bound_at = _kept(flow)
-    steps = zip(flow.steps, flow.needed, *[iter(templates)] * 3)
-    for index, (step, pairs, head, middle, tail) in enumerate(steps, start=1):
-        message, action = step.message, step.action
-        needed = dict(pairs)
-        produced_json: dict[str, dict] = {}
-        verdict, detail = "ok", None
+    templates, needs, texts, bound_at = _kept(flow)
+    steps = zip(flow.steps, needs, texts, *[iter(templates)] * 3)
+    for index, (step, needed, sorted_needed, head, middle, tail) in enumerate(steps, start=1):
+        message, action = step.message, step.action  # needed: the flow's, only read
+        bound, verdict, detail = None, "ok", None
         try:
             try:
                 sender = agents[message.sender]
@@ -962,9 +993,9 @@ def _execute(flow: Flow, agents: Mapping[str, AgentBehavior]) -> Iterator[tuple]
                 ):
                     problem = f"{var!r} expects {typ}, got {payload.type}"
                     raise RunViolation("V-TYPE", problem)
-            for var in sorted(needed):  # the key order of a parsed trace
+            for var, _, _ in sorted_needed:
                 values[var] = produced[var]
-                produced_json[var] = produced[var].to_json()
+            bound = produced
             try:
                 agents[message.receiver].on_receive(message, action, binding)
             except RunViolation:
@@ -973,25 +1004,23 @@ def _execute(flow: Flow, agents: Mapping[str, AgentBehavior]) -> Iterator[tuple]
                 raise RunViolation("V-AGENT", f"receiver failed: {exc}") from exc
         except RunViolation as violation:
             verdict, detail = violation.code, violation.detail
-        text = _dump(produced_json) if produced_json else "{}"
+        text = _produced(sorted_needed, bound) if bound else "{}"
         digest = zlib.crc32(text.encode(), digest)
         if detail is not None:  # replay raises the recorded detail again: check it here
             digest = zlib.crc32(_dump(detail).encode(), digest)
-        taken = (
-            index, message.name, message.sender, message.receiver, action.name,
-            produced_json, f"{digest:08x}", verdict, detail,
-        )
+        if verdict != "ok":  # an aborted step's line: a template of its own
+            names = message.name, message.sender, message.receiver, action.name
+            head, middle, tail = _template(index, *names, verdict, detail)
+        yield (index, verdict), f'{head}"{digest:08x}"{middle}{text}{tail}'
         if verdict != "ok":
-            yield taken, _step_line(taken, text)
             return
-        yield taken, f'{head}"{taken[6]}"{middle}{text}{tail}'
 
 
 def _outcome(last: tuple | None) -> Union[str, dict]:
-    """The outcome of a run whose last step has the field values ``last``."""
-    if last is None or last[7] == "ok":
+    """The outcome of a run whose last step has number and verdict ``last``."""
+    if last is None or last[1] == "ok":
         return "completed"
-    return {"aborted": {"code": last[7], "step": last[0]}}
+    return {"aborted": {"code": last[1], "step": last[0]}}
 
 
 def run_scenario(
@@ -1160,7 +1189,7 @@ class _Replay(_Run, AgentBehavior):
         line ``lineno``, at place ``number`` from the re-run's: its step
         ``taken``, or its outcome once it has stopped.  Comparing ends there,
         and after the re-run's outcome."""
-        ours = TraceStep._make(taken[0]).to_json() if taken else {"outcome": _outcome(self.last)}
+        ours = _decoder.decode(taken[1]) if taken else {"outcome": _outcome(self.last)}
         where = f"step {number}" if "step" in ours.keys() | theirs.keys() else "outcome"
         if ours.get("verdict") == "V-TYPE" and theirs.get("verdict") == "ok":
             code, text = "E-BINDING", f"{where}: {ours['detail']}, the trace says ok"

@@ -223,6 +223,32 @@ def test_a_sidecar_note_is_placed_at_its_key_or_item(tmp_path):
     ]  # x, then D1, a scenario, and ghost
 
 
+def test_a_sidecar_that_is_not_json_is_placed_where_reading_stopped(tmp_path):
+    root = _packaged_corpus_with(tmp_path, {})
+    sidecar = _write(root / "catalog.json", '{"scenarios": {"S": ["sample-annotation"],}}')
+    (diag,) = load_with_diagnostics([root])[1]
+    assert (diag.code, diag.span.line, diag.span.col) == ("E-SYNTAX", 1, 43)
+    assert diag.format().startswith(f"{sidecar}:1:43: error[E-SYNTAX]: cannot read sidecar")
+    _write(sidecar, '{"scenarios": {},\n  "provide_only": ["D1" "D2"]}')
+    (diag,) = load_with_diagnostics([root])[1]
+    assert (diag.span.line, diag.span.col) == (2, 25)  # at "D2", where a comma was due
+    for text in (b'{"scenarios": {"\xff": []}}', b"[" * 100000 + b"]" * 100000):
+        sidecar.write_bytes(text)  # not UTF-8, or nested too deeply: no place
+        (diag,) = load_with_diagnostics([root])[1]
+        assert (diag.code, diag.span) == ("E-SYNTAX", None)
+
+
+def test_a_repeated_sidecar_item_is_placed_at_each_of_its_items(tmp_path):
+    root = _packaged_corpus_with(tmp_path, {"provide_only": ["ghost", "ghost"]})
+    diags = load_with_diagnostics([root])[1]
+    assert [(d.code, d.span.line, d.span.col) for d in diags] == [
+        ("E-UNRESOLVED", 1, 19), ("E-UNRESOLVED", 1, 28)
+    ]
+    _write(root / "catalog.json", '{"annotations": {"ghost": "a", "ghost": "b"}}')
+    (diag,) = load_with_diagnostics([root])[1]  # the key json.loads keeps: the last
+    assert (diag.code, diag.span.line, diag.span.col) == ("E-UNRESOLVED", 1, 32)
+
+
 @pytest.fixture(scope="module")
 def corpus_copy(tmp_path_factory) -> Path:
     """The packaged ``.hai`` files, beside which each example writes a sidecar."""

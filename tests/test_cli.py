@@ -241,6 +241,24 @@ def test_run_writes_byte_stable_traces(runner, tmp_path):
     assert stdout.output.encode() == a
 
 
+def test_run_writes_its_trace_without_reading_a_step_line(runner, tmp_path, monkeypatch, catalog):
+    from haiproto import parse_agents, run, runtime
+
+    decoded = []
+    for name in ("_load", "_read_line"):  # replay's reader, and a trace's own
+        read = getattr(runtime, name)
+        counted = lambda text, read=read: decoded.append(text) or read(text)  # noqa: E731
+        monkeypatch.setattr(runtime, name, counted)
+    args = ["run", "D1", "--agents", ROBOT_AGENTS, "--repeat", "3"]
+    result = runner.invoke(main, args + ["--trace", str(tmp_path / "t.jsonl")])
+    assert result.exit_code == 0, result.output
+    assert decoded == [] and (tmp_path / "t.jsonl").read_text().count("\n") == 3 * 8
+    assert runner.invoke(main, ["replay", str(tmp_path / "t.jsonl")]).exit_code == 0
+    assert len(decoded) == 3 * 2  # replay: each run's header and outcome lines
+    assert len(run(catalog, "D1", parse_agents(Path(ROBOT_AGENTS).read_text())).steps) == 6
+    assert len(decoded) == 3 * 2 + 6  # reading a run's steps decodes its lines
+
+
 def test_run_trace_structure(runner):
     result = runner.invoke(
         main, ["run", "sample-annotation", "--agents", str(AGENTS_DIR / "rl_demo.agents")]

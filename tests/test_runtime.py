@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import dataclasses
+import gc
 import json
 import math
 import random
@@ -872,6 +873,113 @@ def test_dump_refuses_non_finite_numbers_with_or_without_the_c_encoder(monkeypat
             for value in (bad, [bad], {"x": {"y": bad}}):
                 with pytest.raises(ValueError):
                     dump(value)
+
+
+class _Int(int):
+    def __repr__(self) -> str:  # the encoder writes an int's own text, not this
+        return "not JSON"
+
+
+class _Str(str):
+    pass
+
+
+_ODD = st.sampled_from(["\u2028", "\ud800", "a\udfff", "\u00e9\u6f22", '"\\\x00'])
+_TEXT = st.text() | _ODD | (st.text() | _ODD).map(_Str)
+_NUMBER = (
+    st.integers() | st.integers(min_value=2**63, max_value=2**200) | st.integers().map(_Int)
+    | st.floats(allow_nan=False, allow_infinity=False) | st.sampled_from([-0.0, 5e-324, 1e16])
+)
+_FINITE = st.floats(allow_nan=False, allow_infinity=False)
+_SCALAR = (
+    _TEXT | _NUMBER | st.lists(_FINITE, max_size=3).map(lambda v: Vector(tuple(v)))
+    | _TEXT.map(Blob)
+)
+_BASES = [RAW, LABEL, BaseType(Role.FEEDBACK), BaseType(Role.INPUT, ("raw_data", "x"))]
+_PAYLOAD = st.one_of(
+    st.builds(Payload, st.sampled_from(_BASES), _SCALAR),
+    st.builds(
+        Payload, st.sampled_from(_BASES).map(ListType), st.lists(_SCALAR, max_size=3).map(tuple)
+    ),
+)
+
+
+@given(st.recursive(_SCALAR, lambda inner: st.lists(inner, max_size=3).map(tuple), max_leaves=8))
+def test_the_value_encoder_writes_what_the_canonical_encoder_writes(value):
+    assert runtime._text(value) == runtime._dump(runtime._value_json(value))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.dictionaries(_TEXT, st.tuples(_PAYLOAD, st.sampled_from(["own", "equal", "other"]))))
+def test_a_steps_produced_text_is_the_canonical_json_of_its_payloads(entries):
+    """A payload of the needed type's very object is written after that type's
+    prefix; one of an equal type, or another, takes the encoder."""
+    needed_as = {
+        "own": lambda typ: typ,
+        "equal": dataclasses.replace,
+        "other": lambda typ: BaseType(Role.OUTPUT, ("other",)),
+    }
+    needed = runtime._needed((var, needed_as[how](p.type)) for var, (p, how) in entries.items())
+    produced = {var: payload for var, (payload, _) in entries.items()}
+    expected = runtime._dump({var: payload.to_json() for var, payload in produced.items()})
+    assert runtime._produced(needed, produced) == expected
+
+
+def _tracked(objects) -> int:
+    """How many objects the garbage collector tracks among ``objects`` and all
+    they hold, classes aside."""
+    seen, todo = set(), list(objects)
+    while todo:
+        obj = todo.pop()
+        if id(obj) not in seen and not isinstance(obj, type):
+            seen.add(id(obj))
+            todo.extend(o for o in gc.get_referents(obj) if gc.is_tracked(o))
+    return len(seen)
+
+
+def test_a_finished_run_keeps_no_tracked_object_per_step(catalog):
+    per_trace = []
+    for repeat in (4, 32):
+        traces = run_scenario(catalog, "D1", _demo_agents(), repeat=repeat)
+        gc.collect()
+        lines = [line for trace in traces for line in vars(trace)["_lines"]]
+        assert len(lines) == 6 * repeat and not any(map(gc.is_tracked, lines))
+        per_trace.append(_tracked(traces) / repeat)
+    assert per_trace[0] == per_trace[1] < 6  # whatever a trace holds, it is not per step
+
+
+def _instances(cls) -> int:
+    return sum(type(obj) is cls for obj in gc.get_objects())
+
+
+def test_a_run_builds_no_step_record_until_its_steps_are_read(catalog, monkeypatch):
+    calls = []
+    for owner, name in [(runtime, "_value_json"), (runtime, "_dump"), (Payload, "to_json")]:
+        original = getattr(owner, name)
+        monkeypatch.setattr(owner, name, lambda *a, f=original, n=name: calls.append(n) or f(*a))
+    gc.collect()
+    before = _instances(TraceStep)
+    traces = run_scenario(catalog, "D1", _demo_agents(), repeat=3)
+    text = "".join(trace.to_jsonl() for trace in traces)
+    assert (calls, _instances(TraceStep)) == ([], before)
+    assert all("steps" not in vars(trace) for trace in traces)
+    steps = traces[1].steps
+    assert len(steps) == 6 and _instances(TraceStep) == before + 6
+    assert traces[1].steps is steps  # read once, then kept
+    assert Trace.all_from_jsonl(text) == traces
+
+
+def test_a_run_trace_reads_as_a_trace_built_from_its_steps(catalog):
+    (trace,) = run_scenario(catalog, "D1", _demo_agents(), seed=5)
+    built = Trace(trace.run_id, trace.pattern, trace.seed, trace.steps, trace.outcome)
+    assert [f.name for f in dataclasses.fields(Trace)] == [
+        "run_id", "pattern", "seed", "steps", "outcome"
+    ]
+    assert built == trace and repr(built) == repr(trace)
+    assert built.to_jsonl() == trace.to_jsonl() == dataclasses.replace(trace).to_jsonl()
+    edited = dataclasses.replace(trace, steps=trace.steps[:2])
+    assert edited.to_jsonl().splitlines()[1:3] == trace.to_jsonl().splitlines()[1:3]
+    assert edited.to_jsonl().endswith('"steps":2}\n') and edited != trace
 
 
 def test_trace_from_jsonl_needs_header_and_outcome():
