@@ -381,6 +381,11 @@ def load_with_diagnostics(
     return catalog, tuple(diags)
 
 
+def fixtures_dir() -> Path:
+    """The fixture corpus packaged with the library."""
+    return Path(__file__).with_name("fixtures")
+
+
 def load(paths: Sequence[str | Path]) -> Catalog:
     """Load a corpus, raising :class:`CatalogError` on any error."""
     catalog, diags = load_with_diagnostics(paths)

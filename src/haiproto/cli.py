@@ -9,7 +9,6 @@ missing files, unusable configuration).
 from __future__ import annotations
 
 import dataclasses
-import importlib.resources
 import json
 from pathlib import Path
 
@@ -20,11 +19,6 @@ from .catalog import CatalogError, check_catalog, load, load_with_diagnostics
 from .core import Diagnostic, PrimitiveKind
 from .dsl import parse, print_source, print_type
 from .runtime import parse_agents, replay_check, run_scenario
-
-
-def default_fixtures_dir() -> Path:
-    """The fixture corpus packaged with the library."""
-    return Path(str(importlib.resources.files("haiproto") / "fixtures"))
 
 
 @click.group()
@@ -41,7 +35,17 @@ def default_fixtures_dir() -> Path:
 @click.pass_context
 def main(ctx: click.Context, fixtures_dir: str | None) -> None:
     """Work with human-AI interaction protocols."""
-    ctx.obj = Path(fixtures_dir) if fixtures_dir else default_fixtures_dir()
+    ctx.obj = Path(fixtures_dir) if fixtures_dir else cataloglib.fixtures_dir()
+
+
+def _write(ctx: click.Context, path: str, text: str) -> None:
+    """Write ``text`` to file ``path``, or exit 2 with one line saying why not."""
+    try:
+        Path(path).write_text(text, encoding="utf-8")
+    except OSError as exc:
+        click.echo(f"Error: cannot write {path}: {exc.strerror or exc}", err=True)
+        ctx.exit(2)
+    click.echo(f"wrote {path}")
 
 
 def _load_corpus(ctx: click.Context) -> cataloglib.Catalog:
@@ -207,8 +211,7 @@ def catalog_export(ctx: click.Context, output_path: str | None) -> None:
     catalog = _load_corpus(ctx)
     text = json.dumps(cataloglib.export_json(catalog), indent=2, sort_keys=True)
     if output_path:
-        Path(output_path).write_text(text + "\n", encoding="utf-8")
-        click.echo(f"wrote {output_path}")
+        _write(ctx, output_path, text + "\n")
     else:
         click.echo(text)
 
@@ -267,8 +270,7 @@ def run_command(
         raise click.ClickException(str(exc)) from exc
     text = "".join(trace.to_jsonl() for trace in traces)
     if trace_path:
-        Path(trace_path).write_text(text, encoding="utf-8")
-        click.echo(f"wrote {trace_path}")
+        _write(ctx, trace_path, text)
     else:
         click.echo(text, nl=False)
     failed = [t for t in traces if t.outcome != "completed"]

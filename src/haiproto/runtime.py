@@ -564,12 +564,18 @@ def _make_dump() -> Callable[[object], str]:
     call.  Given no record of the containers it is in, which an error would
     leave stale, the C encoder raises ``RecursionError`` for a cycle."""
     encoder = json.JSONEncoder(sort_keys=True, separators=(",", ":"), allow_nan=False)
-    if json.encoder.c_make_encoder is None:
-        return encoder.encode
-    encode = json.encoder.c_make_encoder(
-        None, encoder.default, _ascii, None, ":", ",", True, False, False
-    )
-    return lambda value: "".join(encode(value, 0))
+    make = json.encoder.c_make_encoder
+    encode = make and make(None, encoder.default, _ascii, None, ":", ",", True, False, False)
+
+    def dump(value: object) -> str:
+        try:
+            return "".join(encode(value, 0)) if encode else encoder.encode(value)
+        except ValueError as exc:  # allow_nan=False's "Out of range float values ..."
+            if str(exc).startswith("Out of range float"):
+                raise ValueError("a number is not finite: JSON has no NaN or Infinity") from None
+            raise
+
+    return dump
 
 
 #: Canonical JSON of finite numbers: a trace line's bytes, a type-strict equality.
@@ -672,11 +678,6 @@ def _entry(lineno: int, line: str) -> dict:
     if not isinstance(entry, dict):
         raise _Unreadable(lineno, "not a JSON object")
     return entry
-
-
-def _on(line: int) -> Span | None:
-    """Where a replay finding about trace line ``line`` goes: a Trace has none (0)."""
-    return Span(line, 1) if line else None
 
 
 class TraceStep(NamedTuple):  # a tuple: one record per step read
@@ -821,7 +822,7 @@ class _Run:
     def take(self, lineno: int, line: str) -> bool:  # a step line is decoded in full
         return False
 
-    def step(self, lineno: int, line: str | None, entry: dict) -> None:
+    def step(self, lineno: int, line: str, entry: dict) -> None:
         self.count += 1
         if self.fits(lineno, entry):
             self.steps.append(TraceStep(**entry))
@@ -832,7 +833,7 @@ class _Run:
             self.problem = _Unreadable(lineno, f"step {self.count}: {misfit}")
         return misfit is None
 
-    def end(self, lineno: int, line: str | None, entry: dict) -> None:
+    def end(self, lineno: int, line: str, entry: dict) -> None:
         misfit = _misfit(entry, ("outcome", "run", "steps"), ())
         problem = self.problem or self.misfit or (misfit and _Unreadable(lineno, misfit))
         footer = {**entry, "run": self.run_id, "steps": self.count}
@@ -1048,43 +1049,39 @@ def replay_check(
     trace: Union[Trace, str, Iterable[str]], catalog: Catalog
 ) -> list[Diagnostic]:
     """Re-run each trace as it is read, a step per recorded step, and report
-    each run's first difference, at the trace line it is about (a Trace: none).
+    each run's first difference, at the trace line it is about.
 
-    ``trace`` is a :class:`Trace`, a trace file's text, or its lines (an open
-    file, say), read lazily; a line ends at ``\\n`` only.  A step line that is
-    its flow's template for the step, verdict ``ok``, around a 10-character
-    digest slot and a ``produced`` object has only that object decoded; header
-    and outcome lines, and every other line, are decoded in full.  A re-run
-    step whose canonical line is the recorded line is verified; another line
-    is decoded in full and compared field by field, type-strictly (1 ≠ 1.0), so
-    other spacing or key order replays clean.  A run reports, by precedence:
-    ``E-TRACE`` for text that does not read (see :meth:`Trace.all_from_jsonl`),
-    where reading stops, as text never raises; ``E-UNRESOLVED`` if the catalog
-    lacks the flow or any step's message; the first differing field,
-    ``E-BINDING`` where the re-run aborts ``V-TYPE`` and the trace says ``ok``,
-    else ``E-TRACE``.
+    ``trace`` is a trace file's text, its lines (an open file, say), read
+    lazily, or a :class:`Trace`, read as its :meth:`~Trace.to_jsonl` text; a
+    line ends at ``\\n`` only.  A step line that is its flow's template for the
+    step, verdict ``ok``, around a 10-character digest slot and a ``produced``
+    object has only that object decoded; header and outcome lines, and every
+    other line, are decoded in full.  A re-run step whose canonical line is the
+    recorded line is verified; another line is decoded in full and compared
+    field by field, type-strictly (1 ≠ 1.0), so other spacing or key order
+    replays clean.  A run reports, by precedence: ``E-TRACE`` for text that
+    does not read (see :meth:`Trace.all_from_jsonl`), where reading stops, as
+    text never raises, or for a Trace that does not write (a NaN, say);
+    ``E-UNRESOLVED`` if the catalog lacks the flow or any step's message; the
+    first differing field, ``E-BINDING`` where the re-run aborts ``V-TYPE`` and
+    the trace says ``ok``, else ``E-TRACE``.
     """
+    if isinstance(trace, Trace):
+        try:
+            trace = trace.to_jsonl()
+        except (TypeError, ValueError, RecursionError) as exc:  # built by hand
+            return [Diagnostic("error", "E-TRACE", f"the trace does not write: {exc}")]
     parse = functools.lru_cache(maxsize=None)(parse_type)  # once per type string
     found: list[Diagnostic] = []
+    lines = _lines(trace) if isinstance(trace, str) else (  # an item: a line or more
+        line for item in trace for line in item.removesuffix("\n").split("\n")
+    )
     try:
-        if isinstance(trace, Trace):  # its fields, read as its lines' would be
-            run_id, steps = trace.run_id, trace.steps
-            header = dict(format=2, pattern=trace.pattern, run=run_id, seed=trace.seed)
-            footer = dict(outcome=trace.outcome, run=run_id, steps=len(steps))
-            runs = [replayed := _Replay(0, header, catalog, parse)]
-            for step in steps:
-                replayed.step(0, None, step.to_json())
-            replayed.end(0, None, footer)
-        else:  # an iterable's item is a line or more, with or without its break
-            lines = _lines(trace) if isinstance(trace, str) else (
-                line for item in trace for line in item.removesuffix("\n").split("\n")
-            )
-            runs = _each_run(lines, lambda at, head: _Replay(at, head, catalog, parse))
-        for replayed in runs:
+        for replayed in _each_run(lines, lambda at, head: _Replay(at, head, catalog, parse)):
             if replayed.found or replayed.difference:
                 found.append(replayed.found or replayed.difference)
     except ValueError as exc:  # from reading: replay raises no ValueError
-        span = _on(exc.line) if isinstance(exc, _Unreadable) else None
+        span = Span(exc.line, 1) if isinstance(exc, _Unreadable) else None
         found.append(Diagnostic("error", "E-TRACE", f"unreadable trace: {exc}", span=span))
     return found
 
@@ -1107,12 +1104,12 @@ class _Replay(_Run, AgentBehavior):
             flow = catalog.flow(name)
         except (KeyError, TypeError, ValueError):  # unknown, not a name, an empty scenario
             found = reference_rule(f"run {self.run_id}", "flow", name)
-            self.found = replace(found, span=_on(lineno))
+            self.found = replace(found, span=Span(lineno, 1))
             return
         if flow.report.errors:
             error = flow.report.errors[0]
             text = f"run {self.run_id}: flow {name!r} does not check: {error.message}"
-            self.found = Diagnostic("error", error.code, text, span=_on(lineno))
+            self.found = Diagnostic("error", error.code, text, span=Span(lineno, 1))
         else:  # a cycle through the agents, broken when the re-run ends
             self.rerun = _execute(flow, dict.fromkeys(catalog.roles, self))
             self.templates = _kept(flow)[0]
@@ -1155,7 +1152,7 @@ class _Replay(_Run, AgentBehavior):
         self.step(lineno, line, {"verdict": "ok", "produced": produced}, False)
         return True
 
-    def step(self, lineno: int, line: str | None, entry: dict, whole: bool = True) -> None:
+    def step(self, lineno: int, line: str, entry: dict, whole: bool = True) -> None:
         self.count += 1
         if self.rerun is not None:
             self.entry = entry
@@ -1170,9 +1167,10 @@ class _Replay(_Run, AgentBehavior):
             message = entry["message"]
             if not isinstance(message, str) or message not in self.messages:
                 owner = f"run {self.run_id} step {entry['step']}"
-                self.found = replace(reference_rule(owner, "message", message), span=_on(lineno))
+                found = reference_rule(owner, "message", message)
+                self.found = replace(found, span=Span(lineno, 1))
 
-    def end(self, lineno: int, line: str | None, entry: dict) -> None:
+    def end(self, lineno: int, line: str, entry: dict) -> None:
         rerun, self.rerun, self.entry = self.rerun, None, None  # past the last step
         if rerun is not None:
             taken = next(rerun, None)
@@ -1202,6 +1200,6 @@ class _Replay(_Run, AgentBehavior):
                     break
         if text is not None:
             text = f"run {self.run_id}: {text}"
-            self.difference = Diagnostic("error", code, text, span=_on(lineno))
+            self.difference = Diagnostic("error", code, text, span=Span(lineno, 1))
         if text is not None or taken is None:
             self.rerun = None

@@ -221,11 +221,27 @@ def test_catalog_export_to_file(runner, tmp_path):
     assert json.loads(stdout.output) == data
 
 
+def test_catalog_export_to_a_path_that_cannot_be_written_exits_2(runner, tmp_path):
+    out = tmp_path / "nowhere" / "catalog.json"
+    result = runner.invoke(main, ["catalog", "export", "--output", str(out)])
+    assert result.exit_code == 2
+    assert result.output == f"Error: cannot write {out}: No such file or directory\n"
+    assert result.exception is None or isinstance(result.exception, SystemExit)
+
+
 # ---------------------------------------------------------------------------
 # run
 # ---------------------------------------------------------------------------
 
 ROBOT_AGENTS = str(AGENTS_DIR / "robot_demo.agents")
+
+
+def test_run_to_a_trace_path_that_cannot_be_written_exits_2(runner, tmp_path):
+    out = tmp_path / "nowhere" / "t.jsonl"
+    result = runner.invoke(main, ["run", "D1", "--agents", ROBOT_AGENTS, "--trace", str(out)])
+    assert result.exit_code == 2
+    assert result.output == f"Error: cannot write {out}: No such file or directory\n"
+    assert result.exception is None or isinstance(result.exception, SystemExit)
 
 
 def test_run_writes_byte_stable_traces(runner, tmp_path):

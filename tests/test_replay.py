@@ -6,6 +6,7 @@ import dataclasses
 import io
 import json
 import random
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings
@@ -246,6 +247,86 @@ def test_non_finite_numbers_are_one_finding(catalog, bad):
     steps[3] = step._replace(produced=produced)
     (diag,) = replay_check(dataclasses.replace(trace, steps=tuple(steps)), catalog)
     assert diag.code == "E-TRACE" and "finite" in diag.message
+
+
+def _found(diags) -> list[tuple]:
+    """What a finding says and where: ``Diagnostic`` equality ignores its span."""
+    return [(d.code, d.message, d.span) for d in diags]
+
+
+def _edits(trace) -> dict:
+    """``trace``, and copies of it with a produced value changed, its first
+    step dropped and its first message unknown (those it has steps for)."""
+    steps = trace.steps
+    edits = {"as run": trace}
+    if steps:
+        edits["dropped step"] = dataclasses.replace(trace, steps=steps[1:])
+        unknown = steps[0]._replace(message="ZZ")
+        edits["unknown message"] = dataclasses.replace(trace, steps=(unknown, *steps[1:]))
+    for index, step in enumerate(steps):
+        if step.produced:
+            var, data = next(iter(step.produced.items()))
+            edited = step._replace(produced={**step.produced, var: {**data, "value": "edited"}})
+            changed = (*steps[:index], edited, *steps[index + 1 :])
+            edits["changed value"] = dataclasses.replace(trace, steps=changed)
+            break
+    return edits
+
+
+def test_a_trace_replays_as_its_text_does(catalog):
+    """Every runnable corpus run, as run and edited: the same findings, each
+    at the line of the trace's text that it is about."""
+    replayed: Counter = Counter()
+    for name in sorted({*catalog.patterns, *catalog.scenarios}):
+        for agents_file in ("rl_demo.agents", "robot_demo.agents"):
+            agents = parse_agents((AGENTS_DIR / agents_file).read_text())
+            try:
+                trace = run(catalog, name, agents, seed=7)
+            except (LookupError, ValueError):  # no agent for a role, check errors
+                continue
+            for edit, recorded in _edits(trace).items():
+                found = _found(replay_check(recorded, catalog))
+                assert found == _found(replay_check(recorded.to_jsonl(), catalog)), name
+                assert (found == []) == (edit == "as run"), (name, edit)
+                assert all(span is not None and span.line > 1 for _, _, span in found)
+                replayed[edit] += 1
+    assert replayed == {
+        "as run": 64, "dropped step": 64, "unknown message": 64, "changed value": 23
+    }
+
+
+def test_a_clean_trace_is_replayed_from_its_lines_with_no_field_compared(
+    catalog, monkeypatch
+):
+    compared = []
+    compare = runtime._Replay.compare
+    monkeypatch.setattr(
+        runtime._Replay, "compare", lambda self, *args: compared.append(args) or compare(self, *args)
+    )
+    agents = parse_agents((AGENTS_DIR / "robot_demo.agents").read_text())
+    for trace in run_scenario(catalog, "D1", agents, seed=3, repeat=2):
+        assert replay_check(trace, catalog) == []
+    assert compared == []
+    copy = dataclasses.replace(trace, seed=4)  # written from its steps: replay reads no seed
+    assert replay_check(copy, catalog) == [] and compared == []
+
+
+@pytest.mark.parametrize(
+    "bad, why",
+    [(float("nan"), "not finite"), (float("-inf"), "not finite"), (object(), "serializable")],
+)
+def test_a_trace_that_does_not_write_is_one_finding_and_never_raises(catalog, bad, why):
+    trace = Trace.from_jsonl(_text(_d1_lines(catalog)))
+    step = trace.steps[3]
+    produced = {"X": {**step.produced["X"], "value": {"vec": [0.0, bad]}}}
+    edited = dataclasses.replace(
+        trace, steps=(*trace.steps[:3], step._replace(produced=produced), *trace.steps[4:])
+    )
+    with pytest.raises((TypeError, ValueError), match=why):
+        edited.to_jsonl()
+    (diag,) = replay_check(edited, catalog)
+    assert (diag.code, diag.span) == ("E-TRACE", None)
+    assert diag.message.startswith("the trace does not write: ") and why in diag.message
 
 
 def test_reading_names_the_file_line(catalog):

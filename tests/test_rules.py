@@ -19,14 +19,17 @@ from conftest import AGENTS_DIR, FIXTURES
 from haiproto import (
     TAGS,
     ActionDef,
+    AgentBehavior,
     Arg,
     BaseType,
+    Catalog,
     GroupType,
     ListType,
     Message,
     Operation,
     OpKind,
     Pattern,
+    Payload,
     PrimitiveKind,
     PrimitiveSpec,
     Role,
@@ -40,8 +43,10 @@ from haiproto import (
     parse,
     parse_agents,
     print_action,
+    print_message,
     print_pattern,
     replay_check,
+    run,
     run_scenario,
 )
 from haiproto.check import check_flow, placed
@@ -423,3 +428,54 @@ def test_a_needed_type_meets_every_later_use_in_the_corpus_and_traces_read_back(
             assert read == [trace.steps for trace in traces]
             assert all(type(step) is TraceStep for steps in read for step in steps)
     assert uses > 0
+
+
+class _Exact(AgentBehavior):
+    """Produces exactly what it is asked for, at the type asked: a string, or a
+    tuple of one string for a list type."""
+
+    def produce(self, message, action, needed, binding):
+        return {
+            var: Payload(typ, (var,) if isinstance(typ, ListType) else var)
+            for var, typ in needed.items()
+        }
+
+
+#: A flow that checks, whatever is drawn: a list-typed value bound, then used again.
+_LIST_THEN_USED = (
+    Pattern("p", ("M0", "M1")),
+    {
+        "M0": Message("M0", "user", "model", "a0", ("X",)),
+        "M1": Message("M1", "model", "user", "a1", ("X", "Y")),
+    },
+    {
+        "a0": ActionDef("a0", ("P0",), PrimitiveSpec(
+            PrimitiveKind.PROVIDE, Arg("P0", ListType(INPUT))
+        )),
+        "a1": ActionDef("a1", ("P0", "P1"), PrimitiveSpec(
+            PrimitiveKind.PROVIDE, Arg("P1", OUTPUT), (Arg("P0", ListType(INPUT)),)
+        )),
+    },
+)
+
+
+@settings(max_examples=300, deadline=None)  # about one drawn flow in six checks
+@given(_flows())
+@example(_LIST_THEN_USED)
+def test_a_flow_that_checks_runs_and_replays_clean_and_prints_back(drawn):
+    """The pipeline's promise: printed declarations parse back equal, and a
+    pattern that checks completes with agents that produce what it needs,
+    and its trace replays clean, as a Trace and as text."""
+    pattern, messages, actions = drawn
+    declared = [*actions.values(), *messages.values(), pattern]
+    printed = [*map(print_action, actions.values()), *map(print_message, messages.values())]
+    result = parse("\n".join([*printed, print_pattern(pattern)]))
+    assert result.diagnostics == () and [decl.node for decl in result.file.decls] == declared
+    roles = frozenset({"user", "model"})
+    catalog = Catalog(actions, messages, {"p": pattern}, {}, {}, {}, frozenset(), roles)
+    if catalog.flow("p").report.errors:  # as most drawn flows do
+        return
+    trace = run(catalog, "p", dict.fromkeys(roles, _Exact()))
+    assert trace.outcome == "completed" and len(trace.steps) == len(pattern.messages)
+    assert replay_check(trace, catalog) == []
+    assert replay_check(trace.to_jsonl(), catalog) == []

@@ -871,7 +871,7 @@ def test_dump_refuses_non_finite_numbers_with_or_without_the_c_encoder(monkeypat
         )
         for bad in (math.nan, math.inf, -math.inf):
             for value in (bad, [bad], {"x": {"y": bad}}):
-                with pytest.raises(ValueError):
+                with pytest.raises(ValueError, match="^a number is not finite"):
                     dump(value)
 
 
