@@ -89,6 +89,9 @@ class Catalog:
     _flows: dict[str, Flow] = field(
         default_factory=dict, init=False, repr=False, compare=False
     )
+    _shared: dict = field(  # check_flow's table: a Step per message, a tuple per value
+        default_factory=dict, init=False, repr=False, compare=False
+    )
     _keys: dict[str, dict[tuple, Span]] = field(  # each sidecar's keys, once placed
         default_factory=dict, init=False, repr=False, compare=False
     )
@@ -105,27 +108,27 @@ class Catalog:
     def flow(self, name: str) -> Flow:
         """The pattern or scenario called ``name``, resolved and checked at
         its own scope (:func:`~haiproto.check.check_flow`): a scenario must
-        close every request it opens.  Every consumer of a named flow checks
-        it here, and its diagnostics are placed at the declaration of ``name``.
+        close every request it opens.  Every consumer of a named flow, from
+        :func:`check_catalog` to runs and replays, checks it here; its report
+        is on ``"{kind} {name}"``, placed at the declaration of ``name``.
         ``KeyError`` if there is no such flow, ``ValueError`` if a scenario
         does not join.
 
-        A name is checked once per catalog: later calls return the same
-        :class:`~haiproto.check.Flow`, which is why the tables must not
-        change after load.  ``dataclasses.replace`` gives a copy that starts
-        with none.  :func:`check_catalog` checks every flow without keeping
-        any: kept, the 2,640 flows of 60 corpus copies raised peak memory
-        by 17% and slowed the stages after it."""
+        A name is checked once per catalog, and kept: later calls return the
+        same :class:`~haiproto.check.Flow`.  Flows naming one message share
+        its :class:`~haiproto.check.Step`, and equal tuples are one object
+        (``check_flow``'s ``shared``), so every flow is small enough to keep.
+        The tables must not change after load; ``dataclasses.replace`` gives
+        a copy that starts with no flow checked."""
         flow = self._flows.get(name)
         if flow is None:
-            flow = self._flows[name] = self._check(name)
+            kind = "pattern" if name in self.patterns else "scenario"
+            pattern = self.resolve_flow(name)
+            flow = check_flow(pattern, self.messages, self.actions, kind, self._shared)
+            if flow.report.diagnostics:
+                flow = replace(flow, report=self.place(kind, name, flow.report))
+            self._flows[name] = flow
         return flow
-
-    def _check(self, name: str) -> Flow:
-        """Check ``name`` at its own scope, placed where it is declared."""
-        kind = "pattern" if name in self.patterns else "scenario"
-        flow = check_flow(self.resolve_flow(name), self.messages, self.actions, kind)
-        return replace(flow, report=self.place(kind, name, flow.report))
 
     def place(self, kind: str, name: str, report: CheckReport) -> CheckReport:
         """``report``, on the ``kind`` called ``name``, placed at its keyword
@@ -395,17 +398,16 @@ def load(paths: Sequence[str | Path]) -> Catalog:
 
 
 def check_catalog(catalog: Catalog) -> list[CheckReport]:
-    """Run every check over a loaded catalog, deterministically ordered."""
+    """Run every check over a loaded catalog, deterministically ordered; a
+    flow's report is its own, as :meth:`Catalog.flow` keeps it."""
     reports: list[CheckReport] = []
     for name in sorted(catalog.actions):
         reports.append(catalog.place("action", name, check_action(catalog.actions[name])))
     for name in sorted(catalog.messages):
         report = check_message(catalog.messages[name], catalog.actions)
         reports.append(catalog.place("message", name, report))
-    for kind, flows in (("pattern", catalog.patterns), ("scenario", catalog.scenarios)):
-        for name in sorted(flows):
-            report = catalog._check(name).report  # keeps no flow: see Catalog.flow
-            reports.append(CheckReport(f"{kind} {name}", report.diagnostics))
+    for flows in (catalog.patterns, catalog.scenarios):
+        reports.extend(catalog.flow(name).report for name in sorted(flows))
     return reports
 
 

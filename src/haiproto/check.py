@@ -24,7 +24,8 @@ variables.  The checker, simulator and replay pair message arguments with
 action parameters only there; :class:`~haiproto.runtime.StubModelAgent` pairs
 them itself, once per pairing.  :func:`check_flow` resolves, checks and narrows
 a pattern once (``Flow.needed``), at the scope :meth:`~haiproto.catalog.Catalog.flow`
-picks for a named flow; everything else reads its Flow.
+picks for a named flow; everything else reads its Flow.  A catalog keeps each
+flow, resolves each message once, and shares equal tuples across its flows.
 
 * :func:`check_action` — the variable and arity rules, plus operations over
   declared variables with legal type shapes.
@@ -70,7 +71,7 @@ from .core import (
 )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)  # slotted: a check returns one per declaration
 class CheckReport:
     """All findings for one checked object."""
 
@@ -244,48 +245,26 @@ def check_action(action: ActionDef) -> CheckReport:
 
     for op in action.operations:
         arity = arity_rule(op, action)
+        unknown = [v for v in op.args if v not in scope]
+        call = f"{op.kind.value}({', '.join(op.args)}) in {action.name!r}"
         if arity is not None:
             diags.append(arity)
-            continue
-        unknown = [v for v in op.args if v not in scope]
-        if unknown:
-            diags.append(
-                _err(
-                    "E-OP-VAR",
-                    f"{op.kind.value} in {action.name!r} uses undeclared "
-                    f"variable{'s' if len(unknown) > 1 else ''} "
-                    f"{', '.join(repr(v) for v in unknown)}",
-                )
-            )
-            continue
-        if op.kind is OpKind.MODIFY:
+        elif unknown:
+            listed = f"variable{'s' if len(unknown) > 1 else ''} {', '.join(map(repr, unknown))}"
+            text = f"{op.kind.value} in {action.name!r} uses undeclared {listed}"
+            diags.append(_err("E-OP-VAR", text))
+        elif op.kind is OpKind.MODIFY:
             a, b = (scope[v] for v in op.args)
             if not type_compatible(a, b):
-                diags.append(
-                    _err(
-                        "E-MODIFY-TYPE",
-                        f"modify({', '.join(op.args)}) in {action.name!r} "
-                        f"relates incompatible types {a} and {b}",
-                    )
-                )
+                diags.append(_err("E-MODIFY-TYPE", f"{call} relates incompatible types {a} and {b}"))
         elif op.kind is OpKind.SELECT and len(op.args) == 2:
             item, source = (scope[v] for v in op.args)
             if not isinstance(source, ListType):
-                diags.append(
-                    _err(
-                        "E-SELECT-LIST",
-                        f"select({', '.join(op.args)}) in {action.name!r} "
-                        f"needs a list to select from, got {source}",
-                    )
-                )
+                text = f"{call} needs a list to select from, got {source}"
+                diags.append(_err("E-SELECT-LIST", text))
             elif not type_compatible(item, source.element):
-                diags.append(
-                    _err(
-                        "E-SELECT-ELEM",
-                        f"select({', '.join(op.args)}) in {action.name!r} "
-                        f"selects {item} from a list of {source.element}",
-                    )
-                )
+                text = f"{call} selects {item} from a list of {source.element}"
+                diags.append(_err("E-SELECT-ELEM", text))
     return CheckReport(f"action {action.name}", tuple(diags))
 
 
@@ -300,35 +279,19 @@ def check_message(message: Message, actions: Mapping[str, ActionDef]) -> CheckRe
     action, found = instantiation_rule(message, actions)
     if action is None:
         return CheckReport(target, tuple(found))
-    diags: list[Diagnostic] = []
     if message.sender == message.receiver:
-        diags.append(
-            _err(
-                "E-SELF-SEND",
-                f"message {message.name!r} has sender and receiver "
-                f"{message.sender!r}",
-            )
-        )
-    diags.extend(found)
+        found.insert(0, _err("E-SELF-SEND", f"message {message.name!r} has sender and "
+                             f"receiver {message.sender!r}"))
     seen_keys: set[str] = set()
     for mod in message.modifiers:
         if mod.key in seen_keys:
-            diags.append(
-                _err(
-                    "E-DUP-MOD",
-                    f"message {message.name!r} repeats modifier key {mod.key!r}",
-                )
-            )
+            found.append(_err("E-DUP-MOD", f"message {message.name!r} repeats modifier key "
+                              f"{mod.key!r}"))
         seen_keys.add(mod.key)
         if mod.style == "var" and mod.key not in message.args:
-            diags.append(
-                _err(
-                    "E-UNKNOWN-MOD-VAR",
-                    f"modifier {mod.key!r} on message {message.name!r} names "
-                    f"no argument of the message",
-                )
-            )
-    return CheckReport(target, tuple(diags))
+            found.append(_err("E-UNKNOWN-MOD-VAR", f"modifier {mod.key!r} on message "
+                              f"{message.name!r} names no argument of the message"))
+    return CheckReport(target, tuple(found))
 
 
 # ---------------------------------------------------------------------------
@@ -384,22 +347,36 @@ def check_flow(
     messages: Mapping[str, Message],
     actions: Mapping[str, ActionDef],
     scope: str = "pattern",
+    shared: dict | None = None,
 ) -> Flow:
-    """Resolve ``pattern`` and check it; see :func:`check_pattern`."""
+    """Resolve ``pattern`` and check it, on target ``"{scope} {name}"``; see
+    :func:`check_pattern`.  ``shared``, kept across calls on the same tables,
+    holds each resolved message's :class:`Step` under its name, and each
+    ``slots``, ``carried`` and ``needed`` tuple under itself, so equal ones
+    are one object; a message that does not resolve is resolved again."""
     if scope not in ("pattern", "scenario"):
         raise ValueError(f"unknown scope {scope!r}")
-    target = f"pattern {pattern.name}"
+    shared = {} if shared is None else shared
+    share = shared.setdefault  # share(value, value): the first tuple equal to value
+    target = f"{scope} {pattern.name}"
     diags = pattern_rule(pattern)
     resolved: list[Step] = []
     for name in pattern.messages:  # one that does not resolve is reported, left out
-        message = messages.get(name)
-        if message is None:
-            diags.append(reference_rule(f"pattern {pattern.name!r}", "message", name))
-            continue
-        step, found = resolve_step(message, actions)
-        diags.extend(found)
-        if step is not None:
-            resolved.append(step)
+        step = shared.get(name)
+        if step is None:
+            message = messages.get(name)
+            if message is None:
+                diags.append(reference_rule(f"pattern {pattern.name!r}", "message", name))
+                continue
+            step, found = resolve_step(message, actions)
+            diags.extend(found)
+            if step is None:
+                continue
+            slots, carried = share(step.slots, step.slots), share(step.carried, step.carried)
+            if slots is not step.slots or carried is not step.carried:
+                step = Step(message, step.action, slots, carried)
+            shared[name] = step
+        resolved.append(step)
     steps = tuple(resolved)
     if len(steps) < len(pattern.messages):
         return Flow(pattern, steps, CheckReport(target, tuple(diags)), ())
@@ -423,7 +400,8 @@ def check_flow(
         carried = {var for variables, _ in step.carried for var in variables}
         fresh = [var for var in dict(step.slots) if var in carried - introduced]
         introduced.update(fresh)
-        needed.append(tuple((var, binding.types[var]) for var in fresh))
+        pairs = tuple([(var, binding.types[var]) for var in fresh])  # often equal to slots
+        needed.append(step.slots if pairs == step.slots else share(pairs, pairs))
 
     # Dialogue coherence.
     open_obligations: list[_Obligation] = []
@@ -464,7 +442,8 @@ def check_flow(
             diags.append(_err("E-UNANSWERED", detail))
         else:
             diags.append(Diagnostic("warning", "W-UNANSWERED", detail))
-    return Flow(pattern, steps, CheckReport(target, tuple(diags)), tuple(needed))
+    per_step = tuple(needed)
+    return Flow(pattern, steps, CheckReport(target, tuple(diags)), share(per_step, per_step))
 
 
 def check_pattern(

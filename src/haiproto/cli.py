@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import dataclasses
 import json
+from collections import Counter
 from pathlib import Path
 
 import click
@@ -254,7 +255,8 @@ def run_command(
     repeat: int,
     trace_path: str | None,
 ) -> None:
-    """Simulate a pattern or scenario with configured agents."""
+    """Simulate a pattern or scenario with configured agents: the trace goes
+    to stdout or ``--trace``, a line per aborted run and a summary to stderr."""
     catalog = _load_corpus(ctx)
     try:
         agents = parse_agents(
@@ -281,6 +283,11 @@ def run_command(
             f"({abort['code']})",
             err=True,
         )
+    codes = sorted(Counter(trace.outcome["aborted"]["code"] for trace in failed).items())
+    aborted = f" ({', '.join(f'{code}: {n}' for code, n in codes)})" if codes else ""
+    steps = text.count("\n") - 2 * len(traces)  # less each run's header and outcome lines
+    click.echo(f"ran {name}: {len(traces)} run(s), {steps} step(s), {len(traces) - len(failed)} "
+               f"completed, {len(failed)} aborted{aborted}", err=True)
     if failed:
         ctx.exit(1)
 

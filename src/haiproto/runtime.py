@@ -1071,19 +1071,25 @@ def replay_check(
             trace = trace.to_jsonl()
         except (TypeError, ValueError, RecursionError) as exc:  # built by hand
             return [Diagnostic("error", "E-TRACE", f"the trace does not write: {exc}")]
-    parse = functools.lru_cache(maxsize=None)(parse_type)  # once per type string
     found: list[Diagnostic] = []
     lines = _lines(trace) if isinstance(trace, str) else (  # an item: a line or more
         line for item in trace for line in item.removesuffix("\n").split("\n")
     )
     try:
-        for replayed in _each_run(lines, lambda at, head: _Replay(at, head, catalog, parse)):
+        for replayed in _each_run(lines, lambda at, head: _Replay(at, head, catalog)):
             if replayed.found or replayed.difference:
                 found.append(replayed.found or replayed.difference)
     except ValueError as exc:  # from reading: replay raises no ValueError
         span = Span(exc.line, 1) if isinstance(exc, _Unreadable) else None
         found.append(Diagnostic("error", "E-TRACE", f"unreadable trace: {exc}", span=span))
     return found
+
+
+@functools.lru_cache(maxsize=1024)
+def _parse_type(text: str) -> TypeExpr:
+    """:func:`~haiproto.dsl.parse_type`, once per type string across replays:
+    a type is frozen, so every replay may share it."""
+    return parse_type(text)
 
 
 class _Replay(_Run, AgentBehavior):
@@ -1093,9 +1099,9 @@ class _Replay(_Run, AgentBehavior):
     ``on_receive``.  Of the findings, ``found``, for the flow or a message,
     wins over ``difference``."""
 
-    def __init__(self, lineno: int, header: dict, catalog: Catalog, parse: Callable):
+    def __init__(self, lineno: int, header: dict, catalog: Catalog):
         super().__init__(lineno, header)
-        self.messages, self.parse, self.entry = catalog.messages, parse, None
+        self.messages, self.entry = catalog.messages, None
         self.rerun = self.last = self.found = self.difference = None
         if self.problem or self.misfit:
             return
@@ -1120,7 +1126,7 @@ class _Replay(_Run, AgentBehavior):
             raise RunViolation(step["verdict"], step.get("detail"))
         served = {}
         for var, data in step["produced"].items():
-            typ = self.parse(data["type"])
+            typ = _parse_type(data["type"])
             if typ == needed.get(var):  # the flow's own object, as a run's agent serves
                 typ = needed[var]
             served[var] = Payload(typ, _value_from_json(data["value"]))

@@ -254,7 +254,7 @@ def test_run_writes_byte_stable_traces(runner, tmp_path):
     assert a == (tmp_path / "b.jsonl").read_bytes()
     stdout = runner.invoke(main, args)
     assert stdout.exit_code == 0
-    assert stdout.output.encode() == a
+    assert stdout.stdout.encode() == a  # the summary goes to stderr
 
 
 def test_run_writes_its_trace_without_reading_a_step_line(runner, tmp_path, monkeypatch, catalog):
@@ -332,7 +332,31 @@ def test_run_negative_repeat_is_a_usage_error(runner):
     assert "--repeat" in result.output
     zero = runner.invoke(main, args + ["0"])
     assert zero.exit_code == 0
-    assert zero.output == ""
+    assert zero.stdout == ""
+    assert zero.stderr == "ran D1: 0 run(s), 0 step(s), 0 completed, 0 aborted\n"
+
+
+def test_run_summarises_its_runs_on_stderr(runner, tmp_path):
+    out = tmp_path / "t.jsonl"
+    args = ["run", "D1", "--agents", ROBOT_AGENTS, "--repeat", "3", "--trace", str(out)]
+    result = runner.invoke(main, args)
+    assert result.exit_code == 0, result.output
+    assert result.stdout == f"wrote {out}\n"
+    assert result.stderr == "ran D1: 3 run(s), 18 step(s), 3 completed, 0 aborted\n"
+
+
+def test_run_summarises_aborted_runs_by_code(runner, tmp_path):
+    agents = tmp_path / "no_x.agents"  # D1's fourth step, A4, has no X to produce
+    agents.write_text(Path(ROBOT_AGENTS).read_text().replace("A4.X", "Z4.X"))
+    args = ["run", "D1", "--agents", str(agents), "--repeat", "2"]
+    result = runner.invoke(main, args)
+    assert result.exit_code == 1, result.output
+    assert result.stderr.splitlines() == [
+        "run D1-s0-r0 aborted at step 4 (V-MISSING)",
+        "run D1-s0-r1 aborted at step 4 (V-MISSING)",
+        "ran D1: 2 run(s), 8 step(s), 0 completed, 2 aborted (V-MISSING: 2)",
+    ]
+    assert result.stdout.count("\n") == 2 * (1 + 4 + 1)
 
 
 # ---------------------------------------------------------------------------

@@ -132,6 +132,8 @@ def test_step_templates_write_what_a_fresh_run_writes(catalog):
 
 
 def test_run_scenario_resolves_and_checks_the_flow_once(monkeypatch):
+    """``check_catalog`` checks each flow and resolves each message once, and
+    keeps them: the runs and replays after it check and resolve nothing."""
     catalog = load([FIXTURES])  # a fresh catalog: nothing checked yet
     calls: Counter = Counter()
 
@@ -152,18 +154,28 @@ def test_run_scenario_resolves_and_checks_the_flow_once(monkeypatch):
         agents = parse_agents((AGENTS_DIR / "robot_demo.agents").read_text())
         return run_scenario(catalog, "D1", agents, repeat=repeat)
 
-    check_catalog(catalog)  # checks every flow and keeps none
-    assert catalog._flows == {}
+    flows = sorted({*catalog.patterns, *catalog.scenarios})
+    named = {m for name in flows for m in catalog.resolve_flow(name).messages}
+    check_catalog(catalog)
+    assert dict(calls) == {"check_flow": len(flows), "resolve_step": len(named)}
     calls.clear()
     assert len(d1_runs(catalog, 1)) == 1
-    assert dict(calls) == d1_once
-    calls.clear()
+    assert dict(calls) == {}
     traces = d1_runs(catalog, 50)
     assert replay_check("".join(trace.to_jsonl() for trace in traces), catalog) == []
     assert dict(calls) == {}
     copy = dataclasses.replace(catalog)  # a copy starts with no checked flow
     assert copy == catalog and len(d1_runs(copy, 1)) == 1
     assert dict(calls) == d1_once
+
+
+def test_flows_naming_one_message_share_its_step():
+    catalog = load([FIXTURES])
+    check_catalog(catalog)
+    parts = [step for part in catalog.scenarios["D1"] for step in catalog.flow(part).steps]
+    steps = catalog.flow("D1").steps
+    assert len(steps) == len(parts) == 6
+    assert all(step is part for step, part in zip(steps, parts))
 
 
 @pytest.fixture(scope="module")

@@ -311,6 +311,17 @@ def test_a_clean_trace_is_replayed_from_its_lines_with_no_field_compared(
     assert replay_check(copy, catalog) == [] and compared == []
 
 
+def test_replays_parse_each_type_string_once_across_calls(catalog, monkeypatch):
+    parsed = []
+    parse_type = runtime.parse_type
+    monkeypatch.setattr(runtime, "parse_type", lambda text: parsed.append(text) or parse_type(text))
+    runtime._parse_type.cache_clear()
+    agents = parse_agents((AGENTS_DIR / "robot_demo.agents").read_text())
+    traces = run_scenario(catalog, "D1", agents, seed=3, repeat=300)
+    assert all(replay_check(trace, catalog) == [] for trace in traces)  # one call each
+    assert 0 < len(parsed) <= 3 and len(set(parsed)) == len(parsed)
+
+
 @pytest.mark.parametrize(
     "bad, why",
     [(float("nan"), "not finite"), (float("-inf"), "not finite"), (object(), "serializable")],

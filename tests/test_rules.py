@@ -6,6 +6,7 @@ from __future__ import annotations
 import ast
 import dataclasses
 import inspect
+import itertools
 import json
 from pathlib import Path
 
@@ -36,6 +37,7 @@ from haiproto import (
     Trace,
     TraceStep,
     check_action,
+    check_catalog,
     check_pattern,
     intersect,
     load,
@@ -479,3 +481,35 @@ def test_a_flow_that_checks_runs_and_replays_clean_and_prints_back(drawn):
     assert trace.outcome == "completed" and len(trace.steps) == len(pattern.messages)
     assert replay_check(trace, catalog) == []
     assert replay_check(trace.to_jsonl(), catalog) == []
+
+
+@settings(max_examples=300, deadline=None)
+@given(_flows())
+@example(_LIST_THEN_USED)
+def test_a_flow_check_catalog_keeps_is_a_fresh_check_of_its_pattern(drawn):
+    """A catalog checks each flow once and keeps it, its steps resolved once
+    per message and its equal tuples shared with the catalog's other flows;
+    each kept flow is what a fresh ``check_flow`` gives, and runs the same."""
+    pattern, messages, actions = drawn
+    roles = frozenset({"user", "model"})
+    scenarios = {"s": ("p", "p")}  # names every message twice, at scenario scope
+    catalog = Catalog(actions, messages, {"p": pattern}, scenarios, {}, {}, frozenset(), roles)
+    reports = check_catalog(catalog)
+    kept = [catalog.flow("p"), catalog.flow("s")]
+    assert [flow.report for flow in kept] == reports[-2:]
+    assert all(flow.report is report for flow, report in zip(kept, reports[-2:]))
+    for flow, (name, scope) in zip(kept, [("p", "pattern"), ("s", "scenario")]):
+        fresh = check_flow(catalog.resolve_flow(name), messages, actions, scope)
+        assert (flow.pattern, flow.steps, flow.needed) == (fresh.pattern, fresh.steps, fresh.needed)
+        assert flow.report.target == f"{scope} {name}" == fresh.report.target
+        assert flow.report.diagnostics == placed(fresh.report.diagnostics, "<catalog>")
+        if not flow.report.errors:
+            agents = dict.fromkeys(roles, _Exact())
+            assert run(catalog, flow, agents).to_jsonl() == run(catalog, fresh, agents).to_jsonl()
+    steps = [step for flow in kept for step in flow.steps]
+    for a, b in itertools.combinations(steps, 2):
+        assert (a is b) == (a.message.name == b.message.name)
+        assert (a.slots is b.slots) == (a.slots == b.slots)
+        assert (a.carried is b.carried) == (a.carried == b.carried)
+    needed = [pairs for flow in kept for pairs in flow.needed]
+    assert all((a is b) == (a == b) for a, b in itertools.combinations(needed, 2))
