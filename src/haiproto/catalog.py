@@ -93,7 +93,7 @@ class Catalog:
         default_factory=dict, init=False, repr=False, compare=False
     )
     _keys: dict[str, dict[tuple, Span]] = field(  # each sidecar's keys, once placed
-        default_factory=dict, init=False, repr=False, compare=False
+        default_factory=lambda: {"<catalog>": {}}, init=False, repr=False, compare=False
     )
 
     def resolve_flow(self, name: str) -> Pattern:
@@ -132,8 +132,8 @@ class Catalog:
 
     def place(self, kind: str, name: str, report: CheckReport) -> CheckReport:
         """``report``, on the ``kind`` called ``name``, placed at its keyword
-        (whose text is ``kind``), at a sidecar scenario's key, or at
-        ``<catalog>`` if it is not declared."""
+        (whose text is ``kind``), at a sidecar scenario's key, or, if it is not
+        declared, at ``<catalog>`` with no span: ``_keys`` holds it, no file."""
         if not report.diagnostics:
             return report
         path, *at = self.declared.get(kind, {}).get(name, ("<catalog>",))

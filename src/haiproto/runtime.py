@@ -1051,20 +1051,20 @@ def replay_check(
     """Re-run each trace as it is read, a step per recorded step, and report
     each run's first difference, at the trace line it is about.
 
-    ``trace`` is a trace file's text, its lines (an open file, say), read
-    lazily, or a :class:`Trace`, read as its :meth:`~Trace.to_jsonl` text; a
-    line ends at ``\\n`` only.  A step line that is its flow's template for the
-    step, verdict ``ok``, around a 10-character digest slot and a ``produced``
-    object has only that object decoded; header and outcome lines, and every
-    other line, are decoded in full.  A re-run step whose canonical line is the
-    recorded line is verified; another line is decoded in full and compared
-    field by field, type-strictly (1 ≠ 1.0), so other spacing or key order
-    replays clean.  A run reports, by precedence: ``E-TRACE`` for text that
-    does not read (see :meth:`Trace.all_from_jsonl`), where reading stops, as
-    text never raises, or for a Trace that does not write (a NaN, say);
-    ``E-UNRESOLVED`` if the catalog lacks the flow or any step's message; the
-    first differing field, ``E-BINDING`` where the re-run aborts ``V-TYPE`` and
-    the trace says ``ok``, else ``E-TRACE``.
+    ``trace`` is a trace file's text, its lines (an open file, say), read lazily, or
+    a :class:`Trace`, read as its :meth:`~Trace.to_jsonl` text; a line ends at
+    ``\\n`` only.  A step line that is its flow's template for the step, verdict
+    ``ok``, around a 10-character digest slot and a ``produced`` object has only
+    that object decoded, or none if its step's slot holds that very line: from a
+    flow's second run in one call, each step keeps its last such line and the
+    payloads it served, to serve again; the re-run and its checks run as ever.
+    Other lines are decoded in full.  A re-run line equal to the recorded one
+    verifies it; another is compared field by field, type-strictly (1 ≠ 1.0).  A run
+    reports, by precedence: ``E-TRACE`` for text that does not read (see
+    :meth:`Trace.all_from_jsonl`), where reading stops, as text never raises, or for
+    a Trace that does not write (a NaN, say); ``E-UNRESOLVED`` if the catalog lacks
+    the flow or any step's message; the first differing field, ``E-BINDING`` where
+    the re-run aborts ``V-TYPE`` and the trace says ``ok``, else ``E-TRACE``.
     """
     if isinstance(trace, Trace):
         try:
@@ -1072,11 +1072,12 @@ def replay_check(
         except (TypeError, ValueError, RecursionError) as exc:  # built by hand
             return [Diagnostic("error", "E-TRACE", f"the trace does not write: {exc}")]
     found: list[Diagnostic] = []
+    memo: dict[str, list | None] = {}  # flow name: a slot a step, from its second run on
     lines = _lines(trace) if isinstance(trace, str) else (  # an item: a line or more
         line for item in trace for line in item.removesuffix("\n").split("\n")
     )
     try:
-        for replayed in _each_run(lines, lambda at, head: _Replay(at, head, catalog)):
+        for replayed in _each_run(lines, lambda at, head: _Replay(at, head, catalog, memo)):
             if replayed.found or replayed.difference:
                 found.append(replayed.found or replayed.difference)
     except ValueError as exc:  # from reading: replay raises no ValueError
@@ -1099,10 +1100,10 @@ class _Replay(_Run, AgentBehavior):
     ``on_receive``.  Of the findings, ``found``, for the flow or a message,
     wins over ``difference``."""
 
-    def __init__(self, lineno: int, header: dict, catalog: Catalog):
+    def __init__(self, lineno: int, header: dict, catalog: Catalog, memo: dict):
         super().__init__(lineno, header)
         self.messages, self.entry = catalog.messages, None
-        self.rerun = self.last = self.found = self.difference = None
+        self.rerun = self.last = self.found = self.difference = self.slots = None
         if self.problem or self.misfit:
             return
         name = header["pattern"]
@@ -1119,9 +1120,13 @@ class _Replay(_Run, AgentBehavior):
         else:  # a cycle through the agents, broken when the re-run ends
             self.rerun = _execute(flow, dict.fromkeys(catalog.roles, self))
             self.templates = _kept(flow)[0]
+            slots = memo.get(name) or name in memo and [(None, None)] * len(flow.steps)
+            self.slots = memo[name] = slots or None  # the flow's first run keeps none
 
     def produce(self, message, action, needed, binding):
         step = self.entry
+        if None in step:  # what this very line served here before; no JSON key is None
+            return step[None]
         if step["verdict"] != "ok" and not step["produced"]:
             raise RunViolation(step["verdict"], step.get("detail"))
         served = {}
@@ -1130,6 +1135,7 @@ class _Replay(_Run, AgentBehavior):
             if typ == needed.get(var):  # the flow's own object, as a run's agent serves
                 typ = needed[var]
             served[var] = Payload(typ, _value_from_json(data["value"]))
+        self.served = served
         return served
 
     def on_receive(self, message, action, binding):
@@ -1138,36 +1144,40 @@ class _Replay(_Run, AgentBehavior):
 
     def take(self, lineno: int, line: str) -> bool:
         """Replay ``line`` if it is the next step's template, verdict ``ok``, around
-        a 10-character digest slot, which the re-run's line checks, and a
-        ``produced`` object, the one value decoded; else return False at once."""
-        at = 3 * self.count
-        if self.rerun is None or at >= len(self.templates):
+        a 10-character digest slot, which the re-run's line checks, and a ``produced``
+        object, decoded unless the line is in the step's slot; else return False."""
+        index, slots = self.count, self.slots
+        if self.rerun is None or 3 * index >= len(self.templates):
             return False
-        head, middle, tail = self.templates[at : at + 3]
+        head, middle, tail = self.templates[3 * index : 3 * index + 3]
         digest = len(head)
-        start = digest + 10 + len(middle)
         if not (line.startswith(head) and line.endswith(tail)
                 and line.startswith(middle, digest + 10)):
             return False
+        if slots and slots[index][0] == line:  # served before: nothing to decode
+            self.step(lineno, line, {"verdict": "ok", None: slots[index][1]})
+            return True
         try:
-            produced, end = _decode_at(line, start)
+            produced, end = _decode_at(line, digest + 10 + len(middle))
         except (ValueError, RecursionError):  # the full decode says why
             return False
         if type(produced) is not dict or end != len(line) - len(tail):
             return False
-        self.step(lineno, line, {"verdict": "ok", "produced": produced}, False)
+        self.step(lineno, line, {"verdict": "ok", "produced": produced})
+        if slots and self.served is not None:
+            slots[index] = line, self.served
         return True
 
-    def step(self, lineno: int, line: str, entry: dict, whole: bool = True) -> None:
+    def step(self, lineno: int, line: str, entry: dict) -> None:
         self.count += 1
         if self.rerun is not None:
-            self.entry = entry
+            self.entry, self.served = entry, None
             taken = next(self.rerun, None)
             if taken is not None:
                 self.last = taken[0]
                 if line == taken[1]:
                     return  # the same text: the same fields, type for type
-            entry = entry if whole else _entry(lineno, line)  # all of it, to compare
+            entry = entry if "message" in entry else _entry(lineno, line)  # take's: in full
             self.compare(lineno, self.count, taken, entry)
         if self.fits(lineno, entry) and self.found is None:
             message = entry["message"]

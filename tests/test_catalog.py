@@ -249,6 +249,23 @@ def test_a_repeated_sidecar_item_is_placed_at_each_of_its_items(tmp_path):
     assert (diag.code, diag.span.line, diag.span.col) == ("E-UNRESOLVED", 1, 32)
 
 
+def test_a_finding_on_an_undeclared_flow_has_no_place_and_reads_no_file(
+    tmp_path, monkeypatch
+):
+    source = _write(
+        tmp_path / "a.hai",
+        "action give(X) := provide(X: input.raw_data);\n"
+        "message M1 := user -> model : give(A);\n"
+        "pattern p := [M1];\n",
+    )
+    # built by hand: no declaration of p, and M1 unknown
+    catalog = dataclasses.replace(load([source]), messages={}, declared={})
+    _write(tmp_path / "<catalog>", json.dumps({"scenarios": {"p": ["p"]}}))  # sidecar-shaped
+    monkeypatch.chdir(tmp_path)
+    (diag,) = catalog.flow("p").report.diagnostics
+    assert (diag.code, diag.path, diag.span) == ("E-UNRESOLVED", "<catalog>", None)
+
+
 @pytest.fixture(scope="module")
 def corpus_copy(tmp_path_factory) -> Path:
     """The packaged ``.hai`` files, beside which each example writes a sidecar."""

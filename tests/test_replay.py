@@ -6,6 +6,7 @@ import dataclasses
 import io
 import json
 import random
+import re
 from collections import Counter
 
 import pytest
@@ -320,6 +321,112 @@ def test_replays_parse_each_type_string_once_across_calls(catalog, monkeypatch):
     traces = run_scenario(catalog, "D1", agents, seed=3, repeat=300)
     assert all(replay_check(trace, catalog) == [] for trace in traces)  # one call each
     assert 0 < len(parsed) <= 3 and len(set(parsed)) == len(parsed)
+
+
+def _counting_payloads(monkeypatch) -> list:
+    """The payloads that replay builds from now on."""
+    built, payload = [], runtime.Payload
+    monkeypatch.setattr(runtime, "Payload", lambda *args: built.append(args) or payload(*args))
+    return built
+
+
+#: The robot demo's agents with one value a key: every run of D1 is the same.
+ONE_VALUE_AGENTS = """
+[user scripted]
+A2.Y = "happy"
+A4.X = vec(0.0, 0.0)
+PE2.V = "confirm"
+
+[model stub]
+labels = calm, happy, sad
+"""
+
+
+def test_a_repeated_step_line_is_served_from_what_it_was_decoded_to(catalog, monkeypatch):
+    """A replay keeps what a step line served from its flow's second run on,
+    so the payloads it builds do not grow with the number of runs."""
+    traces = run_scenario(catalog, "D1", parse_agents(ONE_VALUE_AGENTS), seed=3, repeat=50)
+    per_run = sum(len(step.produced) for step in traces[0].steps)
+    built = _counting_payloads(monkeypatch)
+    assert replay_check("".join(trace.to_jsonl() for trace in traces), catalog) == []
+    assert 0 < len(built) <= 2 * per_run
+    counts = []
+    for repeat in (7, 50):  # the demo's queues run out after six runs; then runs repeat
+        text = _text(_d1_lines(catalog, repeat))
+        built.clear()
+        assert replay_check(text, catalog) == []
+        counts.append(len(built))
+    assert counts[0] == counts[1] > 0
+
+
+def test_a_flow_replayed_once_decodes_every_step(tmp_path, monkeypatch):
+    steps = 40
+    source = "action give(X) := provide(X: input.raw_data);\n" + "".join(
+        f"message G{k} := user -> model : give(X{k});\n" for k in range(steps)
+    ) + f"pattern long := [{', '.join(f'G{k}' for k in range(steps))}];\n"
+    (tmp_path / "long.hai").write_text(source)
+    long = load([tmp_path])
+    script = {f"G{k}.X{k}": [Vector((float(k),))] for k in range(steps)}
+    trace = run(long, "long", {"user": ScriptedAgent(script), "model": ScriptedAgent({})})
+    assert trace.outcome == "completed"
+    built = _counting_payloads(monkeypatch)
+    assert replay_check(trace.to_jsonl(), long) == []
+    assert [args[1] for args in built] == [Vector((float(k),)) for k in range(steps)]
+
+
+_UNREADABLE_AT = re.compile(r"^unreadable trace: line (\d+)")
+
+
+def _shifted(diag: Diagnostic, lines: int) -> tuple:
+    """What ``diag`` says and where, ``lines`` further down its text."""
+    message = _UNREADABLE_AT.sub(
+        lambda at: f"unreadable trace: line {int(at[1]) + lines}", diag.message
+    )
+    return diag.code, message, dataclasses.replace(diag.span, line=diag.span.line + lines)
+
+
+def _edit_step_line(texts: list[list[str]], data) -> None:
+    """One edit of a step line of trace ``a`` or ``b``, each a list of line
+    texts: a changed value, a changed character, or (in ``b``) a line made
+    equal to the line of the same step in a run of ``a``."""
+    edit = data.draw(st.sampled_from(["value", "character", "copy"]))
+    lines = texts[1 if edit == "copy" else data.draw(st.integers(0, 1))]
+    at = data.draw(st.sampled_from([i for i in range(len(lines)) if i % 8 not in (0, 7)]))
+    if edit == "copy":
+        lines[at] = texts[0][data.draw(st.integers(0, len(texts[0]) // 8 - 1)) * 8 + at % 8]
+    elif edit == "value":
+        try:
+            header_and_step = [{}, json.loads(lines[at])]  # an empty header: the step's values
+        except ValueError:  # a line an earlier edit made unreadable
+            return
+        if isinstance(header_and_step[1], dict):
+            _change_one_value(header_and_step, data)
+            lines[at] = _text(header_and_step[1:]).removesuffix("\n")
+    else:
+        char = data.draw(st.characters(blacklist_characters="\n", blacklist_categories=("Cs",)))
+        where = data.draw(st.integers(0, len(lines[at]) - 1))
+        cut = where + data.draw(st.integers(0, 1))  # replace a character, or insert one
+        lines[at] = lines[at][:where] + char + lines[at][cut:]
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data())
+def test_two_traces_replayed_as_one_text_report_what_each_reports_alone(catalog, data):
+    """The memo is one call's, across its runs, and serves payloads only: a
+    run of ``b`` whose lines ``a`` served before reports what ``b`` alone
+    does, and ``a + b`` reports ``a``'s findings, then ``b``'s, unless
+    reading stopped in ``a``."""
+    lines = _text(_d1_lines(catalog, repeat=9)).splitlines()  # 8 lines a run
+    split = 8 * data.draw(st.integers(1, 8))
+    texts = [lines[:split], lines[split:]]
+    for _ in range(data.draw(st.integers(1, 3))):
+        _edit_step_line(texts, data)
+    a, b = ("".join(line + "\n" for line in text) for text in texts)
+    alone = [replay_check(a, catalog), replay_check(b, catalog)]
+    expected = _found(alone[0])
+    if not (alone[0] and alone[0][-1].message.startswith("unreadable trace")):
+        expected += [_shifted(diag, len(texts[0])) for diag in alone[1]]
+    assert _found(replay_check(a + b, catalog)) == expected
 
 
 @pytest.mark.parametrize(
