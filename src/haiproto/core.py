@@ -9,7 +9,11 @@ equal value, and nothing here performs I/O.
 
 Validation philosophy: constructors enforce only basic shape (so that
 deliberately malformed definitions can be constructed and then *rejected* by
-the checker); semantic rules live in :mod:`haiproto.check`.  The
+the checker); semantic rules live in :mod:`haiproto.check`.
+
+Types are interned: the parser and :func:`intersect` make them through
+:func:`interned`, one live object per distinct type, and a type computes its
+hash once.  A type built by hand compares and hashes equal to it.  The
 :class:`Diagnostic` values those rules report are defined here, so the parser
 and the checker share them without importing each other.
 """
@@ -17,8 +21,10 @@ and the checker share them without importing each other.
 from __future__ import annotations
 
 import enum
+import zlib
 from dataclasses import dataclass, field
-from typing import Union
+from typing import TypeVar, Union
+from weakref import WeakValueDictionary
 
 
 class Role(str, enum.Enum):
@@ -61,6 +67,16 @@ TAGS: frozenset[str] = frozenset({"xai", "hitl", "hi", "control", "query"})
 PREDECLARED_ROLES: frozenset[str] = frozenset({"user", "model"})
 
 
+def _kept_hash(typ: TypeExpr) -> int:
+    """A type's hash, kept from first use: the CRC-32 of its printed form, so
+    that a pickled type's holds in any process, where ``hash``'s would not."""
+    try:
+        return typ._hash  # type: ignore[union-attr]
+    except AttributeError:
+        object.__setattr__(typ, "_hash", zlib.crc32(str(typ).encode()))
+        return typ._hash  # type: ignore[union-attr]
+
+
 @dataclass(frozen=True)
 class BaseType:
     """A role with an optional union of subtype names.
@@ -71,6 +87,7 @@ class BaseType:
 
     role: Role
     subtypes: tuple[str, ...] = ()
+    __hash__ = _kept_hash
 
     def __post_init__(self) -> None:
         if len(set(self.subtypes)) != len(self.subtypes):
@@ -87,6 +104,7 @@ class ListType:
     """A homogeneous list of a base type."""
 
     element: BaseType
+    __hash__ = _kept_hash
 
     def __str__(self) -> str:
         return f"[{self.element}]"
@@ -102,6 +120,7 @@ class GroupType:
     """
 
     members: tuple[tuple[str, Union[BaseType, ListType]], ...]
+    __hash__ = _kept_hash
 
     def __str__(self) -> str:
         inner = ", ".join(f"{var}: {typ}" for var, typ in self.members)
@@ -109,6 +128,17 @@ class GroupType:
 
 
 TypeExpr = Union[BaseType, ListType, GroupType]
+T = TypeVar("T", BaseType, ListType, GroupType)
+
+#: ``(class, *fields)`` -> the one live type made of them.  Weak, so the types
+#: of untrusted traces go with their last holder and do not pile up here.
+_TYPES: WeakValueDictionary = WeakValueDictionary()
+
+
+def interned(cls: type[T], *fields: object) -> T:
+    """The one ``cls(*fields)`` there is, made on first use."""
+    key = (cls, *fields)
+    return _TYPES.get(key) or _TYPES.setdefault(key, cls(*fields))
 
 
 def intersect(a: TypeExpr, b: TypeExpr) -> TypeExpr | None:
@@ -117,8 +147,11 @@ def intersect(a: TypeExpr, b: TypeExpr) -> TypeExpr | None:
     Base types intersect when their roles match and their subtype sets share a
     member; the role-only wildcard absorbs (intersecting with it yields the
     other operand).  Lists intersect element-wise, groups pointwise with equal
-    arity.  Differing kinds never intersect.
+    arity.  Differing kinds never intersect.  A result that is not one of the
+    operands is :func:`interned`.
     """
+    if a is b:
+        return a
     if isinstance(a, BaseType) and isinstance(b, BaseType):
         if a.role is not b.role:
             return None
@@ -129,13 +162,10 @@ def intersect(a: TypeExpr, b: TypeExpr) -> TypeExpr | None:
         common = tuple(s for s in a.subtypes if s in b.subtypes)
         if not common:
             return None
-        return a if common == a.subtypes else BaseType(a.role, common)
+        return a if common == a.subtypes else interned(BaseType, a.role, common)
     if isinstance(a, ListType) and isinstance(b, ListType):
         element = intersect(a.element, b.element)
-        if element is None:
-            return None
-        assert isinstance(element, BaseType)
-        return ListType(element)
+        return None if element is None else interned(ListType, element)
     if isinstance(a, GroupType) and isinstance(b, GroupType):
         if len(a.members) != len(b.members):
             return None
@@ -145,7 +175,7 @@ def intersect(a: TypeExpr, b: TypeExpr) -> TypeExpr | None:
             if common is None or isinstance(common, GroupType):
                 return None
             members.append((var, common))
-        return GroupType(tuple(members))
+        return interned(GroupType, tuple(members))
     return None
 
 
@@ -313,11 +343,7 @@ class Binding:
         previous type is kept unchanged.
         """
         current = self.types.get(var)
-        if current is None:
-            self.types[var] = typ
-            return typ
-        common = intersect(current, typ)
-        if common is None:
-            return None
-        self.types[var] = common
+        common = typ if current is None else intersect(current, typ)
+        if common is not None:
+            self.types[var] = common
         return common

@@ -8,8 +8,9 @@ A ``.hai`` file is a sequence of declarations, each ended by ``;``::
     message A6 := user -> model : annotate-sample(X, Y) [X: WalkStand];
     pattern sample-annotation := [A5, A6] @ hitl;
 
-The lexer is one compiled regex.  A token is a ``(kind, value, start, end)``
-tuple of source offsets; a :class:`~haiproto.core.Span` (line, column,
+The lexer is one compiled regex, run by ``findall``: tokens are two lists,
+each token's source text, which is also its kind, and its end offset.  The
+parser walks them by index.  A :class:`~haiproto.core.Span` (line, column,
 length) is built from a table of line starts only where one is stored or
 reported: declaration spans, rule findings and diagnostics.
 
@@ -29,9 +30,9 @@ rules (:mod:`haiproto.check`) to each declaration it builds.
 from __future__ import annotations
 
 import re
-from bisect import bisect_right
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
-from sys import intern
+from itertools import accumulate, compress, repeat
 from typing import Callable, TypeVar
 
 from .check import arity_rule, name_rule, pattern_rule, placed, variable_rule
@@ -52,48 +53,30 @@ from .core import (
     Role,
     Span,
     TypeExpr,
+    interned,
 )
 
 # ---------------------------------------------------------------------------
 # Lexer
 # ---------------------------------------------------------------------------
 
-_PUNCT = {
-    "(": "LPAREN",
-    ")": "RPAREN",
-    "[": "LBRACKET",
-    "]": "RBRACKET",
-    ",": "COMMA",
-    ";": "SEMI",
-    ".": "DOT",
-    ":": "COLON",
-    "|": "PIPE",
-    "@": "AT",
-    "=": "EQ",
-}
-
-_PAIRS = {":=": "ASSIGN", "->": "ARROW", "<-": "LARROW"}
-
-# One match per token: the whitespace before it, then the token, named by its
-# kind.  A hyphen continues an identifier only when a word character follows,
-# so "user -> model" still lexes an arrow.  ``\w`` is exactly ``isalnum`` or
-# ``_``, but ``[^\W\d_]`` also admits non-letters such as ``²``, so a name
-# with a non-ASCII start (WORD) must pass ``str.isalpha``.  In a string, a
-# backslash before ``"`` or ``\`` always escapes it, so no match backtracks
-# into another reading.  BAD is any other character, the ``"`` of an
-# unterminated string among them.
-_TOKEN = re.compile(
-    r"[ \t\r\n]*(?:(?P<ID>[A-Za-z]\w*(?:-\w+)*)"
-    + "".join(f"|(?P<{kind}>{re.escape(s)})" for s, kind in {**_PAIRS, **_PUNCT}.items())
-    + r'|(?P<STRING>"(?:[^"\\\n]|\\["\\]|\\(?!["\\]))*")|(?P<COMMENT>//[^\n]*)'
-    r"|(?P<WORD>[^\W\d_]\w*(?:-\w+)*)|(?P<EOF>\Z)|(?P<BAD>.))"
+# A token: a punctuation mark or a pair, first as the commonest; a name, in
+# which a hyphen continues only before a word character, so "user -> model"
+# has an arrow; a string, in which a backslash before ``"`` or ``\`` always
+# escapes it, so no match backtracks; or a comment.  ``\w`` is exactly
+# ``isalnum`` or ``_``, but ``[^\W\d_]`` also admits non-letters such as
+# ``²``, so a name with a non-ASCII start must pass ``str.isalpha``.
+_ONE = re.compile(
+    r'[()\[\],;.|@=]|:=?|->|<-|[^\W\d_]\w*(?:-\w+)*'
+    r'|"(?:[^"\\\n]|\\["\\]|\\(?!["\\]))*"|//[^\n]*'
 )
-_PLAIN = frozenset(["ID", *_PAIRS.values(), *_PUNCT.values()])  # value = source
+# One match per token, with the whitespace before it.  At a character that
+# starts no token, the ``"`` of an unterminated string among them, the last
+# match takes the rest of the text, so the matches tile it.
+_TOKEN = re.compile(rf"[ \t\r\n]*(?:{_ONE.pattern}|[^ \t\r\n](?s:.*))")
+_SPACE = " \t\r\n"
 _ESCAPE = re.compile(r'\\(["\\])')
 
-#: ``(kind, value, start, end)``: kind is ID, STRING, EOF or a _PAIRS or
-#: _PUNCT name, and ``text[start:end]`` is the token's source.
-Token = tuple[str, str, int, int]
 #: ``(start, end, text)``: the comment's text is without ``//`` and outer spaces.
 Comment = tuple[int, int, str]
 
@@ -106,7 +89,7 @@ class LexError(Exception):
 
 
 def _line_starts(text: str) -> list[int]:
-    return [0, *(m.end() for m in re.finditer("\n", text))]
+    return [0, *map(re.Match.end, re.finditer("\n", text))]
 
 
 def _span(line_starts: list[int], start: int, end: int) -> Span:
@@ -115,40 +98,61 @@ def _span(line_starts: list[int], start: int, end: int) -> Span:
     return Span(line, start - line_starts[line - 1] + 1, end - start)
 
 
-def tokenize(text: str) -> tuple[list[Token], list[Comment]]:
-    """Split ``text`` into tokens and comments, one regex match each.
-
-    A token is a plain :data:`Token` tuple of source offsets, and the list
-    ends with an ``EOF`` token at ``len(text)``.  No ``Span`` is built here:
-    the parser makes one from the offsets (:func:`_span`) only for what it
-    stores or reports.  Comments are returned separately, as :data:`Comment`
-    tuples.  Raises :class:`LexError` on characters outside the language.
-    """
-    tokens: list[Token] = []
-    comments: list[Comment] = []
-    append = tokens.append
-    for m in _TOKEN.finditer(text):
-        kind = m.lastgroup
-        start, end = m.span(kind)
-        if kind in _PLAIN:
-            append((kind, text[start:end], start, end))
-        elif kind == "STRING":
-            append((kind, _ESCAPE.sub(r"\1", text[start + 1 : end - 1]), start, end))
-        elif kind == "COMMENT":
-            comments.append((start, end, text[start + 2 : end].strip()))
-        elif kind == "WORD" and text[start].isalpha():
-            append(("ID", intern(text[start:end]), start, end))  # a name kept once
-        elif kind == "EOF":
-            append((kind, "", start, end))
+def _fault(text: str, values: list[str], ends: list[int]) -> None:
+    """Raise :class:`LexError` at the first match that is no token: a name
+    that starts with a non-letter, or the last match, if it is the rest of
+    the text from a character that starts no token.  Return if there is none."""
+    for value, end in zip(values, ends):
+        if not value[0].isascii() and not value[0].isalpha():
             break
-        elif text[start] == '"':  # closes no string on its line
-            end = text.find("\n", start)
-            end = len(text) if end < 0 else end
-            raise LexError("unterminated string", _span(_line_starts(text), start, end))
-        else:
-            message = f"unexpected character {text[start]!r}"
-            raise LexError(message, _span(_line_starts(text), start, start + 1))
-    return tokens, comments
+    else:
+        value, end = values[-1], ends[-1]
+        if end < len(text) or _ONE.fullmatch(value):
+            return
+    at = end - len(value)
+    if value[0] == '"':  # closes no string on its line
+        line = value.partition("\n")[0]
+        raise LexError("unterminated string", _span(_line_starts(text), at, at + len(line)))
+    raise LexError(f"unexpected character {value[0]!r}", _span(_line_starts(text), at, at + 1))
+
+
+def tokenize(text: str) -> tuple[list[str], list[int], list[Comment]]:
+    """Split ``text`` into tokens and comments, with no Python work per token.
+
+    Tokens are two parallel lists: each token's source text (a string keeps
+    its quotes and escapes), and the offset where it ends; the last token is
+    EOF, ``""`` at ``len(text)``.  A token's kind is its text: a name starts
+    with a letter, a string with ``"``, and punctuation is itself.  The parser
+    makes a ``Span`` from the offsets (:func:`_span`) only for what it stores
+    or reports.  Comments are returned separately, as :data:`Comment` tuples.
+    Raises :class:`LexError` on characters outside the language.
+    """
+    found = _TOKEN.findall(text)
+    ends = list(accumulate(map(len, found)))
+    values = list(map(str.lstrip, found, repeat(_SPACE)))
+    if found and (ends[-1] == len(text) or not text.isascii()):  # where a fault may be
+        _fault(text, values, ends)
+    notes = []  # the comments' token indices
+    at = text.find("//")
+    while at >= 0:  # in a comment's token, or in a string's
+        i = bisect_right(ends, at)
+        if values[i][0] == "/":
+            notes.append(i)
+        at = text.find("//", ends[i])
+    comments = [(ends[i] - len(values[i]), ends[i], values[i][2:].strip()) for i in notes]
+    if notes:
+        keep = [True] * len(values)
+        for i in notes:
+            keep[i] = False
+        values, ends = list(compress(values, keep)), list(compress(ends, keep))
+    values.append("")
+    ends.append(len(text))
+    return values, ends, comments
+
+
+def _text(token: str) -> str:
+    """A token's value: a string's text between its quotes, unescaped."""
+    return _ESCAPE.sub(r"\1", token[1:-1]) if token[:1] == '"' else token
 
 
 # ---------------------------------------------------------------------------
@@ -194,10 +198,11 @@ class _ParseAbort(Exception):
 
 
 class _Parser:
-    def __init__(self, text: str, tokens: list[Token], comments: list[Comment], path: str):
+    """Walks :func:`tokenize`'s lists by index: ``self.pos`` is the next token."""
+
+    def __init__(self, text: str, tokens: tuple[list[str], list[int], list[Comment]], path: str):
         self.text = text
-        self.tokens = tokens
-        self.comments = comments
+        self.values, self.ends, self.comments = tokens  # as tokenize() returns them
         self.path = path
         self.pos = 0
         self.comment_pos = 0
@@ -206,57 +211,73 @@ class _Parser:
 
     # -- token helpers ------------------------------------------------------
 
-    def span(self, tok: Token) -> Span:
-        return _span(self.line_starts, tok[2], tok[3])
+    def span(self, i: int) -> Span:
+        end = self.ends[i]
+        return _span(self.line_starts, end - len(self.values[i]), end)
 
-    def peek(self) -> Token:
-        return self.tokens[self.pos]
-
-    def advance(self) -> Token:
-        tok = self.tokens[self.pos]
-        if tok[0] != "EOF":
-            self.pos += 1
-        return tok
-
-    def error(self, message: str, span: Span, code: str = "E-SYNTAX") -> None:
-        self.diagnostics.append(Diagnostic("error", code, message, self.path, span))
-
-    def fail(self, message: str, tok: Token) -> None:
-        self.error(message, self.span(tok))
+    def fail(self, message: str, i: int) -> None:
+        self.diagnostics.append(Diagnostic("error", "E-SYNTAX", message, self.path, self.span(i)))
         raise _ParseAbort()
 
-    def report(self, found: list[Diagnostic | None], tok: Token) -> None:
-        """Keep a rule's findings, placed at ``tok`` (a span is built only
+    def fail_expected(self, what: str) -> None:
+        token = self.values[self.pos]
+        got = _text(token) if token else "end of file"
+        self.fail(f"expected {what}, got {got!r}", self.pos)
+
+    def report(self, found: list[Diagnostic | None], i: int) -> None:
+        """Keep a rule's findings, placed at token ``i`` (a span is built only
         when there are any)."""
         if any(found):
-            self.diagnostics.extend(placed(filter(None, found), self.path, self.span(tok)))
+            self.diagnostics.extend(placed(filter(None, found), self.path, self.span(i)))
 
-    # ``expect`` and ``match`` are the parser's hottest calls, so they index
-    # the tokens directly; no caller asks for EOF, so neither moves past it.
-    def expect(self, kind: str, what: str) -> Token:
-        tok = self.tokens[self.pos]
-        if tok[0] != kind:
-            got = tok[1] if tok[0] != "EOF" else "end of file"
-            self.fail(f"expected {what}, got {got!r}", tok)
+    # The parser's hottest calls: each reads the next token, and moves past
+    # it if it fits.  No caller asks for EOF, so none moves past it.
+    def expect(self, symbol: str, what: str) -> None:
+        if self.values[self.pos] != symbol:
+            self.fail_expected(what)
         self.pos += 1
-        return tok
 
-    def expect_var(self, what: str) -> Token:
-        tok = self.expect("ID", what)
-        if not tok[1][0].isupper():
-            self.fail(
-                f"variable names start with an uppercase letter, got {tok[1]!r}", tok
-            )
-        return tok
-
-    def match(self, kind: str) -> Token | None:
-        tok = self.tokens[self.pos]
-        if tok[0] != kind:
-            return None
+    def match(self, symbol: str) -> bool:
+        if self.values[self.pos] != symbol:
+            return False
         self.pos += 1
-        return tok
+        return True
 
-    def separated(self, item: Callable[[], T], separator: str = "COMMA") -> list[T]:
+    def name(self, what: str) -> str:
+        token = self.values[self.pos]
+        if not token[:1].isalpha():
+            self.fail_expected(what)
+        self.pos += 1
+        return token
+
+    def names(self, what: str, separator: str | None = ",", upper: bool = False) -> list[str]:
+        """One name or more, ``separator`` between each two (one name if it is
+        ``None``); with ``upper``, each is a variable: it starts uppercase."""
+        values, i = self.values, self.pos
+        found = []
+        while True:
+            token = values[i]
+            if not token[:1].isalpha():
+                self.pos = i
+                self.fail_expected(what)
+            if upper and not token[0].isupper():
+                self.fail(f"variable names start with an uppercase letter, got {token!r}", i)
+            found.append(token)
+            if values[i + 1] != separator:
+                self.pos = i + 1
+                return found
+            i += 2
+
+    def one_of(self, members: dict[str, T], what: str) -> T:
+        """The member of ``members`` that the next token, a name, names."""
+        member = members.get(self.name(what))
+        if member is None:
+            *first, last = map(repr, members)
+            got = self.values[self.pos - 1]
+            self.fail(f"expected {', '.join(first)} or {last}, got {got!r}", self.pos - 1)
+        return member
+
+    def separated(self, item: Callable[[], T], separator: str = ",") -> list[T]:
         """Parse ``item``, then parse it again after each ``separator``."""
         items = [item()]
         while self.match(separator):
@@ -266,38 +287,27 @@ class _Parser:
     # -- comments -----------------------------------------------------------
 
     def take_comments(self, before: int) -> tuple[str, ...]:
-        """Consume comments that start before source offset ``before``."""
-        out: list[str] = []
-        while self.comment_pos < len(self.comments):
-            start, _, text = self.comments[self.comment_pos]
-            if start > before:
-                break
-            out.append(text)
-            self.comment_pos += 1
-        return tuple(out)
-
-    def take_trailing_comment(self, semi: Token) -> str | None:
-        """Consume a comment sitting on the same line as the closing ``;``."""
-        if self.comment_pos < len(self.comments):
-            start, _, text = self.comments[self.comment_pos]
-            if start > semi[2] and self.text.find("\n", semi[3], start) < 0:
-                self.comment_pos += 1
-                return text
-        return None
+        """Consume the comments that start before source offset ``before``."""
+        first = self.comment_pos  # in order; (before,) sorts ahead of a comment at before
+        self.comment_pos = bisect_left(self.comments, (before,), first)
+        if self.comment_pos == first:  # as for most declarations
+            return ()
+        return tuple(text for _, _, text in self.comments[first : self.comment_pos])
 
     # -- grammar ------------------------------------------------------------
 
     def parse_file(self) -> tuple[SourceFile | None, list[Diagnostic]]:
         decls: list[Decl] = []
         names: set[str] = set()
-        while True:
-            if self.peek()[0] == "EOF":
-                trailing_file = self.take_comments(self.peek()[2])
-                break
+        last = len(self.values) - 1  # EOF
+        while self.pos < last:
             try:
                 decl = self.parse_decl()
-            except _ParseAbort:  # fail() has reported it
-                self.recover()
+            except _ParseAbort:  # fail() has reported it; skip past the next ';'
+                try:
+                    self.pos = self.values.index(";", self.pos) + 1
+                except ValueError:
+                    self.pos = last
                 continue
             if not isinstance(decl.node, str):  # roles are their own namespace
                 if decl.name in names:
@@ -307,66 +317,54 @@ class _Parser:
             decls.append(decl)
         if any(d.severity == "error" for d in self.diagnostics):
             return None, self.diagnostics
-        return SourceFile(tuple(decls), trailing_file, self.path), self.diagnostics
-
-    def recover(self) -> None:
-        """Skip tokens until just past the next ``;`` (or EOF)."""
-        while True:
-            if self.advance()[0] in ("SEMI", "EOF"):
-                return
+        trailing = self.take_comments(len(self.text))
+        return SourceFile(tuple(decls), trailing, self.path), self.diagnostics
 
     def parse_decl(self) -> Decl:
         """A keyword, the declaration's body, and the closing ``;``.  Comments
         before the ``;``, ahead of the keyword or inside the body, lead it."""
-        keyword = self.peek()
-        if keyword[0] != "ID" or keyword[1] not in _DECLS:
-            self.fail(
-                "expected 'role', 'action', 'message' or 'pattern', "
-                f"got {keyword[1]!r}",
-                keyword,
-            )
-        node = _DECLS[self.advance()[1]](self)
-        semi = self.expect("SEMI", "';'")
-        leading = self.take_comments(semi[2])
-        return Decl(node, leading, self.take_trailing_comment(semi), self.span(keyword))
+        keyword = self.pos
+        node = self.one_of(_DECLS, "'role', 'action', 'message' or 'pattern'")(self)
+        self.expect(";", "';'")
+        leading = self.take_comments(self.ends[self.pos - 1])
+        newline = self.text.find("\n", self.ends[self.pos - 1])  # a comment before it trails
+        trailing = self.take_comments(len(self.text) if newline < 0 else newline)
+        return Decl(node, leading, trailing[0] if trailing else None, self.span(keyword))
 
     # role NAME
     def parse_role(self) -> str:
-        return self.expect("ID", "role name")[1]
+        return self.name("role name")
 
     # action NAME(P, Q) := provide(...) <- op(...), op(...)
     def parse_action(self) -> ActionDef:
-        name = self.expect("ID", "action name")
-        self.expect("LPAREN", "'('")
-        params: list[Token] = []
-        if self.peek()[0] != "RPAREN":
-            params = self.separated(lambda: self.expect_var("parameter name"))
-        self.expect("RPAREN", "')'")
-        self.expect("ASSIGN", "':='")
-        kind_tok = self.expect("ID", "'provide' or 'request'")
-        try:
-            kind = PrimitiveKind(kind_tok[1])
-        except ValueError:
-            self.fail(f"expected 'provide' or 'request', got {kind_tok[1]!r}", kind_tok)
-        self.expect("LPAREN", "'('")
+        at = self.pos
+        name = self.name("action name")
+        self.expect("(", "'('")
+        params: list[str] = []
+        if self.values[self.pos] != ")":
+            params = self.names("parameter name", upper=True)
+        self.expect(")", "')'")
+        self.expect(":=", "':='")
+        kind = self.one_of(_PRIMITIVES, "'provide' or 'request'")
+        self.expect("(", "'('")
         args = self.separated(self.parse_arg)
-        self.expect("RPAREN", "')'")
-        operations: list[tuple[Token, Operation]] = []
-        if self.match("LARROW"):
-            operations = self.separated(lambda: (self.peek(), self.parse_operation()))
+        self.expect(")", "')'")
+        operations: list[tuple[int, Operation]] = []
+        if self.match("<-"):
+            operations = self.separated(lambda: (self.pos, self.parse_operation()))
         action = ActionDef(
-            name=name[1],
-            params=tuple(p[1] for p in params),
+            name=name,
+            params=tuple(params),
             primitive=PrimitiveSpec(kind, args[0], tuple(args[1:])),
             operations=tuple(op for _, op in operations),
         )
-        self.report(variable_rule(action), name)
-        for tok, op in operations:
-            self.report([arity_rule(op, action)], tok)
+        self.report(variable_rule(action), at)
+        for i, op in operations:
+            self.report([arity_rule(op, action)], i)
         return action
 
     def parse_arg(self) -> Arg:
-        if self.peek()[0] == "LBRACKET" and self._bracket_is_group():
+        if self._bracket_is_group():
             return Arg(None, self.parse_group())
         return Arg(*self.parse_typed_var())
 
@@ -375,127 +373,103 @@ class _Parser:
 
         At an argument position a ``[`` always opens a group (list-typed
         arguments are written ``V: [base]``), so this only confirms shape.
+        No token after ``[`` or a name is past EOF.
         """
-        last = len(self.tokens) - 1  # EOF, which ends every token list
-        nxt = self.tokens[min(self.pos + 1, last)]
-        after = self.tokens[min(self.pos + 2, last)]
-        return nxt[0] == "ID" and after[0] == "COLON"
+        values, i = self.values, self.pos
+        return values[i] == "[" and values[i + 1][:1].isalpha() and values[i + 2] == ":"
 
     def parse_group(self) -> GroupType:
-        open_tok = self.expect("LBRACKET", "'['")
+        at = self.pos
+        self.expect("[", "'['")
         members = self.separated(self.parse_typed_var)
-        self.expect("RBRACKET", "']'")
+        self.expect("]", "']'")
         if len(members) < 2:
-            self.fail("a group needs at least two members", open_tok)
-        return GroupType(tuple(members))
+            self.fail("a group needs at least two members", at)
+        return interned(GroupType, tuple(members))
 
     def parse_typed_var(self) -> tuple[str, BaseType | ListType]:
-        var = self.expect_var("variable name")
-        self.expect("COLON", "':'")
-        return var[1], self.parse_nongroup_type()
+        [var] = self.names("variable name", None, upper=True)
+        self.expect(":", "':'")
+        return var, self.parse_nongroup_type()
 
     def parse_nongroup_type(self) -> BaseType | ListType:
-        if self.match("LBRACKET"):
+        if self.match("["):
             element = self.parse_base_type()
-            self.expect("RBRACKET", "']'")
-            return ListType(element)
+            self.expect("]", "']'")
+            return interned(ListType, element)
         return self.parse_base_type()
 
     def parse_base_type(self) -> BaseType:
-        role_tok = self.expect("ID", "a role ('input', 'output' or 'feedback')")
-        try:
-            role = Role(role_tok[1])
-        except ValueError:
-            self.fail(
-                f"expected 'input', 'output' or 'feedback', got {role_tok[1]!r}", role_tok
-            )
-        subtypes: list[Token] = []
-        if self.match("DOT"):
-            subtypes = self.separated(lambda: self.expect("ID", "subtype name"), "PIPE")
-        names = [sub[1] for sub in subtypes]
-        for index, sub in enumerate(subtypes):
-            if sub[1] in names[:index]:
-                self.fail(f"duplicate subtype {sub[1]!r}", sub)
-        return BaseType(role, tuple(names))
+        at = self.pos
+        role = self.one_of(_ROLES, "a role ('input', 'output' or 'feedback')")
+        subtypes: tuple[str, ...] = ()
+        if self.match("."):
+            subtypes = tuple(self.names("subtype name", "|"))
+            if len(set(subtypes)) < len(subtypes):
+                index = next(i for i, sub in enumerate(subtypes) if sub in subtypes[:i])
+                self.fail(f"duplicate subtype {subtypes[index]!r}", at + 2 + 2 * index)
+        return interned(BaseType, role, subtypes)
 
     def parse_operation(self) -> Operation:
-        op_tok = self.expect("ID", "operation name")
-        try:
-            kind = OpKind(op_tok[1])
-        except ValueError:
-            self.fail(
-                f"expected 'select', 'map', 'modify' or 'create', got {op_tok[1]!r}",
-                op_tok,
-            )
-        self.expect("LPAREN", "'('")
-        args = self.separated(lambda: self.expect("ID", "variable name"))
-        self.expect("RPAREN", "')'")
-        return Operation(kind, tuple(arg[1] for arg in args))
+        kind = self.one_of(_OPERATIONS, "operation name")
+        self.expect("(", "'('")
+        args = self.names("variable name")
+        self.expect(")", "')'")
+        return Operation(kind, tuple(args))
 
     # message NAME := sender -> receiver : action(A, B) [mods]
     def parse_message(self) -> Message:
-        name = self.expect("ID", "message name")
-        self.expect("ASSIGN", "':='")
-        sender = self.expect("ID", "sender role")
-        self.expect("ARROW", "'->'")
-        receiver = self.expect("ID", "receiver role")
-        self.expect("COLON", "':'")
-        action = self.expect("ID", "action name")
-        self.expect("LPAREN", "'('")
-        args: list[Token] = []
-        if self.peek()[0] != "RPAREN":
-            args = self.separated(lambda: self.expect_var("argument variable"))
-        self.expect("RPAREN", "')'")
+        name = self.name("message name")
+        self.expect(":=", "':='")
+        sender = self.name("sender role")
+        self.expect("->", "'->'")
+        receiver = self.name("receiver role")
+        self.expect(":", "':'")
+        action = self.name("action name")
+        self.expect("(", "'('")
+        args: list[str] = []
+        if self.values[self.pos] != ")":
+            args = self.names("argument variable", upper=True)
+        self.expect(")", "')'")
         modifiers: list[Modifier] = []
-        if self.match("LBRACKET"):
-            modifiers = self.separated(self.parse_modifier, "SEMI")
-            self.expect("RBRACKET", "']'")
-        return Message(
-            name=name[1],
-            sender=sender[1],
-            receiver=receiver[1],
-            action=action[1],
-            args=tuple(arg[1] for arg in args),
-            modifiers=tuple(modifiers),
-        )
+        if self.match("["):
+            modifiers = self.separated(self.parse_modifier, ";")
+            self.expect("]", "']'")
+        return Message(name, sender, receiver, action, tuple(args), tuple(modifiers))
 
     def parse_modifier(self) -> Modifier:
-        key = self.expect("ID", "modifier key")
-        if self.match("COLON"):
-            value = self.expect("ID", "modifier value")
-            return Modifier(key[1], value[1], "var")
-        self.expect("EQ", "':' or '='")
-        value = self.expect("STRING", "a string value")
-        return Modifier(key[1], value[1], "kv")
+        key = self.name("modifier key")
+        if self.match(":"):
+            return Modifier(key, self.name("modifier value"), "var")
+        self.expect("=", "':' or '='")
+        value = self.values[self.pos]
+        if value[:1] != '"':
+            self.fail_expected("a string value")
+        self.pos += 1
+        return Modifier(key, _text(value), "kv")
 
     # pattern NAME := [M1, M2] @ tag1, tag2
     def parse_pattern(self) -> Pattern:
-        name = self.expect("ID", "pattern name")
-        self.expect("ASSIGN", "':='")
-        self.expect("LBRACKET", "'['")
-        messages: list[Token] = []
-        if self.peek()[0] != "RBRACKET":
-            messages = self.separated(lambda: self.expect("ID", "message name"))
-        self.expect("RBRACKET", "']'")
-        tags: list[Token] = []
-        if self.match("AT"):
-            tags = self.separated(lambda: self.expect("ID", "tag name"))
-        pattern = Pattern(
-            name[1],
-            tuple(m[1] for m in messages),
-            frozenset(t[1] for t in tags),
-        )
-        self.report(pattern_rule(pattern), name)
+        at = self.pos
+        name = self.name("pattern name")
+        self.expect(":=", "':='")
+        self.expect("[", "'['")
+        messages: list[str] = []
+        if self.values[self.pos] != "]":
+            messages = self.names("message name")
+        self.expect("]", "']'")
+        tags: list[str] = []
+        if self.match("@"):
+            tags = self.names("tag name")
+        pattern = Pattern(name, tuple(messages), frozenset(tags))
+        self.report(pattern_rule(pattern), at)
         return pattern
 
 
-#: Declaration keyword -> the parser method for its body.
-_DECLS = {
-    "role": _Parser.parse_role,
-    "action": _Parser.parse_action,
-    "message": _Parser.parse_message,
-    "pattern": _Parser.parse_pattern,
-}
+#: Declaration keyword -> the parser method for its body; each enum's members.
+_DECLS = {word: getattr(_Parser, f"parse_{word}")
+          for word in ("role", "action", "message", "pattern")}
+_ROLES, _PRIMITIVES, _OPERATIONS = ({m.value: m for m in e} for e in (Role, PrimitiveKind, OpKind))
 
 
 def parse(text: str, path: str = "<input>") -> ParseResult:
@@ -506,30 +480,30 @@ def parse(text: str, path: str = "<input>") -> ParseResult:
     hiding later ones.
     """
     try:
-        tokens, comments = tokenize(text)
+        tokens = tokenize(text)
     except LexError as exc:
         diag = Diagnostic("error", "E-LEX", exc.message, path, exc.span)
         return ParseResult(None, (diag,))
-    parser = _Parser(text, tokens, comments, path)
-    source, diagnostics = parser.parse_file()
+    source, diagnostics = _Parser(text, tokens, path).parse_file()
     return ParseResult(source, tuple(diagnostics))
 
 
 def parse_type(text: str) -> TypeExpr:
     """Parse a standalone type expression (base, list, or named group).
 
-    Used when reading types back from traces and exports.  Raises
-    ``ValueError`` on malformed input.
+    Used when reading types back from traces and exports.  The type is
+    interned (:func:`~haiproto.core.interned`).  Raises ``ValueError`` on
+    malformed input, a comment among it.
     """
     try:
-        parser = _Parser(text, tokenize(text)[0], [], "<type>")
-        if parser.peek()[0] == "LBRACKET" and parser._bracket_is_group():
+        parser = _Parser(text, tokenize(text), "<type>")
+        if parser._bracket_is_group():
             typ: TypeExpr = parser.parse_group()
         else:
             typ = parser.parse_nongroup_type()
     except (LexError, _ParseAbort):
         raise ValueError(f"malformed type expression {text!r}") from None
-    if parser.peek()[0] != "EOF":
+    if parser.comments or parser.values[parser.pos]:
         raise ValueError(f"trailing input in type expression {text!r}")
     return typ
 

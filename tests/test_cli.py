@@ -3,6 +3,10 @@
 from __future__ import annotations
 
 import json
+import os
+import subprocess
+import sys
+import textwrap
 from pathlib import Path
 
 import pytest
@@ -13,6 +17,8 @@ from hypothesis import strategies as st
 import oracles
 from conftest import AGENTS_DIR, FIXTURES
 from haiproto.cli import main
+
+WORKFLOW = Path(__file__).resolve().parent.parent / ".github" / "workflows" / "tests.yml"
 
 CLEAN_SUMMARY = (
     "checked 45 actions, 77 messages, 36 patterns, 8 scenarios: "
@@ -551,3 +557,51 @@ def test_every_command_on_a_mutated_input_exits_0_1_or_2(inputs_copy, data):
             assert result.exception is None or isinstance(result.exception, SystemExit)
     finally:
         path.write_bytes(original)
+
+
+# ---------------------------------------------------------------------------
+# The CI workflow's command-line steps
+# ---------------------------------------------------------------------------
+
+
+def _workflow_scripts() -> dict[str, str]:
+    """Each workflow step's name -> its ``run`` script."""
+    lines = WORKFLOW.read_text(encoding="utf-8").splitlines()
+    scripts, name = {}, None
+    for index, line in enumerate(lines):
+        key = line.strip()
+        if key.startswith("- name: "):
+            name = key.removeprefix("- name: ")
+        elif key.startswith("run: "):
+            script = key.removeprefix("run: ")
+            if script == "|":  # a block: the lines indented deeper than ``run:``
+                indent = len(line) - len(line.lstrip())
+                block = []
+                for body in lines[index + 1 :]:
+                    if body.strip() and len(body) - len(body.lstrip()) <= indent:
+                        break
+                    block.append(body)
+                script = textwrap.dedent("\n".join(block))
+            scripts[name] = script
+    return scripts
+
+
+def test_the_workflow_command_line_steps_pass_in_a_shell(tmp_path):
+    """Every workflow step that runs ``haiproto.cli`` passes, run as CI runs
+    it: ``bash -eo pipefail``, from a directory whose ``src`` is this tree's."""
+    steps = {name: s for name, s in _workflow_scripts().items() if "haiproto.cli" in s}
+    assert list(steps) == [
+        "The packaged corpus checks without warnings and is formatted",
+        "Run and replay the packaged corpus from the command line",
+        "A trace with one value edited does not replay (exit 1)",
+        "A value edited in the last of 20 runs does not replay (exit 1)",
+    ]
+    (tmp_path / "src").symlink_to(WORKFLOW.parent.parent.parent / "src")
+    path = os.pathsep.join([os.path.dirname(sys.executable), os.environ.get("PATH", "")])
+    for name, script in steps.items():
+        result = subprocess.run(
+            ["bash", "--noprofile", "--norc", "-eo", "pipefail", "-c", script],
+            cwd=tmp_path, env={**os.environ, "PATH": path}, capture_output=True,
+            text=True, timeout=300,
+        )
+        assert result.returncode == 0, (name, result.stdout, result.stderr)

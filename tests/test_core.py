@@ -2,6 +2,11 @@
 
 from __future__ import annotations
 
+import os
+import pickle
+import subprocess
+import sys
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -23,8 +28,11 @@ from haiproto import (
     TAGS,
     action_scope,
     intersect,
+    parse_type,
+    print_type,
     type_compatible,
 )
+from haiproto.core import interned
 
 IN_RAW = BaseType(Role.INPUT, ("raw_data",))
 IN_RAW_FV = BaseType(Role.INPUT, ("raw_data", "fvector"))
@@ -111,6 +119,69 @@ def test_compatibility_is_symmetric(a, b):
 @given(_types)
 def test_intersect_is_idempotent(a):
     assert intersect(a, a) == a
+
+
+_groups = st.lists(_types, min_size=2, max_size=3).map(
+    lambda types: GroupType(tuple(zip("ABC", types)))
+)
+
+
+@given(st.one_of(_types, _groups))
+def test_a_printed_type_parses_back_to_one_interned_object(t):
+    parsed = parse_type(print_type(t))
+    assert parsed == t and hash(parsed) == hash(t)
+    assert parse_type(print_type(t)) is parsed
+
+
+@given(st.one_of(_types, _groups), st.one_of(_types, _groups))
+def test_intersect_of_interned_types_is_interned(a, b):
+    a, b = parse_type(print_type(a)), parse_type(print_type(b))
+    common = intersect(a, b)
+    assert common is None or common is parse_type(print_type(common))
+    assert intersect(a, a) is a
+
+
+def test_a_hand_built_type_equals_and_hashes_as_the_interned_one():
+    kept = interned(BaseType, Role.INPUT, ("raw_data",))
+    assert kept is parse_type("input.raw_data") is interned(BaseType, Role.INPUT, ("raw_data",))
+    assert IN_RAW is not kept and IN_RAW == kept and hash(IN_RAW) == hash(kept)
+    assert {IN_RAW: "found"}[kept] == "found"
+    assert ListType(IN_RAW) == interned(ListType, kept)
+    assert hash(ListType(IN_RAW)) == hash(interned(ListType, kept))
+    group = GroupType((("X", IN_RAW), ("Y", ListType(OUT_LABEL))))
+    assert group == parse_type(str(group)) and hash(group) == hash(parse_type(str(group)))
+
+
+def test_a_pickled_type_hashes_as_its_equal_in_a_process_with_another_seed(tmp_path):
+    group = parse_type("[X: input.raw_data|fvector, Y: [output.label]]")
+    assert {group: "found"}[group] == "found"  # its hash is kept before pickling
+    (tmp_path / "type.pickle").write_bytes(pickle.dumps(group))
+    script = (
+        "import pickle, sys; from haiproto import parse_type; "
+        "kept = pickle.loads(open(sys.argv[1], 'rb').read()); "
+        "print({parse_type(str(kept)): 'found'}.get(kept))"
+    )
+    for seed in ("1", "2"):
+        env = {**os.environ, "PYTHONHASHSEED": seed}
+        found = subprocess.run([sys.executable, "-c", script, str(tmp_path / "type.pickle")],
+                               env=env, capture_output=True, text=True, check=True)
+        assert found.stdout == "found\n"
+
+
+def test_every_type_in_the_packaged_catalog_is_one_object_per_value(catalog):
+    types = []
+    for action in catalog.actions.values():
+        for arg in action.primitive.args():
+            types += [arg.type, *(typ for _, typ in arg.variables())]
+    for name in [*catalog.patterns, *catalog.scenarios]:
+        flow = catalog.flow(name)
+        for step in flow.steps:
+            types += [typ for _, typ in step.slots]
+        types += [typ for pairs in flow.needed for _, typ in pairs]
+    types += [typ.element for typ in types if isinstance(typ, ListType)]
+    kept: dict = {}
+    assert [typ for typ in types if kept.setdefault(typ, typ) is not typ] == []
+    assert len(kept) < len(types) / 10
 
 
 def _action(**overrides) -> ActionDef:

@@ -14,6 +14,7 @@ from haiproto.core import Span
 from haiproto.dsl import print_action, print_message, print_pattern, tokenize
 
 from conftest import FIXTURES
+import oracles
 from oracles import OracleLexError, oracle_tokenize
 
 CANONICAL = """\
@@ -29,16 +30,9 @@ def _codes(result) -> list[str]:
 
 
 def test_tokenize_hyphen_identifiers_and_arrows():
-    tokens, _ = tokenize("req-class_selection user -> model <- :=")
-    kinds = [t[:2] for t in tokens[:-1]]
-    assert kinds == [
-        ("ID", "req-class_selection"),
-        ("ID", "user"),
-        ("ARROW", "->"),
-        ("ID", "model"),
-        ("LARROW", "<-"),
-        ("ASSIGN", ":="),
-    ]
+    values, ends, _ = tokenize("req-class_selection user -> model <- :=")
+    assert values == ["req-class_selection", "user", "->", "model", "<-", ":=", ""]
+    assert ends == [19, 24, 27, 33, 36, 39, 39]
 
 
 def test_tokenize_rejects_stray_characters():
@@ -173,6 +167,12 @@ def test_parse_type_standalone():
         parse_type("[")
 
 
+def test_a_comment_in_a_type_expression_is_trailing_input():
+    for text in ("input.a // note", "[input.a]extra", "// note\ninput.a"):
+        with pytest.raises(ValueError, match="trailing input in type expression"):
+            parse_type(text)
+
+
 def test_printer_golden_lines(catalog):
     assert print_action(catalog.actions["req-sample_class"]) == (
         "action req-sample_class(X, Y) := "
@@ -236,9 +236,18 @@ def _oracle_as_tokenize(text: str):
     except OracleLexError as exc:
         raise dsl.LexError(exc.message, Span(*exc.where)) from None
     return (
-        [(kind, value, at, at + length) for kind, value, _, _, length, at in tokens],
+        [text[at : at + length] for *_, length, at in tokens],
+        [at + length for *_, length, at in tokens],
         [(at, at + length, body) for _, _, length, body, at in comments],
     )
+
+
+_KINDS = {**oracles._ORACLE_PUNCT, **oracles._ORACLE_PAIRS, "": "EOF"}
+
+
+def _kind(token: str) -> str:
+    """The oracle's kind of a token, from its text."""
+    return _KINDS.get(token) or ("STRING" if token[0] == '"' else "ID")
 
 
 def _parsed(text: str):
@@ -261,6 +270,14 @@ def _parsed(text: str):
 @example("role r;  // closing note")
 @example("// only a note")
 @example("role r;\r\n// note\r\nrole s;  // after\r\n")
+@example("role r; $")  # a bad last character, no line end after it
+@example("role\x0cr;")
+@example("role\xa0r;")
+@example('role r;\nrole "s')  # unterminated on the last line, no line end
+@example("role r;\n" * 3400 + "$")  # after about 10k good tokens
+@example(ACTION.replace("\n", "\r\n") + "role r;\r\nrole $;\r\n")
+@example(ACTION + "role \u00e9cole;\n")  # one non-ASCII name, ASCII otherwise
+@example(ACTION + "role x\u00b2;  // \u00b2")
 def test_lexer_matches_the_character_loop_oracle(text: str):
     try:
         expected = oracle_tokenize(text)
@@ -273,10 +290,10 @@ def test_lexer_matches_the_character_loop_oracle(text: str):
             *exc.where,
         )
     else:
-        tokens, comments = tokenize(text)
+        values, ends, comments = tokenize(text)
         line_starts = dsl._line_starts(text)
-        spans = [dsl._span(line_starts, start, end) for *_, start, end in tokens]
-        got = [(t[0], t[1], s.line, s.col, s.length) for t, s in zip(tokens, spans)]
+        spans = [dsl._span(line_starts, end - len(v), end) for v, end in zip(values, ends)]
+        got = [(_kind(v), dsl._text(v), s.line, s.col, s.length) for v, s in zip(values, spans)]
         assert got == [token[:5] for token in expected[0]]
         assert comments == [(at, at + n, body) for _, _, n, body, at in expected[1]]
     with mock.patch.object(dsl, "tokenize", _oracle_as_tokenize):
