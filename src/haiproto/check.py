@@ -397,8 +397,8 @@ def check_flow(
                         f"{step.message.name!r} uses it as {declared}",
                     )
                 )
-        carried = {var for variables, _ in step.carried for var in variables}
-        fresh = [var for var in dict(step.slots) if var in carried - introduced]
+        unbound = {var for variables, _ in step.carried for var in variables} - introduced
+        fresh = [var for var in dict(step.slots) if var in unbound]  # carried first here
         introduced.update(fresh)
         pairs = tuple([(var, binding.types[var]) for var in fresh])  # often equal to slots
         needed.append(step.slots if pairs == step.slots else share(pairs, pairs))
@@ -407,7 +407,7 @@ def check_flow(
     open_obligations: list[_Obligation] = []
     for step in steps:
         message, action = step.message, step.action
-        carried = _carried_types(step)
+        carried = _carried_types(step) if open_obligations else ()  # only to answer one
         discharged_any = False
         remaining: list[_Obligation] = []
         for ob in open_obligations:

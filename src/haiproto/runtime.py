@@ -9,7 +9,8 @@ references (the head is what the other party is being asked for).
 
 Violations abort the run with a coded verdict, in this order of precedence:
 
-* ``V-AGENT`` — the agent raised, or produced a variable outside the message.
+* ``V-AGENT`` — the agent raised, or produced a key that is not a variable of
+  the message it may produce, or a value that is not a :class:`Payload`.
 * ``V-REBIND`` — a produced value differs from the variable's bound value.
 * ``V-MISSING`` — a producible unbound variable was not produced.
 * ``V-TYPE`` — a produced or bound value does not fit its variable's type here.
@@ -62,7 +63,7 @@ class Vector:
     values: tuple[float, ...]
 
     def __post_init__(self) -> None:
-        values = tuple(float(v) for v in self.values)
+        values = tuple(map(float, self.values))
         if not all(map(math.isfinite, values)):
             raise ValueError(f"vector coordinates must be finite, got {values!r}")
         object.__setattr__(self, "values", values)
@@ -94,6 +95,8 @@ class Payload:
     value: Value
 
     def __post_init__(self) -> None:
+        if type(self.type) is BaseType and type(self.value) in (str, int, Vector, Blob):
+            return  # a base type and a value that is a scalar by its class alone
         if isinstance(self.type, GroupType):
             raise ValueError("payloads carry base or list types, not groups")
         if isinstance(self.type, ListType):
@@ -109,6 +112,10 @@ class Payload:
 
     def to_json(self) -> dict:
         return {"type": print_type(self.type), "value": _value_json(self.value)}
+
+
+#: ``isinstance(value, Payload)``, kept if ``Payload`` is rebound to count what is built.
+_is_payload = Payload.__instancecheck__
 
 
 def _value_json(value: Value) -> object:
@@ -597,11 +604,19 @@ def _text(value: object) -> str:
     return _dump(_value_json(value))
 
 
-def _needed(pairs: Iterable[tuple[str, TypeExpr]]) -> tuple[tuple[str, TypeExpr, str], ...]:
-    """A step's needed ``(var, type)`` pairs, sorted, each with the text of its
-    ``produced`` entry before a value of that type."""
-    return tuple((var, typ, f'{_ascii(var)}:{{"type":{_ascii(print_type(typ))},"value":')
-                 for var, typ in sorted(pairs))  # no variable twice: check_flow's fresh ones
+def _needed(steps: Sequence[Iterable[tuple[str, TypeExpr]]]) -> tuple[tuple, ...]:
+    """Each step's needed ``(var, type)`` pairs, sorted, each with the text of its
+    ``produced`` entry before a value of that type; each type's text is made once."""
+    types: dict[TypeExpr, str] = {}
+    plan = []
+    for pairs in steps:
+        entry = []
+        for var, typ in pairs if len(pairs) < 2 else sorted(pairs):  # fresh: no var twice
+            text = types.get(typ) or types.setdefault(
+                typ, f'{{"type":{_ascii(print_type(typ))},"value":')
+            entry.append((var, typ, f"{_ascii(var)}:{text}"))
+        plan.append(tuple(entry))
+    return tuple(plan)
 
 
 def _produced(needed: tuple, produced: Mapping[str, Payload]) -> str:
@@ -615,16 +630,16 @@ def _produced(needed: tuple, produced: Mapping[str, Payload]) -> str:
     ])
 
 
-def _template(step, message, sender, receiver, action, verdict="ok", detail=None) -> tuple:
+def _template(step, message, sender, receiver, action, verdict='"ok"', detail="null") -> tuple:
     """A step's line before its digest, between its digest and its ``produced``,
-    and after, given its other fields: the keys sorted, each value encoded
-    alone.  It depends on neither the digest nor ``produced``."""
-    detail = "" if detail is None else f'"detail":{_text(detail)},'
+    and after, given the JSON texts of its other fields: the keys sorted, and a
+    ``null`` detail left out, as :meth:`TraceStep.to_json` leaves it out.  It
+    depends on neither the digest nor ``produced``."""
+    detail = "" if detail == "null" else f'"detail":{detail},'
     return (
-        f'{{"action":{_text(action)},{detail}"digest":',
-        f',"message":{_text(message)},"produced":',
-        f',"receiver":{_text(receiver)},"sender":{_text(sender)},'
-        f'"step":{_text(step)},"verdict":{_text(verdict)}}}',
+        f'{{"action":{action},{detail}"digest":',
+        f',"message":{message},"produced":',
+        f',"receiver":{receiver},"sender":{sender},"step":{step},"verdict":{verdict}}}',
     )
 
 
@@ -761,8 +776,8 @@ class Trace:
         """The header, step and outcome lines, each ``_dump`` of its dict."""
         lines = vars(self).get("_lines")
         if lines is None:  # written from the steps, a field at a time
-            lines = [f"{head}{_text(s.digest)}{middle}{_dump(s.produced)}{tail}"
-                     for s in self.steps for head, middle, tail in [_template(*s[:5], *s[7:])]]
+            lines = [f"{head}{_text(s.digest)}{middle}{_dump(s.produced)}{tail}" for s in self.steps
+                     for head, middle, tail in [_template(*map(_text, s[:5] + s[7:]))]]
         return "\n".join([
             f'{{"format":2,"pattern":{_text(self.pattern)},"run":{_text(self.run_id)},'
             f'"seed":{_text(self.seed)}}}',
@@ -917,10 +932,9 @@ def run(
             f"cannot run {flow.pattern.name!r}: "
             + "; ".join(d.message for d in flow.report.errors)
         )
-    for step in flow.steps:
-        for role in (step.message.sender, step.message.receiver):
-            if role not in agents:
-                raise LookupError(f"no agent for role {role!r}")
+    roles = _kept(flow)[4]
+    if not agents.keys() >= roles.keys():
+        raise LookupError(f"no agent for role {next(r for r in roles if r not in agents)!r}")
     if run_id is None:
         run_id = f"{flow.pattern.name}-s{seed}-r0"
     lines: list[str] = []
@@ -933,20 +947,25 @@ def run(
     return trace
 
 
-def _kept(flow: Flow) -> tuple[tuple[str, ...], tuple[dict, ...], tuple[tuple, ...], dict]:
+def _kept(flow: Flow) -> tuple[tuple[str, ...], tuple[dict, ...], tuple[tuple, ...], dict, dict]:
     """What runs and replays need of ``flow`` alone, made once and kept on it:
     each step's 3 line texts, flat (no tuple a step for GC); each step's needed
-    types as a dict and as its :func:`_needed`; and the type each variable is
-    bound at, which check_flow's narrowing proved meets every later use, so a
-    value of exactly that type needs no intersection there."""
+    types as a dict and as its :func:`_needed`; the type each variable is bound
+    at, which check_flow's narrowing proved meets every later use, so a value
+    of exactly that type needs no intersection there; and the flow's roles, in
+    order of first use.  Each role's, action's and type's text is made once."""
     kept = vars(flow)
     if "_kept" not in kept:
-        kept["_kept"] = tuple([
-            text for index, (m, a, _, _) in enumerate(flow.steps, start=1)
-            for text in _template(index, m.name, m.sender, m.receiver, a.name)
-        ]), tuple(map(dict, flow.needed)), tuple(map(_needed, flow.needed)), {
-            var: typ for pairs in flow.needed for var, typ in pairs
-        }
+        steps, needed = flow.steps, flow.needed
+        roles = dict.fromkeys(role for m, _, _, _ in steps for role in (m.sender, m.receiver))
+        actions = dict.fromkeys(a.name for _, a, _, _ in steps)
+        texts = {name: _ascii(name) for name in [*roles, *actions]}
+        templates: list[str] = []
+        for index, (m, a, _, _) in enumerate(steps, start=1):
+            names = texts[m.sender], texts[m.receiver], texts[a.name]
+            templates += _template(str(index), _ascii(m.name), *names)
+        bound_at = {var: typ for pairs in needed for var, typ in pairs}
+        kept["_kept"] = tuple(templates), tuple(map(dict, needed)), _needed(needed), bound_at, roles
     return kept["_kept"]
 
 
@@ -957,7 +976,7 @@ def _execute(flow: Flow, agents: Mapping[str, AgentBehavior]) -> Iterator[tuple]
     values: dict[str, Payload] = {}
     binding = MappingProxyType(values)  # what agents see: read-only, never copied
     digest = 0
-    templates, needs, texts, bound_at = _kept(flow)
+    templates, needs, texts, bound_at, _ = _kept(flow)
     steps = zip(flow.steps, needs, texts, *[iter(templates)] * 3)
     for index, (step, needed, sorted_needed, head, middle, tail) in enumerate(steps, start=1):
         message, action = step.message, step.action  # needed: the flow's, only read
@@ -970,22 +989,27 @@ def _execute(flow: Flow, agents: Mapping[str, AgentBehavior]) -> Iterator[tuple]
                 raise
             except Exception as exc:
                 raise RunViolation("V-AGENT", f"producer failed: {exc}") from exc
-            order = sorted(produced)
-            for var in order:
-                if var not in message.args:
-                    problem = f"agent produced {var!r}, not a variable of {message.name!r}"
-                    raise RunViolation("V-AGENT", problem)
-                if var not in needed and var not in values:
-                    problem = f"sender of {message.name!r} may not produce {var!r}"
-                    raise RunViolation("V-AGENT", problem)
-            for var in order:
-                if var in values and produced[var] != values[var]:
-                    problem = f"{var!r} is already bound to a different value"
-                    raise RunViolation("V-REBIND", problem)
-            for var in needed:
-                if var not in produced:
-                    problem = f"sender of {message.name!r} did not produce {var!r}"
-                    raise RunViolation("V-MISSING", problem)
+            # A payload for each needed (fresh) variable and no more: no scan below fires.
+            if produced.keys() != needed.keys() or not all(map(_is_payload, produced.values())):
+                order = sorted(produced, key=str)  # a key that is no str is not a variable
+                for var in order:
+                    if var not in message.args:
+                        problem = f"agent produced {var!r}, not a variable of {message.name!r}"
+                        raise RunViolation("V-AGENT", problem)
+                    if var not in needed and var not in values:
+                        problem = f"sender of {message.name!r} may not produce {var!r}"
+                        raise RunViolation("V-AGENT", problem)
+                    if not _is_payload(produced[var]):
+                        problem = f"agent produced {var!r} as a {type(produced[var]).__name__}"
+                        raise RunViolation("V-AGENT", problem)
+                for var in order:
+                    if var in values and produced[var] != values[var]:
+                        problem = f"{var!r} is already bound to a different value"
+                        raise RunViolation("V-REBIND", problem)
+                for var in needed:
+                    if var not in produced:
+                        problem = f"sender of {message.name!r} did not produce {var!r}"
+                        raise RunViolation("V-MISSING", problem)
             for var, declared in step.slots:  # a bound value must fit every use
                 payload = produced[var] if var in needed else values.get(var)
                 typ = needed.get(var, declared)
@@ -1010,8 +1034,8 @@ def _execute(flow: Flow, agents: Mapping[str, AgentBehavior]) -> Iterator[tuple]
         if detail is not None:  # replay raises the recorded detail again: check it here
             digest = zlib.crc32(_dump(detail).encode(), digest)
         if verdict != "ok":  # an aborted step's line: a template of its own
-            names = message.name, message.sender, message.receiver, action.name
-            head, middle, tail = _template(index, *names, verdict, detail)
+            fields = index, message.name, message.sender, message.receiver, action.name
+            head, middle, tail = _template(*map(_text, (*fields, verdict, detail)))
         yield (index, verdict), f'{head}"{digest:08x}"{middle}{text}{tail}'
         if verdict != "ok":
             return
@@ -1129,14 +1153,9 @@ class _Replay(_Run, AgentBehavior):
             return step[None]
         if step["verdict"] != "ok" and not step["produced"]:
             raise RunViolation(step["verdict"], step.get("detail"))
-        served = {}
-        for var, data in step["produced"].items():
-            typ = _parse_type(data["type"])
-            if typ == needed.get(var):  # the flow's own object, as a run's agent serves
-                typ = needed[var]
-            served[var] = Payload(typ, _value_from_json(data["value"]))
-        self.served = served
-        return served
+        self.served = {var: Payload(_parse_type(data["type"]), _value_from_json(data["value"]))
+                       for var, data in step["produced"].items()}  # interned: the flow's types
+        return self.served
 
     def on_receive(self, message, action, binding):
         if self.entry["verdict"] != "ok":

@@ -593,6 +593,7 @@ def test_the_workflow_command_line_steps_pass_in_a_shell(tmp_path):
     assert list(steps) == [
         "The packaged corpus checks without warnings and is formatted",
         "Run and replay the packaged corpus from the command line",
+        "Two runs with the same seed write the same trace",
         "A trace with one value edited does not replay (exit 1)",
         "A value edited in the last of 20 runs does not replay (exit 1)",
     ]

@@ -178,10 +178,14 @@ def test_every_type_in_the_packaged_catalog_is_one_object_per_value(catalog):
         for step in flow.steps:
             types += [typ for _, typ in step.slots]
         types += [typ for pairs in flow.needed for _, typ in pairs]
+    needed = {typ for name in [*catalog.patterns, *catalog.scenarios]
+              for pairs in catalog.flow(name).needed for _, typ in pairs}
     types += [typ.element for typ in types if isinstance(typ, ListType)]
     kept: dict = {}
     assert [typ for typ in types if kept.setdefault(typ, typ) is not typ] == []
     assert len(kept) < len(types) / 10
+    # a needed type read back from a trace is the flow's own object
+    assert needed and [typ for typ in needed if parse_type(print_type(typ)) is not typ] == []
 
 
 def _action(**overrides) -> ActionDef:

@@ -467,7 +467,10 @@ _LIST_THEN_USED = (
 def test_a_flow_that_checks_runs_and_replays_clean_and_prints_back(drawn):
     """The pipeline's promise: printed declarations parse back equal, and a
     pattern that checks completes with agents that produce what it needs,
-    and its trace replays clean, as a Trace and as text."""
+    and its trace replays clean, as a Trace and as text.  Each step needs fresh
+    variables of its message, which a run's one-pass clean step relies on, and
+    the lines a run writes from its step plan are what a trace writes field by
+    field."""
     pattern, messages, actions = drawn
     declared = [*actions.values(), *messages.values(), pattern]
     printed = [*map(print_action, actions.values()), *map(print_message, messages.values())]
@@ -475,10 +478,18 @@ def test_a_flow_that_checks_runs_and_replays_clean_and_prints_back(drawn):
     assert result.diagnostics == () and [decl.node for decl in result.file.decls] == declared
     roles = frozenset({"user", "model"})
     catalog = Catalog(actions, messages, {"p": pattern}, {}, {}, {}, frozenset(), roles)
-    if catalog.flow("p").report.errors:  # as most drawn flows do
+    flow = catalog.flow("p")
+    if flow.report.errors:  # as most drawn flows do
         return
+    earlier: set[str] = set()
+    for step, pairs in zip(flow.steps, flow.needed):
+        names = [var for var, _ in pairs]
+        assert set(names) <= set(step.message.args) and len(set(names)) == len(names)
+        assert earlier.isdisjoint(names)
+        earlier.update(names)
     trace = run(catalog, "p", dict.fromkeys(roles, _Exact()))
     assert trace.outcome == "completed" and len(trace.steps) == len(pattern.messages)
+    assert trace.to_jsonl() == dataclasses.replace(trace, steps=trace.steps).to_jsonl()
     assert replay_check(trace, catalog) == []
     assert replay_check(trace.to_jsonl(), catalog) == []
 

@@ -789,6 +789,43 @@ def test_violation_precedence_rebind_before_missing(catalog):
     assert trace.outcome == {"aborted": {"step": 2, "code": "V-REBIND"}}
 
 
+class _Bent(AgentBehavior):
+    """The robot demo's user, with what it produces for ``A2`` bent by ``bend``."""
+
+    def __init__(self, bend):
+        self.user, self.bend = _demo_agents()["user"], bend
+
+    def produce(self, message, action, needed, binding):
+        produced = self.user.produce(message, action, needed, binding)
+        return self.bend(produced) if message.name == "A2" else produced
+
+
+def _run_bent_d1(catalog, bend):
+    trace = run(catalog, "D1", {**_demo_agents(), "user": _Bent(bend)})
+    assert trace.outcome == {"aborted": {"step": 2, "code": "V-AGENT"}}
+    assert replay_check(trace, catalog) == []
+    return trace.steps[1].detail
+
+
+def test_a_produced_value_that_is_no_payload_aborts_with_v_agent(catalog):
+    assert _run_bent_d1(catalog, lambda produced: {"Y": produced["Y"].value}) == (
+        "agent produced 'Y' as a str"
+    )
+    # an agent fault, so it wins over the variable that a list leaves missing
+    assert _run_bent_d1(catalog, lambda produced: {"L": ["happy"]}) == (
+        "agent produced 'L' as a list"
+    )
+
+
+def test_a_produced_key_that_is_no_variable_name_aborts_with_v_agent(catalog):
+    assert _run_bent_d1(catalog, lambda produced: {**produced, 2: produced["Y"]}) == (
+        "agent produced 2, not a variable of 'A2'"
+    )
+    assert _run_bent_d1(catalog, lambda produced: {"Z": 1, None: produced["Y"]}) == (
+        "agent produced None, not a variable of 'A2'"
+    )
+
+
 # ---------------------------------------------------------------------------
 # Traces and replay
 # ---------------------------------------------------------------------------
@@ -919,7 +956,7 @@ def test_a_steps_produced_text_is_the_canonical_json_of_its_payloads(entries):
         "equal": dataclasses.replace,
         "other": lambda typ: BaseType(Role.OUTPUT, ("other",)),
     }
-    needed = runtime._needed((var, needed_as[how](p.type)) for var, (p, how) in entries.items())
+    (needed,) = runtime._needed([[(var, needed_as[how](p.type)) for var, (p, how) in entries.items()]])
     produced = {var: payload for var, (payload, _) in entries.items()}
     expected = runtime._dump({var: payload.to_json() for var, payload in produced.items()})
     assert runtime._produced(needed, produced) == expected
