@@ -40,7 +40,7 @@ from .check import (
     check_action,
     check_flow,
     check_message,
-    check_pattern,
+    check_pattern,  # unused here; perfbench/spans.py looks it up as a span boundary
     name_rule,
     pattern_rule,
     placed,
@@ -517,8 +517,8 @@ def compose(
     check report; composing an empty list raises ``ValueError``.
     """
     combined = _join(catalog, names, "+".join(names))
-    report = check_pattern(combined, catalog.messages, catalog.actions, "scenario")
-    return combined, report
+    flow = check_flow(combined, catalog.messages, catalog.actions, "scenario", catalog._shared)
+    return combined, flow.report
 
 
 def _join(catalog: Catalog, names: Sequence[str], name: str) -> Pattern:

@@ -60,16 +60,16 @@ from .core import (
 # Lexer
 # ---------------------------------------------------------------------------
 
-# A token: a punctuation mark or a pair, first as the commonest; a name, in
-# which a hyphen continues only before a word character, so "user -> model"
-# has an arrow; a string, in which a backslash before ``"`` or ``\`` always
-# escapes it, so no match backtracks; or a comment.  ``\w`` is exactly
-# ``isalnum`` or ``_``, but ``[^\W\d_]`` also admits non-letters such as
-# ``²``, so a name with a non-ASCII start must pass ``str.isalpha``.
-_ONE = re.compile(
-    r'[()\[\],;.|@=]|:=?|->|<-|[^\W\d_]\w*(?:-\w+)*'
-    r'|"(?:[^"\\\n]|\\["\\]|\\(?!["\\]))*"|//[^\n]*'
-)
+# A name, in which a hyphen continues only before a word character, so
+# "user -> model" has an arrow.  ``\w`` is exactly ``isalnum`` or ``_``, but
+# ``[^\W\d_]`` also admits non-letters such as ``²``, so a name with a
+# non-ASCII start must pass ``str.isalpha``.
+_NAME = re.compile(r"[^\W\d_]\w*(?:-\w+)*")
+# A string on one line, in which a backslash before ``"`` or ``\`` always
+# escapes it, so no match backtracks.
+_STRING = re.compile(r'"(?:[^"\\\n]|\\["\\]|\\(?!["\\]))*"')
+# A token: a punctuation mark or a pair, first as the commonest; a name; a string; a comment.
+_ONE = re.compile(rf"[()\[\],;.|@=]|:=?|->|<-|{_NAME.pattern}|{_STRING.pattern}|//[^\n]*")
 # One match per token, with the whitespace before it.  At a character that
 # starts no token, the ``"`` of an unterminated string among them, the last
 # match takes the rest of the text, so the matches tile it.

@@ -51,7 +51,7 @@ from .core import (
     TypeExpr,
     intersect,
 )
-from .dsl import parse_type, print_type
+from .dsl import _NAME, _STRING, _text as _unquote, parse_type, print_type
 import json
 
 
@@ -112,10 +112,6 @@ class Payload:
 
     def to_json(self) -> dict:
         return {"type": print_type(self.type), "value": _value_json(self.value)}
-
-
-#: ``isinstance(value, Payload)``, kept if ``Payload`` is rebound to count what is built.
-_is_payload = Payload.__instancecheck__
 
 
 def _value_json(value: Value) -> object:
@@ -419,13 +415,12 @@ class StubModelAgent(AgentBehavior):
 # Agent configuration files
 # ---------------------------------------------------------------------------
 
-_SECTION_RE = re.compile(r"^\[([A-Za-z_][A-Za-z0-9_]*)\s+(scripted|stub)\]$")
 _NUMBER_RE = re.compile(r"^-?\d+(\.\d+)?$")
-#: A string literal, in which ``\"`` and ``\\`` are escapes; the pieces of
-#: a line, where an unclosed string runs to its end; a line up to its comment.
-_STRING_RE = re.compile(r'"(?:[^"\\]|\\.)*"')
-_PIECE_RE = re.compile(r'"(?:[^"\\]|\\.)*"?|.')
-_CODE_RE = re.compile(r'(?:[^"/]|/(?!/)|"(?:[^"\\]|\\.)*"?)*')
+#: A section header, its role a ``.hai`` name; the pieces of a line, a ``.hai``
+#: string or an unclosed one to the line's end being one; a line up to its comment.
+_SECTION_RE = re.compile(rf"\[({_NAME.pattern})\s+(scripted|stub)\]")
+_PIECE_RE = re.compile(rf'{_STRING.pattern}|".*|.')
+_CODE_RE = re.compile(rf'(?:[^"/]|/(?!/)|{_STRING.pattern}|".*)*')
 
 
 def _parse_literal(text: str, where: str) -> object:
@@ -437,8 +432,8 @@ def _parse_literal(text: str, where: str) -> object:
 
 def _literal(text: str, where: str) -> object:
     text = text.strip()
-    if _STRING_RE.fullmatch(text):
-        return text[1:-1].replace('\\"', '"').replace("\\\\", "\\")
+    if _STRING.fullmatch(text):
+        return _unquote(text)
     if _NUMBER_RE.match(text):
         return float(text) if "." in text else int(text)
     if text.startswith("vec(") and text.endswith(")"):
@@ -521,7 +516,7 @@ def parse_agents(text: str, path: str = "<agents>") -> dict[str, AgentBehavior]:
         if not line:
             continue
         where = f"{path}:{lineno}"
-        match = _SECTION_RE.match(line)
+        match = _SECTION_RE.fullmatch(line)
         if match:
             flush()
             section = (match.group(1), match.group(2))
@@ -548,7 +543,7 @@ def parse_agents(text: str, path: str = "<agents>") -> dict[str, AgentBehavior]:
             )
         elif kind == "stub" and key == "sample":
             stub.setdefault("samples", []).append(_parse_literal(value, where))
-        elif re.match(r"^[A-Za-z][A-Za-z0-9_-]*\.[A-Za-z][A-Za-z0-9_]*$", key):
+        elif re.fullmatch(rf"{_NAME.pattern}\.{_NAME.pattern}", key):  # MESSAGE.VARIABLE
             script.setdefault(key, []).append(_parse_literal(value, where))
         else:
             raise ValueError(f"{where}: unknown key {key!r}")
@@ -926,12 +921,7 @@ def run(
     if isinstance(flow, str):
         flow = catalog.flow(flow)
     elif not isinstance(flow, Flow):
-        flow = check_flow(flow, catalog.messages, catalog.actions)
-    if flow.report.errors:
-        raise ValueError(
-            f"cannot run {flow.pattern.name!r}: "
-            + "; ".join(d.message for d in flow.report.errors)
-        )
+        flow = check_flow(flow, catalog.messages, catalog.actions, shared=catalog._shared)
     roles = _kept(flow)[4]
     if not agents.keys() >= roles.keys():
         raise LookupError(f"no agent for role {next(r for r in roles if r not in agents)!r}")
@@ -953,9 +943,13 @@ def _kept(flow: Flow) -> tuple[tuple[str, ...], tuple[dict, ...], tuple[tuple, .
     types as a dict and as its :func:`_needed`; the type each variable is bound
     at, which check_flow's narrowing proved meets every later use, so a value
     of exactly that type needs no intersection there; and the flow's roles, in
-    order of first use.  Each role's, action's and type's text is made once."""
+    order of first use.  Each role's, action's and type's text is made once.
+    ``ValueError`` if the flow does not check: it has no plan."""
     kept = vars(flow)
     if "_kept" not in kept:
+        if errors := flow.report.errors:
+            messages = "; ".join(e.message for e in errors)
+            raise ValueError(f"cannot run {flow.pattern.name!r}: {messages}")
         steps, needed = flow.steps, flow.needed
         roles = dict.fromkeys(role for m, _, _, _ in steps for role in (m.sender, m.receiver))
         actions = dict.fromkeys(a.name for _, a, _, _ in steps)
@@ -990,7 +984,8 @@ def _execute(flow: Flow, agents: Mapping[str, AgentBehavior]) -> Iterator[tuple]
             except Exception as exc:
                 raise RunViolation("V-AGENT", f"producer failed: {exc}") from exc
             # A payload for each needed (fresh) variable and no more: no scan below fires.
-            if produced.keys() != needed.keys() or not all(map(_is_payload, produced.values())):
+            payloads = map(Payload.__instancecheck__, produced.values())
+            if produced.keys() != needed.keys() or not all(payloads):
                 order = sorted(produced, key=str)  # a key that is no str is not a variable
                 for var in order:
                     if var not in message.args:
@@ -999,7 +994,7 @@ def _execute(flow: Flow, agents: Mapping[str, AgentBehavior]) -> Iterator[tuple]
                     if var not in needed and var not in values:
                         problem = f"sender of {message.name!r} may not produce {var!r}"
                         raise RunViolation("V-AGENT", problem)
-                    if not _is_payload(produced[var]):
+                    if not isinstance(produced[var], Payload):
                         problem = f"agent produced {var!r} as a {type(produced[var]).__name__}"
                         raise RunViolation("V-AGENT", problem)
                 for var in order:
@@ -1079,10 +1074,10 @@ def replay_check(
     a :class:`Trace`, read as its :meth:`~Trace.to_jsonl` text; a line ends at
     ``\\n`` only.  A step line that is its flow's template for the step, verdict
     ``ok``, around a 10-character digest slot and a ``produced`` object has only
-    that object decoded, or none if its step's slot holds that very line: from a
-    flow's second run in one call, each step keeps its last such line and the
-    payloads it served, to serve again; the re-run and its checks run as ever.
-    Other lines are decoded in full.  A re-run line equal to the recorded one
+    that object decoded.  One table for the call keeps up to ``_SERVED_LINES`` such
+    lines, with the payloads each served, across runs and flows: a line found there
+    is served them again and nothing is decoded; the re-run and its checks run as
+    ever.  Other lines are decoded in full.  A re-run line equal to the recorded one
     verifies it; another is compared field by field, type-strictly (1 ≠ 1.0).  A run
     reports, by precedence: ``E-TRACE`` for text that does not read (see
     :meth:`Trace.all_from_jsonl`), where reading stops, as text never raises, or for
@@ -1096,18 +1091,22 @@ def replay_check(
         except (TypeError, ValueError, RecursionError) as exc:  # built by hand
             return [Diagnostic("error", "E-TRACE", f"the trace does not write: {exc}")]
     found: list[Diagnostic] = []
-    memo: dict[str, list | None] = {}  # flow name: a slot a step, from its second run on
+    served: dict[str, dict] = {}  # a clean step line: the payloads it served
     lines = _lines(trace) if isinstance(trace, str) else (  # an item: a line or more
         line for item in trace for line in item.removesuffix("\n").split("\n")
     )
     try:
-        for replayed in _each_run(lines, lambda at, head: _Replay(at, head, catalog, memo)):
+        for replayed in _each_run(lines, lambda at, head: _Replay(at, head, catalog, served)):
             if replayed.found or replayed.difference:
                 found.append(replayed.found or replayed.difference)
     except ValueError as exc:  # from reading: replay raises no ValueError
         span = Span(exc.line, 1) if isinstance(exc, _Unreadable) else None
         found.append(Diagnostic("error", "E-TRACE", f"unreadable trace: {exc}", span=span))
     return found
+
+
+#: The most step lines one :func:`replay_check` call keeps with what they served.
+_SERVED_LINES = 1024
 
 
 @functools.lru_cache(maxsize=1024)
@@ -1124,10 +1123,10 @@ class _Replay(_Run, AgentBehavior):
     ``on_receive``.  Of the findings, ``found``, for the flow or a message,
     wins over ``difference``."""
 
-    def __init__(self, lineno: int, header: dict, catalog: Catalog, memo: dict):
+    def __init__(self, lineno: int, header: dict, catalog: Catalog, table: dict):
         super().__init__(lineno, header)
-        self.messages, self.entry = catalog.messages, None
-        self.rerun = self.last = self.found = self.difference = self.slots = None
+        self.messages, self.table, self.entry = catalog.messages, table, None
+        self.rerun = self.last = self.found = self.difference = self.served = None
         if self.problem or self.misfit:
             return
         name = header["pattern"]
@@ -1137,20 +1136,19 @@ class _Replay(_Run, AgentBehavior):
             found = reference_rule(f"run {self.run_id}", "flow", name)
             self.found = replace(found, span=Span(lineno, 1))
             return
-        if flow.report.errors:
+        try:
+            self.templates = _kept(flow)[0]
+        except ValueError:  # the flow does not check
             error = flow.report.errors[0]
             text = f"run {self.run_id}: flow {name!r} does not check: {error.message}"
             self.found = Diagnostic("error", error.code, text, span=Span(lineno, 1))
         else:  # a cycle through the agents, broken when the re-run ends
             self.rerun = _execute(flow, dict.fromkeys(catalog.roles, self))
-            self.templates = _kept(flow)[0]
-            slots = memo.get(name) or name in memo and [(None, None)] * len(flow.steps)
-            self.slots = memo[name] = slots or None  # the flow's first run keeps none
 
     def produce(self, message, action, needed, binding):
         step = self.entry
-        if None in step:  # what this very line served here before; no JSON key is None
-            return step[None]
+        if self.served is not None:  # what this very line served before
+            return self.served
         if step["verdict"] != "ok" and not step["produced"]:
             raise RunViolation(step["verdict"], step.get("detail"))
         self.served = {var: Payload(_parse_type(data["type"]), _value_from_json(data["value"]))
@@ -1162,20 +1160,21 @@ class _Replay(_Run, AgentBehavior):
             raise RunViolation(self.entry["verdict"], self.entry.get("detail"))
 
     def take(self, lineno: int, line: str) -> bool:
-        """Replay ``line`` if it is the next step's template, verdict ``ok``, around
-        a 10-character digest slot, which the re-run's line checks, and a ``produced``
-        object, decoded unless the line is in the step's slot; else return False."""
-        index, slots = self.count, self.slots
-        if self.rerun is None or 3 * index >= len(self.templates):
+        """Replay ``line`` with the payloads it served before in this call, or if
+        it is the next step's template, verdict ``ok``, around a 10-character
+        digest slot, which the re-run's line checks, and a ``produced`` object,
+        which is decoded; else return False."""
+        index, served = self.count, self.table.get(line)
+        if self.rerun is None or served is None and 3 * index >= len(self.templates):
             return False
+        if served is not None:  # nothing to decode: the re-run checks it as ever
+            self.step(lineno, line, {"verdict": "ok"}, served)
+            return True
         head, middle, tail = self.templates[3 * index : 3 * index + 3]
         digest = len(head)
         if not (line.startswith(head) and line.endswith(tail)
                 and line.startswith(middle, digest + 10)):
             return False
-        if slots and slots[index][0] == line:  # served before: nothing to decode
-            self.step(lineno, line, {"verdict": "ok", None: slots[index][1]})
-            return True
         try:
             produced, end = _decode_at(line, digest + 10 + len(middle))
         except (ValueError, RecursionError):  # the full decode says why
@@ -1183,14 +1182,14 @@ class _Replay(_Run, AgentBehavior):
         if type(produced) is not dict or end != len(line) - len(tail):
             return False
         self.step(lineno, line, {"verdict": "ok", "produced": produced})
-        if slots and self.served is not None:
-            slots[index] = line, self.served
+        if self.served is not None and len(self.table) < _SERVED_LINES:
+            self.table[line] = self.served
         return True
 
-    def step(self, lineno: int, line: str, entry: dict) -> None:
+    def step(self, lineno: int, line: str, entry: dict, served: dict | None = None) -> None:
         self.count += 1
         if self.rerun is not None:
-            self.entry, self.served = entry, None
+            self.entry, self.served = entry, served
             taken = next(self.rerun, None)
             if taken is not None:
                 self.last = taken[0]
@@ -1206,7 +1205,7 @@ class _Replay(_Run, AgentBehavior):
                 self.found = replace(found, span=Span(lineno, 1))
 
     def end(self, lineno: int, line: str, entry: dict) -> None:
-        rerun, self.rerun, self.entry = self.rerun, None, None  # past the last step
+        rerun, self.rerun, self.entry, self.served = self.rerun, None, None, None  # past the end
         if rerun is not None:
             taken = next(rerun, None)
             if taken is None and self.problem is None and line == _outcome_line(

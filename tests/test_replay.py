@@ -324,9 +324,11 @@ def test_replays_parse_each_type_string_once_across_calls(catalog, monkeypatch):
 
 
 def _counting_payloads(monkeypatch) -> list:
-    """The payloads that replay builds from now on."""
-    built, payload = [], runtime.Payload
-    monkeypatch.setattr(runtime, "Payload", lambda *args: built.append(args) or payload(*args))
+    """The ``(type, value)`` of each payload built from now on."""
+    built, check = [], Payload.__post_init__
+    monkeypatch.setattr(
+        Payload, "__post_init__", lambda self: built.append((self.type, self.value)) or check(self)
+    )
     return built
 
 
@@ -343,8 +345,8 @@ labels = calm, happy, sad
 
 
 def test_a_repeated_step_line_is_served_from_what_it_was_decoded_to(catalog, monkeypatch):
-    """A replay keeps what a step line served from its flow's second run on,
-    so the payloads it builds do not grow with the number of runs."""
+    """A replay keeps what each clean step line served, for the rest of the
+    call, so the payloads it builds do not grow with the number of runs."""
     traces = run_scenario(catalog, "D1", parse_agents(ONE_VALUE_AGENTS), seed=3, repeat=50)
     per_run = sum(len(step.produced) for step in traces[0].steps)
     built = _counting_payloads(monkeypatch)
@@ -359,8 +361,25 @@ def test_a_repeated_step_line_is_served_from_what_it_was_decoded_to(catalog, mon
     assert counts[0] == counts[1] > 0
 
 
+def test_a_replay_decodes_each_line_of_a_cycle_once(catalog, monkeypatch):
+    """The robot demo's user cycles A2.Y through three labels, so runs
+    alternate between lines at the same step: each distinct line's payloads
+    are built once in the call, not once a run."""
+    agents = parse_agents((AGENTS_DIR / "robot_demo.agents").read_text())
+    cycle = {"A2.Y": ["happy", "sad", "calm"] * 100}
+    agents["user"] = ScriptedAgent({**agents["user"].script, **cycle})
+    traces = run_scenario(catalog, "D1", agents, seed=3, repeat=300)
+    text = "".join(trace.to_jsonl() for trace in traces)
+    distinct = {line for line in text.splitlines() if '"step":' in line}
+    built = _counting_payloads(monkeypatch)
+    assert replay_check(text, catalog) == []
+    assert 0 < len(built) == sum(len(json.loads(line)["produced"]) for line in distinct)
+
+
 def test_a_flow_replayed_once_decodes_every_step(tmp_path, monkeypatch):
-    steps = 40
+    """A run of more distinct lines than replay keeps builds each payload
+    once, and the call keeps no more lines than its bound."""
+    steps = runtime._SERVED_LINES + 10
     source = "action give(X) := provide(X: input.raw_data);\n" + "".join(
         f"message G{k} := user -> model : give(X{k});\n" for k in range(steps)
     ) + f"pattern long := [{', '.join(f'G{k}' for k in range(steps))}];\n"
@@ -369,9 +388,12 @@ def test_a_flow_replayed_once_decodes_every_step(tmp_path, monkeypatch):
     script = {f"G{k}.X{k}": [Vector((float(k),))] for k in range(steps)}
     trace = run(long, "long", {"user": ScriptedAgent(script), "model": ScriptedAgent({})})
     assert trace.outcome == "completed"
-    built = _counting_payloads(monkeypatch)
+    built, tables, init = _counting_payloads(monkeypatch), [], runtime._Replay.__init__
+    keep = lambda self, *args: tables.append(args[-1]) or init(self, *args)  # noqa: E731
+    monkeypatch.setattr(runtime._Replay, "__init__", keep)  # each run's table: the call's one
     assert replay_check(trace.to_jsonl(), long) == []
     assert [args[1] for args in built] == [Vector((float(k),)) for k in range(steps)]
+    assert [len(table) for table in tables] == [runtime._SERVED_LINES]
 
 
 _UNREADABLE_AT = re.compile(r"^unreadable trace: line (\d+)")

@@ -10,7 +10,7 @@ import random
 import tracemalloc
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import oracles
@@ -20,6 +20,7 @@ from haiproto import (
     AgentBehavior,
     BaseType,
     Blob,
+    CheckReport,
     GroupType,
     ListType,
     Message,
@@ -31,7 +32,9 @@ from haiproto import (
     Trace,
     TraceStep,
     Vector,
+    check_catalog,
     classify,
+    compose,
     load,
     parse,
     parse_agents,
@@ -39,7 +42,7 @@ from haiproto import (
     run,
     run_scenario,
 )
-from haiproto import runtime
+from haiproto import check, dsl, runtime
 from haiproto.runtime import coerce_value
 
 LABEL = BaseType(Role.OUTPUT, ("label",))
@@ -288,6 +291,23 @@ def test_parse_agents_reads_a_string_whole(text, read):
     else:
         agent = parse_agents(text)["u"]
         assert {key: getattr(agent, key) for key in read} == read
+
+
+def _one_name_token(text: str) -> bool:
+    try:
+        return dsl.tokenize(text)[0] == [text, ""]  # the name, then EOF
+    except dsl.LexError:
+        return False
+
+
+@settings(max_examples=150, deadline=None)
+@given(name=st.from_regex(dsl._NAME, fullmatch=True).filter(_one_name_token))
+@example(name="super-visor")  # a role, a message and a variable the .hai lexer reads
+@example(name="Émoi")
+@example(name="Y-2")
+def test_parse_agents_reads_names_as_the_hai_lexer_does(name):
+    agents = parse_agents(f"[{name} scripted]\n{name}.{name} = vec(1.0)\n")
+    assert agents[name].script == {f"{name}.{name}": [Vector((1.0,))]}
 
 
 @pytest.mark.parametrize(
@@ -647,9 +667,32 @@ def test_run_accepts_anonymous_patterns(catalog):
     assert trace.outcome == "completed"
 
 
+def test_an_ad_hoc_pattern_resolves_no_message_the_catalog_resolved(catalog, monkeypatch):
+    fresh = dataclasses.replace(catalog)  # a copy with no flow checked
+    check_catalog(fresh)
+    resolved, resolve_step = [], check.resolve_step
+    monkeypatch.setattr(
+        check, "resolve_step", lambda message, *args: resolved.append(message.name)
+        or resolve_step(message, *args)
+    )
+    ad_hoc = Pattern("ad-hoc", fresh.flow("D1").pattern.messages, frozenset())
+    assert run(fresh, ad_hoc, _demo_agents()).outcome == "completed"
+    assert compose(fresh, fresh.scenarios["D1"])[1].errors == ()
+    assert resolved == []
+
+
 def test_run_rejects_flows_with_check_errors(catalog):
     with pytest.raises(ValueError, match="unknown message"):
         run(catalog, Pattern("bad", ("nosuch",), frozenset()), {})
+
+
+def test_the_runs_of_a_flow_read_its_errors_once(catalog, monkeypatch):
+    reads, errors = [], CheckReport.errors
+    monkeypatch.setattr(
+        CheckReport, "errors", property(lambda report: reads.append(report) or errors.fget(report))
+    )
+    traces = run_scenario(dataclasses.replace(catalog), "D1", _demo_agents(), repeat=50)
+    assert len(traces) == 50 and len(reads) <= 1
 
 
 def test_run_requires_an_agent_per_role(catalog):
