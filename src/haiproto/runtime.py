@@ -21,7 +21,8 @@ linear in its length: each step records only the values it produced, plus a
 fixed-size ``digest`` chained over every step so far, and
 :meth:`Trace.bindings_at` rebuilds the values bound after any step.  Replay
 re-runs a trace as it reads it, through :func:`run`'s step interpreter, and
-compares each line with its re-run's canonical line.
+compares each line with its re-run's canonical line; a run whose lines are
+those of a run of its flow already verified in the same call is not re-run.
 """
 
 from __future__ import annotations
@@ -1072,12 +1073,19 @@ def replay_check(
 
     ``trace`` is a trace file's text, its lines (an open file, say), read lazily, or
     a :class:`Trace`, read as its :meth:`~Trace.to_jsonl` text; a line ends at
-    ``\\n`` only.  A step line that is its flow's template for the step, verdict
-    ``ok``, around a 10-character digest slot and a ``produced`` object has only
-    that object decoded.  One table for the call keeps up to ``_SERVED_LINES`` such
-    lines, with the payloads each served, across runs and flows: a line found there
-    is served them again and nothing is decoded; the re-run and its checks run as
-    ever.  Other lines are decoded in full.  A re-run line equal to the recorded one
+    ``\\n`` only.  The re-run is a function of the flow and the lines it is served
+    alone, so a run whose step lines, whole, are those of a run of the same flow
+    that replayed clean earlier in the call, and whose outcome line is the
+    canonical one for them, its own run id and its count, is clean with no step
+    re-run.  The call keeps those lines as a trie per flow name, up to
+    ``_SERVED_LINES`` lines.  At a run's first line off the trie, the lines read
+    along it are re-run in order, as below, and so is the rest of the run.  A step
+    line that is its flow's template for the step, verdict ``ok``, around a
+    10-character digest slot and a ``produced`` object has only that object
+    decoded.  One table for the call keeps up to ``_SERVED_LINES`` such lines, with
+    the payloads each served, across runs and flows: a line found there is served
+    them again and nothing is decoded; the re-run and its checks run as ever.
+    Other lines are decoded in full.  A re-run line equal to the recorded one
     verifies it; another is compared field by field, type-strictly (1 ≠ 1.0).  A run
     reports, by precedence: ``E-TRACE`` for text that does not read (see
     :meth:`Trace.all_from_jsonl`), where reading stops, as text never raises, or for
@@ -1091,12 +1099,15 @@ def replay_check(
         except (TypeError, ValueError, RecursionError) as exc:  # built by hand
             return [Diagnostic("error", "E-TRACE", f"the trace does not write: {exc}")]
     found: list[Diagnostic] = []
+    verified = _Verified()
     served: dict[str, dict] = {}  # a clean step line: the payloads it served
     lines = _lines(trace) if isinstance(trace, str) else (  # an item: a line or more
         line for item in trace for line in item.removesuffix("\n").split("\n")
     )
     try:
-        for replayed in _each_run(lines, lambda at, head: _Replay(at, head, catalog, served)):
+        for replayed in _each_run(
+            lines, lambda at, head: _Replay(at, head, catalog, verified, served)
+        ):
             if replayed.found or replayed.difference:
                 found.append(replayed.found or replayed.difference)
     except ValueError as exc:  # from reading: replay raises no ValueError
@@ -1105,8 +1116,18 @@ def replay_check(
     return found
 
 
-#: The most step lines one :func:`replay_check` call keeps with what they served.
+#: The most step lines one :func:`replay_check` call keeps with what they served,
+#: and the most it keeps of the runs that replayed clean.
 _SERVED_LINES = 1024
+
+
+class _Verified(dict):
+    """The step lines of the runs that replayed clean in one :func:`replay_check`
+    call, a trie per flow name: a node maps a step line, whole, to the next node,
+    and holds the outcome of a run that ended there at key ``None``.  ``lines``
+    counts the lines, at most ``_SERVED_LINES``."""
+
+    lines = 0
 
 
 @functools.lru_cache(maxsize=1024)
@@ -1121,12 +1142,16 @@ class _Replay(_Run, AgentBehavior):
     difference.  It plays every role: it serves the step just read and raises
     its violation again, from ``produce`` if it produced nothing, else from
     ``on_receive``.  Of the findings, ``found``, for the flow or a message,
-    wins over ``difference``."""
+    wins over ``difference``.  While its lines follow the call's trie of
+    verified runs, it only keeps them (``read``); the re-run is built when a
+    line leaves the trie."""
 
-    def __init__(self, lineno: int, header: dict, catalog: Catalog, table: dict):
+    def __init__(self, lineno: int, header: dict, catalog: Catalog, verified: _Verified,
+                 table: dict):
         super().__init__(lineno, header)
         self.messages, self.table, self.entry = catalog.messages, table, None
         self.rerun = self.last = self.found = self.difference = self.served = None
+        self.node = self.read = self.fresh = None
         if self.problem or self.misfit:
             return
         name = header["pattern"]
@@ -1142,8 +1167,9 @@ class _Replay(_Run, AgentBehavior):
             error = flow.report.errors[0]
             text = f"run {self.run_id}: flow {name!r} does not check: {error.message}"
             self.found = Diagnostic("error", error.code, text, span=Span(lineno, 1))
-        else:  # a cycle through the agents, broken when the re-run ends
-            self.rerun = _execute(flow, dict.fromkeys(catalog.roles, self))
+        else:
+            self.flow, self.roles, self.verified = flow, catalog.roles, verified
+            self.node, self.read = verified.setdefault(name, {}), []
 
     def produce(self, message, action, needed, binding):
         step = self.entry
@@ -1160,10 +1186,30 @@ class _Replay(_Run, AgentBehavior):
             raise RunViolation(self.entry["verdict"], self.entry.get("detail"))
 
     def take(self, lineno: int, line: str) -> bool:
-        """Replay ``line`` with the payloads it served before in this call, or if
-        it is the next step's template, verdict ``ok``, around a 10-character
-        digest slot, which the re-run's line checks, and a ``produced`` object,
-        which is decoded; else return False."""
+        """Keep ``line`` if it follows the trie, and return False for the outcome
+        line the trie's node wants, which :meth:`end` accepts.  Off the trie,
+        re-run the lines kept, as each was read, and from then on keep each step
+        line for the trie while it has room.  Replay ``line`` with the payloads
+        it served before in this call, or if it is the next step's template,
+        verdict ``ok``, around a 10-character digest slot, which the re-run's
+        line checks, and a ``produced`` object, which is decoded; else return
+        False."""
+        if self.read is not None:
+            node = self.node.get(line)
+            if node is not None:
+                self.node = node
+                self.read.append((lineno, line))
+                return True
+            ended = self.node.get(None)
+            if ended is not None and line == _outcome_line(ended, self.run_id, len(self.read)):
+                return False
+            read, self.read = self.read, None
+            # a cycle through the agents, broken when the re-run ends
+            self.rerun = _execute(self.flow, dict.fromkeys(self.roles, self))
+            for at, kept in read:
+                if not self.take(at, kept):
+                    self.step(at, kept, _entry(at, kept))
+            self.fresh, self.room = [], _SERVED_LINES - self.verified.lines
         index, served = self.count, self.table.get(line)
         if self.rerun is None or served is None and 3 * index >= len(self.templates):
             return False
@@ -1188,6 +1234,12 @@ class _Replay(_Run, AgentBehavior):
 
     def step(self, lineno: int, line: str, entry: dict, served: dict | None = None) -> None:
         self.count += 1
+        fresh = self.fresh
+        if fresh is not None:
+            if len(fresh) < self.room:
+                fresh.append(line)
+            else:  # too long for the trie: the run is re-run if it comes again
+                self.fresh = None
         if self.rerun is not None:
             self.entry, self.served = entry, served
             taken = next(self.rerun, None)
@@ -1205,12 +1257,21 @@ class _Replay(_Run, AgentBehavior):
                 self.found = replace(found, span=Span(lineno, 1))
 
     def end(self, lineno: int, line: str, entry: dict) -> None:
+        if self.read is not None:  # the outcome line of a verified run: see take
+            return
         rerun, self.rerun, self.entry, self.served = self.rerun, None, None, None  # past the end
         if rerun is not None:
             taken = next(rerun, None)
+            outcome = _outcome(self.last)
             if taken is None and self.problem is None and line == _outcome_line(
-                _outcome(self.last), self.run_id, self.count
+                outcome, self.run_id, self.count
             ):
+                if self.fresh is not None:  # clean: its lines join the trie
+                    node = self.node
+                    for step in self.fresh:
+                        node[step] = node = {}
+                    node[None] = outcome
+                    self.verified.lines += len(self.fresh)
                 return
         super().end(lineno, line, entry)
         if rerun is not None:

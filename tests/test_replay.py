@@ -396,6 +396,140 @@ def test_a_flow_replayed_once_decodes_every_step(tmp_path, monkeypatch):
     assert [len(table) for table in tables] == [runtime._SERVED_LINES]
 
 
+def _counting_reruns(monkeypatch) -> list:
+    """One item per re-run step that its receiver took, from now on."""
+    taken, on_receive = [], runtime._Replay.on_receive
+    count = lambda self, *args: taken.append(1) or on_receive(self, *args)  # noqa: E731
+    monkeypatch.setattr(runtime._Replay, "on_receive", count)
+    return taken
+
+
+def _verified(monkeypatch) -> list:
+    """Each run's trie of verified runs (the call's one), from now on."""
+    tries, init = [], runtime._Replay.__init__
+    keep = lambda self, *args: tries.append(args[-2]) or init(self, *args)  # noqa: E731
+    monkeypatch.setattr(runtime._Replay, "__init__", keep)
+    return tries
+
+
+def _trie_lines(node: dict) -> list[str]:
+    return [
+        each for line, child in node.items() if line is not None
+        for each in [line, *_trie_lines(child)]
+    ]
+
+
+def test_a_replay_re_runs_each_distinct_run_once(catalog, monkeypatch):
+    """Every run of D1 with one value a key has the same step lines: the
+    first is re-run, and the others follow the trie of verified runs."""
+    traces = run_scenario(catalog, "D1", parse_agents(ONE_VALUE_AGENTS), seed=3, repeat=50)
+    per_run = len(traces[0].steps)
+    taken = _counting_reruns(monkeypatch)
+    assert replay_check("".join(trace.to_jsonl() for trace in traces), catalog) == []
+    assert 0 < len(taken) <= 2 * per_run
+
+
+def test_the_trie_of_verified_runs_keeps_at_most_its_bound(catalog, monkeypatch):
+    """Runs of more distinct step lines than the bound fill the trie up to it."""
+    monkeypatch.setattr(runtime, "_SERVED_LINES", 20)
+    text = _text(_d1_lines(catalog, repeat=12))
+    distinct = {line for line in text.splitlines() if '"step":' in line}
+    assert len(distinct) > runtime._SERVED_LINES
+    tries = _verified(monkeypatch)
+    assert _replay(text, catalog) == []
+    verified = tries[-1]
+    assert all(each is verified for each in tries)
+    lines = _trie_lines(verified["D1"])
+    assert 0 < len(lines) == verified.lines <= runtime._SERVED_LINES
+    assert set(lines) < distinct
+
+
+def test_a_run_longer_than_the_bound_is_never_kept_whole(catalog, monkeypatch):
+    """A run of more step lines than the bound keeps no more of them, is not
+    verified by the trie, and so is re-run each time it comes."""
+    monkeypatch.setattr(runtime, "_SERVED_LINES", 4)  # D1 runs 6 steps
+    traces = run_scenario(catalog, "D1", parse_agents(ONE_VALUE_AGENTS), seed=3, repeat=3)
+    kept, step = [], runtime._Replay.step
+    monkeypatch.setattr(
+        runtime._Replay, "step", lambda self, *args: step(self, *args) or kept.append(self.fresh)
+    )
+    tries, taken = _verified(monkeypatch), _counting_reruns(monkeypatch)
+    assert replay_check("".join(trace.to_jsonl() for trace in traces), catalog) == []
+    assert len(taken) == 3 * len(traces[0].steps)
+    assert max(len(fresh) for fresh in kept if fresh is not None) == runtime._SERVED_LINES
+    assert tries[-1].lines == len(_trie_lines(tries[-1]["D1"])) == 0
+
+
+def _value_edited(line: str, data) -> str:
+    """``line`` with one value nested in it changed, if it is a JSON object
+    that holds one."""
+    try:
+        header_and_entry = [{}, json.loads(line)]  # an empty header: the line's values
+    except ValueError:  # a line an earlier edit made unreadable
+        return line
+    if not isinstance(header_and_entry[1], dict) or not header_and_entry[1]:
+        return line
+    _change_one_value(header_and_entry, data)
+    return _text(header_and_entry[1:]).removesuffix("\n")
+
+
+def _character_edited(line: str, data) -> str:
+    """``line`` with a character replaced, or one inserted."""
+    char = data.draw(st.characters(blacklist_characters="\n", blacklist_categories=("Cs",)))
+    where = data.draw(st.integers(0, max(len(line) - 1, 0)))
+    cut = where + data.draw(st.integers(0, 1))
+    return line[:where] + char + line[cut:]
+
+
+def _edit_run_lines(lines: list[str], data) -> None:
+    """One edit of a repeat file's line texts, in any run: a changed value, a
+    changed or inserted character, a line dropped, repeated or cut off, or an
+    outcome line's ``steps`` or ``run`` changed."""
+    edit = data.draw(st.sampled_from(
+        ["value", "character", "drop", "repeat", "cut", "steps", "run"]
+    ))
+    if edit in ("steps", "run"):
+        outcomes = [i for i, line in enumerate(lines) if line.startswith('{"outcome":')]
+        if not outcomes:
+            return
+        at = data.draw(st.sampled_from(outcomes))
+        try:
+            entry = json.loads(lines[at])
+        except ValueError:  # a line an earlier edit made unreadable
+            return
+        new = st.integers(0, 8) if edit == "steps" else st.integers(0, 12).map(
+            lambda k: f"D1-s3-r{k}"
+        )
+        entry[edit] = data.draw(new.filter(lambda value: value != entry.get(edit)))
+        lines[at] = _text([entry]).removesuffix("\n")
+        return
+    at = data.draw(st.integers(0, len(lines) - 1))
+    if edit == "value":
+        lines[at] = _value_edited(lines[at], data)
+    elif edit == "character":
+        lines[at] = _character_edited(lines[at], data)
+    elif edit == "drop":
+        del lines[at]
+    elif edit == "repeat":
+        lines.insert(at, lines[at])
+    else:
+        lines[at] = lines[at][: data.draw(st.integers(0, max(len(lines[at]) - 1, 0)))]
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data(), one_value=st.booleans())
+def test_edited_repeating_runs_replay_as_the_whole_trace_reference(catalog, data, one_value):
+    """Runs that repeat are verified by the trie; an edit anywhere in them
+    reports what the whole-trace reference does, messages included."""
+    text = ONE_VALUE_AGENTS if one_value else (AGENTS_DIR / "robot_demo.agents").read_text()
+    traces = run_scenario(catalog, "D1", parse_agents(text), seed=3, repeat=12)
+    lines = "".join(trace.to_jsonl() for trace in traces).splitlines()
+    for _ in range(data.draw(st.integers(1, 3))):
+        if lines:
+            _edit_run_lines(lines, data)
+    _replay("".join(line + "\n" for line in lines), catalog)
+
+
 _UNREADABLE_AT = re.compile(r"^unreadable trace: line (\d+)")
 
 
@@ -417,25 +551,17 @@ def _edit_step_line(texts: list[list[str]], data) -> None:
     if edit == "copy":
         lines[at] = texts[0][data.draw(st.integers(0, len(texts[0]) // 8 - 1)) * 8 + at % 8]
     elif edit == "value":
-        try:
-            header_and_step = [{}, json.loads(lines[at])]  # an empty header: the step's values
-        except ValueError:  # a line an earlier edit made unreadable
-            return
-        if isinstance(header_and_step[1], dict):
-            _change_one_value(header_and_step, data)
-            lines[at] = _text(header_and_step[1:]).removesuffix("\n")
+        lines[at] = _value_edited(lines[at], data)
     else:
-        char = data.draw(st.characters(blacklist_characters="\n", blacklist_categories=("Cs",)))
-        where = data.draw(st.integers(0, len(lines[at]) - 1))
-        cut = where + data.draw(st.integers(0, 1))  # replace a character, or insert one
-        lines[at] = lines[at][:where] + char + lines[at][cut:]
+        lines[at] = _character_edited(lines[at], data)
 
 
 @settings(max_examples=200, deadline=None)
 @given(data=st.data())
 def test_two_traces_replayed_as_one_text_report_what_each_reports_alone(catalog, data):
-    """The memo is one call's, across its runs, and serves payloads only: a
-    run of ``b`` whose lines ``a`` served before reports what ``b`` alone
+    """What one call keeps across its runs, the payloads each line served and
+    the lines of each run that replayed clean, changes no finding: a run of
+    ``b`` whose lines ``a`` served or verified before reports what ``b`` alone
     does, and ``a + b`` reports ``a``'s findings, then ``b``'s, unless
     reading stopped in ``a``."""
     lines = _text(_d1_lines(catalog, repeat=9)).splitlines()  # 8 lines a run
