@@ -1082,10 +1082,7 @@ def replay_check(
     along it are re-run in order, as below, and so is the rest of the run.  A step
     line that is its flow's template for the step, verdict ``ok``, around a
     10-character digest slot and a ``produced`` object has only that object
-    decoded.  One table for the call keeps up to ``_SERVED_LINES`` such lines, with
-    the payloads each served, across runs and flows: a line found there is served
-    them again and nothing is decoded; the re-run and its checks run as ever.
-    Other lines are decoded in full.  A re-run line equal to the recorded one
+    decoded.  Other lines are decoded in full.  A re-run line equal to the recorded one
     verifies it; another is compared field by field, type-strictly (1 ≠ 1.0).  A run
     reports, by precedence: ``E-TRACE`` for text that does not read (see
     :meth:`Trace.all_from_jsonl`), where reading stops, as text never raises, or for
@@ -1100,13 +1097,12 @@ def replay_check(
             return [Diagnostic("error", "E-TRACE", f"the trace does not write: {exc}")]
     found: list[Diagnostic] = []
     verified = _Verified()
-    served: dict[str, dict] = {}  # a clean step line: the payloads it served
     lines = _lines(trace) if isinstance(trace, str) else (  # an item: a line or more
         line for item in trace for line in item.removesuffix("\n").split("\n")
     )
     try:
         for replayed in _each_run(
-            lines, lambda at, head: _Replay(at, head, catalog, verified, served)
+            lines, lambda at, head: _Replay(at, head, catalog, verified)
         ):
             if replayed.found or replayed.difference:
                 found.append(replayed.found or replayed.difference)
@@ -1116,8 +1112,8 @@ def replay_check(
     return found
 
 
-#: The most step lines one :func:`replay_check` call keeps with what they served,
-#: and the most it keeps of the runs that replayed clean.
+#: The most step lines one :func:`replay_check` call keeps of the runs that
+#: replayed clean.
 _SERVED_LINES = 1024
 
 
@@ -1146,11 +1142,10 @@ class _Replay(_Run, AgentBehavior):
     verified runs, it only keeps them (``read``); the re-run is built when a
     line leaves the trie."""
 
-    def __init__(self, lineno: int, header: dict, catalog: Catalog, verified: _Verified,
-                 table: dict):
+    def __init__(self, lineno: int, header: dict, catalog: Catalog, verified: _Verified):
         super().__init__(lineno, header)
-        self.messages, self.table, self.entry = catalog.messages, table, None
-        self.rerun = self.last = self.found = self.difference = self.served = None
+        self.messages, self.entry = catalog.messages, None
+        self.rerun = self.last = self.found = self.difference = None
         self.node = self.read = self.fresh = None
         if self.problem or self.misfit:
             return
@@ -1173,13 +1168,10 @@ class _Replay(_Run, AgentBehavior):
 
     def produce(self, message, action, needed, binding):
         step = self.entry
-        if self.served is not None:  # what this very line served before
-            return self.served
         if step["verdict"] != "ok" and not step["produced"]:
             raise RunViolation(step["verdict"], step.get("detail"))
-        self.served = {var: Payload(_parse_type(data["type"]), _value_from_json(data["value"]))
-                       for var, data in step["produced"].items()}  # interned: the flow's types
-        return self.served
+        return {var: Payload(_parse_type(data["type"]), _value_from_json(data["value"]))
+                for var, data in step["produced"].items()}  # interned: the flow's types
 
     def on_receive(self, message, action, binding):
         if self.entry["verdict"] != "ok":
@@ -1189,11 +1181,10 @@ class _Replay(_Run, AgentBehavior):
         """Keep ``line`` if it follows the trie, and return False for the outcome
         line the trie's node wants, which :meth:`end` accepts.  Off the trie,
         re-run the lines kept, as each was read, and from then on keep each step
-        line for the trie while it has room.  Replay ``line`` with the payloads
-        it served before in this call, or if it is the next step's template,
-        verdict ``ok``, around a 10-character digest slot, which the re-run's
-        line checks, and a ``produced`` object, which is decoded; else return
-        False."""
+        line for the trie while it has room.  Replay ``line`` if it is the next
+        step's template, verdict ``ok``, around a 10-character digest slot, which
+        the re-run's line checks, and a ``produced`` object, which is decoded;
+        else return False."""
         if self.read is not None:
             node = self.node.get(line)
             if node is not None:
@@ -1210,12 +1201,9 @@ class _Replay(_Run, AgentBehavior):
                 if not self.take(at, kept):
                     self.step(at, kept, _entry(at, kept))
             self.fresh, self.room = [], _SERVED_LINES - self.verified.lines
-        index, served = self.count, self.table.get(line)
-        if self.rerun is None or served is None and 3 * index >= len(self.templates):
+        index = self.count
+        if self.rerun is None or 3 * index >= len(self.templates):
             return False
-        if served is not None:  # nothing to decode: the re-run checks it as ever
-            self.step(lineno, line, {"verdict": "ok"}, served)
-            return True
         head, middle, tail = self.templates[3 * index : 3 * index + 3]
         digest = len(head)
         if not (line.startswith(head) and line.endswith(tail)
@@ -1228,11 +1216,9 @@ class _Replay(_Run, AgentBehavior):
         if type(produced) is not dict or end != len(line) - len(tail):
             return False
         self.step(lineno, line, {"verdict": "ok", "produced": produced})
-        if self.served is not None and len(self.table) < _SERVED_LINES:
-            self.table[line] = self.served
         return True
 
-    def step(self, lineno: int, line: str, entry: dict, served: dict | None = None) -> None:
+    def step(self, lineno: int, line: str, entry: dict) -> None:
         self.count += 1
         fresh = self.fresh
         if fresh is not None:
@@ -1241,7 +1227,7 @@ class _Replay(_Run, AgentBehavior):
             else:  # too long for the trie: the run is re-run if it comes again
                 self.fresh = None
         if self.rerun is not None:
-            self.entry, self.served = entry, served
+            self.entry = entry
             taken = next(self.rerun, None)
             if taken is not None:
                 self.last = taken[0]
@@ -1259,7 +1245,7 @@ class _Replay(_Run, AgentBehavior):
     def end(self, lineno: int, line: str, entry: dict) -> None:
         if self.read is not None:  # the outcome line of a verified run: see take
             return
-        rerun, self.rerun, self.entry, self.served = self.rerun, None, None, None  # past the end
+        rerun, self.rerun, self.entry = self.rerun, None, None  # past the end
         if rerun is not None:
             taken = next(rerun, None)
             outcome = _outcome(self.last)
