@@ -344,22 +344,20 @@ labels = calm, happy, sad
 """
 
 
-def _cycling_d1_text(catalog, repeat: int) -> str:
-    """D1 ``repeat`` times with the robot demo's agents, its user cycling A2.Y
-    through three labels, so runs alternate between lines at the same step."""
+def _cycling_d1_texts(catalog, repeat: int) -> list[str]:
+    """Each run's text of D1 ``repeat`` times with the robot demo's agents, its
+    user cycling A2.Y through three labels, so runs alternate between lines at
+    the same step."""
     agents = parse_agents((AGENTS_DIR / "robot_demo.agents").read_text())
     cycle = {"A2.Y": ["happy", "sad", "calm"] * 100}
     agents["user"] = ScriptedAgent({**agents["user"].script, **cycle})
-    traces = run_scenario(catalog, "D1", agents, seed=3, repeat=repeat)
-    return "".join(trace.to_jsonl() for trace in traces)
+    return [trace.to_jsonl() for trace in run_scenario(catalog, "D1", agents, seed=3, repeat=repeat)]
 
 
-def test_the_payloads_a_replay_builds_do_not_grow_with_the_number_of_runs(
-    catalog, monkeypatch
-):
+def test_a_repeated_step_line_is_served_from_what_it_was_decoded_to(catalog, monkeypatch):
     """A run whose step lines are those of a run that replayed clean before is
     verified by its text, so the payloads a replay builds do not grow with the
-    number of runs: runs all alike, the robot demo's, and runs that cycle."""
+    number of runs."""
     traces = run_scenario(catalog, "D1", parse_agents(ONE_VALUE_AGENTS), seed=3, repeat=50)
     per_run = sum(len(step.produced) for step in traces[0].steps)
     built = _counting_payloads(monkeypatch)
@@ -372,13 +370,21 @@ def test_the_payloads_a_replay_builds_do_not_grow_with_the_number_of_runs(
         assert replay_check(text, catalog) == []
         counts.append(len(built))
     assert counts[0] == counts[1] > 0
-    counts = []
+
+
+def test_a_replay_decodes_each_line_of_a_cycle_once(catalog, monkeypatch):
+    """Runs that cycle through the same step lines are each re-run once: a
+    line's payloads are built once for each distinct run it is in, and not
+    again however many runs follow."""
+    built, counts = _counting_payloads(monkeypatch), []
     for repeat in (30, 300):
-        text = _cycling_d1_text(catalog, repeat)
+        runs = _cycling_d1_texts(catalog, repeat)
         built.clear()
-        assert replay_check(text, catalog) == []
+        assert replay_check("".join(runs), catalog) == []
         counts.append(len(built))
-    assert counts[0] == counts[1] > 0
+    distinct = {tuple(line for line in run.splitlines() if '"step":' in line) for run in runs}
+    each = sum(len(json.loads(line)["produced"]) for lines in distinct for line in lines)
+    assert 0 < counts[0] == counts[1] == each
 
 
 def test_a_flow_replayed_once_decodes_every_step(tmp_path, monkeypatch):
