@@ -3,9 +3,9 @@
 The package models interactions as typed message exchanges: :mod:`.core`
 defines the value types, :mod:`.dsl` parses and prints the ``.hai`` protocol
 language, :mod:`.check` validates types and dialogue coherence,
-:mod:`.catalog` loads and queries the bundled pattern corpus, :mod:`.runtime`
-simulates patterns with pluggable agents, and :mod:`.cli` exposes it all as
-the ``haiproto`` command.
+:mod:`.catalog` loads and queries the bundled pattern corpus, :mod:`.agents`
+are the parties of a run, :mod:`.runtime` simulates patterns with them, and
+:mod:`.cli` exposes it all as the ``haiproto`` command.
 """
 
 from __future__ import annotations
@@ -40,6 +40,9 @@ from .core import (
     PrimitiveKind,
     PrimitiveSpec,
     Role,
+    Blob,
+    Payload,
+    Vector,
     action_scope,
     intersect,
     type_compatible,
@@ -57,21 +60,8 @@ from .dsl import (
     print_source,
     print_type,
 )
-from .runtime import (
-    AgentBehavior,
-    Blob,
-    Payload,
-    ScriptedAgent,
-    StubModelAgent,
-    Trace,
-    TraceStep,
-    Vector,
-    classify,
-    parse_agents,
-    replay_check,
-    run,
-    run_scenario,
-)
+from .agents import AgentBehavior, ScriptedAgent, StubModelAgent, classify, parse_agents
+from .runtime import Trace, TraceStep, replay_check, run, run_scenario
 
 __version__ = "0.1.0"
 

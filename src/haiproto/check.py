@@ -21,7 +21,7 @@ three codes come out at parse time:
 The resolver, :func:`resolve_step`, turns a message into a :class:`Step`:
 its action, typed slots and carried arguments, named by the message's own
 variables.  The checker, simulator and replay pair message arguments with
-action parameters only there; :class:`~haiproto.runtime.StubModelAgent` pairs
+action parameters only there; :class:`~haiproto.agents.StubModelAgent` pairs
 them itself, once per pairing.  :func:`check_flow` resolves, checks and narrows
 a pattern once (``Flow.needed``), at the scope :meth:`~haiproto.catalog.Catalog.flow`
 picks for a named flow; everything else reads its Flow.  A catalog keeps each

@@ -16,10 +16,11 @@ from pathlib import Path
 import click
 
 from . import catalog as cataloglib
+from .agents import parse_agents
 from .catalog import CatalogError, check_catalog, load, load_with_diagnostics
 from .core import Diagnostic, PrimitiveKind
 from .dsl import parse, print_source, print_type
-from .runtime import parse_agents, replay_check, run_scenario
+from .runtime import replay_check, run_scenario
 
 
 @click.group()

@@ -15,12 +15,14 @@ Types are interned: the parser and :func:`intersect` make them through
 :func:`interned`, one live object per distinct type, and a type computes its
 hash once.  A type built by hand compares and hashes equal to it.  The
 :class:`Diagnostic` values those rules report are defined here, so the parser
-and the checker share them without importing each other.
+and the checker share them without importing each other.  So are the values
+a run exchanges, each a typed :class:`Payload`, which agents and traces share.
 """
 
 from __future__ import annotations
 
 import enum
+import math
 import zlib
 from dataclasses import dataclass, field
 from typing import TypeVar, Union
@@ -347,3 +349,93 @@ class Binding:
         if common is not None:
             self.types[var] = common
         return common
+
+
+@dataclass(frozen=True)
+class Vector:
+    """A numeric feature vector: ``ValueError`` if a coordinate is not finite,
+    since a trace writes each as a JSON number."""
+
+    values: tuple[float, ...]
+
+    def __post_init__(self) -> None:
+        values = tuple(map(float, self.values))
+        if not all(map(math.isfinite, values)):
+            raise ValueError(f"vector coordinates must be finite, got {values!r}")
+        object.__setattr__(self, "values", values)
+
+
+@dataclass(frozen=True)
+class Blob:
+    """An opaque artifact stood in for by a stable name (e.g. a rendering)."""
+
+    ref: str
+
+
+Scalar = Union[str, int, float, Vector, Blob]
+Value = Union[Scalar, tuple]
+
+
+def _is_scalar(value: object) -> bool:
+    """A string, an int (not a bool), a finite float, a vector or a blob."""
+    if isinstance(value, float):
+        return math.isfinite(value)
+    return isinstance(value, (str, int, Vector, Blob)) and not isinstance(value, bool)
+
+
+@dataclass(frozen=True)
+class Payload:
+    """A typed runtime value: list types hold tuples, base types scalars."""
+
+    type: TypeExpr
+    value: Value
+
+    def __post_init__(self) -> None:
+        if type(self.type) is BaseType and type(self.value) in (str, int, Vector, Blob):
+            return  # a base type and a value that is a scalar by its class alone
+        if isinstance(self.type, GroupType):
+            raise ValueError("payloads carry base or list types, not groups")
+        if isinstance(self.type, ListType):
+            if not isinstance(self.value, tuple) or not all(
+                _is_scalar(v) for v in self.value
+            ):
+                raise ValueError(
+                    f"list-typed payload needs a tuple of scalars, got "
+                    f"{self.value!r}"
+                )
+        elif not _is_scalar(self.value):
+            raise ValueError(f"payload value {self.value!r} is not a scalar")
+
+    def to_json(self) -> dict:
+        return {"type": str(self.type), "value": _value_json(self.value)}
+
+
+def _value_json(value: Value) -> object:
+    if isinstance(value, Vector):
+        return {"vec": list(value.values)}
+    if isinstance(value, Blob):
+        return {"blob": value.ref}
+    if isinstance(value, tuple):
+        return [_value_json(v) for v in value]
+    return value
+
+
+def _value_from_json(data: object) -> Value:
+    if isinstance(data, dict):
+        if "vec" in data:
+            return Vector(tuple(data["vec"]))
+        if "blob" in data:
+            return Blob(data["blob"])
+        raise ValueError(f"unknown value encoding {data!r}")
+    if isinstance(data, list):
+        return tuple(_value_from_json(v) for v in data)
+    return data  # type: ignore[return-value]
+
+
+def coerce_value(raw: object) -> Value:
+    """Normalize a literal into a payload value (lists become tuples)."""
+    if isinstance(raw, (list, tuple)):
+        return tuple(coerce_value(v) for v in raw)  # type: ignore[misc]
+    if isinstance(raw, (str, int, float, Vector, Blob)):
+        return raw
+    raise ValueError(f"unsupported payload literal {raw!r}")

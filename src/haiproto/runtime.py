@@ -10,7 +10,8 @@ references (the head is what the other party is being asked for).
 Violations abort the run with a coded verdict, in this order of precedence:
 
 * ``V-AGENT`` — the agent raised, or produced a key that is not a variable of
-  the message it may produce, or a value that is not a :class:`Payload`.
+  the message it may produce, or a value that is not a :class:`Payload` or
+  that the trace cannot write (a NaN, say).
 * ``V-REBIND`` — a produced value differs from the variable's bound value.
 * ``V-MISSING`` — a producible unbound variable was not produced.
 * ``V-TYPE`` — a produced or bound value does not fit its variable's type here.
@@ -28,530 +29,30 @@ those of a run of its flow already verified in the same call is not re-run.
 from __future__ import annotations
 
 import functools
+import json
 import math
-import re
 import sys
 import zlib
 from dataclasses import dataclass, replace
 from types import MappingProxyType
 from typing import Callable, Iterable, Iterator, Mapping, NamedTuple, Sequence, Union
 
+from .agents import AgentBehavior
+from .agents import ScriptedAgent, StubModelAgent, classify  # noqa: F401, for perfbench/spans.py
 from .catalog import Catalog
 from .check import Flow, check_flow, reference_rule
 from .core import (
-    ActionDef,
-    BaseType,
     Diagnostic,
-    GroupType,
-    ListType,
-    Message,
-    OpKind,
     Pattern,
-    Role,
+    Payload,
     Span,
     TypeExpr,
+    Vector,
+    _value_from_json,
+    _value_json,
     intersect,
 )
-from .dsl import _NAME, _STRING, _text as _unquote, parse_type, print_type
-import json
-
-
-@dataclass(frozen=True)
-class Vector:
-    """A numeric feature vector: ``ValueError`` if a coordinate is not finite,
-    since a trace writes each as a JSON number."""
-
-    values: tuple[float, ...]
-
-    def __post_init__(self) -> None:
-        values = tuple(map(float, self.values))
-        if not all(map(math.isfinite, values)):
-            raise ValueError(f"vector coordinates must be finite, got {values!r}")
-        object.__setattr__(self, "values", values)
-
-
-@dataclass(frozen=True)
-class Blob:
-    """An opaque artifact stood in for by a stable name (e.g. a rendering)."""
-
-    ref: str
-
-
-Scalar = Union[str, int, float, Vector, Blob]
-Value = Union[Scalar, tuple]
-
-
-def _is_scalar(value: object) -> bool:
-    """A string, an int (not a bool), a finite float, a vector or a blob."""
-    if isinstance(value, float):
-        return math.isfinite(value)
-    return isinstance(value, (str, int, Vector, Blob)) and not isinstance(value, bool)
-
-
-@dataclass(frozen=True)
-class Payload:
-    """A typed runtime value: list types hold tuples, base types scalars."""
-
-    type: TypeExpr
-    value: Value
-
-    def __post_init__(self) -> None:
-        if type(self.type) is BaseType and type(self.value) in (str, int, Vector, Blob):
-            return  # a base type and a value that is a scalar by its class alone
-        if isinstance(self.type, GroupType):
-            raise ValueError("payloads carry base or list types, not groups")
-        if isinstance(self.type, ListType):
-            if not isinstance(self.value, tuple) or not all(
-                _is_scalar(v) for v in self.value
-            ):
-                raise ValueError(
-                    f"list-typed payload needs a tuple of scalars, got "
-                    f"{self.value!r}"
-                )
-        elif not _is_scalar(self.value):
-            raise ValueError(f"payload value {self.value!r} is not a scalar")
-
-    def to_json(self) -> dict:
-        return {"type": print_type(self.type), "value": _value_json(self.value)}
-
-
-def _value_json(value: Value) -> object:
-    if isinstance(value, Vector):
-        return {"vec": list(value.values)}
-    if isinstance(value, Blob):
-        return {"blob": value.ref}
-    if isinstance(value, tuple):
-        return [_value_json(v) for v in value]
-    return value
-
-
-def _value_from_json(data: object) -> Value:
-    if isinstance(data, dict):
-        if "vec" in data:
-            return Vector(tuple(data["vec"]))
-        if "blob" in data:
-            return Blob(data["blob"])
-        raise ValueError(f"unknown value encoding {data!r}")
-    if isinstance(data, list):
-        return tuple(_value_from_json(v) for v in data)
-    return data  # type: ignore[return-value]
-
-
-def coerce_value(raw: object) -> Value:
-    """Normalize a literal into a payload value (lists become tuples)."""
-    if isinstance(raw, (list, tuple)):
-        return tuple(coerce_value(v) for v in raw)  # type: ignore[misc]
-    if isinstance(raw, (str, int, float, Vector, Blob)):
-        return raw
-    raise ValueError(f"unsupported payload literal {raw!r}")
-
-
-# ---------------------------------------------------------------------------
-# Classification used by the stub model
-# ---------------------------------------------------------------------------
-
-
-class _Centroids:
-    """Per-label running sums and counts of example vectors, and the
-    nearest-centroid rule over them.
-
-    Each example is added coordinate by coordinate, in the order given, so
-    the same examples give the same floats however they arrive.  Example
-    lengths are kept in order of first appearance; once there are two, no
-    point fits every example, so the sums stop being kept.
-    """
-
-    def __init__(self) -> None:
-        self.sums: dict[str, list[float]] = {}
-        self.counts: dict[str, int] = {}
-        self.dims: dict[int, None] = {}  # an ordered set
-
-    def add(self, vec: tuple[float, ...], label: str) -> None:
-        self.dims.setdefault(len(vec))
-        if len(self.dims) > 1:
-            return
-        total = self.sums.get(label)
-        if total is None:
-            total = self.sums[label] = [0.0] * len(vec)
-            self.counts[label] = 0
-        for i, v in enumerate(vec):
-            total[i] += v
-        self.counts[label] += 1
-
-    def nearest(self, point: Union[Vector, Sequence[float]]) -> str:
-        """The label whose centroid has the smallest squared Euclidean
-        distance to ``point``; exact ties go to the smaller label.
-        ``ValueError`` if a squared distance overflows a float."""
-        if not self.dims:
-            raise ValueError("cannot classify without examples")
-        coords = point.values if isinstance(point, Vector) else tuple(
-            float(v) for v in point
-        )
-        for dims in self.dims:  # the first example that does not fit
-            if dims != len(coords):
-                raise ValueError(
-                    f"dimension mismatch: example has {dims} coordinates, "
-                    f"point has {len(coords)}"
-                )
-
-        def distance(label: str) -> float:
-            count = self.counts[label]
-            return sum((s / count - p) ** 2 for s, p in zip(self.sums[label], coords))
-
-        try:  # ** 2 raises where d * d would give inf, a tie
-            return min((distance(label), label) for label in self.sums)[1]
-        except OverflowError:
-            raise ValueError("a squared distance to a centroid overflows") from None
-
-
-def classify(
-    examples: Sequence[tuple[Sequence[float], str]],
-    point: Union[Vector, Sequence[float]],
-) -> str:
-    """Nearest-centroid label for ``point`` given labeled example vectors.
-
-    Examples with the same label are averaged into one centroid; the label of
-    the centroid with the smallest squared Euclidean distance wins, with exact
-    ties broken toward the lexicographically smaller label.  ``ValueError``
-    without examples, if an example's length is not the point's, or if a
-    squared distance overflows a float.
-    """
-    centroids = _Centroids()
-    for vec, label in examples:
-        centroids.add(tuple(float(v) for v in vec), label)
-    return centroids.nearest(point)
-
-
-# ---------------------------------------------------------------------------
-# Agents
-# ---------------------------------------------------------------------------
-
-
-class AgentBehavior:
-    """Base class for pluggable agents.
-
-    ``produce`` returns payloads for the variables in ``needed`` (a mapping
-    of variable name to its current narrowed type); ``on_receive`` lets the
-    receiver observe a delivered message.  Both see ``binding``, a live
-    read-only view of the values bound so far, valid during the call (copy it
-    to keep it), and must be deterministic.
-    """
-
-    def produce(
-        self,
-        message: Message,
-        action: ActionDef,
-        needed: Mapping[str, TypeExpr],
-        binding: Mapping[str, Payload],
-    ) -> Mapping[str, Payload]:
-        raise NotImplementedError
-
-    def on_receive(
-        self,
-        message: Message,
-        action: ActionDef,
-        binding: Mapping[str, Payload],
-    ) -> None:
-        return None
-
-
-class ScriptedAgent(AgentBehavior):
-    """Replays configured values, keyed by ``"<message>.<variable>"``.
-
-    Each key holds a queue consumed across produce calls (and across
-    scenario repetitions); when exhausted, the last value repeats.  A needed
-    variable with no queue is simply not produced, which the runtime reports
-    as ``V-MISSING``.
-    """
-
-    def __init__(self, script: Mapping[str, Sequence[object]]):
-        self.script = {key: list(values) for key, values in script.items()}
-        for key, values in self.script.items():
-            if not values:
-                raise ValueError(f"empty script queue for {key!r}")
-        self._cursor: dict[str, int] = {}
-
-    def produce(self, message, action, needed, binding):
-        out: dict[str, Payload] = {}
-        for var, typ in needed.items():
-            key = f"{message.name}.{var}"
-            queue = self.script.get(key)
-            if queue is None:
-                continue
-            index = self._cursor.get(key, 0)
-            raw = queue[min(index, len(queue) - 1)]
-            self._cursor[key] = index + 1
-            out[var] = Payload(typ, coerce_value(raw))
-        return out
-
-
-class StubModelAgent(AgentBehavior):
-    """A minimal learner: remembers labeled vectors, answers by similarity.
-
-    Receiving a provide whose head is an output label bound to a symbol, with
-    a map operation linking it to a vector-valued variable, stores the
-    ``(vector, label)`` pair as a training example.  When asked to produce:
-
-    * a list of output labels — the sorted vocabulary seen so far,
-    * an output value tied by ``map`` to a bound vector — the nearest-centroid
-      label over stored examples,
-    * feedback — a stable placeholder blob named after the subtype,
-    * any other input or output — the next queued sample vector,
-
-    with per-variable scripted overrides taking precedence.  Anything else
-    raises, which the runtime reports as ``V-AGENT``.
-
-    The learner is incremental: each example, from ``examples=`` or from a
-    delivered message, updates per-label running sums and the vocabulary, so
-    learning and prediction each cost O(labels × dims), however many examples
-    are stored.  Predictions equal :func:`classify` over :attr:`examples`.
-    :attr:`examples` is the learner's record of what it was taught, in order;
-    treat it as read-only, since changing it does not change the sums.
-    """
-
-    def __init__(
-        self,
-        labels: Sequence[str] = (),
-        examples: Sequence[tuple[Sequence[float], str]] = (),
-        samples: Sequence[object] = (),
-        script: Mapping[str, Sequence[object]] | None = None,
-    ):
-        self.labels = tuple(labels)
-        self.examples: list[tuple[tuple[float, ...], str]] = []
-        self._centroids = _Centroids()
-        self._vocab = set(self.labels)
-        for vec, label in examples:
-            self._learn(Vector(vec).values, label)
-        self.samples = list(samples)
-        self._sample_cursor = 0
-        self._override = ScriptedAgent(script) if script else None
-        self._pairings: dict[tuple, tuple[dict, dict]] = {}
-
-    def _names(self, message: Message, action: ActionDef) -> tuple[dict, dict]:
-        """Each parameter's message variable and each variable's parameter."""
-        key = (action.params, message.args)  # all that they depend on
-        if (names := self._pairings.get(key)) is None:
-            to_message = dict(zip(*key))
-            names = self._pairings[key] = to_message, {m: p for p, m in to_message.items()}
-        return names
-
-    # -- learning ------------------------------------------------------------
-
-    def _learn(self, vec: tuple[float, ...], label: str) -> None:
-        self.examples.append((vec, label))
-        self._centroids.add(vec, label)
-        self._vocab.add(label)
-
-    def on_receive(self, message, action, binding):
-        head = action.primitive.head
-        if head.var is None:
-            return
-        if not isinstance(head.type, BaseType) or head.type.role is not Role.OUTPUT:
-            return
-        if head.type.subtypes and "label" not in head.type.subtypes:
-            return
-        to_message = self._names(message, action)[0]
-        label_payload = binding.get(to_message[head.var])
-        if label_payload is None or not isinstance(label_payload.value, str):
-            return
-        source = self._map_source(action, to_message, head.var, binding, {})
-        if source is not None:
-            self._learn(source.values, label_payload.value)
-
-    # -- producing -----------------------------------------------------------
-
-    def _vocabulary(self) -> tuple[str, ...]:
-        return tuple(sorted(self._vocab))
-
-    def _next_sample(self) -> Value:
-        if not self.samples:
-            raise RuntimeError("stub has no sample values configured")
-        raw = self.samples[min(self._sample_cursor, len(self.samples) - 1)]
-        self._sample_cursor += 1
-        return coerce_value(raw)
-
-    def produce(self, message, action, needed, binding):
-        out: dict[str, Payload] = {}
-        if self._override is not None:
-            out.update(self._override.produce(message, action, needed, binding))
-        to_message, to_param = self._names(message, action)
-        for var, typ in needed.items():
-            if var in out:
-                continue
-            out[var] = Payload(typ, self._produce_value(
-                action, typ, to_message, to_param[var], binding, out
-            ))
-        return out
-
-    def _produce_value(self, action, typ, to_message, param, binding, pending):
-        if isinstance(typ, ListType) and typ.element.role is Role.OUTPUT:
-            return self._vocabulary()
-        if isinstance(typ, BaseType):
-            if typ.role is Role.OUTPUT and "raw_data" not in typ.subtypes:
-                source = self._map_source(action, to_message, param, binding, pending)
-                if source is not None and self.examples:
-                    return self._centroids.nearest(source)
-            if typ.role is Role.FEEDBACK:
-                return Blob(typ.subtypes[0] if typ.subtypes else "feedback")
-            if typ.role in (Role.INPUT, Role.OUTPUT):
-                return self._next_sample()
-        raise RuntimeError(f"stub cannot produce a value of type {typ}")
-
-    def _map_source(self, action, to_message, param, binding, pending):
-        """A vector bound to a variable that shares a map with ``param``."""
-        for op in action.operations:
-            if op.kind is not OpKind.MAP or param not in op.args:
-                continue
-            for other in op.args:
-                if other == param:
-                    continue
-                var = to_message.get(other)
-                payload = pending.get(var) or binding.get(var)
-                if payload is not None and isinstance(payload.value, Vector):
-                    return payload.value
-        return None
-
-
-# ---------------------------------------------------------------------------
-# Agent configuration files
-# ---------------------------------------------------------------------------
-
-_NUMBER_RE = re.compile(r"^-?\d+(\.\d+)?$")
-#: A section header, its role a ``.hai`` name; the pieces of a line, a ``.hai``
-#: string or an unclosed one to the line's end being one; a line up to its comment.
-_SECTION_RE = re.compile(rf"\[({_NAME.pattern})\s+(scripted|stub)\]")
-_PIECE_RE = re.compile(rf'{_STRING.pattern}|".*|.')
-_CODE_RE = re.compile(rf'(?:[^"/]|/(?!/)|{_STRING.pattern}|".*)*')
-
-
-def _parse_literal(text: str, where: str) -> object:
-    try:
-        return _literal(text, where)
-    except RecursionError:
-        raise ValueError(f"{where}: literal nested too deeply") from None
-
-
-def _literal(text: str, where: str) -> object:
-    text = text.strip()
-    if _STRING.fullmatch(text):
-        return _unquote(text)
-    if _NUMBER_RE.match(text):
-        return float(text) if "." in text else int(text)
-    if text.startswith("vec(") and text.endswith(")"):
-        inner = text[4:-1].strip()
-        parts = [p.strip() for p in inner.split(",")] if inner else []
-        try:
-            return Vector(tuple(float(p) for p in parts))
-        except ValueError:
-            raise ValueError(f"{where}: malformed vector {text!r}") from None
-    if text.startswith("blob(") and text.endswith(")"):
-        return Blob(text[5:-1].strip())
-    if text.startswith("[") and text.endswith("]"):
-        inner = text[1:-1].strip()
-        if not inner:
-            return ()
-        return tuple(_literal(p, where) for p in _split_top(inner))
-    if re.match(r"^[A-Za-z][A-Za-z0-9_-]*$", text):
-        return text
-    raise ValueError(f"{where}: cannot parse literal {text!r}")
-
-
-def _split_top(text: str) -> list[str]:
-    """Split on commas not inside a string or nested inside parentheses or brackets."""
-    parts: list[str] = []
-    depth = start = 0
-    for piece in _PIECE_RE.finditer(text):
-        ch = piece.group()
-        if ch in "([":
-            depth += 1
-        elif ch in ")]":
-            depth -= 1
-        elif ch == "," and depth == 0:
-            parts.append(text[start : piece.start()])
-            start = piece.end()
-    parts.append(text[start:])
-    return parts
-
-
-def parse_agents(text: str, path: str = "<agents>") -> dict[str, AgentBehavior]:
-    """Parse an ``.agents`` configuration into agents keyed by role.
-
-    The format is line-based::
-
-        [user scripted]
-        A2.Y = "happy"        // repeat a key to queue several values
-        A4.X = vec(0.0, 0.0)
-
-        [model stub]
-        labels = calm, happy, sad
-        example = vec(0.0, 0.0) -> happy
-        sample = vec(1.0, 1.0)
-
-    Raises ``ValueError`` on malformed input.
-    """
-    agents: dict[str, AgentBehavior] = {}
-    section: tuple[str, str] | None = None
-    script: dict[str, list[object]] = {}
-    stub: dict[str, list] = {}
-
-    def flush() -> None:
-        nonlocal script, stub
-        if section is None:
-            return
-        role, kind = section
-        if role in agents:
-            raise ValueError(f"{path}: duplicate section for role {role!r}")
-        if kind == "scripted":
-            agents[role] = ScriptedAgent(script)
-        else:
-            agents[role] = StubModelAgent(
-                labels=stub.get("labels", []),
-                examples=stub.get("examples", []),
-                samples=stub.get("samples", []),
-                script=script or None,
-            )
-        script, stub = {}, {}
-
-    for lineno, raw_line in enumerate(text.split("\n"), start=1):
-        line = _CODE_RE.match(raw_line).group().strip()
-        if not line:
-            continue
-        where = f"{path}:{lineno}"
-        match = _SECTION_RE.fullmatch(line)
-        if match:
-            flush()
-            section = (match.group(1), match.group(2))
-            continue
-        if section is None:
-            raise ValueError(f"{where}: expected a [role kind] section header")
-        if "=" not in line:
-            raise ValueError(f"{where}: expected 'key = value'")
-        key, value = (part.strip() for part in line.split("=", 1))
-        kind = section[1]
-        if kind == "stub" and key == "labels":
-            stub.setdefault("labels", []).extend(
-                str(_parse_literal(p, where)) for p in _split_top(value)
-            )
-        elif kind == "stub" and key == "example":
-            if "->" not in value:
-                raise ValueError(f"{where}: example needs 'vec(...) -> label'")
-            vec_text, label_text = value.split("->", 1)
-            vec = _parse_literal(vec_text, where)
-            if not isinstance(vec, Vector):
-                raise ValueError(f"{where}: example input must be a vector")
-            stub.setdefault("examples", []).append(
-                (vec.values, str(_parse_literal(label_text, where)))
-            )
-        elif kind == "stub" and key == "sample":
-            stub.setdefault("samples", []).append(_parse_literal(value, where))
-        elif re.fullmatch(rf"{_NAME.pattern}\.{_NAME.pattern}", key):  # MESSAGE.VARIABLE
-            script.setdefault(key, []).append(_parse_literal(value, where))
-        else:
-            raise ValueError(f"{where}: unknown key {key!r}")
-    flush()
-    if not agents:
-        raise ValueError(f"{path}: no agent sections found")
-    return agents
+from .dsl import parse_type, print_type
 
 
 # ---------------------------------------------------------------------------
@@ -560,29 +61,21 @@ def parse_agents(text: str, path: str = "<agents>") -> dict[str, AgentBehavior]:
 
 
 _ascii = json.encoder.encode_basestring_ascii
+_encode = json.JSONEncoder(
+    sort_keys=True, separators=(",", ":"), allow_nan=False, check_circular=False
+).encode
 
 
-def _make_dump() -> Callable[[object], str]:
-    """The canonical encoder's ``encode``, with its C encoder built once, not per
-    call.  Given no record of the containers it is in, which an error would
-    leave stale, the C encoder raises ``RecursionError`` for a cycle."""
-    encoder = json.JSONEncoder(sort_keys=True, separators=(",", ":"), allow_nan=False)
-    make = json.encoder.c_make_encoder
-    encode = make and make(None, encoder.default, _ascii, None, ":", ",", True, False, False)
-
-    def dump(value: object) -> str:
-        try:
-            return "".join(encode(value, 0)) if encode else encoder.encode(value)
-        except ValueError as exc:  # allow_nan=False's "Out of range float values ..."
-            if str(exc).startswith("Out of range float"):
-                raise ValueError("a number is not finite: JSON has no NaN or Infinity") from None
-            raise
-
-    return dump
-
-
-#: Canonical JSON of finite numbers: a trace line's bytes, a type-strict equality.
-_dump = _make_dump()
+def _dump(value: object) -> str:
+    """Canonical JSON of finite numbers: a trace line's bytes, a type-strict
+    equality.  Given no record of the containers it is in, the encoder raises
+    ``RecursionError`` for a cycle."""
+    try:
+        return _encode(value)
+    except ValueError as exc:  # allow_nan=False's "Out of range float values ..."
+        if str(exc).startswith("Out of range float"):
+            raise ValueError("a number is not finite: JSON has no NaN or Infinity") from None
+        raise
 
 
 def _text(value: object) -> str:
@@ -975,7 +468,7 @@ def _execute(flow: Flow, agents: Mapping[str, AgentBehavior]) -> Iterator[tuple]
     steps = zip(flow.steps, needs, texts, *[iter(templates)] * 3)
     for index, (step, needed, sorted_needed, head, middle, tail) in enumerate(steps, start=1):
         message, action = step.message, step.action  # needed: the flow's, only read
-        bound, verdict, detail = None, "ok", None
+        text, verdict, detail = "{}", "ok", None
         try:
             try:
                 sender = agents[message.sender]
@@ -1006,6 +499,10 @@ def _execute(flow: Flow, agents: Mapping[str, AgentBehavior]) -> Iterator[tuple]
                     if var not in produced:
                         problem = f"sender of {message.name!r} did not produce {var!r}"
                         raise RunViolation("V-MISSING", problem)
+            try:  # before the V-TYPE check, which an unwritable value would pass
+                written = _produced(sorted_needed, produced) if sorted_needed else "{}"
+            except (TypeError, ValueError) as exc:  # no JSON, or an int too long to print
+                raise RunViolation("V-AGENT", f"the trace cannot write a value: {exc}") from exc
             for var, declared in step.slots:  # a bound value must fit every use
                 payload = produced[var] if var in needed else values.get(var)
                 typ = needed.get(var, declared)
@@ -1016,7 +513,7 @@ def _execute(flow: Flow, agents: Mapping[str, AgentBehavior]) -> Iterator[tuple]
                     raise RunViolation("V-TYPE", problem)
             for var, _, _ in sorted_needed:
                 values[var] = produced[var]
-            bound = produced
+            text = written
             try:
                 agents[message.receiver].on_receive(message, action, binding)
             except RunViolation:
@@ -1025,7 +522,6 @@ def _execute(flow: Flow, agents: Mapping[str, AgentBehavior]) -> Iterator[tuple]
                 raise RunViolation("V-AGENT", f"receiver failed: {exc}") from exc
         except RunViolation as violation:
             verdict, detail = violation.code, violation.detail
-        text = _produced(sorted_needed, bound) if bound else "{}"
         digest = zlib.crc32(text.encode(), digest)
         if detail is not None:  # replay raises the recorded detail again: check it here
             digest = zlib.crc32(_dump(detail).encode(), digest)

@@ -1,8 +1,10 @@
 """The benchmark's smoke run: every workload at a tiny size, traced and
-untraced, with its output checks, must pass against this source tree."""
+untraced, with its output checks, must pass against this source tree; and
+its tracer finds the layer boundaries it looks up."""
 
 from __future__ import annotations
 
+import importlib.util
 import json
 import subprocess
 import sys
@@ -24,3 +26,24 @@ def test_the_benchmark_smoke_run_passes():
         expected.append(f"smoke {workload} corrupted output counted as failure: ok")
     printed = result.stdout.splitlines()
     assert [line for line in expected if line not in printed] == []
+
+
+def test_the_tracer_misses_only_the_four_stale_boundaries():
+    """A boundary moved out from under the name ``perfbench/spans.py`` looks
+    it up would blind its per-layer metric; these four are already stale
+    (ROADMAP item 1), and re-pointing them updates this list."""
+    spec = importlib.util.spec_from_file_location("spans", ROOT / "perfbench" / "spans.py")
+    spans = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(spans)
+    tracer = spans.Tracer()
+    try:
+        tracer.install()
+        absent = tracer.absent
+    finally:
+        tracer.uninstall()
+    assert absent == [
+        "haiproto.check.message_slots",
+        "haiproto.runtime.message_slots",
+        "haiproto.runtime.compose",
+        "haiproto.runtime.check_pattern",
+    ]

@@ -598,6 +598,7 @@ def test_the_workflow_command_line_steps_pass_in_a_shell(tmp_path):
         "A value edited in the last of 20 runs does not replay (exit 1)",
         "The last of 20 runs cut short or given another run id does not replay (exit 1)",
         "The last of 30 cycling runs given the run before's step 2 does not replay (exit 1)",
+        "A number out of range in an .agents file is refused at its line (exit 2)",
         "Names the .hai lexer reads run and replay from an .agents file",
     ]
     (tmp_path / "src").symlink_to(WORKFLOW.parent.parent.parent / "src")

@@ -42,8 +42,8 @@ from haiproto import (
     run,
     run_scenario,
 )
-from haiproto import check, dsl, runtime
-from haiproto.runtime import coerce_value
+from haiproto import check, core, dsl, runtime
+from haiproto.core import coerce_value
 
 LABEL = BaseType(Role.OUTPUT, ("label",))
 RAW = BaseType(Role.INPUT, ("raw_data",))
@@ -339,6 +339,19 @@ def test_parse_agents_rejects_non_finite_vectors():
         parse_agents("[model stub]\nexample = vec(1.0, -inf) -> happy\n")
 
 
+@pytest.mark.parametrize("line", ["A2.Y = {}", "A2.Y = [1, {}]", "sample = {}"])
+@pytest.mark.parametrize("number", ["9" * 400 + ".5", "-" + "9" * 400 + ".5", "9" * 5000])
+def test_parse_agents_reports_a_number_out_of_range_at_its_line(line, number):
+    """A float that reads as infinite, or an int of more digits than ``int``
+    reads, is refused at its line, as ``vec(...)`` refuses a coordinate."""
+    section = "[model stub]" if line.startswith("sample") else "[user scripted]"
+    with pytest.raises(ValueError) as caught:
+        parse_agents(f"{section}\n{line.format(number)}\n", "big.agents")
+    assert str(caught.value) == "big.agents:2: number out of range"
+    longest = "9" * 4300  # as many digits as ``int`` reads
+    assert parse_agents(f"{section}\n{line.format(longest)}\n")
+
+
 @pytest.mark.parametrize(
     "line", ["A.X = {}", "sample = {}", "labels = calm, {}", "example = vec(0.0) -> {}"]
 )
@@ -430,7 +443,7 @@ def _outcome(call):
 def _check_stub(labels, taught, given_first, point):
     stub = _stub_after(labels, taught, given_first)
     assert stub.examples == taught
-    assert stub._vocabulary() == _vocabulary(stub) == tuple(
+    assert _vocabulary(stub) == tuple(
         sorted(set(labels) | {label for _, label in taught})
     )
     if not taught:
@@ -850,6 +863,16 @@ def _run_bent_d1(catalog, bend):
     return trace.steps[1].detail
 
 
+@pytest.mark.parametrize(
+    "value", [10**5000, Blob(object()), Blob(math.nan)], ids=["long int", "object", "NaN"]
+)
+def test_a_value_the_trace_cannot_write_aborts_with_v_agent(catalog, value):
+    """An int too long to print, or a blob that JSON cannot hold, is the
+    agent's fault, recorded at its step: the trace writes and replays."""
+    bend = lambda produced: {"Y": Payload(produced["Y"].type, value)}
+    assert _run_bent_d1(catalog, bend).startswith("the trace cannot write a value: ")
+
+
 def test_a_produced_value_that_is_no_payload_aborts_with_v_agent(catalog):
     assert _run_bent_d1(catalog, lambda produced: {"Y": produced["Y"].value}) == (
         "agent produced 'Y' as a str"
@@ -942,17 +965,19 @@ def test_dump_is_the_canonical_encoder(value):
 
 
 def test_dump_refuses_non_finite_numbers_with_or_without_the_c_encoder(monkeypatch):
-    dumps = [runtime._dump]
-    monkeypatch.setattr(json.encoder, "c_make_encoder", None)
-    dumps.append(runtime._make_dump())
-    for dump in dumps:
-        assert dump({"b": [1, 2.5, True, None], "a": "\u00e9"}) == (
+    for make in (json.encoder.c_make_encoder, None):  # the encoder looks it up per call
+        monkeypatch.setattr(json.encoder, "c_make_encoder", make)
+        assert runtime._dump({"b": [1, 2.5, True, None], "a": "\u00e9"}) == (
             '{"a":"\\u00e9","b":[1,2.5,true,null]}'
         )
         for bad in (math.nan, math.inf, -math.inf):
             for value in (bad, [bad], {"x": {"y": bad}}):
                 with pytest.raises(ValueError, match="^a number is not finite"):
-                    dump(value)
+                    runtime._dump(value)
+        cycle: list = []
+        cycle.append(cycle)
+        with pytest.raises(RecursionError):  # kept no record of the containers it is in
+            runtime._dump(cycle)
 
 
 class _Int(int):
@@ -1034,7 +1059,9 @@ def _instances(cls) -> int:
 
 def test_a_run_builds_no_step_record_until_its_steps_are_read(catalog, monkeypatch):
     calls = []
-    for owner, name in [(runtime, "_value_json"), (runtime, "_dump"), (Payload, "to_json")]:
+    for owner, name in [
+        (runtime, "_value_json"), (core, "_value_json"), (runtime, "_dump"), (Payload, "to_json")
+    ]:
         original = getattr(owner, name)
         monkeypatch.setattr(owner, name, lambda *a, f=original, n=name: calls.append(n) or f(*a))
     gc.collect()
