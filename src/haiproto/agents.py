@@ -111,7 +111,9 @@ class AgentBehavior:
     of variable name to its current narrowed type); ``on_receive`` lets the
     receiver observe a delivered message.  Both see ``binding``, a live
     read-only view of the values bound so far, valid during the call (copy it
-    to keep it), and must be deterministic.
+    to keep it), and must be deterministic.  Payloads are immutable, so an
+    agent may hand back a :class:`Payload` it made before, and ``run`` writes
+    a value's text once per distinct value object.
     """
 
     def produce(
@@ -138,7 +140,8 @@ class ScriptedAgent(AgentBehavior):
     Each key holds a queue consumed across produce calls (and across
     scenario repetitions); when exhausted, the last value repeats.  A needed
     variable with no queue is simply not produced, which the runtime reports
-    as ``V-MISSING``.
+    as ``V-MISSING``.  An edit to ``script`` is seen at the next ``produce``: a
+    key's last payload serves only its very value at its very type.
     """
 
     def __init__(self, script: Mapping[str, Sequence[object]]):
@@ -147,6 +150,7 @@ class ScriptedAgent(AgentBehavior):
             if not values:
                 raise ValueError(f"empty script queue for {key!r}")
         self._cursor: dict[str, int] = {}
+        self._made: dict[str, Payload] = {}  # per key, the last payload
 
     def produce(self, message, action, needed, binding):
         out: dict[str, Payload] = {}
@@ -158,7 +162,10 @@ class ScriptedAgent(AgentBehavior):
             index = self._cursor.get(key, 0)
             raw = queue[min(index, len(queue) - 1)]
             self._cursor[key] = index + 1
-            out[var] = Payload(typ, coerce_value(raw))
+            made = self._made.get(key)  # a list entry's value is a new tuple: never served
+            if made is None or made.value is not raw or made.type is not typ:
+                made = self._made[key] = Payload(typ, coerce_value(raw))
+            out[var] = made
         return out
 
 
@@ -203,6 +210,8 @@ class StubModelAgent(AgentBehavior):
         self._sample_cursor = 0
         self._override = ScriptedAgent(script) if script else None
         self._pairings: dict[tuple, tuple[dict, dict]] = {}
+        self._teaches: dict[int, tuple[ActionDef, bool]] = {}  # can each action teach
+        self._listing: Payload | None = None  # the sorted vocabulary, until a new label
 
     def _names(self, message: Message, action: ActionDef) -> tuple[dict, dict]:
         """Each parameter's message variable and each variable's parameter."""
@@ -217,16 +226,21 @@ class StubModelAgent(AgentBehavior):
     def _learn(self, vec: tuple[float, ...], label: str) -> None:
         self.examples.append((vec, label))
         self._centroids.add(vec, label)
-        self._vocab.add(label)
+        if label not in self._vocab:
+            self._vocab.add(label)
+            self._listing = None
 
     def on_receive(self, message, action, binding):
+        teaches = self._teaches.get(id(action))  # by id: a frozen action hashes every field
+        if teaches is None or teaches[0] is not action:
+            typ = action.primitive.head.type
+            teaches = self._teaches[id(action)] = action, (
+                action.primitive.head.var is not None and isinstance(typ, BaseType)
+                and typ.role is Role.OUTPUT and (not typ.subtypes or "label" in typ.subtypes)
+            )
+        if not teaches[1]:
+            return
         head = action.primitive.head
-        if head.var is None:
-            return
-        if not isinstance(head.type, BaseType) or head.type.role is not Role.OUTPUT:
-            return
-        if head.type.subtypes and "label" not in head.type.subtypes:
-            return
         to_message = self._names(message, action)[0]
         label_payload = binding.get(to_message[head.var])
         if label_payload is None or not isinstance(label_payload.value, str):
@@ -252,14 +266,19 @@ class StubModelAgent(AgentBehavior):
         for var, typ in needed.items():
             if var in out:
                 continue
+            if isinstance(typ, ListType) and typ.element.role is Role.OUTPUT:
+                listing = self._listing  # its labels' tuple is kept for another type
+                if listing is None or listing.type is not typ:
+                    labels = listing.value if listing else tuple(sorted(self._vocab))
+                    listing = self._listing = Payload(typ, labels)
+                out[var] = listing
+                continue
             out[var] = Payload(typ, self._produce_value(
                 action, typ, to_message, to_param[var], binding, out
             ))
         return out
 
     def _produce_value(self, action, typ, to_message, param, binding, pending):
-        if isinstance(typ, ListType) and typ.element.role is Role.OUTPUT:
-            return tuple(sorted(self._vocab))
         if isinstance(typ, BaseType):
             if typ.role is Role.OUTPUT and "raw_data" not in typ.subtypes:
                 source = self._map_source(action, to_message, param, binding, pending)

@@ -391,13 +391,14 @@ class Payload:
     value: Value
 
     def __post_init__(self) -> None:
-        if type(self.type) is BaseType and type(self.value) in (str, int, Vector, Blob):
-            return  # a base type and a value that is a scalar by its class alone
+        plain = (str, int, Vector, Blob)  # the classes that are scalars alone
+        if type(self.type) is BaseType and type(self.value) in plain:
+            return
         if isinstance(self.type, GroupType):
             raise ValueError("payloads carry base or list types, not groups")
         if isinstance(self.type, ListType):
             if not isinstance(self.value, tuple) or not all(
-                _is_scalar(v) for v in self.value
+                type(v) in plain or _is_scalar(v) for v in self.value
             ):
                 raise ValueError(
                     f"list-typed payload needs a tuple of scalars, got "
@@ -433,9 +434,11 @@ def _value_from_json(data: object) -> Value:
 
 
 def coerce_value(raw: object) -> Value:
-    """Normalize a literal into a payload value (lists become tuples)."""
+    """Normalize a literal into a payload value (lists become tuples); a tuple
+    that needs no change is returned as it is."""
     if isinstance(raw, (list, tuple)):
-        return tuple(coerce_value(v) for v in raw)  # type: ignore[misc]
+        value = tuple(coerce_value(v) for v in raw)  # type: ignore[misc]
+        return raw if type(raw) is tuple and value == raw else value
     if isinstance(raw, (str, int, float, Vector, Blob)):
         return raw
     raise ValueError(f"unsupported payload literal {raw!r}")

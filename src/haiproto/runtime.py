@@ -95,28 +95,37 @@ def _text(value: object) -> str:
 
 def _needed(steps: Sequence[Iterable[tuple[str, TypeExpr]]]) -> tuple[tuple, ...]:
     """Each step's needed ``(var, type)`` pairs, sorted, each with the text of its
-    ``produced`` entry before a value of that type; each type's text is made once."""
+    ``produced`` entry before a value of that type and the first of its two places
+    in a :func:`_produced` memo; each type's text is made once."""
     types: dict[TypeExpr, str] = {}
-    plan = []
+    plan, slot = [], 0
     for pairs in steps:
         entry = []
         for var, typ in pairs if len(pairs) < 2 else sorted(pairs):  # fresh: no var twice
             text = types.get(typ) or types.setdefault(
                 typ, f'{{"type":{_ascii(print_type(typ))},"value":')
-            entry.append((var, typ, f"{_ascii(var)}:{text}"))
+            entry.append((var, typ, f"{_ascii(var)}:{text}", slot))
+            slot += 2
         plan.append(tuple(entry))
     return tuple(plan)
 
 
-def _produced(needed: tuple, produced: Mapping[str, Payload]) -> str:
+def _produced(needed: tuple, produced: Mapping[str, Payload], memo: list | None = None) -> str:
     """``_dump`` of a step's ``produced`` JSON, written from its payloads, given
     its :func:`_needed`: a payload whose type is not that very object is encoded
-    whole."""
-    return "{%s}" % ",".join([
-        f"{prefix}{_text(p.value)}}}" if (p := produced[var]).type is typ
-        else f"{_ascii(var)}:{_dump(p.to_json())}"
-        for var, typ, prefix in needed
-    ])
+    whole.  ``memo``, one :func:`run_scenario` call's, holds at each slot the
+    value last written there and its entry, which serves the very same value."""
+    pieces = []
+    for var, typ, prefix, at in needed:
+        if (p := produced[var]).type is not typ:
+            pieces.append(f"{_ascii(var)}:{_dump(p.to_json())}")
+        elif memo is not None and memo[at] is p.value:
+            pieces.append(memo[at + 1])
+        else:
+            pieces.append(f"{prefix}{_text(p.value)}}}")
+            if memo is not None:
+                memo[at], memo[at + 1] = p.value, pieces[-1]
+    return "{%s}" % ",".join(pieces)
 
 
 def _template(step, message, sender, receiver, action, verdict='"ok"', detail="null") -> tuple:
@@ -164,11 +173,12 @@ def _lines(text: str, block: int = 1 << 16) -> Iterator[str]:
 
 
 class _Unreadable(ValueError):
-    """Trace text that does not read at line ``line``, which its message names."""
+    """Trace text that does not read at line ``line``, which its message names,
+    and column ``col``: the JSON decoder's, or 1."""
 
-    def __init__(self, line: int, text: str) -> None:
+    def __init__(self, line: int, text: str, col: int = 1) -> None:
         super().__init__(f"line {line}: {text}")
-        self.line = line
+        self.line, self.col = line, col
 
 
 def _entry(lineno: int, line: str) -> dict:
@@ -176,7 +186,7 @@ def _entry(lineno: int, line: str) -> dict:
     try:
         entry = _load(line)
     except json.JSONDecodeError as exc:
-        raise _Unreadable(lineno, f"{exc.msg} (column {exc.colno})") from None
+        raise _Unreadable(lineno, f"{exc.msg} (column {exc.colno})", exc.colno) from None
     except (ValueError, RecursionError) as exc:  # a number, or nesting too deep
         raise _Unreadable(lineno, str(exc)) from None
     if not isinstance(entry, dict):
@@ -461,6 +471,7 @@ def _execute(flow: Flow, agents: Mapping[str, AgentBehavior]) -> Iterator[tuple]
     """Take the steps of a run of ``flow``, yielding each as it is taken: its
     number and verdict, and its canonical line.  Stops after a step that is
     not ``ok``."""
+    memo = agents.memo if type(agents) is _Cast else None
     values: dict[str, Payload] = {}
     binding = MappingProxyType(values)  # what agents see: read-only, never copied
     digest = 0
@@ -471,8 +482,9 @@ def _execute(flow: Flow, agents: Mapping[str, AgentBehavior]) -> Iterator[tuple]
         text, verdict, detail = "{}", "ok", None
         try:
             try:
-                sender = agents[message.sender]
-                produced = dict(sender.produce(message, action, dict(needed), binding))
+                produced = agents[message.sender].produce(message, action, dict(needed), binding)
+                if type(produced) is not dict:  # a dict is read in full before agents run
+                    produced = dict(produced)
             except RunViolation:
                 raise
             except Exception as exc:
@@ -500,7 +512,7 @@ def _execute(flow: Flow, agents: Mapping[str, AgentBehavior]) -> Iterator[tuple]
                         problem = f"sender of {message.name!r} did not produce {var!r}"
                         raise RunViolation("V-MISSING", problem)
             try:  # before the V-TYPE check, which an unwritable value would pass
-                written = _produced(sorted_needed, produced) if sorted_needed else "{}"
+                written = _produced(sorted_needed, produced, memo) if sorted_needed else "{}"
             except (TypeError, ValueError) as exc:  # no JSON, or an int too long to print
                 raise RunViolation("V-AGENT", f"the trace cannot write a value: {exc}") from exc
             for var, declared in step.slots:  # a bound value must fit every use
@@ -511,7 +523,7 @@ def _execute(flow: Flow, agents: Mapping[str, AgentBehavior]) -> Iterator[tuple]
                 ):
                     problem = f"{var!r} expects {typ}, got {payload.type}"
                     raise RunViolation("V-TYPE", problem)
-            for var, _, _ in sorted_needed:
+            for var, _, _, _ in sorted_needed:
                 values[var] = produced[var]
             text = written
             try:
@@ -552,13 +564,21 @@ def run_scenario(
     The flow is checked once, at its own scope, by ``catalog.flow``; each run
     refuses it if it has errors.  Each repetition starts from empty bindings
     but keeps the same agent objects, so stateful agents accumulate across
-    repetitions.  ``repeat=0`` returns an empty list.
+    repetitions.  ``repeat=0`` returns an empty list.  The runs of one call write
+    a value's text once per distinct value object at each needed variable.
     """
     flow = catalog.flow(name)
+    if repeat > 1:  # a value can repeat only across runs; a fresh object is no value
+        agents = _Cast(agents)
+        agents.memo = [object(), None] * sum(map(len, _kept(flow)[2]))
     return [
         run(catalog, flow, agents, seed=seed, run_id=f"{name}-s{seed}-r{rep}")
         for rep in range(repeat)
     ]
+
+
+class _Cast(dict):
+    """One :func:`run_scenario` call's agents, and its own memo for :func:`_produced`."""
 
 
 def replay_check(
@@ -603,7 +623,7 @@ def replay_check(
             if replayed.found or replayed.difference:
                 found.append(replayed.found or replayed.difference)
     except ValueError as exc:  # from reading: replay raises no ValueError
-        span = Span(exc.line, 1) if isinstance(exc, _Unreadable) else None
+        span = Span(exc.line, exc.col) if isinstance(exc, _Unreadable) else None
         found.append(Diagnostic("error", "E-TRACE", f"unreadable trace: {exc}", span=span))
     return found
 

@@ -499,6 +499,26 @@ def test_replay_of_bytes_that_are_not_utf8_is_one_finding(runner, tmp_path):
     assert summary == f"replayed {path}: 1 finding(s)"
 
 
+@pytest.mark.parametrize("edit, why", [
+    (lambda line: line[:-20], "Unterminated string starting at"),  # cut short
+    (lambda line: "[" + line + "]", "not a JSON object"),
+    (lambda line: line.replace('"step":2', '"step":NaN'), "NaN is not a JSON number"),
+    (lambda line: "[" * 100_000 + "]" * 100_000, "maximum recursion depth exceeded"),
+])
+def test_replay_places_an_unreadable_line_at_the_decoders_column_or_1(runner, tmp_path, edit, why):
+    path = _d1_trace_file(runner, tmp_path)
+    lines = path.read_text(encoding="utf-8").split("\n")
+    lines[2] = edit(lines[2])
+    path.write_text("\n".join(lines), encoding="utf-8")
+    result = runner.invoke(main, ["replay", str(path)])
+    assert result.exit_code == 1, result.output
+    finding, summary = result.output.splitlines()
+    where, message = finding.split(": error[E-TRACE]: unreadable trace: line 3: ")
+    column = message.partition(" (column ")[2].removesuffix(")") or "1"
+    assert where == f"{path}:3:{column}" and message.startswith(why)
+    assert (column == "1") == (why != "Unterminated string starting at")
+
+
 def test_replay_of_a_missing_file_is_a_usage_error(runner, tmp_path):
     result = runner.invoke(main, ["replay", str(tmp_path / "nothing.jsonl")])
     assert result.exit_code == 2
@@ -594,6 +614,7 @@ def test_the_workflow_command_line_steps_pass_in_a_shell(tmp_path):
         "The packaged corpus checks without warnings and is formatted",
         "Run and replay the packaged corpus from the command line",
         "Two runs with the same seed write the same trace",
+        "A 200-run seeded teach run writes the bytes it always wrote, and replays",
         "A trace with one value edited does not replay (exit 1)",
         "A value edited in the last of 20 runs does not replay (exit 1)",
         "The last of 20 runs cut short or given another run id does not replay (exit 1)",

@@ -14,7 +14,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import oracles
-from conftest import AGENTS_DIR
+from conftest import AGENTS_DIR, FIXTURES
 from haiproto import (
     ActionDef,
     AgentBehavior,
@@ -105,8 +105,19 @@ def test_payload_shape_validation():
         Payload(LABEL, True)
 
 
+@pytest.mark.parametrize("value", [(True,), ("a", False), (1, math.nan), (object(),), ("a", [])])
+def test_a_list_payload_refuses_what_is_no_scalar_past_its_fast_path(value):
+    """A tuple of plain ``str``, ``int``, ``Vector`` and ``Blob`` items passes by
+    their classes alone; a bool is an int by ``isinstance`` and is refused."""
+    Payload(ListType(LABEL), ("a", 1, Vector((0.0,)), Blob("b")))
+    with pytest.raises(ValueError):
+        Payload(ListType(LABEL), value)
+
+
 def test_coerce_value_normalizes_lists():
     assert coerce_value([1, [2, 3]]) == (1, (2, 3))
+    plain, nested = ("a", (1, 2.5)), ("a", [1])
+    assert coerce_value(plain) is plain and coerce_value(nested) == ("a", (1,))
     with pytest.raises(ValueError):
         coerce_value({"not": "supported"})
 
@@ -169,6 +180,31 @@ def test_scripted_agent_consumes_queue_then_repeats_last():
     assert got == ["first", "second", "second"]
 
 
+def test_scripted_agent_hands_back_its_payload_until_its_entry_or_type_changes():
+    actions, messages = _env(AGENT_ENV)
+    agent = ScriptedAgent({"F1.V": ["first", "second"], "V1.L": [("c", "d"), ["a", "b"]]})
+    needed = {"V": BaseType(Role.FEEDBACK, ("eval",))}
+
+    def produce(message="F1", action="give-eval", needed=needed):
+        (payload,) = agent.produce(messages[message], actions[action], needed, {}).values()
+        return payload
+
+    first, second, again = produce(), produce(), produce()
+    assert (first.value, second.value) == ("first", "second") and again is second
+    agent.script["F1.V"][-1] = "edited"  # in place: seen at the next produce
+    assert produce().value == "edited"
+    retyped = produce(needed={"V": dataclasses.replace(needed["V"])})
+    assert retyped.value == "edited" and retyped.type is not needed["V"]
+    # a list entry may change in place, so it is read each time, as a tuple
+    listed = {"L": ListType(LABEL)}
+    assert produce("V1", "offer-vocab", listed).value == ("c", "d")
+    assert produce("V1", "offer-vocab", listed).value == ("a", "b")
+    agent.script["V1.L"][-1].append("c")
+    assert produce("V1", "offer-vocab", listed).value == ("a", "b", "c")
+    agent.script["V1.L"][-1] = ("e",)  # a tuple entry: served while it stays
+    assert produce("V1", "offer-vocab", listed) is produce("V1", "offer-vocab", listed)
+
+
 def test_scripted_agent_skips_unscripted_variables():
     actions, messages = _env(AGENT_ENV)
     agent = ScriptedAgent({"F1.V": ["x"]})
@@ -187,6 +223,18 @@ def test_stub_produces_sorted_vocabulary():
         messages["V1"], actions["offer-vocab"], {"L": ListType(LABEL)}, {}
     )
     assert out["L"].value == ("calm", "happy", "sad")
+    again = stub.produce(messages["V1"], actions["offer-vocab"], {"L": out["L"].type}, {})
+    assert again["L"] is out["L"]  # no new label, the same type: the same payload
+
+
+def test_a_stub_taught_a_new_label_lists_it_at_the_next_a1(catalog):
+    agents = _demo_agents()
+    agents["user"].script["A2.Y"] = ["happy", "proud"]
+    listed = [
+        trace.steps[0].produced["L"]["value"]
+        for trace in run_scenario(catalog, "D1", agents, repeat=3)
+    ]
+    assert listed == [["calm", "happy", "sad"]] * 2 + [["calm", "happy", "proud", "sad"]]
 
 
 def test_stub_classifies_through_a_map_link():
@@ -623,6 +671,72 @@ def test_run_scenario_repeat_zero(catalog):
     assert run_scenario(catalog, "D1", _demo_agents(), repeat=0) == []
 
 
+class _Rebuilt(AgentBehavior):
+    """``agent``'s payloads, each rebuilt every time as an equal new payload of
+    a value read back from its JSON, or handed back as the first payload equal
+    to it that this agent saw (``same``)."""
+
+    def __init__(self, agent: AgentBehavior, same: bool):
+        self.agent, self.same, self.seen = agent, same, {}
+
+    def produce(self, message, action, needed, binding):
+        out = {}
+        for var, p in self.agent.produce(message, action, needed, binding).items():
+            if self.same:
+                key = (message.name, var, runtime._dump(p.to_json()))  # type-strict: 1 is not 1.0
+                out[var] = self.seen.setdefault(key, p)
+            else:
+                value = json.loads(json.dumps(core._value_json(p.value)))
+                out[var] = Payload(p.type, core._value_from_json(value))
+        return out
+
+    def on_receive(self, message, action, binding):
+        self.agent.on_receive(message, action, binding)
+
+
+def _taught_and_asked(catalog, agents) -> list[str]:
+    return [
+        trace.to_jsonl() for flow, repeat in (("D1", 8), ("D2", 3), ("D1", 2))
+        for trace in run_scenario(catalog, flow, agents, seed=4, repeat=repeat)
+    ]
+
+
+def test_payloads_handed_back_and_rebuilt_write_the_same_traces(catalog):
+    written = []
+    for same in (True, False):
+        agents = {role: _Rebuilt(agent, same) for role, agent in _demo_agents().items()}
+        written.append(_taught_and_asked(catalog, agents))
+    agents = _demo_agents()
+    one_by_one = [  # no scenario: each run alone
+        run(catalog, flow, agents, seed=4, run_id=f"{flow}-s4-r{rep}").to_jsonl()
+        for flow, repeat in (("D1", 8), ("D2", 3), ("D1", 2)) for rep in range(repeat)
+    ]
+    assert written[0] == written[1] == one_by_one
+
+
+def test_a_script_entry_replaced_between_scenarios_is_written(catalog):
+    agents = _demo_agents()
+    before = run_scenario(catalog, "D1", agents, repeat=8)  # the last A2.Y repeats
+    agents["user"].script["A2.Y"][-1] = "happy"
+    after = run_scenario(catalog, "D1", agents, repeat=2)
+    assert [t.steps[1].produced["Y"]["value"] for t in before[-2:] + after] == [
+        "calm", "calm", "happy", "happy"
+    ]
+
+
+def test_agent_sets_alternating_on_one_catalog_write_what_fresh_catalogs_write(catalog):
+    texts = [
+        (AGENTS_DIR / "robot_demo.agents").read_text(),
+        (AGENTS_DIR / "robot_demo.agents").read_text().replace('"happy"', '"proud"'),
+    ]
+    shared = [parse_agents(text) for text in texts]
+    alone = [parse_agents(text) for text in texts]
+    for _ in range(3):  # the two sets take turns on one catalog
+        for agents, fresh in zip(shared, alone):
+            got = _taught_and_asked(catalog, agents)
+            assert got == _taught_and_asked(load([FIXTURES]), fresh)
+
+
 def test_d2_surfaces_a_disagreement(catalog):
     user = ScriptedAgent(
         {
@@ -922,11 +1036,11 @@ def _flat_run(directory, length: int):
     catalog = load([directory])
     trace = run(catalog, "flat", agents)
     assert trace.outcome == "completed" and len(trace.steps) == length
-    return catalog, trace
+    return catalog, trace, agents
 
 
 def _longest_step_line(directory, length: int) -> int:
-    _, trace = _flat_run(directory, length)
+    _, trace, _ = _flat_run(directory, length)
     return max(len(line) for line in trace.to_jsonl().splitlines()[1:-1])
 
 
@@ -937,7 +1051,7 @@ def test_trace_step_lines_do_not_grow_with_the_flow(tmp_path):
 
 def test_replay_memory_follows_the_values_bound_not_the_trace(tmp_path):
     steps = 8000
-    catalog, trace = _flat_run(tmp_path / "flat", steps)
+    catalog, trace, _ = _flat_run(tmp_path / "flat", steps)
     text = trace.to_jsonl()
     tracemalloc.start()
     try:
@@ -1028,6 +1142,16 @@ def test_a_steps_produced_text_is_the_canonical_json_of_its_payloads(entries):
     produced = {var: payload for var, (payload, _) in entries.items()}
     expected = runtime._dump({var: payload.to_json() for var, payload in produced.items()})
     assert runtime._produced(needed, produced) == expected
+    # With a memo: written, then served, and a memo's entry is written only for
+    # the very value at the needed type's very object.
+    memo = [object(), None] * len(needed)
+    assert runtime._produced(needed, produced, memo) == expected
+    assert runtime._produced(needed, produced, memo) == expected
+    memo[1::2] = ["poisoned"] * len(needed)
+    served = runtime._produced(needed, produced, memo)
+    assert ("poisoned" in served) == any(how == "own" for _, how in entries.values())
+    retyped = {var: Payload(dataclasses.replace(p.type), p.value) for var, p in produced.items()}
+    assert runtime._produced(needed, retyped, memo) == expected  # equal types: the encoder
 
 
 def _tracked(objects) -> int:
@@ -1042,7 +1166,7 @@ def _tracked(objects) -> int:
     return len(seen)
 
 
-def test_a_finished_run_keeps_no_tracked_object_per_step(catalog):
+def test_a_finished_run_keeps_no_tracked_object_per_step(catalog, tmp_path):
     per_trace = []
     for repeat in (4, 32):
         traces = run_scenario(catalog, "D1", _demo_agents(), repeat=repeat)
@@ -1051,6 +1175,16 @@ def test_a_finished_run_keeps_no_tracked_object_per_step(catalog):
         assert len(lines) == 6 * repeat and not any(map(gc.is_tracked, lines))
         per_trace.append(_tracked(traces) / repeat)
     assert per_trace[0] == per_trace[1] < 6  # whatever a trace holds, it is not per step
+    # Nor does the flow, shared by every run of it, keep anything of a scenario's runs.
+    kept_on_flow = []
+    for length in (10, 200):
+        flat, _, agents = _flat_run(tmp_path / str(length), length)  # the flow's plan is made
+        gc.collect()
+        before = _tracked([flat.flow("flat")])
+        assert len(run_scenario(flat, "flat", agents, repeat=3)) == 3
+        gc.collect()
+        kept_on_flow.append(_tracked([flat.flow("flat")]) - before)
+    assert kept_on_flow == [0, 0]
 
 
 def _instances(cls) -> int:
