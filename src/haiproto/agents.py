@@ -112,8 +112,8 @@ class AgentBehavior:
     receiver observe a delivered message.  Both see ``binding``, a live
     read-only view of the values bound so far, valid during the call (copy it
     to keep it), and must be deterministic.  Payloads are immutable, so an
-    agent may hand back a :class:`Payload` it made before, and ``run`` writes
-    a value's text once per distinct value object.
+    agent may hand back a :class:`Payload` it made before; the runs of one
+    ``run_scenario`` call write such a value's text once.
     """
 
     def produce(
@@ -210,7 +210,6 @@ class StubModelAgent(AgentBehavior):
         self._sample_cursor = 0
         self._override = ScriptedAgent(script) if script else None
         self._pairings: dict[tuple, tuple[dict, dict]] = {}
-        self._teaches: dict[int, tuple[ActionDef, bool]] = {}  # can each action teach
         self._listing: Payload | None = None  # the sorted vocabulary, until a new label
 
     def _names(self, message: Message, action: ActionDef) -> tuple[dict, dict]:
@@ -231,16 +230,12 @@ class StubModelAgent(AgentBehavior):
             self._listing = None
 
     def on_receive(self, message, action, binding):
-        teaches = self._teaches.get(id(action))  # by id: a frozen action hashes every field
-        if teaches is None or teaches[0] is not action:
-            typ = action.primitive.head.type
-            teaches = self._teaches[id(action)] = action, (
-                action.primitive.head.var is not None and isinstance(typ, BaseType)
-                and typ.role is Role.OUTPUT and (not typ.subtypes or "label" in typ.subtypes)
-            )
-        if not teaches[1]:
-            return
         head = action.primitive.head
+        typ = head.type
+        if head.var is None or not isinstance(typ, BaseType) or typ.role is not Role.OUTPUT or (
+            typ.subtypes and "label" not in typ.subtypes
+        ):
+            return
         to_message = self._names(message, action)[0]
         label_payload = binding.get(to_message[head.var])
         if label_payload is None or not isinstance(label_payload.value, str):
@@ -267,10 +262,9 @@ class StubModelAgent(AgentBehavior):
             if var in out:
                 continue
             if isinstance(typ, ListType) and typ.element.role is Role.OUTPUT:
-                listing = self._listing  # its labels' tuple is kept for another type
+                listing = self._listing
                 if listing is None or listing.type is not typ:
-                    labels = listing.value if listing else tuple(sorted(self._vocab))
-                    listing = self._listing = Payload(typ, labels)
+                    listing = self._listing = Payload(typ, tuple(sorted(self._vocab)))
                 out[var] = listing
                 continue
             out[var] = Payload(typ, self._produce_value(
@@ -348,6 +342,13 @@ def _literal(text: str, where: str) -> object:
     raise ValueError(f"{where}: cannot parse literal {text!r}")
 
 
+def _label(text: str, where: str) -> str:
+    """A label: a name or a string, the literals :func:`_literal` reads as a ``str``."""
+    if type(label := _literal(text, where)) is str:
+        return label
+    raise ValueError(f"{where}: a label must be a name or a string")
+
+
 def _split_top(text: str) -> list[str]:
     """Split on commas not inside a string or nested inside parentheses or brackets."""
     parts: list[str] = []
@@ -422,9 +423,7 @@ def parse_agents(text: str, path: str = "<agents>") -> dict[str, AgentBehavior]:
         kind = section[1]
         try:
             if kind == "stub" and key == "labels":
-                stub.setdefault("labels", []).extend(
-                    str(_literal(p, where)) for p in _split_top(value)
-                )
+                stub.setdefault("labels", []).extend(_label(p, where) for p in _split_top(value))
             elif kind == "stub" and key == "example":
                 if "->" not in value:
                     raise ValueError(f"{where}: example needs 'vec(...) -> label'")
@@ -432,9 +431,7 @@ def parse_agents(text: str, path: str = "<agents>") -> dict[str, AgentBehavior]:
                 vec = _literal(vec_text, where)
                 if not isinstance(vec, Vector):
                     raise ValueError(f"{where}: example input must be a vector")
-                stub.setdefault("examples", []).append(
-                    (vec.values, str(_literal(label_text, where)))
-                )
+                stub.setdefault("examples", []).append((vec.values, _label(label_text, where)))
             elif kind == "stub" and key == "sample":
                 stub.setdefault("samples", []).append(_literal(value, where))
             elif re.fullmatch(rf"{_NAME.pattern}\.{_NAME.pattern}", key):  # MESSAGE.VARIABLE

@@ -31,7 +31,7 @@ import json
 from dataclasses import dataclass, field, replace
 from json.decoder import WHITESPACE, scanstring
 from pathlib import Path
-from typing import Iterable, Iterator, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 from .check import (
     CheckReport,
@@ -73,8 +73,8 @@ class Catalog:
     :meth:`flow` keeps what it checked from them.  ``declared[kind][name]``
     is where the action, message, pattern or scenario ``name`` is declared:
     ``(path, line, col)`` of its keyword, or ``(path,)`` for a sidecar's
-    scenario, whose key :meth:`place` finds; plain tuples, as a corpus may
-    declare thousands of names."""
+    scenario, whose key :meth:`place` finds in the sidecar's text as loaded;
+    plain tuples, as a corpus may declare thousands of names."""
 
     actions: dict[str, ActionDef]
     messages: dict[str, Message]
@@ -92,8 +92,8 @@ class Catalog:
     _shared: dict = field(  # check_flow's table: a Step per message, a tuple per value
         default_factory=dict, init=False, repr=False, compare=False
     )
-    _keys: dict[str, dict[tuple, Span]] = field(  # each sidecar's keys, once placed
-        default_factory=lambda: {"<catalog>": {}}, init=False, repr=False, compare=False
+    _keys: dict[str, Callable[[], dict[tuple, Span]]] = field(  # each sidecar's, as loaded
+        default_factory=dict, init=False, repr=False, compare=False
     )
 
     def resolve_flow(self, name: str) -> Pattern:
@@ -119,7 +119,8 @@ class Catalog:
         its :class:`~haiproto.check.Step`, and equal tuples are one object
         (``check_flow``'s ``shared``), so every flow is small enough to keep.
         The tables must not change after load; ``dataclasses.replace`` gives
-        a copy that starts with no flow checked."""
+        a copy that starts with no flow checked and no sidecar text, so it
+        places a sidecar scenario's finding at no line."""
         flow = self._flows.get(name)
         if flow is None:
             kind = "pattern" if name in self.patterns else "scenario"
@@ -132,17 +133,12 @@ class Catalog:
 
     def place(self, kind: str, name: str, report: CheckReport) -> CheckReport:
         """``report``, on the ``kind`` called ``name``, placed at its keyword
-        (whose text is ``kind``), at a sidecar scenario's key, or, if it is not
-        declared, at ``<catalog>`` with no span: ``_keys`` holds it, no file."""
+        (whose text is ``kind``), at a sidecar scenario's key in the text loaded,
+        or, if it is not declared, at ``<catalog>`` with no span.  No file is read."""
         if not report.diagnostics:
             return report
         path, *at = self.declared.get(kind, {}).get(name, ("<catalog>",))
-        if at:
-            span = Span(*at, len(kind))
-        else:  # a sidecar's scenario: its file is read again, once
-            if path not in self._keys:
-                self._keys[path] = _sidecar_keys(path)
-            span = self._keys[path].get(("scenarios", name))
+        span = Span(*at, len(kind)) if at else self._keys.get(path, dict)().get(("scenarios", name))
         return CheckReport(report.target, placed(report.diagnostics, path, span))
 
     def steps(self, name: str) -> tuple[Step, ...]:
@@ -241,16 +237,6 @@ def _keys(text: str) -> dict[tuple, Span]:
     return spans
 
 
-def _sidecar_keys(path: str) -> dict[tuple, Span]:
-    """:func:`_keys` of the sidecar at ``path``; none if it no longer reads as one."""
-    try:
-        text = Path(path).read_text(encoding="utf-8")
-        shape = _sidecar_shape(json.loads(text))
-    except (OSError, ValueError, RecursionError):
-        return {}
-    return {} if shape else _keys(text)
-
-
 #: The sidecar's tables of notes on flows, each with the kind of flow its
 #: entries name: a pattern or scenario, or (``provide_only``) a pattern.
 _NOTES = {"annotations": "flow", "interpretations": "flow", "provide_only": "pattern"}
@@ -327,6 +313,7 @@ def load_with_diagnostics(
                     patterns[name] = node
 
     scenarios: dict[str, tuple[str, ...]] = {}
+    placers: dict[str, Callable[[], dict[tuple, Span]]] = {}
     notes: dict[str, dict[str, str]] = {key: {} for key in _NOTES}
     for sidecar in sidecars:
         path = str(sidecar)
@@ -337,7 +324,7 @@ def load_with_diagnostics(
             at = Span(exc.lineno, exc.colno) if isinstance(exc, json.JSONDecodeError) else None
             err("E-SYNTAX", f"cannot read sidecar: {exc}", path, at)
             continue
-        keys = functools.cache(functools.partial(_keys, text))  # for the first finding
+        keys = placers[path] = functools.cache(functools.partial(_keys, text))  # at a finding
         shape = _sidecar_shape(data)
         for problem, *at in shape:
             err("E-SYNTAX", problem, path, keys()[tuple(at)])
@@ -381,6 +368,7 @@ def load_with_diagnostics(
         declared=declared,
         sources=tuple(str(p) for p in hai_files + sidecars),
     )
+    catalog._keys.update(placers)
     return catalog, tuple(diags)
 
 

@@ -47,7 +47,6 @@ def _write(ctx: click.Context, path: str, text: str) -> None:
     except OSError as exc:
         click.echo(f"Error: cannot write {path}: {exc.strerror or exc}", err=True)
         ctx.exit(2)
-    click.echo(f"wrote {path}")
 
 
 def _load_corpus(ctx: click.Context) -> cataloglib.Catalog:
@@ -130,7 +129,7 @@ def fmt(ctx: click.Context, paths: tuple[str, ...], check_only: bool) -> None:
             click.echo(f"would reformat {file_path}")
             failed = True
         else:
-            file_path.write_text(canonical, encoding="utf-8")
+            _write(ctx, str(file_path), canonical)
             click.echo(f"reformatted {file_path}")
     if failed:
         ctx.exit(1)
@@ -214,6 +213,7 @@ def catalog_export(ctx: click.Context, output_path: str | None) -> None:
     text = json.dumps(cataloglib.export_json(catalog), indent=2, sort_keys=True)
     if output_path:
         _write(ctx, output_path, text + "\n")
+        click.echo(f"wrote {output_path}")
     else:
         click.echo(text)
 
@@ -274,6 +274,7 @@ def run_command(
     text = "".join(trace.to_jsonl() for trace in traces)
     if trace_path:
         _write(ctx, trace_path, text)
+        click.echo(f"wrote {trace_path}")
     else:
         click.echo(text, nl=False)
     failed = [t for t in traces if t.outcome != "completed"]

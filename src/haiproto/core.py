@@ -391,15 +391,12 @@ class Payload:
     value: Value
 
     def __post_init__(self) -> None:
-        plain = (str, int, Vector, Blob)  # the classes that are scalars alone
-        if type(self.type) is BaseType and type(self.value) in plain:
-            return
+        if type(self.type) is BaseType and type(self.value) in (str, int, Vector, Blob):
+            return  # a base type and a value that is a scalar by its class alone
         if isinstance(self.type, GroupType):
             raise ValueError("payloads carry base or list types, not groups")
         if isinstance(self.type, ListType):
-            if not isinstance(self.value, tuple) or not all(
-                type(v) in plain or _is_scalar(v) for v in self.value
-            ):
+            if not isinstance(self.value, tuple) or not all(map(_is_scalar, self.value)):
                 raise ValueError(
                     f"list-typed payload needs a tuple of scalars, got "
                     f"{self.value!r}"
@@ -434,11 +431,10 @@ def _value_from_json(data: object) -> Value:
 
 
 def coerce_value(raw: object) -> Value:
-    """Normalize a literal into a payload value (lists become tuples); a tuple
-    that needs no change is returned as it is."""
+    """Normalize a literal into a payload value: a list or tuple becomes a new
+    tuple of its items, each normalized."""
     if isinstance(raw, (list, tuple)):
-        value = tuple(coerce_value(v) for v in raw)  # type: ignore[misc]
-        return raw if type(raw) is tuple and value == raw else value
+        return tuple(coerce_value(v) for v in raw)  # type: ignore[misc]
     if isinstance(raw, (str, int, float, Vector, Blob)):
         return raw
     raise ValueError(f"unsupported payload literal {raw!r}")

@@ -112,13 +112,15 @@ def _needed(steps: Sequence[Iterable[tuple[str, TypeExpr]]]) -> tuple[tuple, ...
 
 def _produced(needed: tuple, produced: Mapping[str, Payload], memo: list | None = None) -> str:
     """``_dump`` of a step's ``produced`` JSON, written from its payloads, given
-    its :func:`_needed`: a payload whose type is not that very object is encoded
-    whole.  ``memo``, one :func:`run_scenario` call's, holds at each slot the
-    value last written there and its entry, which serves the very same value."""
+    its :func:`_needed`: a payload whose type is not that very object has its
+    type printed again.  ``memo``, one :func:`run_scenario` call's, holds at each
+    slot the value last written there and its entry, which serves the very same
+    value."""
     pieces = []
     for var, typ, prefix, at in needed:
         if (p := produced[var]).type is not typ:
-            pieces.append(f"{_ascii(var)}:{_dump(p.to_json())}")
+            typed = f'{{"type":{_ascii(str(p.type))},"value":{_text(p.value)}}}'
+            pieces.append(f"{_ascii(var)}:{typed}")
         elif memo is not None and memo[at] is p.value:
             pieces.append(memo[at + 1])
         else:

@@ -392,12 +392,14 @@ def test_a_scenario_key_is_looked_for_only_to_place_a_finding(tmp_path, monkeypa
     sidecar = _write(tmp_path / "catalog.json", '{"scenarios":\n {"s": ["asking"], "t": []}}')
     _, diags = load_with_diagnostics([tmp_path])
     assert [(d.code, d.span.line, d.span.col) for d in diags] == [("E-EMPTY-PATTERN", 2, 20)]
-    _write(sidecar, '{"scenarios": {"s": ["asking"]}}')
-    catalog = load([tmp_path])
-    sidecar.unlink()  # a sidecar that no longer reads places its findings at no line
-    (diag,) = catalog.flow("s").report.errors
-    assert (diag.code, diag.path, diag.span) == ("E-UNANSWERED", str(sidecar), None)
-    assert len(calls) == 1
+    loaded = '{"scenarios": {"s": ["asking"]}}'
+    for edit in (lambda: _write(sidecar, "\n\n" + loaded), sidecar.unlink):
+        catalog = load([_write(sidecar, loaded).parent])
+        edit()  # a finding is placed in the text loaded, not in the file as it is now
+        (diag,) = catalog.flow("s").report.errors
+        assert (diag.code, diag.path) == ("E-UNANSWERED", str(sidecar))
+        assert (diag.span.line, diag.span.col) == (1, 16)
+    assert len(calls) == 3  # once for the load above, and once for each load here
 
 
 def test_resolve_flow_handles_patterns_scenarios_and_misses(catalog):

@@ -146,6 +146,21 @@ def test_fmt_rewrites_to_canonical_form(runner, tmp_path):
     assert again.output == ""
 
 
+def test_fmt_that_cannot_write_a_file_exits_2(runner, tmp_path, monkeypatch):
+    """A rewrite that fails is one line and exit 2, as for ``run --trace``."""
+    messy = tmp_path / "messy.hai"
+    messy.write_text("action give(X)\n    := provide(X: input.raw_data);\n")
+
+    def refuse(self, *args, **kwargs):
+        raise PermissionError(13, "Permission denied", str(self))
+
+    monkeypatch.setattr(Path, "write_text", refuse)
+    result = runner.invoke(main, ["fmt", str(messy)])
+    assert result.exit_code == 2
+    assert result.output == f"Error: cannot write {messy}: Permission denied\n"
+    assert result.exception is None or isinstance(result.exception, SystemExit)
+
+
 def test_fmt_check_passes_on_packaged_corpus(runner):
     result = runner.invoke(main, ["fmt", "--check"])
     assert result.exit_code == 0, result.output
@@ -620,6 +635,7 @@ def test_the_workflow_command_line_steps_pass_in_a_shell(tmp_path):
         "The last of 20 runs cut short or given another run id does not replay (exit 1)",
         "The last of 30 cycling runs given the run before's step 2 does not replay (exit 1)",
         "A number out of range in an .agents file is refused at its line (exit 2)",
+        "A label that is no name or string in an .agents file is refused at its line (exit 2)",
         "Names the .hai lexer reads run and replay from an .agents file",
     ]
     (tmp_path / "src").symlink_to(WORKFLOW.parent.parent.parent / "src")

@@ -467,7 +467,8 @@ _LIST_THEN_USED = (
 def test_a_flow_that_checks_runs_and_replays_clean_and_prints_back(drawn):
     """The pipeline's promise: printed declarations parse back equal, and a
     pattern that checks completes with agents that produce what it needs,
-    and its trace replays clean, as a Trace and as text.  Each step needs fresh
+    and its trace replays clean, as a Trace and as text.  No step needs a value
+    of a group type, which a payload cannot carry.  Each step needs fresh
     variables of its message, which a run's one-pass clean step relies on, and
     the lines a run writes from its step plan are what a trace writes field by
     field."""
@@ -479,6 +480,8 @@ def test_a_flow_that_checks_runs_and_replays_clean_and_prints_back(drawn):
     roles = frozenset({"user", "model"})
     catalog = Catalog(actions, messages, {"p": pattern}, {}, {}, {}, frozenset(), roles)
     flow = catalog.flow("p")
+    # resolve_step flattens a group's members into slots, so no step needs a group
+    assert not any(isinstance(typ, GroupType) for pairs in flow.needed for _, typ in pairs)
     if flow.report.errors:  # as most drawn flows do
         return
     earlier: set[str] = set()

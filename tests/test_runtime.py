@@ -107,8 +107,8 @@ def test_payload_shape_validation():
 
 @pytest.mark.parametrize("value", [(True,), ("a", False), (1, math.nan), (object(),), ("a", [])])
 def test_a_list_payload_refuses_what_is_no_scalar_past_its_fast_path(value):
-    """A tuple of plain ``str``, ``int``, ``Vector`` and ``Blob`` items passes by
-    their classes alone; a bool is an int by ``isinstance`` and is refused."""
+    """A tuple of ``str``, ``int``, ``Vector`` and ``Blob`` items passes; a bool
+    is an int by ``isinstance`` and is refused."""
     Payload(ListType(LABEL), ("a", 1, Vector((0.0,)), Blob("b")))
     with pytest.raises(ValueError):
         Payload(ListType(LABEL), value)
@@ -117,7 +117,7 @@ def test_a_list_payload_refuses_what_is_no_scalar_past_its_fast_path(value):
 def test_coerce_value_normalizes_lists():
     assert coerce_value([1, [2, 3]]) == (1, (2, 3))
     plain, nested = ("a", (1, 2.5)), ("a", [1])
-    assert coerce_value(plain) is plain and coerce_value(nested) == ("a", (1,))
+    assert coerce_value(plain) == plain and coerce_value(nested) == ("a", (1,))
     with pytest.raises(ValueError):
         coerce_value({"not": "supported"})
 
@@ -201,8 +201,6 @@ def test_scripted_agent_hands_back_its_payload_until_its_entry_or_type_changes()
     assert produce("V1", "offer-vocab", listed).value == ("a", "b")
     agent.script["V1.L"][-1].append("c")
     assert produce("V1", "offer-vocab", listed).value == ("a", "b", "c")
-    agent.script["V1.L"][-1] = ("e",)  # a tuple entry: served while it stays
-    assert produce("V1", "offer-vocab", listed) is produce("V1", "offer-vocab", listed)
 
 
 def test_scripted_agent_skips_unscripted_variables():
@@ -341,6 +339,19 @@ def test_parse_agents_reads_a_string_whole(text, read):
         assert {key: getattr(agent, key) for key in read} == read
 
 
+@pytest.mark.parametrize(
+    "line", ["labels = calm, vec(1.0)", "labels = 1", "labels = [a]", "labels = blob(x)",
+             "example = vec(0.0) -> [[1], []]", "example = vec(0.0) -> 2.5"],
+)
+def test_parse_agents_refuses_a_label_that_is_no_name_or_string(line):
+    """A label is a name or a quoted string, never another literal's Python text."""
+    with pytest.raises(ValueError) as caught:
+        parse_agents(f"[model stub]\n\n{line}\n", "m.agents")
+    assert str(caught.value) == "m.agents:3: a label must be a name or a string"
+    stub = parse_agents('[model stub]\nlabels = calm, "1"\nexample = vec(0.0) -> "[a]"\n')["model"]
+    assert (stub.labels, stub.examples) == (("calm", "1"), [((0.0,), "[a]")])
+
+
 def _one_name_token(text: str) -> bool:
     try:
         return dsl.tokenize(text)[0] == [text, ""]  # the name, then EOF
@@ -408,7 +419,12 @@ def test_parse_agents_rejects_deep_nesting(line):
     section = "[model stub]" if line.split()[0] != "A.X" else "[user scripted]"
     with pytest.raises(ValueError, match=r"^deep\.agents:3: literal nested too deeply$"):
         parse_agents(f"{section}\n\n{line.format(deep)}\n", "deep.agents")
-    assert parse_agents(f"{section}\n\n{line.format('[[1], []]')}\n")  # not too deep
+    shallow = f"{section}\n\n{line.format('[[1], []]')}\n"
+    if line.split()[0] in ("labels", "example"):  # a list is no label, but not too deep
+        with pytest.raises(ValueError, match="a label must be a name or a string"):
+            parse_agents(shallow)
+    else:
+        assert parse_agents(shallow)  # not too deep
 
 
 AGENTS_TEXTS = [path.read_text() for path in sorted(AGENTS_DIR.glob("*.agents"))]
@@ -982,9 +998,14 @@ def _run_bent_d1(catalog, bend):
 )
 def test_a_value_the_trace_cannot_write_aborts_with_v_agent(catalog, value):
     """An int too long to print, or a blob that JSON cannot hold, is the
-    agent's fault, recorded at its step: the trace writes and replays."""
+    agent's fault, recorded at its step: the trace writes and replays.  A type
+    equal to the plan's but another object, which the step writes with its own
+    printed text, gives the same detail."""
     bend = lambda produced: {"Y": Payload(produced["Y"].type, value)}
-    assert _run_bent_d1(catalog, bend).startswith("the trace cannot write a value: ")
+    detail = _run_bent_d1(catalog, bend)
+    assert detail.startswith("the trace cannot write a value: ")
+    copied = lambda produced: {"Y": Payload(dataclasses.replace(produced["Y"].type), value)}
+    assert _run_bent_d1(catalog, copied) == detail
 
 
 def test_a_produced_value_that_is_no_payload_aborts_with_v_agent(catalog):
