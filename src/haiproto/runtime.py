@@ -161,6 +161,7 @@ def _finite(text: str) -> float:
 #: and ``1e999``, which no run writes, do not read.
 _decoder = json.JSONDecoder(parse_float=_finite, parse_constant=_not_json)
 _load, _decode_at = _decoder.decode, _decoder.raw_decode
+_space, _scan_key = json.decoder.WHITESPACE.match, json.decoder.scanstring
 
 
 def _lines(text: str, block: int = 1 << 16) -> Iterator[str]:
@@ -181,6 +182,18 @@ class _Unreadable(ValueError):
     def __init__(self, line: int, text: str, col: int = 1) -> None:
         super().__init__(f"line {line}: {text}")
         self.line, self.col = line, col
+
+
+def _key_column(line: str, key: str) -> int:
+    """The column of top-level key ``key``'s opening quote in ``line``, an object
+    that decodes, at its last place, whose value is kept; 1 if it lacks ``key``."""
+    column, at = 1, _space(line).end()
+    while line.startswith('"', at := _space(line, at + 1).end()):  # past "{" or ","
+        name, end = _scan_key(line, at + 1)
+        column = at + 1 if name == key else column
+        _, end = _decode_at(line, _space(line, _space(line, end).end() + 1).end())  # past ":"
+        at = _space(line, end).end()
+    return column
 
 
 def _entry(lineno: int, line: str) -> dict:
@@ -324,8 +337,14 @@ class _Run:
     without one of the last three, an outcome line with a field not ``outcome``,
     ``run`` or ``steps``, or whose ``run`` or ``steps`` is not the run's."""
 
-    def __init__(self, lineno: int, header: dict):
-        self.header, self.run_id, self.count, self.steps = header, header.get("run"), 0, []
+    count, problem, misfit = 0, None, None  # a run started from a kept header sets none
+    over = False  # True once it took its outcome line itself
+
+    def __init__(self, lineno: int, line: str):
+        header = _entry(lineno, line)
+        if "outcome" in header:
+            raise _Unreadable(lineno, "an outcome line without a header")
+        self.header, self.run_id, self.steps = header, header.get("run"), []
         version = header.get("format", 1)
         self.problem = None if type(version) is int and version == 2 else _Unreadable(
             lineno, f"the trace is format {_dump(version)}, this reader reads "
@@ -361,29 +380,28 @@ class _Run:
         self.trace = Trace(run_id, pattern, seed, tuple(self.steps), entry["outcome"])
 
 
-def _each_run(lines: Iterable[str], start: Callable[[int, dict], _Run]) -> Iterator[_Run]:
+def _each_run(lines: Iterable[str], start: Callable[[int, str], _Run]) -> Iterator[_Run]:
     """Each run of a trace file's ``lines`` once its outcome line is read;
-    ``start`` makes a run from its first line; a later line the run does not
-    :meth:`~_Run.take` is decoded in full.  ``ValueError``, naming the line, for
-    a line that is not a JSON object or does not decode, or a run that does not
-    read."""
+    ``start`` makes a run from its first line's text, which it need not decode;
+    a later line, the outcome line too, is decoded in full only if the run does
+    not :meth:`~_Run.take` it.  ``ValueError``, naming the line, for a line that
+    is not a JSON object or does not decode, or a run that does not read."""
     run, lineno = None, 0
     try:
         for lineno, line in enumerate(lines, start=1):
             if not line or line.isspace():
                 continue
             last = lineno
-            if run is not None and run.take(lineno, line):
-                continue
-            entry = _entry(lineno, line)
-            if "outcome" in entry:
-                if run is None:
-                    raise _Unreadable(lineno, "an outcome line without a header")
+            if run is None:
+                run = start(lineno, line)
+            elif run.take(lineno, line):
+                if run.over:
+                    yield run
+                    run = None
+            elif "outcome" in (entry := _entry(lineno, line)):
                 run.end(lineno, line, entry)
                 yield run
                 run = None
-            elif run is None:
-                run = start(lineno, entry)
             else:
                 run.step(lineno, line, entry)
     except UnicodeDecodeError as exc:  # from ``lines``, reading the next line
@@ -595,9 +613,11 @@ def replay_check(
     alone, so a run whose step lines, whole, are those of a run of the same flow
     that replayed clean earlier in the call, and whose outcome line is the
     canonical one for them, its own run id and its count, is clean with no step
-    re-run.  The call keeps those lines as a trie per flow name, up to
-    ``_SERVED_LINES`` lines.  At a run's first line off the trie, the lines read
-    along it are re-run in order, as below, and so is the rest of the run.  A step
+    re-run and that outcome line not decoded.  The call keeps those lines as a trie
+    per flow name, up to ``_SERVED_LINES`` lines, and a flow's first canonical
+    header: one that is its text around another run id has only the id decoded.
+    At a run's first line off the trie, the lines read along it are re-run in
+    order, as below, and so is the rest of the run.  A step
     line that is its flow's template for the step, verdict ``ok``, around a
     10-character digest slot and a ``produced`` object has only that object
     decoded.  Other lines are decoded in full.  A re-run line equal to the recorded one
@@ -605,8 +625,9 @@ def replay_check(
     reports, by precedence: ``E-TRACE`` for text that does not read (see
     :meth:`Trace.all_from_jsonl`), where reading stops, as text never raises, or for
     a Trace that does not write (a NaN, say); ``E-UNRESOLVED`` if the catalog lacks
-    the flow or any step's message; the first differing field, ``E-BINDING`` where
-    the re-run aborts ``V-TYPE`` and the trace says ``ok``, else ``E-TRACE``.
+    the flow or any step's message; the first differing field, at its key's column,
+    ``E-BINDING`` where the re-run aborts ``V-TYPE`` and the trace says ``ok``, else
+    ``E-TRACE``.
     """
     if isinstance(trace, Trace):
         try:
@@ -619,9 +640,7 @@ def replay_check(
         line for item in trace for line in item.removesuffix("\n").split("\n")
     )
     try:
-        for replayed in _each_run(
-            lines, lambda at, head: _Replay(at, head, catalog, verified)
-        ):
+        for replayed in _each_run(lines, functools.partial(verified.start, catalog, {})):
             if replayed.found or replayed.difference:
                 found.append(replayed.found or replayed.difference)
     except ValueError as exc:  # from reading: replay raises no ValueError
@@ -638,10 +657,36 @@ _SERVED_LINES = 1024
 class _Verified(dict):
     """The step lines of the runs that replayed clean in one :func:`replay_check`
     call, a trie per flow name: a node maps a step line, whole, to the next node,
-    and holds the outcome of a run that ended there at key ``None``.  ``lines``
-    counts the lines, at most ``_SERVED_LINES``."""
+    and holds the outcome of a run that ended there, whose line is then not
+    decoded, at key ``None``.  ``lines`` counts the lines, at most ``_SERVED_LINES``."""
 
     lines = 0
+
+    def start(self, catalog: Catalog, heads: dict, lineno: int, line: str) -> _Replay:
+        """The run that header ``line`` starts.  A flow's first header that is its
+        canonical text and starts a run with a flow is kept in ``heads``, split
+        around its run id, with the flow state its run got; a header that is a
+        kept one's text around another JSON value starts a run from that state,
+        only that value decoded, with no check of the header or the flow."""
+        cut = line.find(',"run":') + 7  # ',"' is in no JSON string
+        kept = heads.get(head := line[:cut])
+        if kept is not None:
+            after, header, state = kept
+            try:
+                run_id, end = _decode_at(line, cut)
+            except (ValueError, RecursionError):  # the full decode says why
+                end = None
+            if end == len(line) - len(after) and line.endswith(after):
+                run = object.__new__(_Replay)  # as __init__ leaves a run of that header
+                run.messages, run.templates, run.flow, run.roles, run.verified, run.node = state
+                run.header, run.run_id = {**header, "run": run_id}, run_id
+                run.steps, run.read = [], []
+                return run
+        run = _Replay(lineno, line, catalog, self)
+        if kept is None and run.read is not None and line == _dump(run.header):
+            state = run.messages, run.templates, run.flow, run.roles, self, run.node
+            heads[head] = line[cut + len(_dump(run.run_id)) :], run.header, state
+        return run
 
 
 @functools.lru_cache(maxsize=1024)
@@ -660,14 +705,14 @@ class _Replay(_Run, AgentBehavior):
     verified runs, it only keeps them (``read``); the re-run is built when a
     line leaves the trie."""
 
-    def __init__(self, lineno: int, header: dict, catalog: Catalog, verified: _Verified):
-        super().__init__(lineno, header)
-        self.messages, self.entry = catalog.messages, None
-        self.rerun = self.last = self.found = self.difference = None
-        self.node = self.read = self.fresh = None
+    entry = rerun = last = found = difference = node = read = fresh = None
+
+    def __init__(self, lineno: int, line: str, catalog: Catalog, verified: _Verified):
+        super().__init__(lineno, line)
+        self.messages = catalog.messages
         if self.problem or self.misfit:
             return
-        name = header["pattern"]
+        name = self.header["pattern"]
         try:
             flow = catalog.flow(name)
         except (KeyError, TypeError, ValueError):  # unknown, not a name, an empty scenario
@@ -696,8 +741,8 @@ class _Replay(_Run, AgentBehavior):
             raise RunViolation(self.entry["verdict"], self.entry.get("detail"))
 
     def take(self, lineno: int, line: str) -> bool:
-        """Keep ``line`` if it follows the trie, and return False for the outcome
-        line the trie's node wants, which :meth:`end` accepts.  Off the trie,
+        """Keep ``line`` if it follows the trie, and end the run, ``over`` and
+        clean, at the outcome line the trie's node wants.  Off the trie,
         re-run the lines kept, as each was read, and from then on keep each step
         line for the trie while it has room.  Replay ``line`` if it is the next
         step's template, verdict ``ok``, around a 10-character digest slot, which
@@ -711,7 +756,8 @@ class _Replay(_Run, AgentBehavior):
                 return True
             ended = self.node.get(None)
             if ended is not None and line == _outcome_line(ended, self.run_id, len(self.read)):
-                return False
+                self.over = True  # clean: its outcome line is not decoded
+                return True
             read, self.read = self.read, None
             # a cycle through the agents, broken when the re-run ends
             self.rerun = _execute(self.flow, dict.fromkeys(self.roles, self))
@@ -752,7 +798,7 @@ class _Replay(_Run, AgentBehavior):
                 if line == taken[1]:
                     return  # the same text: the same fields, type for type
             entry = entry if "message" in entry else _entry(lineno, line)  # take's: in full
-            self.compare(lineno, self.count, taken, entry)
+            self.compare(lineno, line, self.count, taken, entry)
         if self.fits(lineno, entry) and self.found is None:
             message = entry["message"]
             if not isinstance(message, str) or message not in self.messages:
@@ -761,8 +807,6 @@ class _Replay(_Run, AgentBehavior):
                 self.found = replace(found, span=Span(lineno, 1))
 
     def end(self, lineno: int, line: str, entry: dict) -> None:
-        if self.read is not None:  # the outcome line of a verified run: see take
-            return
         rerun, self.rerun, self.entry = self.rerun, None, None  # past the end
         if rerun is not None:
             taken = next(rerun, None)
@@ -779,17 +823,18 @@ class _Replay(_Run, AgentBehavior):
                 return
         super().end(lineno, line, entry)
         if rerun is not None:
-            self.compare(lineno, self.count + 1, taken, {"outcome": entry["outcome"]})
+            self.compare(lineno, line, self.count + 1, taken, {"outcome": entry["outcome"]})
 
-    def compare(self, lineno: int, number: int, taken: tuple | None, theirs: dict) -> None:
+    def compare(self, lineno: int, line: str, number: int, taken: tuple | None, theirs: dict):
         """Name the first difference of the trace's entry ``theirs``, read at
-        line ``lineno``, at place ``number`` from the re-run's: its step
-        ``taken``, or its outcome once it has stopped.  Comparing ends there,
-        and after the re-run's outcome."""
+        line ``lineno`` from ``line``, at place ``number`` from the re-run's (its step
+        ``taken``, or its outcome once it has stopped), at its key's column.
+        Comparing ends there, and after the re-run's outcome."""
         ours = _decoder.decode(taken[1]) if taken else {"outcome": _outcome(self.last)}
         where = f"step {number}" if "step" in ours.keys() | theirs.keys() else "outcome"
         if ours.get("verdict") == "V-TYPE" and theirs.get("verdict") == "ok":
-            code, text = "E-BINDING", f"{where}: {ours['detail']}, the trace says ok"
+            key, code = "verdict", "E-BINDING"
+            text = f"{where}: {ours['detail']}, the trace says ok"
         else:
             code, text = "E-TRACE", None
             for key in sorted(ours.keys() | theirs.keys()):
@@ -798,7 +843,7 @@ class _Replay(_Run, AgentBehavior):
                     text = f"{where}: {key} is {was} in the trace, {now} on re-run"
                     break
         if text is not None:
-            text = f"run {self.run_id}: {text}"
-            self.difference = Diagnostic("error", code, text, span=Span(lineno, 1))
+            text, at = f"run {self.run_id}: {text}", Span(lineno, _key_column(line, key))
+            self.difference = Diagnostic("error", code, text, span=at)
         if text is not None or taken is None:
             self.rerun = None

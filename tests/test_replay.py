@@ -492,13 +492,36 @@ def _character_edited(line: str, data) -> str:
     return line[:where] + char + line[cut:]
 
 
+#: Edits of a header line's text, each a text replacement that leaves another
+#: line as it is, and what replaying D1 with the edit in one header reports.
+HEADER_EDITS = {
+    "another run id": (lambda line: line.replace('"run":"', '"run":"x', 1), ["E-TRACE"]),
+    "seed 4": (lambda line: line.replace('"seed":3}', '"seed":4}'), []),
+    "seed 3.0": (lambda line: line.replace('"seed":3}', '"seed":3.0}'), []),
+    "spaces": (lambda line: line.replace('":', '": '), []),
+    "key order": (lambda line: re.sub(r'^\{(.*),("seed":[^,]*)\}$', r"{\2,\1}", line), []),
+    "format 3": (lambda line: line.replace('"format":2', '"format":3'), ["E-TRACE"]),
+    "another pattern": (lambda line: line.replace('"pattern":"D1"', '"pattern":"D2"'), ["E-TRACE"]),
+    "a duplicated run key": (  # the decoder keeps the last
+        lambda line: line.replace('"run":', '"run":"D1-s3-r0","run":', 1), []
+    ),
+}
+
+
 def _edit_run_lines(lines: list[str], data) -> None:
     """One edit of a repeat file's line texts, in any run: a changed value, a
-    changed or inserted character, a line dropped, repeated or cut off, or an
-    outcome line's ``steps`` or ``run`` changed."""
+    changed or inserted character, a line dropped, repeated or cut off, an
+    outcome line's ``steps`` or ``run`` changed, or a header edited as in
+    ``HEADER_EDITS``."""
     edit = data.draw(st.sampled_from(
-        ["value", "character", "drop", "repeat", "cut", "steps", "run"]
+        ["value", "character", "drop", "repeat", "cut", "steps", "run", "header"]
     ))
+    if edit == "header":
+        heads = [i for i, line in enumerate(lines) if line.startswith('{"format":')]
+        if heads:
+            at = data.draw(st.sampled_from(heads))
+            lines[at] = data.draw(st.sampled_from(list(HEADER_EDITS.values())))[0](lines[at])
+        return
     if edit in ("steps", "run"):
         outcomes = [i for i, line in enumerate(lines) if line.startswith('{"outcome":')]
         if not outcomes:
@@ -531,14 +554,44 @@ def _edit_run_lines(lines: list[str], data) -> None:
 @given(data=st.data(), one_value=st.booleans())
 def test_edited_repeating_runs_replay_as_the_whole_trace_reference(catalog, data, one_value):
     """Runs that repeat are verified by the trie; an edit anywhere in them
-    reports what the whole-trace reference does, messages included."""
+    reports what the whole-trace reference does, messages included.  A finding
+    about a field sits at the column of its key in the line, if it has one."""
     text = ONE_VALUE_AGENTS if one_value else (AGENTS_DIR / "robot_demo.agents").read_text()
     traces = run_scenario(catalog, "D1", parse_agents(text), seed=3, repeat=12)
     lines = "".join(trace.to_jsonl() for trace in traces).splitlines()
     for _ in range(data.draw(st.integers(1, 3))):
         if lines:
             _edit_run_lines(lines, data)
-    _replay("".join(line + "\n" for line in lines), catalog)
+    for diag in _replay("".join(line + "\n" for line in lines), catalog):
+        field = _FIELD.match(diag.message)
+        if diag.code == "E-BINDING" and diag.message.endswith("the trace says ok"):
+            key = "verdict"
+        elif diag.code == "E-TRACE" and field:
+            key = field[1]
+        else:
+            continue
+        line = lines[diag.span.line - 1]
+        if key in json.loads(line):
+            assert line[diag.span.col - 1 :].startswith(f'"{key}"'), (diag, line)
+        else:
+            assert diag.span.col == 1, (diag, line)
+
+
+#: A finding about a field that differs on re-run, and the field.
+_FIELD = re.compile(r"^run .+?: (?:step \d+|outcome): (\w+) is ")
+
+
+def test_an_edited_header_among_repeating_runs_replays_as_the_whole_trace_reference(catalog):
+    """A header edited among runs that repeat, which replay knows by their
+    header's text: the 4th of six runs reports what the reference does, and
+    only the edits that change what the header says are findings."""
+    traces = run_scenario(catalog, "D1", parse_agents(ONE_VALUE_AGENTS), seed=3, repeat=6)
+    clean = "".join(trace.to_jsonl() for trace in traces).splitlines()
+    assert clean[24] == '{"format":2,"pattern":"D1","run":"D1-s3-r3","seed":3}'
+    for name, (edit, codes) in HEADER_EDITS.items():
+        lines = [*clean[:24], edit(clean[24]), *clean[25:]]
+        assert lines[24] != clean[24], name
+        assert _codes(_replay("".join(line + "\n" for line in lines), catalog)) == codes, name
 
 
 _UNREADABLE_AT = re.compile(r"^unreadable trace: line (\d+)")
@@ -999,11 +1052,19 @@ def _decoded(monkeypatch) -> list[str]:
 def test_a_clean_trace_is_decoded_in_full_only_at_its_header_and_outcome_lines(
     catalog, monkeypatch
 ):
-    text = _text(_d1_lines(catalog, repeat=3))
+    """A run that repeats the first is known by its header's text and its
+    lines, so only the first run's header and outcome lines are decoded; the
+    robot demo's runs differ, and each outcome line after the first header is
+    decoded too."""
+    traces = run_scenario(catalog, "D1", parse_agents(ONE_VALUE_AGENTS), seed=3, repeat=3)
+    lines = "".join(trace.to_jsonl() for trace in traces).splitlines()
     decoded = _decoded(monkeypatch)
-    assert replay_check(text, load([FIXTURES])) == []  # no run has made its templates
-    kinds = [json.loads(line).keys() & {"format", "outcome"} for line in decoded]
-    assert kinds == [{"format"}, {"outcome"}] * 3
+    assert replay_check("\n".join(lines), load([FIXTURES])) == []  # no templates made yet
+    assert decoded == [lines[0], lines[7]]
+    lines = _text(_d1_lines(catalog, repeat=3)).splitlines()
+    decoded.clear()
+    assert replay_check("\n".join(lines), load([FIXTURES])) == []
+    assert decoded == [lines[0], lines[7], lines[15], lines[23]]
 
 
 def _edited(index: int, edit):
