@@ -107,11 +107,12 @@ def classify(
 class AgentBehavior:
     """Base class for pluggable agents.
 
-    ``produce`` returns payloads for the variables in ``needed`` (a mapping
-    of variable name to its current narrowed type); ``on_receive`` lets the
-    receiver observe a delivered message.  Both see ``binding``, a live
-    read-only view of the values bound so far, valid during the call (copy it
-    to keep it), and must be deterministic.  Payloads are immutable, so an
+    ``produce`` returns payloads for the variables in ``needed``, a read-only
+    view of the flow's own mapping of each to its current narrowed type (writing
+    into it fails the run with ``V-AGENT``); ``on_receive`` lets the receiver
+    observe a delivered message.  Both see ``binding``, a live read-only view
+    of the values bound so far, and must be deterministic; each view is valid
+    during the call (copy it to keep it).  Payloads are immutable, so an
     agent may hand back a :class:`Payload` it made before; the runs of one
     ``run_scenario`` call write such a value's text once.
     """

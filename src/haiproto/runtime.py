@@ -196,14 +196,19 @@ def _key_column(line: str, key: str) -> int:
     return column
 
 
+#: How deep a header may nest, far below any stack's limit: it reads alike at any depth.
+_NESTING = 64
+_TOO_DEEP = f"values nest more than {_NESTING} deep"
+
+
 def _entry(lineno: int, line: str) -> dict:
     """Trace line ``line`` decoded in full; ``_Unreadable`` if it is no JSON object."""
     try:
         entry = _load(line)
     except json.JSONDecodeError as exc:
         raise _Unreadable(lineno, f"{exc.msg} (column {exc.colno})", exc.colno) from None
-    except (ValueError, RecursionError) as exc:  # a number, or nesting too deep
-        raise _Unreadable(lineno, str(exc)) from None
+    except (ValueError, RecursionError) as exc:  # a number, or deeper than this stack reads
+        raise _Unreadable(lineno, _TOO_DEEP if type(exc) is RecursionError else str(exc)) from None
     if not isinstance(entry, dict):
         raise _Unreadable(lineno, "not a JSON object")
     return entry
@@ -344,6 +349,11 @@ class _Run:
         header = _entry(lineno, line)
         if "outcome" in header:
             raise _Unreadable(lineno, "an outcome line without a header")
+        row, depth = [header], _NESTING  # its containers, a level at a time
+        while depth >= 0 and (row := [x for x in row if type(x) in (list, dict)]):
+            row, depth = [v for x in row for v in (x.values() if type(x) is dict else x)], depth - 1
+        if depth < 0:  # as a stack too shallow to read it would refuse it
+            raise _Unreadable(lineno, _TOO_DEEP)
         self.header, self.run_id, self.steps = header, header.get("run"), []
         version = header.get("format", 1)
         self.problem = None if type(version) is int and version == 2 else _Unreadable(
@@ -385,15 +395,16 @@ def _each_run(lines: Iterable[str], start: Callable[[int, str], _Run]) -> Iterat
     ``start`` makes a run from its first line's text, which it need not decode;
     a later line, the outcome line too, is decoded in full only if the run does
     not :meth:`~_Run.take` it.  ``ValueError``, naming the line, for a line that
-    is not a JSON object or does not decode, or a run that does not read."""
-    run, lineno = None, 0
+    is not a JSON object or does not decode, a run that does not read, or, at
+    its header line, a run too deep to write back or check at this stack depth."""
+    run, lineno, head = None, 0, 1
     try:
         for lineno, line in enumerate(lines, start=1):
             if not line or line.isspace():
                 continue
             last = lineno
             if run is None:
-                run = start(lineno, line)
+                run = start(head := lineno, line)
             elif run.take(lineno, line):
                 if run.over:
                     yield run
@@ -406,6 +417,8 @@ def _each_run(lines: Iterable[str], start: Callable[[int, str], _Run]) -> Iterat
                 run.step(lineno, line, entry)
     except UnicodeDecodeError as exc:  # from ``lines``, reading the next line
         raise _Unreadable(lineno + 1, str(exc)) from None
+    except RecursionError:  # a value read at a shallower stack than it is written or checked at
+        raise _Unreadable(head, "values nest too deep to check at this stack depth") from None
     if run is not None:
         raise _Unreadable(last, "trace ends without an outcome line")
 
@@ -415,8 +428,7 @@ class RunViolation(Exception):
 
     def __init__(self, code: str, detail: str):
         super().__init__(f"{code}: {detail}")
-        self.code = code
-        self.detail = detail
+        self.code, self.detail = code, detail
 
 
 # ---------------------------------------------------------------------------
@@ -446,7 +458,7 @@ def run(
         flow = catalog.flow(flow)
     elif not isinstance(flow, Flow):
         flow = check_flow(flow, catalog.messages, catalog.actions, shared=catalog._shared)
-    roles = _kept(flow)[4]
+    roles = _kept(flow)[3]
     if not agents.keys() >= roles.keys():
         raise LookupError(f"no agent for role {next(r for r in roles if r not in agents)!r}")
     if run_id is None:
@@ -461,14 +473,13 @@ def run(
     return trace
 
 
-def _kept(flow: Flow) -> tuple[tuple[str, ...], tuple[dict, ...], tuple[tuple, ...], dict, dict]:
+def _kept(flow: Flow) -> tuple[tuple[str, ...], tuple[Mapping, ...], tuple[tuple, ...], dict]:
     """What runs and replays need of ``flow`` alone, made once and kept on it:
     each step's 3 line texts, flat (no tuple a step for GC); each step's needed
-    types as a dict and as its :func:`_needed`; the type each variable is bound
-    at, which check_flow's narrowing proved meets every later use, so a value
-    of exactly that type needs no intersection there; and the flow's roles, in
-    order of first use.  Each role's, action's and type's text is made once.
-    ``ValueError`` if the flow does not check: it has no plan."""
+    types as a read-only view, which its sender is given, and as its
+    :func:`_needed`; and the flow's roles, in order of first use.  Each role's,
+    action's and type's text is made once.  ``ValueError`` if the flow does not
+    check: it has no plan."""
     kept = vars(flow)
     if "_kept" not in kept:
         if errors := flow.report.errors:
@@ -482,8 +493,8 @@ def _kept(flow: Flow) -> tuple[tuple[str, ...], tuple[dict, ...], tuple[tuple, .
         for index, (m, a, _, _) in enumerate(steps, start=1):
             names = texts[m.sender], texts[m.receiver], texts[a.name]
             templates += _template(str(index), _ascii(m.name), *names)
-        bound_at = {var: typ for pairs in needed for var, typ in pairs}
-        kept["_kept"] = tuple(templates), tuple(map(dict, needed)), _needed(needed), bound_at, roles
+        views = tuple([MappingProxyType(dict(pairs)) for pairs in needed])
+        kept["_kept"] = tuple(templates), views, _needed(needed), roles
     return kept["_kept"]
 
 
@@ -494,24 +505,29 @@ def _execute(flow: Flow, agents: Mapping[str, AgentBehavior]) -> Iterator[tuple]
     memo = agents.memo if type(agents) is _Cast else None
     values: dict[str, Payload] = {}
     binding = MappingProxyType(values)  # what agents see: read-only, never copied
-    digest = 0
-    templates, needs, texts, bound_at, _ = _kept(flow)
+    digest, plain = 0, True  # plain: each value bound is a Payload of its plan's very type
+    templates, needs, texts, _ = _kept(flow)
     steps = zip(flow.steps, needs, texts, *[iter(templates)] * 3)
     for index, (step, needed, sorted_needed, head, middle, tail) in enumerate(steps, start=1):
-        message, action = step.message, step.action  # needed: the flow's, only read
+        message, action = step.message, step.action  # needed: the flow's read-only view
         text, verdict, detail = "{}", "ok", None
         try:
             try:
-                produced = agents[message.sender].produce(message, action, dict(needed), binding)
+                produced = agents[message.sender].produce(message, action, needed, binding)
                 if type(produced) is not dict:  # a dict is read in full before agents run
                     produced = dict(produced)
             except RunViolation:
                 raise
             except Exception as exc:
                 raise RunViolation("V-AGENT", f"producer failed: {exc}") from exc
-            # A payload for each needed (fresh) variable and no more: no scan below fires.
-            payloads = map(Payload.__instancecheck__, produced.values())
-            if produced.keys() != needed.keys() or not all(payloads):
+            # Clean: a Payload of the plan's very type for each needed variable and no
+            # more, as every value bound so far; check_flow proved no check below fires.
+            clean = plain and len(produced) == len(sorted_needed)
+            for var, typ, _, _ in sorted_needed if clean else ():
+                if type(payload := produced.get(var)) is not Payload or payload.type is not typ:
+                    clean = False
+                    break
+            if not clean:
                 order = sorted(produced, key=str)  # a key that is no str is not a variable
                 for var in order:
                     if var not in message.args:
@@ -535,14 +551,14 @@ def _execute(flow: Flow, agents: Mapping[str, AgentBehavior]) -> Iterator[tuple]
                 written = _produced(sorted_needed, produced, memo) if sorted_needed else "{}"
             except (TypeError, ValueError) as exc:  # no JSON, or an int too long to print
                 raise RunViolation("V-AGENT", f"the trace cannot write a value: {exc}") from exc
-            for var, declared in step.slots:  # a bound value must fit every use
-                payload = produced[var] if var in needed else values.get(var)
-                typ = needed.get(var, declared)
-                if payload is not None and payload.type is not bound_at[var] and (
-                    intersect(payload.type, typ) is None
-                ):
-                    problem = f"{var!r} expects {typ}, got {payload.type}"
-                    raise RunViolation("V-TYPE", problem)
+            if not clean:
+                for var, declared in step.slots:  # a bound value must fit every use
+                    payload = produced[var] if var in needed else values.get(var)
+                    typ = needed.get(var, declared)
+                    if payload is not None and intersect(payload.type, typ) is None:
+                        problem = f"{var!r} expects {typ}, got {payload.type}"
+                        raise RunViolation("V-TYPE", problem)
+                plain = plain and all(produced[var].type is typ for var, typ, _, _ in sorted_needed)
             for var, _, _, _ in sorted_needed:
                 values[var] = produced[var]
             text = written
@@ -666,7 +682,7 @@ class _Verified(dict):
         """The run that header ``line`` starts.  A flow's first header that is its
         canonical text and starts a run with a flow is kept in ``heads``, split
         around its run id, with the flow state its run got; a header that is a
-        kept one's text around another JSON value starts a run from that state,
+        kept one's text around another JSON string starts a run from that state,
         only that value decoded, with no check of the header or the flow."""
         cut = line.find(',"run":') + 7  # ',"' is in no JSON string
         kept = heads.get(head := line[:cut])
@@ -676,7 +692,7 @@ class _Verified(dict):
                 run_id, end = _decode_at(line, cut)
             except (ValueError, RecursionError):  # the full decode says why
                 end = None
-            if end == len(line) - len(after) and line.endswith(after):
+            if end == len(line) - len(after) and line.endswith(after) and type(run_id) is str:
                 run = object.__new__(_Replay)  # as __init__ leaves a run of that header
                 run.messages, run.templates, run.flow, run.roles, run.verified, run.node = state
                 run.header, run.run_id = {**header, "run": run_id}, run_id

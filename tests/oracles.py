@@ -2,7 +2,8 @@
 
 Everything in this module is written without importing ``haiproto`` so that the
 package under test cannot influence the expected values, except the replay
-reference, which re-runs a trace through ``haiproto.run`` by design.  The
+reference, which re-runs a trace through ``haiproto.run`` by design, and the
+step loop reference, which checks ``haiproto``'s payloads and types.  The
 classifier oracle is a deliberately naive brute-force implementation; the
 tables below were derived by hand from the shipped catalog design and frozen
 here.
@@ -13,6 +14,7 @@ from __future__ import annotations
 import json
 import marshal
 import math
+import zlib
 
 
 # --------------------------------------------------------------------------
@@ -600,3 +602,103 @@ def _replay_one(run_id, name, seed, steps, outcome, catalog, parse, hp):
             if was != now:
                 return found("E-TRACE", f"{where}: {key} is {was} in the trace, {now} on re-run")
     return None
+
+
+# --------------------------------------------------------------------------
+# The step loop, every check made on every step.
+# --------------------------------------------------------------------------
+
+
+def _written(value) -> str:
+    """``_dump``, with the runtime's message for a number that is not finite."""
+    try:
+        return _dump(value)
+    except ValueError as exc:
+        if str(exc).startswith("Out of range float"):
+            raise ValueError("a number is not finite: JSON has no NaN or Infinity") from None
+        raise
+
+
+def oracle_run(flow, agents) -> tuple[list[str], object]:
+    """The step lines and outcome of a run of checked ``flow``, every check made
+    on every step in the order of precedence: ``V-AGENT`` (the producer raised,
+    or a key is no variable of the message, not the sender's to produce, or no
+    ``Payload``), ``V-REBIND``, ``V-MISSING``, ``V-AGENT`` for a value the trace
+    cannot write, then ``V-TYPE``: each slot's produced or bound value must
+    intersect the needed or declared type.  Each producer gets a fresh
+    read-only dict of the needed types; each line is one dump of its dict."""
+    from types import MappingProxyType
+
+    from haiproto import runtime as hp
+    from haiproto.core import Payload, _value_json, intersect
+
+    values, digest, lines, outcome = {}, 0, [], "completed"
+    binding = MappingProxyType(values)
+    for index, (step, pairs) in enumerate(zip(flow.steps, flow.needed), start=1):
+        message, action, needed = step.message, step.action, dict(pairs)
+        text, verdict, detail = "{}", "ok", None
+        try:
+            try:
+                produced = dict(agents[message.sender].produce(
+                    message, action, MappingProxyType(dict(needed)), binding))
+            except hp.RunViolation:
+                raise
+            except Exception as exc:
+                raise hp.RunViolation("V-AGENT", f"producer failed: {exc}") from exc
+            order = sorted(produced, key=str)
+            for var in order:
+                if var not in message.args:
+                    raise hp.RunViolation(
+                        "V-AGENT", f"agent produced {var!r}, not a variable of {message.name!r}")
+                if var not in needed and var not in values:
+                    raise hp.RunViolation(
+                        "V-AGENT", f"sender of {message.name!r} may not produce {var!r}")
+                if not isinstance(produced[var], Payload):
+                    raise hp.RunViolation(
+                        "V-AGENT", f"agent produced {var!r} as a {type(produced[var]).__name__}")
+            for var in order:
+                if var in values and produced[var] != values[var]:
+                    raise hp.RunViolation(
+                        "V-REBIND", f"{var!r} is already bound to a different value")
+            for var in needed:
+                if var not in produced:
+                    raise hp.RunViolation(
+                        "V-MISSING", f"sender of {message.name!r} did not produce {var!r}")
+            record = {
+                var: {"type": str(produced[var].type), "value": _value_json(produced[var].value)}
+                for var in needed
+            }
+            try:
+                written = _written(record)
+            except (TypeError, ValueError) as exc:
+                raise hp.RunViolation("V-AGENT", f"the trace cannot write a value: {exc}") from exc
+            for var, declared in step.slots:
+                payload = produced[var] if var in needed else values.get(var)
+                typ = needed.get(var, declared)
+                if payload is not None and intersect(payload.type, typ) is None:
+                    raise hp.RunViolation("V-TYPE", f"{var!r} expects {typ}, got {payload.type}")
+            values.update((var, produced[var]) for var in needed)
+            text = written
+            try:
+                agents[message.receiver].on_receive(message, action, binding)
+            except hp.RunViolation:
+                raise
+            except Exception as exc:
+                raise hp.RunViolation("V-AGENT", f"receiver failed: {exc}") from exc
+        except hp.RunViolation as violation:
+            verdict, detail = violation.code, violation.detail
+        digest = zlib.crc32(text.encode(), digest)
+        if detail is not None:
+            digest = zlib.crc32(_written(detail).encode(), digest)
+        entry = {
+            "step": index, "message": message.name, "sender": message.sender,
+            "receiver": message.receiver, "action": action.name, "produced": json.loads(text),
+            "digest": f"{digest:08x}", "verdict": verdict,
+        }
+        if detail is not None:
+            entry["detail"] = detail
+        lines.append(_written(entry))
+        if verdict != "ok":
+            outcome = {"aborted": {"code": verdict, "step": index}}
+            break
+    return lines, outcome

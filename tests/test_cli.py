@@ -519,7 +519,7 @@ def test_replay_of_bytes_that_are_not_utf8_is_one_finding(runner, tmp_path):
     (lambda line: line[:-20], "Unterminated string starting at"),  # cut short
     (lambda line: "[" + line + "]", "not a JSON object"),
     (lambda line: line.replace('"step":2', '"step":NaN'), "NaN is not a JSON number"),
-    (lambda line: "[" * 100_000 + "]" * 100_000, "maximum recursion depth exceeded"),
+    (lambda line: "[" * 100_000 + "]" * 100_000, "values nest more than 64 deep"),
 ])
 def test_replay_places_an_unreadable_line_at_the_decoders_column_or_1(runner, tmp_path, edit, why):
     path = _d1_trace_file(runner, tmp_path)
@@ -640,6 +640,8 @@ def test_the_workflow_command_line_steps_pass_in_a_shell(tmp_path):
         "A number out of range in an .agents file is refused at its line (exit 2)",
         "A label that is no name or string in an .agents file is refused at its line (exit 2)",
         "Names the .hai lexer reads run and replay from an .agents file",
+        "A run id nested 992 deep is refused at its header line, with no recursion error "
+        "(exit 1)",
     ]
     (tmp_path / "src").symlink_to(WORKFLOW.parent.parent.parent / "src")
     path = os.pathsep.join([os.path.dirname(sys.executable), os.environ.get("PATH", "")])

@@ -7,6 +7,7 @@ import io
 import json
 import random
 import re
+import threading
 from collections import Counter
 
 import pytest
@@ -24,6 +25,7 @@ from haiproto import (
     Payload,
     Role,
     ScriptedAgent,
+    Span,
     StubModelAgent,
     Trace,
     Vector,
@@ -691,6 +693,73 @@ def test_deep_nesting_is_one_finding(catalog):
         Trace.all_from_jsonl(text)
 
 
+def _two_one_value_runs(catalog) -> list[str]:
+    traces = run_scenario(catalog, "D1", parse_agents(ONE_VALUE_AGENTS), seed=3, repeat=2)
+    return "".join(trace.to_jsonl() for trace in traces).split("\n")  # run 2's header: line 9
+
+
+def _beneath(frames: int, call):
+    return call() if frames == 0 else _beneath(frames - 1, call)
+
+
+def test_a_deeply_nested_run_id_is_one_finding_at_any_stack_depth(catalog):
+    """Run 2's id nested 985 to 1000 deep: from a fresh thread's stack, where the
+    interpreter's limit falls inside the id for some of them, and from 3, 23 and
+    103 frames deeper, replay never raises, and refuses the header line alike."""
+    lines = _two_one_value_runs(catalog)
+    texts = {}
+    for depth in range(985, 1001):
+        header = lines[8].replace('"D1-s3-r1"', "[" * depth + "]" * depth)
+        texts[depth] = "\n".join([*lines[:8], header, *lines[9:]])
+    found = {}
+
+    def replay_each():
+        for frames in (0, 3, 23, 103):
+            for depth, text in texts.items():
+                try:
+                    found[frames, depth] = _beneath(frames, lambda: replay_check(text, catalog))
+                except RecursionError as exc:
+                    found[frames, depth] = exc
+
+    thread = threading.Thread(target=replay_each)
+    thread.start()
+    thread.join(timeout=600)
+    assert not thread.is_alive()
+    message = "unreadable trace: line 9: values nest more than 64 deep"
+    assert len(found) == 64 and all(
+        type(each) is list and [(d.code, d.message, d.span) for d in each]
+        == [("E-TRACE", message, Span(9, 1))] for each in found.values()
+    ), {key: each for key, each in found.items() if type(each) is not list}
+
+
+def test_a_run_id_that_does_not_write_back_is_a_finding_at_its_header(catalog, monkeypatch):
+    """Where a run id read at one stack depth does not write back at a deeper
+    one, at the outcome line the trie of verified runs wants or at a run's
+    footer, its run is refused at its header line."""
+    text = "\n".join(_two_one_value_runs(catalog))
+    deeper = RecursionError("maximum recursion depth exceeded while encoding a JSON object")
+
+    def outcome_line(outcome, run_id, steps, write=runtime._outcome_line):
+        if run_id == "D1-s3-r1":
+            raise deeper
+        return write(outcome, run_id, steps)
+
+    monkeypatch.setattr(runtime, "_outcome_line", outcome_line)
+    message = "unreadable trace: line 9: values nest too deep to check at this stack depth"
+    assert [(d.code, d.message, d.span) for d in replay_check(text, catalog)] == [
+        ("E-TRACE", message, Span(9, 1))]
+    monkeypatch.undo()
+
+    def dump(value, write=runtime._dump):
+        if type(value) is dict and value.get("run") == "D1-s3-r1" and "outcome" in value:
+            raise deeper
+        return write(value)
+
+    monkeypatch.setattr(runtime, "_dump", dump)
+    with pytest.raises(ValueError, match=f"^{message.removeprefix('unreadable trace: ')}$"):
+        Trace.all_from_jsonl(text)
+
+
 #: Every line boundary of ``str.splitlines``, and characters that are none.
 _PIECES = [
     *("\n", "\r", "\r\n", "\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x85"),
@@ -809,14 +878,17 @@ def _counting_intersect(monkeypatch) -> list:
 def test_a_value_bound_at_its_needed_type_is_not_intersected_at_a_later_use(
     catalog, monkeypatch
 ):
-    """D1 uses bound variables again at later steps: a clean run and a clean
-    replay of it intersect no type."""
+    """D1 and D2 use bound variables again at later steps: every step of their
+    clean runs, and of a clean replay of them, skips the type check, so they
+    intersect no type."""
     agents = parse_agents((AGENTS_DIR / "robot_demo.agents").read_text())
-    catalog.flow("D1")  # checked before counting: the checker intersects too
+    catalog.flow("D1"), catalog.flow("D2")  # checked before counting: the checker intersects too
     calls = _counting_intersect(monkeypatch)
-    (trace,) = run_scenario(catalog, "D1", agents, seed=3)
-    assert (trace.outcome, calls) == ("completed", [])
-    assert replay_check(trace.to_jsonl(), catalog) == [] and calls == []
+    traces = run_scenario(catalog, "D1", agents, seed=3, repeat=50) + run_scenario(
+        catalog, "D2", agents, seed=3, repeat=5)
+    assert ([trace.outcome for trace in traces], calls) == (["completed"] * 55, [])
+    text = "".join(trace.to_jsonl() for trace in traces)
+    assert replay_check(text, catalog) == [] and calls == []
 
 
 def test_a_value_bound_at_another_fitting_type_is_intersected_at_each_use(
@@ -835,12 +907,19 @@ def test_a_value_bound_at_another_fitting_type_is_intersected_at_each_use(
         def produce(self, message, action, needed, binding):
             return {var: Payload(BaseType(Role.OUTPUT, ("score",)), "s") for var in needed}
 
+    class Plan(AgentBehavior):
+        def produce(self, message, action, needed, binding):
+            return {var: Payload(typ, "s") for var, typ in needed.items()}
+
     calls = _counting_intersect(monkeypatch)
     trace = run(catalog, "give-label", {"model": Score(), "user": Score()})
     assert trace.outcome == {"aborted": {"code": "V-TYPE", "step": 2}}
     assert trace.steps[1].detail == "'X' expects output.label, got output.score"
     assert len(calls) == 2  # at its binding step, and at its later use
     assert replay_check(trace.to_jsonl(), catalog) == []
+    calls.clear()  # a value at another type makes its own run's later steps check, no other run's
+    assert run(catalog, "give-label", {"model": Plan(), "user": Plan()}).outcome == "completed"
+    assert calls == []
 
 
 JSON = st.recursive(

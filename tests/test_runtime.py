@@ -8,6 +8,7 @@ import json
 import math
 import random
 import tracemalloc
+from types import MappingProxyType
 
 import pytest
 from hypothesis import example, given, settings
@@ -880,6 +881,131 @@ def test_agents_cannot_assign_into_the_binding(catalog):
     assert trace.outcome == {"aborted": {"step": 1, "code": "V-AGENT"}}
     assert "receiver failed" in trace.steps[0].detail
     assert trace.bindings_at(1) == trace.steps[0].produced != {}
+
+
+def test_agents_cannot_write_into_needed(catalog):
+    """``needed`` is a read-only view of the flow's own mapping, the same object
+    at a step in every run; writing into it aborts the run, and leaves the flow
+    as a fresh copy of the catalog checks it."""
+    def write(needed, binding):
+        needed["X"] = FEEDBACK
+        return {}
+
+    trace = _run_sample_annotation(catalog, _Custom(write), ScriptedAgent({}))
+    assert trace.outcome == {"aborted": {"step": 1, "code": "V-AGENT"}}
+    assert trace.steps[0].detail.startswith("producer failed: ")
+    assert "does not support item assignment" in trace.steps[0].detail
+
+    class Keeper(AgentBehavior):
+        def __init__(self, agent):
+            self.agent, self.seen = agent, []
+
+        def produce(self, message, action, needed, binding):
+            self.seen.append(needed)
+            return self.agent.produce(message, action, needed, binding)
+
+    kept = [_demo_agents() for _ in range(2)]
+    runs = []
+    for agents in kept:
+        agents["user"] = Keeper(agents["user"])
+        runs.append(run(catalog, "D1", agents).to_jsonl())
+    first, second = (agents["user"].seen for agents in kept)
+    assert all(type(a) is MappingProxyType and a is b for a, b in zip(first, second))
+    assert runs[0] == runs[1] == run(dataclasses.replace(catalog), "D1", _demo_agents()).to_jsonl()
+
+
+class _Sub(Payload):
+    """A payload of a subclass: a step that produces one is checked in full."""
+
+
+def _compatible(typ):
+    """Another type object than ``typ`` that intersects it."""
+    if isinstance(typ, ListType):
+        return ListType(_compatible(typ.element))
+    if len(typ.subtypes) > 1:
+        return BaseType(typ.role, typ.subtypes[-1:])
+    return BaseType(typ.role, () if typ.subtypes else ("other",))
+
+
+def _value(typ):
+    if isinstance(typ, ListType):
+        return ("calm", "happy")
+    return {Role.INPUT: Vector((1.0, 2.0)), Role.OUTPUT: "happy"}.get(typ.role, Blob("fb"))
+
+
+_BEHAVIOURS = ("exact", "compatible", "incompatible", "subclass", "extra", "missing",
+               "no payload", "rebind")
+
+
+class _Drawn(AgentBehavior):
+    """Plays every role; at each step, ``produce`` acts as drawn for it."""
+
+    def __init__(self, drawn):
+        self.drawn, self.index = drawn, -1
+
+    def produce(self, message, action, needed, binding):
+        self.index += 1
+        behaviour, pick = self.drawn[self.index]
+        out = {var: Payload(typ, _value(typ)) for var, typ in needed.items()}
+        names = sorted(out)
+        var = names[pick % len(names)] if names else None
+        if behaviour == "compatible" and var:
+            typ = _compatible(needed[var])
+            out[var] = Payload(typ, _value(typ))
+        elif behaviour == "incompatible" and var:
+            out[var] = Payload(BaseType(Role.FEEDBACK), Blob("fb"))
+        elif behaviour == "subclass" and var:
+            out[var] = _Sub(needed[var], _value(needed[var]))
+        elif behaviour == "extra":
+            others = [arg for arg in message.args if arg not in needed] + ["Q"]
+            extra = others[pick % len(others)]
+            out[extra] = binding.get(extra) or Payload(BaseType(Role.OUTPUT), "extra")
+        elif behaviour == "missing" and var:
+            del out[var]
+        elif behaviour == "no payload" and var:
+            out[var] = _value(needed[var])
+        elif behaviour == "rebind" and binding:
+            bound = sorted(binding)[pick % len(binding)]
+            out[bound] = Payload(binding[bound].type, "another")
+        return out
+
+
+DRAWN = """
+action give(X, Y) := provide(X: input.raw_data|fvector, Y: output.label);
+action use(X, W) := provide(X: input.raw_data, W: feedback);
+action ask(Z, Y) := request(Z: output.label, Y: output);
+action answer(Z, X) := provide(Z: output.label, X: input);
+action tell(L) := provide(L: [output.label]);
+message G := user -> model : give(X, Y);
+message U := model -> user : use(X, W);
+message K := user -> model : ask(Z, Y);
+message N := model -> user : answer(Z, X);
+message T := model -> user : tell(L);
+pattern drawn := [G, U, K, N, T];
+"""
+
+
+@pytest.fixture(scope="module")
+def drawn_catalog(tmp_path_factory):
+    corpus = tmp_path_factory.mktemp("drawn")
+    (corpus / "drawn.hai").write_text(DRAWN)
+    return load([corpus])
+
+
+@settings(max_examples=300, deadline=None)
+@given(drawn=st.lists(
+    st.tuples(st.just("exact") | st.sampled_from(_BEHAVIOURS), st.integers(0, 3)),
+    min_size=5, max_size=5,
+))
+def test_the_step_loop_gives_every_verdict_the_reference_loop_gives(drawn_catalog, drawn):
+    """Whatever each step's sender does, a run's lines and outcome are those of
+    the reference loop that makes every check on every step, and it replays."""
+    flow = drawn_catalog.flow("drawn")
+    trace = run(drawn_catalog, "drawn", dict.fromkeys(("user", "model"), _Drawn(drawn)))
+    lines, outcome = oracles.oracle_run(flow, dict.fromkeys(("user", "model"), _Drawn(drawn)))
+    assert trace.to_jsonl().split("\n")[1:-2] == lines
+    assert trace.outcome == outcome
+    assert replay_check(trace, drawn_catalog) == []
 
 
 def test_agent_exception_aborts_with_v_agent(catalog):
