@@ -161,6 +161,8 @@ def _finite(text: str) -> float:
 #: and ``1e999``, which no run writes, do not read.
 _decoder = json.JSONDecoder(parse_float=_finite, parse_constant=_not_json)
 _load, _decode_at = _decoder.decode, _decoder.raw_decode
+#: Read a value at an offset; the re-run's line, which is all finite, checks its numbers.
+_scan_value = json.JSONDecoder(parse_constant=_not_json).scan_once
 _space, _scan_key = json.decoder.WHITESPACE.match, json.decoder.scanstring
 
 
@@ -196,19 +198,29 @@ def _key_column(line: str, key: str) -> int:
     return column
 
 
-#: How deep a header may nest, far below any stack's limit: it reads alike at any depth.
+#: How deep a line may nest, far below any stack's limit: it reads alike at any depth.
 _NESTING = 64
 _TOO_DEEP = f"values nest more than {_NESTING} deep"
 
 
+def _nests_over(value: object, levels: int) -> bool:
+    """Whether ``value``'s lists and objects nest over ``levels`` deep, a level at a time."""
+    row = [value]
+    while levels >= 0 and (row := [x for x in row if type(x) in (list, dict)]):
+        row, levels = [v for x in row for v in (x.values() if type(x) is dict else x)], levels - 1
+    return levels < 0
+
+
 def _entry(lineno: int, line: str) -> dict:
-    """Trace line ``line`` decoded in full; ``_Unreadable`` if it is no JSON object."""
+    """Trace line ``line`` decoded in full; ``_Unreadable`` if no JSON object, or too deep."""
     try:
         entry = _load(line)
     except json.JSONDecodeError as exc:
         raise _Unreadable(lineno, f"{exc.msg} (column {exc.colno})", exc.colno) from None
     except (ValueError, RecursionError) as exc:  # a number, or deeper than this stack reads
         raise _Unreadable(lineno, _TOO_DEEP if type(exc) is RecursionError else str(exc)) from None
+    if _nests_over(entry, _NESTING):
+        raise _Unreadable(lineno, _TOO_DEEP)
     if not isinstance(entry, dict):
         raise _Unreadable(lineno, "not a JSON object")
     return entry
@@ -328,9 +340,9 @@ class Trace:
     @classmethod
     def all_from_jsonl(cls, text: str) -> list["Trace"]:
         """Parse a stream of traces, e.g. a ``--repeat K --trace FILE`` file;
-        ``ValueError``, naming the line, if a line is not a JSON object, a
-        header is not format 2, a step's fields are not :class:`TraceStep`'s,
-        or an outcome line contradicts its run."""
+        ``ValueError``, naming the line, if a line is not a JSON object or nests
+        over 64 deep, a header is not format 2, a step's fields are not
+        :class:`TraceStep`'s, or an outcome line contradicts its run."""
         return [run.trace for run in _each_run(_lines(text), _Run)]
 
 
@@ -342,18 +354,13 @@ class _Run:
     without one of the last three, an outcome line with a field not ``outcome``,
     ``run`` or ``steps``, or whose ``run`` or ``steps`` is not the run's."""
 
-    count, problem, misfit = 0, None, None  # a run started from a kept header sets none
+    count, problem, misfit, steps = 0, None, None, ()  # a run started from a kept header sets none
     over = False  # True once it took its outcome line itself
 
     def __init__(self, lineno: int, line: str):
         header = _entry(lineno, line)
         if "outcome" in header:
             raise _Unreadable(lineno, "an outcome line without a header")
-        row, depth = [header], _NESTING  # its containers, a level at a time
-        while depth >= 0 and (row := [x for x in row if type(x) in (list, dict)]):
-            row, depth = [v for x in row for v in (x.values() if type(x) is dict else x)], depth - 1
-        if depth < 0:  # as a stack too shallow to read it would refuse it
-            raise _Unreadable(lineno, _TOO_DEEP)
         self.header, self.run_id, self.steps = header, header.get("run"), []
         version = header.get("format", 1)
         self.problem = None if type(version) is int and version == 2 else _Unreadable(
@@ -626,24 +633,25 @@ def replay_check(
     ``trace`` is a trace file's text, its lines (an open file, say), read lazily, or
     a :class:`Trace`, read as its :meth:`~Trace.to_jsonl` text; a line ends at
     ``\\n`` only.  The re-run is a function of the flow and the lines it is served
-    alone, so a run whose step lines, whole, are those of a run of the same flow
-    that replayed clean earlier in the call, and whose outcome line is the
-    canonical one for them, its own run id and its count, is clean with no step
-    re-run and that outcome line not decoded.  The call keeps those lines as a trie
-    per flow name, up to ``_SERVED_LINES`` lines, and a flow's first canonical
-    header: one that is its text around another run id has only the id decoded.
-    At a run's first line off the trie, the lines read along it are re-run in
-    order, as below, and so is the rest of the run.  A step
-    line that is its flow's template for the step, verdict ``ok``, around a
-    10-character digest slot and a ``produced`` object has only that object
-    decoded.  Other lines are decoded in full.  A re-run line equal to the recorded one
+    alone, so a run whose step lines, whole, are those of a run of the same flow that
+    replayed clean earlier in the call, and whose outcome line is the canonical one
+    for them, its own run id and its count, is clean with no step re-run and that
+    outcome line not decoded.  The call keeps those lines as a trie per flow name, up
+    to ``_SERVED_LINES`` lines, a clean run's joining it at the next header, and a
+    flow's first canonical header: one that is its text around another run id has
+    only the id decoded.  At a run's first line off the trie, the lines read along it
+    are re-run in order, as below, and so is the rest of the run.  A step line that
+    is its flow's template for the step, verdict ``ok``, around a 10-character digest
+    slot and a ``produced`` whose entries start at its plan's prefixes
+    (``"X":{"type":"<type>","value":``) has only the values decoded, at the plan's
+    types; other lines are decoded in full.  A re-run line equal to the recorded one
     verifies it; another is compared field by field, type-strictly (1 ≠ 1.0).  A run
     reports, by precedence: ``E-TRACE`` for text that does not read (see
-    :meth:`Trace.all_from_jsonl`), where reading stops, as text never raises, or for
-    a Trace that does not write (a NaN, say); ``E-UNRESOLVED`` if the catalog lacks
-    the flow or any step's message; the first differing field, at its key's column,
-    ``E-BINDING`` where the re-run aborts ``V-TYPE`` and the trace says ``ok``, else
-    ``E-TRACE``.
+    :meth:`Trace.all_from_jsonl`), where reading stops, as text never raises, or for a
+    Trace that does not write (a NaN, say); ``E-UNRESOLVED`` if the catalog lacks the
+    flow, at the header's ``pattern`` key, or any step's message, at its ``message``
+    key; the first differing field, at its key's column, ``E-BINDING`` where the
+    re-run aborts ``V-TYPE`` and the trace says ``ok``, else ``E-TRACE``.
     """
     if isinstance(trace, Trace):
         try:
@@ -651,12 +659,11 @@ def replay_check(
         except (TypeError, ValueError, RecursionError) as exc:  # built by hand
             return [Diagnostic("error", "E-TRACE", f"the trace does not write: {exc}")]
     found: list[Diagnostic] = []
-    verified = _Verified()
     lines = _lines(trace) if isinstance(trace, str) else (  # an item: a line or more
         line for item in trace for line in item.removesuffix("\n").split("\n")
     )
     try:
-        for replayed in _each_run(lines, functools.partial(verified.start, catalog, {})):
+        for replayed in _each_run(lines, _Verified(catalog).start):
             if replayed.found or replayed.difference:
                 found.append(replayed.found or replayed.difference)
     except ValueError as exc:  # from reading: replay raises no ValueError
@@ -672,36 +679,40 @@ _SERVED_LINES = 1024
 
 class _Verified(dict):
     """The step lines of the runs that replayed clean in one :func:`replay_check`
-    call, a trie per flow name: a node maps a step line, whole, to the next node,
-    and holds the outcome of a run that ended there, whose line is then not
-    decoded, at key ``None``.  ``lines`` counts the lines, at most ``_SERVED_LINES``."""
+    call over ``catalog``, a trie per flow name: a node maps a step line, whole, to
+    the next node, and holds the outcome of a run that ended there, whose line is
+    then not decoded, at key ``None``.  A clean run waits in ``later`` to join its
+    trie at the next header: a file of one run builds none.  ``lines`` counts both."""
 
-    lines = 0
+    def __init__(self, catalog: Catalog):
+        self.catalog, self.heads, self.later, self.lines = catalog, {}, None, 0
 
-    def start(self, catalog: Catalog, heads: dict, lineno: int, line: str) -> _Replay:
+    def start(self, lineno: int, line: str) -> _Replay:
         """The run that header ``line`` starts.  A flow's first header that is its
-        canonical text and starts a run with a flow is kept in ``heads``, split
-        around its run id, with the flow state its run got; a header that is a
-        kept one's text around another JSON string starts a run from that state,
-        only that value decoded, with no check of the header or the flow."""
+        canonical text and starts a run with a flow is kept in ``heads``, split around
+        its run id, with its flow and trie; a header that is a kept one's text around
+        another JSON string starts a run from those, only that value decoded."""
+        if self.later is not None:
+            node, lines, outcome = self.later
+            for step in lines:
+                node[step] = node = {}
+            node[None], self.later = outcome, None
         cut = line.find(',"run":') + 7  # ',"' is in no JSON string
-        kept = heads.get(head := line[:cut])
+        kept = self.heads.get(head := line[:cut])
         if kept is not None:
-            after, header, state = kept
+            after, header, flow, node = kept
             try:
                 run_id, end = _decode_at(line, cut)
             except (ValueError, RecursionError):  # the full decode says why
                 end = None
             if end == len(line) - len(after) and line.endswith(after) and type(run_id) is str:
                 run = object.__new__(_Replay)  # as __init__ leaves a run of that header
-                run.messages, run.templates, run.flow, run.roles, run.verified, run.node = state
+                run.verified, run.flow, run.node, run.read = self, flow, node, []
                 run.header, run.run_id = {**header, "run": run_id}, run_id
-                run.steps, run.read = [], []
                 return run
-        run = _Replay(lineno, line, catalog, self)
+        run = _Replay(self, lineno, line)
         if kept is None and run.read is not None and line == _dump(run.header):
-            state = run.messages, run.templates, run.flow, run.roles, self, run.node
-            heads[head] = line[cut + len(_dump(run.run_id)) :], run.header, state
+            self.heads[head] = line[cut + len(_dump(run.run_id)) :], run.header, run.flow, run.node
         return run
 
 
@@ -723,37 +734,38 @@ class _Replay(_Run, AgentBehavior):
 
     entry = rerun = last = found = difference = node = read = fresh = None
 
-    def __init__(self, lineno: int, line: str, catalog: Catalog, verified: _Verified):
+    def __init__(self, verified: _Verified, lineno: int, line: str):
         super().__init__(lineno, line)
-        self.messages = catalog.messages
+        self.verified = verified
         if self.problem or self.misfit:
             return
         name = self.header["pattern"]
         try:
-            flow = catalog.flow(name)
+            flow = verified.catalog.flow(name)
         except (KeyError, TypeError, ValueError):  # unknown, not a name, an empty scenario
-            found = reference_rule(f"run {self.run_id}", "flow", name)
-            self.found = replace(found, span=Span(lineno, 1))
-            return
-        try:
-            self.templates = _kept(flow)[0]
-        except ValueError:  # the flow does not check
-            error = flow.report.errors[0]
-            text = f"run {self.run_id}: flow {name!r} does not check: {error.message}"
-            self.found = Diagnostic("error", error.code, text, span=Span(lineno, 1))
+            self.found = reference_rule(f"run {self.run_id}", "flow", name)
         else:
-            self.flow, self.roles, self.verified = flow, catalog.roles, verified
-            self.node, self.read = verified.setdefault(name, {}), []
+            if flow.report.errors:  # it has no plan
+                error = flow.report.errors[0]
+                text = f"run {self.run_id}: flow {name!r} does not check: {error.message}"
+                self.found = Diagnostic("error", error.code, text)
+        if self.found is not None:
+            self.found = replace(self.found, span=Span(lineno, _key_column(line, "pattern")))
+            return
+        self.flow, self.node, self.read = flow, verified.setdefault(name, {}), []
 
     def produce(self, message, action, needed, binding):
         step = self.entry
+        if type(step) is list:  # the prefix walk's values, each at its plan entry's type
+            return {var: Payload(typ, _value_from_json(value))
+                    for (var, typ, _, _), value in zip(self.plan[self.count - 1], step)}
         if step["verdict"] != "ok" and not step["produced"]:
             raise RunViolation(step["verdict"], step.get("detail"))
         return {var: Payload(_parse_type(data["type"]), _value_from_json(data["value"]))
                 for var, data in step["produced"].items()}  # interned: the flow's types
 
     def on_receive(self, message, action, binding):
-        if self.entry["verdict"] != "ok":
+        if type(self.entry) is dict and self.entry["verdict"] != "ok":
             raise RunViolation(self.entry["verdict"], self.entry.get("detail"))
 
     def take(self, lineno: int, line: str) -> bool:
@@ -761,9 +773,10 @@ class _Replay(_Run, AgentBehavior):
         clean, at the outcome line the trie's node wants.  Off the trie,
         re-run the lines kept, as each was read, and from then on keep each step
         line for the trie while it has room.  Replay ``line`` if it is the next
-        step's template, verdict ``ok``, around a 10-character digest slot, which
-        the re-run's line checks, and a ``produced`` object, which is decoded;
-        else return False."""
+        step's template, verdict ``ok``, around a 10-character digest slot and a
+        ``produced`` object whose entries start at its plan's prefixes: each value
+        alone is decoded, its depth checked if its text is long enough to pass the
+        line's bound, and the re-run's line checks the rest; else return False."""
         if self.read is not None:
             node = self.node.get(line)
             if node is not None:
@@ -775,8 +788,9 @@ class _Replay(_Run, AgentBehavior):
                 self.over = True  # clean: its outcome line is not decoded
                 return True
             read, self.read = self.read, None
+            self.templates, _, self.plan, _ = _kept(self.flow)
             # a cycle through the agents, broken when the re-run ends
-            self.rerun = _execute(self.flow, dict.fromkeys(self.roles, self))
+            self.rerun = _execute(self.flow, dict.fromkeys(self.verified.catalog.roles, self))
             for at, kept in read:
                 if not self.take(at, kept):
                     self.step(at, kept, _entry(at, kept))
@@ -785,20 +799,29 @@ class _Replay(_Run, AgentBehavior):
         if self.rerun is None or 3 * index >= len(self.templates):
             return False
         head, middle, tail = self.templates[3 * index : 3 * index + 3]
-        digest = len(head)
-        if not (line.startswith(head) and line.endswith(tail)
-                and line.startswith(middle, digest + 10)):
+        at = len(head) + 10
+        if not (line.startswith(head) and line.endswith(tail) and line.startswith(middle, at)):
             return False
-        try:
-            produced, end = _decode_at(line, digest + 10 + len(middle))
-        except (ValueError, RecursionError):  # the full decode says why
+        at, values = at + len(middle), []  # at the "{" of produced
+        for _, _, prefix, _ in self.plan[index]:
+            if not line.startswith(prefix, at + 1):  # past a "{" or ","
+                return False
+            try:
+                value, at = _scan_value(line, start := at + 1 + len(prefix))
+            except (StopIteration, ValueError, RecursionError):  # the full decode says why
+                return False
+            # a text nests at most half its length deep; the value sits 3 deep in its line
+            if at - start > 2 * (_NESTING - 3) and _nests_over(value, _NESTING - 3):
+                return False
+            values.append(value)
+            at += 1  # past its entry's "}": the re-run's line checks each character passed over
+        close = "}" if values else "{}"  # what is left of produced
+        if not line.startswith(close, at) or at + len(close) != len(line) - len(tail):
             return False
-        if type(produced) is not dict or end != len(line) - len(tail):
-            return False
-        self.step(lineno, line, {"verdict": "ok", "produced": produced})
+        self.step(lineno, line, values)
         return True
 
-    def step(self, lineno: int, line: str, entry: dict) -> None:
+    def step(self, lineno: int, line: str, entry: dict | list) -> None:
         self.count += 1
         fresh = self.fresh
         if fresh is not None:
@@ -813,14 +836,14 @@ class _Replay(_Run, AgentBehavior):
                 self.last = taken[0]
                 if line == taken[1]:
                     return  # the same text: the same fields, type for type
-            entry = entry if "message" in entry else _entry(lineno, line)  # take's: in full
+            entry = entry if type(entry) is dict else _entry(lineno, line)  # take's: in full
             self.compare(lineno, line, self.count, taken, entry)
         if self.fits(lineno, entry) and self.found is None:
             message = entry["message"]
-            if not isinstance(message, str) or message not in self.messages:
+            if not isinstance(message, str) or message not in self.verified.catalog.messages:
                 owner = f"run {self.run_id} step {entry['step']}"
                 found = reference_rule(owner, "message", message)
-                self.found = replace(found, span=Span(lineno, 1))
+                self.found = replace(found, span=Span(lineno, _key_column(line, "message")))
 
     def end(self, lineno: int, line: str, entry: dict) -> None:
         rerun, self.rerun, self.entry = self.rerun, None, None  # past the end
@@ -830,11 +853,8 @@ class _Replay(_Run, AgentBehavior):
             if taken is None and self.problem is None and line == _outcome_line(
                 outcome, self.run_id, self.count
             ):
-                if self.fresh is not None:  # clean: its lines join the trie
-                    node = self.node
-                    for step in self.fresh:
-                        node[step] = node = {}
-                    node[None] = outcome
+                if self.fresh is not None:  # clean: its lines join the trie at the next header
+                    self.verified.later = self.node, self.fresh, outcome
                     self.verified.lines += len(self.fresh)
                 return
         super().end(lineno, line, entry)

@@ -468,19 +468,34 @@ def _misfit(entry: dict) -> str | None:
     return f"{missing[0]} is missing" if missing else None
 
 
+def _depth(value) -> int:
+    """How many lists and objects deep ``value`` nests: 0 for a scalar."""
+    depth, level = 0, [value]
+    while level := [each for each in level if isinstance(each, (list, dict))]:
+        depth += 1
+        level = [v for each in level for v in (each.values() if isinstance(each, dict) else each)]
+    return depth
+
+
 def _read_runs(text: str):
     """Each run as ``(run_id, pattern, seed, steps, outcome)`` once its outcome
-    line is read, the steps as dicts; ``ValueError`` naming the line."""
+    line is read, the steps as dicts; ``ValueError`` naming the line.  A line
+    that nests more than 64 deep does not read, at any stack depth."""
     lines: list[tuple[int, dict]] = []
     for lineno, line in enumerate(text.split("\n"), start=1):
         if not line.strip():
             continue
         try:
             entry = _load(line)
+            deep = _depth(entry) > 64
         except json.JSONDecodeError as exc:
             raise ValueError(f"line {lineno}: {exc.msg} (column {exc.colno})") from None
-        except (ValueError, RecursionError) as exc:
+        except RecursionError:  # deeper than this stack reads
+            deep = True
+        except ValueError as exc:
             raise ValueError(f"line {lineno}: {exc}") from None
+        if deep:
+            raise ValueError(f"line {lineno}: values nest more than 64 deep")
         if not isinstance(entry, dict):
             raise ValueError(f"line {lineno}: not a JSON object")
         if "outcome" not in entry:

@@ -497,8 +497,9 @@ def test_replay_prints_each_finding_and_exits_1(runner, tmp_path):
     first, second, summary = result.output.splitlines()
     col = lines[3].index('"sender"') + 1  # the differing field's key
     assert first.startswith(f"{path}:4:{col}: error[E-TRACE]: run D1-s0-r0: step 3: sender")
+    col = lines[12].index('"message"') + 1  # the unknown message's key
     assert second == (
-        f"{path}:13:1: error[E-UNRESOLVED]: run D1-s0-r1 step 4 references unknown message 'ZZ'"
+        f"{path}:13:{col}: error[E-UNRESOLVED]: run D1-s0-r1 step 4 references unknown message 'ZZ'"
     )
     assert summary == f"replayed {path}: 2 finding(s)"
 
@@ -642,6 +643,7 @@ def test_the_workflow_command_line_steps_pass_in_a_shell(tmp_path):
         "Names the .hai lexer reads run and replay from an .agents file",
         "A run id nested 992 deep is refused at its header line, with no recursion error "
         "(exit 1)",
+        "A one-run trace replays with a number respelled, not with a value changed (exit 1)",
     ]
     (tmp_path / "src").symlink_to(WORKFLOW.parent.parent.parent / "src")
     path = os.pathsep.join([os.path.dirname(sys.executable), os.environ.get("PATH", "")])

@@ -146,13 +146,23 @@ def test_edited_d1_traces_are_flagged(catalog, edit, where):
 
 
 def test_unknown_flows_are_unresolved(catalog):
+    """An unknown flow sits at its header's ``pattern`` key, an unknown message
+    at its step's ``message`` key."""
     lines = _d1_lines(catalog)
-    lines[0]["pattern"] = "nosuch"
-    assert _codes(replay_check(_text(lines), catalog)) == ["E-UNRESOLVED"]
+    lines[0] = {"seed": 3, **lines[0], "pattern": "nosuch"}  # not the first key
+    text = _text(lines).splitlines()
+    (diag,) = replay_check("\n".join(text), catalog)
+    assert (diag.code, diag.span) == ("E-UNRESOLVED", Span(1, text[0].index('"pattern"') + 1))
     model = StubModelAgent(samples=[Vector((0.0,))])
     agents = {"user": ScriptedAgent({}), "model": model}
     adhoc = run(catalog, Pattern("solo-request", ("A5",), frozenset()), agents)
-    assert _codes(replay_check(adhoc, catalog)) == ["E-UNRESOLVED"]
+    (diag,) = replay_check(adhoc, catalog)
+    assert (diag.code, diag.span) == ("E-UNRESOLVED", Span(1, len('{"format":2,') + 1))
+    lines = _d1_lines(catalog)
+    lines[3]["message"] = "ZZ"
+    text = _text(lines).splitlines()
+    (diag,) = replay_check("\n".join(text), catalog)
+    assert (diag.code, diag.span) == ("E-UNRESOLVED", Span(4, text[3].index('"message"') + 1))
 
 
 def test_an_empty_scenario_does_not_resolve(tmp_path):
@@ -322,6 +332,10 @@ def test_replays_parse_each_type_string_once_across_calls(catalog, monkeypatch):
     agents = parse_agents((AGENTS_DIR / "robot_demo.agents").read_text())
     traces = run_scenario(catalog, "D1", agents, seed=3, repeat=300)
     assert all(replay_check(trace, catalog) == [] for trace in traces)  # one call each
+    assert parsed == []  # each step line's values are served at its plan's types
+    for trace in traces[:50]:  # other spacing: every line is decoded in full
+        lines = trace.to_jsonl().splitlines()
+        assert replay_check("".join(json.dumps(json.loads(x)) + "\n" for x in lines), catalog) == []
     assert 0 < len(parsed) <= 3 and len(set(parsed)) == len(parsed)
 
 
@@ -389,9 +403,9 @@ def test_a_replay_decodes_each_line_of_a_cycle_once(catalog, monkeypatch):
     assert 0 < counts[0] == counts[1] == each
 
 
-def test_a_flow_replayed_once_decodes_every_step(tmp_path, monkeypatch):
-    """A run of more distinct lines than replay keeps builds each payload once."""
-    steps = runtime._SERVED_LINES + 10
+def _long_run(tmp_path, steps: int):
+    """A catalog with one flow ``long`` of ``steps`` provides, each of its own
+    variable, and the text of a run of it, the k-th value ``vec(k)``."""
     source = "action give(X) := provide(X: input.raw_data);\n" + "".join(
         f"message G{k} := user -> model : give(X{k});\n" for k in range(steps)
     ) + f"pattern long := [{', '.join(f'G{k}' for k in range(steps))}];\n"
@@ -400,9 +414,37 @@ def test_a_flow_replayed_once_decodes_every_step(tmp_path, monkeypatch):
     script = {f"G{k}.X{k}": [Vector((float(k),))] for k in range(steps)}
     trace = run(long, "long", {"user": ScriptedAgent(script), "model": ScriptedAgent({})})
     assert trace.outcome == "completed"
+    return long, trace.to_jsonl()
+
+
+def test_a_flow_replayed_once_decodes_every_step(tmp_path, monkeypatch):
+    """A run of more distinct lines than replay keeps builds each payload once."""
+    steps = runtime._SERVED_LINES + 10
+    long, text = _long_run(tmp_path, steps)
     built = _counting_payloads(monkeypatch)
-    assert replay_check(trace.to_jsonl(), long) == []
+    assert replay_check(text, long) == []
     assert [args[1] for args in built] == [Vector((float(k),)) for k in range(steps)]
+
+
+def test_a_clean_single_run_decodes_only_its_values(tmp_path, monkeypatch):
+    """The work a clean run of one flow does, as counts: only its header and
+    outcome lines are decoded in full, no type string is parsed, and the call's
+    trie holds no line, whether the run fits in it (it waits for a next header
+    that does not come) or not."""
+    long, text = _long_run(tmp_path, runtime._SERVED_LINES + 10)
+    lines = text.splitlines()
+    parsed, parse_type = [], runtime.parse_type
+    monkeypatch.setattr(runtime, "parse_type", lambda text: parsed.append(text) or parse_type(text))
+    runtime._parse_type.cache_clear()
+    decoded, tries = _decoded(monkeypatch), _verified(monkeypatch)
+    for served, waiting in ((runtime._SERVED_LINES, None), (len(lines), lines[1:-1])):
+        monkeypatch.setattr(runtime, "_SERVED_LINES", served)
+        decoded.clear()
+        assert replay_check(text, long) == []
+        assert decoded == [lines[0], lines[-1]]
+        assert _trie_lines(tries[-1]["long"]) == []
+        assert (tries[-1].later and tries[-1].later[1]) == waiting
+    assert parsed == []
 
 
 def _counting_reruns(monkeypatch) -> list:
@@ -414,14 +456,14 @@ def _counting_reruns(monkeypatch) -> list:
 
 
 def _verified(monkeypatch) -> list:
-    """Each run's trie of verified runs (the call's one), from now on."""
-    tries, init = [], runtime._Replay.__init__
+    """Each replay call's tries of verified runs, from now on."""
+    tries, init = [], runtime._Verified.__init__
 
-    def keep(self, lineno, header, catalog, verified):  # another signature fails here
-        tries.append(verified)
-        init(self, lineno, header, catalog, verified)
+    def keep(self, catalog):  # another signature fails here
+        tries.append(self)
+        init(self, catalog)
 
-    monkeypatch.setattr(runtime._Replay, "__init__", keep)
+    monkeypatch.setattr(runtime._Verified, "__init__", keep)
     return tries
 
 
@@ -430,6 +472,12 @@ def _trie_lines(node: dict) -> list[str]:
         each for line, child in node.items() if line is not None
         for each in [line, *_trie_lines(child)]
     ]
+
+
+def _kept_lines(verified, name: str) -> list[str]:
+    """The lines flow ``name``'s trie holds, and those of the clean run that
+    waits to join it at the next header."""
+    return _trie_lines(verified.get(name, {})) + (verified.later[1] if verified.later else [])
 
 
 def test_a_replay_re_runs_each_distinct_run_once(catalog, monkeypatch):
@@ -450,9 +498,8 @@ def test_the_trie_of_verified_runs_keeps_at_most_its_bound(catalog, monkeypatch)
     assert len(distinct) > runtime._SERVED_LINES
     tries = _verified(monkeypatch)
     assert _replay(text, catalog) == []
-    verified = tries[-1]
-    assert all(each is verified for each in tries)
-    lines = _trie_lines(verified["D1"])
+    (verified,) = tries
+    lines = _kept_lines(verified, "D1")
     assert 0 < len(lines) == verified.lines <= runtime._SERVED_LINES
     assert set(lines) < distinct
 
@@ -470,7 +517,7 @@ def test_a_run_longer_than_the_bound_is_never_kept_whole(catalog, monkeypatch):
     assert replay_check("".join(trace.to_jsonl() for trace in traces), catalog) == []
     assert len(taken) == 3 * len(traces[0].steps)
     assert max(len(fresh) for fresh in kept if fresh is not None) == runtime._SERVED_LINES
-    assert tries[-1].lines == len(_trie_lines(tries[-1]["D1"])) == 0
+    assert tries[-1].lines == len(_kept_lines(tries[-1], "D1")) == 0
 
 
 def _value_edited(line: str, data) -> str:
@@ -552,24 +599,18 @@ def _edit_run_lines(lines: list[str], data) -> None:
         lines[at] = lines[at][: data.draw(st.integers(0, max(len(lines[at]) - 1, 0)))]
 
 
-@settings(max_examples=300, deadline=None)
-@given(data=st.data(), one_value=st.booleans())
-def test_edited_repeating_runs_replay_as_the_whole_trace_reference(catalog, data, one_value):
-    """Runs that repeat are verified by the trie; an edit anywhere in them
-    reports what the whole-trace reference does, messages included.  A finding
-    about a field sits at the column of its key in the line, if it has one."""
-    text = ONE_VALUE_AGENTS if one_value else (AGENTS_DIR / "robot_demo.agents").read_text()
-    traces = run_scenario(catalog, "D1", parse_agents(text), seed=3, repeat=12)
-    lines = "".join(trace.to_jsonl() for trace in traces).splitlines()
-    for _ in range(data.draw(st.integers(1, 3))):
-        if lines:
-            _edit_run_lines(lines, data)
-    for diag in _replay("".join(line + "\n" for line in lines), catalog):
+def _replay_at_key_columns(lines: list[str], catalog) -> list[Diagnostic]:
+    """``_replay`` of ``lines``; a finding about a field, a flow or a message
+    sits at the column of its key in the line, if it has one, else at 1."""
+    diags = _replay("".join(line + "\n" for line in lines), catalog)
+    for diag in diags:
         field = _FIELD.match(diag.message)
         if diag.code == "E-BINDING" and diag.message.endswith("the trace says ok"):
             key = "verdict"
         elif diag.code == "E-TRACE" and field:
             key = field[1]
+        elif diag.code == "E-UNRESOLVED":
+            key = "message" if " step " in diag.message else "pattern"
         else:
             continue
         line = lines[diag.span.line - 1]
@@ -577,10 +618,134 @@ def test_edited_repeating_runs_replay_as_the_whole_trace_reference(catalog, data
             assert line[diag.span.col - 1 :].startswith(f'"{key}"'), (diag, line)
         else:
             assert diag.span.col == 1, (diag, line)
+    return diags
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data(), one_value=st.booleans())
+def test_edited_repeating_runs_replay_as_the_whole_trace_reference(catalog, data, one_value):
+    """Runs that repeat are verified by the trie; an edit anywhere in them
+    reports what the whole-trace reference does, messages included, each
+    finding at its key's column."""
+    text = ONE_VALUE_AGENTS if one_value else (AGENTS_DIR / "robot_demo.agents").read_text()
+    traces = run_scenario(catalog, "D1", parse_agents(text), seed=3, repeat=12)
+    lines = "".join(trace.to_jsonl() for trace in traces).splitlines()
+    for _ in range(data.draw(st.integers(1, 3))):
+        if lines:
+            _edit_run_lines(lines, data)
+    _replay_at_key_columns(lines, catalog)
 
 
 #: A finding about a field that differs on re-run, and the field.
 _FIELD = re.compile(r"^run .+?: (?:step \d+|outcome): (\w+) is ")
+
+
+@pytest.fixture(scope="module")
+def gives(tmp_path_factory):
+    """Flows ``give20`` to ``give60``: step k is ``Gk``, which provides its own
+    ``Xk``, an ``input.raw_data`` value, except ``G7``'s, a ``[output.label]``."""
+    where = tmp_path_factory.mktemp("gives")
+    (where / "gives.hai").write_text(
+        "action give(X) := provide(X: input.raw_data);\n"
+        "action gives(X) := provide(X: [output.label]);\n"
+        + "".join(
+            f"message G{k} := user -> model : {'gives' if k == 7 else 'give'}(X{k});\n"
+            for k in range(1, 61)
+        )
+        + "".join(f"pattern give{n} := [{', '.join(f'G{k}' for k in range(1, n + 1))}];\n"
+                  for n in range(20, 61))
+    )
+    return load([where])
+
+
+_NUMBER = re.compile(r"(?<=[\[:,])-?\d+(\.\d+)?(?=[,\]}])")
+
+
+def _value_spans(line: str) -> list[tuple[int, int]]:
+    """Where each recorded value's text is in step line ``line``."""
+    spans, at = [], line.find('"produced":')
+    while at >= 0 and (at := line.find('"value":', at + 1)) >= 0:
+        try:
+            _, end = json.JSONDecoder().raw_decode(line, at + 8)
+        except ValueError:  # an earlier edit's
+            break
+        spans.append((at + 8, end))
+    return spans
+
+
+#: Replacements of a recorded value's text.
+ODD_VALUES = [
+    'NaN', '1e999', '{"vec":[1.5,1e999]}', '["calm",1e999]', '{"blob":1e999}', '{"blob":"x"}',
+    "[" * 70 + "]" * 70, '"calm"', "7", '{"vec":[1.5]}',
+]
+
+
+def _edit_single_run_line(lines: list[str], data) -> None:
+    """One edit of a step line's ``produced``: a number respelled, an entry's
+    ``type`` and ``value`` swapped, a space after a colon, a duplicated or extra
+    key in an entry or beside it, another type string, or a value replaced
+    (``ODD_VALUES``)."""
+    at = data.draw(st.integers(1, len(lines) - 2))
+    line, spans = lines[at], _value_spans(lines[at])
+    if not spans:
+        return
+    start, end = data.draw(st.sampled_from(spans))
+    edit = data.draw(st.sampled_from(["respell", "swap", "space", "key", "type", "value"]))
+    if edit == "respell":
+        numbers = list(_NUMBER.finditer(line, start, end))
+        if numbers:
+            number = data.draw(st.sampled_from(numbers))
+            ways = ["e0", "0"] if number[1] else ["e0", ".0"]  # 1e0, 4.10, 1.0
+            line = line[: number.end()] + data.draw(st.sampled_from(ways)) + line[number.end() :]
+    elif edit == "swap":
+        entry = line.rfind('{"type":', 0, start)
+        kind = line[entry + 8 : start - 9]  # the type's text, quotes included
+        line = f'{line[:entry]}{{"value":{line[start:end]},"type":{kind}{line[end:]}'
+    elif edit == "space":
+        colons = [m.start() for m in re.finditer(r'":', line)]
+        cut = data.draw(st.sampled_from(colons)) + 2
+        line = line[:cut] + " " + line[cut:]
+    elif edit == "key":  # in the entry, before or after its value, or in produced after it
+        entry = line.rfind('{"type":', 0, start)
+        var = line[line.rfind('"', 0, entry - 2) : entry - 1]
+        key = data.draw(st.sampled_from(
+            ['"value":0', '"type":"input"', '"zzz":1', f'{var}:{{"type":"input","value":1}}']
+        ))
+        cut = data.draw(st.sampled_from([start - 8, end, end + 1]))
+        line = line[:cut] + (key + "," if cut < start else "," + key) + line[cut:]
+    elif edit == "type":
+        kind = data.draw(st.sampled_from(["input", "output.label", "[output.label]", "input.raw"]))
+        entry = line.rfind('{"type":', 0, start)
+        line = f'{line[:entry]}{{"type":"{kind}","value":{line[start:]}'
+    else:
+        line = line[:start] + data.draw(st.sampled_from(ODD_VALUES)) + line[end:]
+    lines[at] = line
+
+
+_WORDS = st.sampled_from(["calm", "happy", "sad", "x"])
+_SCALARS = st.one_of(
+    st.lists(st.sampled_from([0.0, 1.0, 1.5, 4.1, -2.25, 1e-7]), min_size=1, max_size=3).map(
+        lambda values: Vector(tuple(values))
+    ),
+    st.integers(-3, 12),
+    _WORDS,
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data(), steps=st.integers(20, 60))
+def test_an_edited_single_run_replays_as_the_whole_trace_reference(gives, data, steps):
+    """A single run, which no trie serves, is read by its plan's prefixes; an
+    edit of its values' text reports what the whole-trace reference does,
+    messages included, each finding at its key's column."""
+    script = {f"G{k}.X{k}": [data.draw(_SCALARS)] for k in range(1, steps + 1)}
+    script["G7.X7"] = [tuple(data.draw(st.lists(_WORDS, min_size=1, max_size=3)))]
+    agents = {"user": ScriptedAgent(script), "model": ScriptedAgent({})}
+    lines = run(gives, f"give{steps}", agents).to_jsonl().splitlines()
+    assert len(lines) == steps + 2
+    for _ in range(data.draw(st.integers(1, 3))):
+        _edit_single_run_line(lines, data)
+    _replay_at_key_columns(lines, gives)
 
 
 def test_an_edited_header_among_repeating_runs_replays_as_the_whole_trace_reference(catalog):
@@ -730,6 +895,40 @@ def test_a_deeply_nested_run_id_is_one_finding_at_any_stack_depth(catalog):
         type(each) is list and [(d.code, d.message, d.span) for d in each]
         == [("E-TRACE", message, Span(9, 1))] for each in found.values()
     ), {key: each for key, each in found.items() if type(each) is not list}
+
+
+def test_a_deeply_nested_step_value_is_one_finding_at_any_stack_depth(catalog):
+    """Run 2's step 1 ``L`` value (line 10) a list nested 65, 70, 900 or 990
+    deep: from a fresh thread's stack and from 3 to 303 frames deeper, replay
+    refuses that line alike, as the whole-trace reference does."""
+    lines = _two_one_value_runs(catalog)
+    entry = '"L":{"type":"[output.label]","value":'
+    assert lines[9].startswith('{"action":') and entry + "[" in lines[9]
+    texts = {}
+    for depth in (65, 70, 900, 990):
+        deep = "[" * depth + "]" * depth
+        step = re.sub(re.escape(entry) + r"\[[^\]]*\]", lambda _: entry + deep, lines[9])
+        texts[depth] = "\n".join([*lines[:9], step, *lines[10:]])
+    found = {}
+
+    def replay_each():
+        for frames in (0, 3, 23, 103, 303):
+            for depth, text in texts.items():
+                try:
+                    found[frames, depth] = _beneath(frames, lambda: replay_check(text, catalog))
+                except RecursionError as exc:
+                    found[frames, depth] = exc
+
+    thread = threading.Thread(target=replay_each)
+    thread.start()
+    thread.join(timeout=600)
+    assert not thread.is_alive()
+    message = "unreadable trace: line 10: values nest more than 64 deep"
+    assert len(found) == 20 and all(
+        type(each) is list and [(d.code, d.message, d.span) for d in each]
+        == [("E-TRACE", message, Span(10, 1))] for each in found.values()
+    ), {key: each for key, each in found.items() if type(each) is not list}
+    assert _replay(texts[70], catalog)[0].message == message
 
 
 def test_a_run_id_that_does_not_write_back_is_a_finding_at_its_header(catalog, monkeypatch):

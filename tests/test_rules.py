@@ -307,14 +307,14 @@ NAME_AND_REFERENCE_SOURCES = {
         "E-UNRESOLVED",
         "run D1-s3-r0 references unknown flow 'nosuch'",
         None,
-        (1, 1),
+        (1, 13),  # the header's "pattern" key
     ),
     "replay, message": (
         lambda tmp: _replayed(_unknown_first_message),
         "E-UNRESOLVED",
         "run D1-s3-r0 step 1 references unknown message 'nosuch'",
         None,
-        (2, 1),
+        (2, 53),  # the step's "message" key
     ),
 }
 
