@@ -18,6 +18,8 @@ from .core import (
     TypeExpr,
     Value,
     Vector,
+    _NESTING,
+    _TOO_DEEP,
     coerce_value,
 )
 from .dsl import _NAME, _STRING, _text as _unquote
@@ -312,7 +314,8 @@ _PIECE_RE = re.compile(rf'{_STRING.pattern}|".*|.')
 _CODE_RE = re.compile(rf'(?:[^"/]|/(?!/)|{_STRING.pattern}|".*)*')
 
 
-def _literal(text: str, where: str) -> object:
+def _literal(text: str, where: str, level: int = 1) -> object:
+    """Literal ``text``'s value, a list's at ``level``: refused past ``_NESTING``."""
     text = text.strip()
     if _STRING.fullmatch(text):
         return _unquote(text)
@@ -334,10 +337,12 @@ def _literal(text: str, where: str) -> object:
     if text.startswith("blob(") and text.endswith(")"):
         return Blob(text[5:-1].strip())
     if text.startswith("[") and text.endswith("]"):
+        if level > _NESTING:
+            raise ValueError(f"{where}: {_TOO_DEEP}")
         inner = text[1:-1].strip()
         if not inner:
             return ()
-        return tuple(_literal(p, where) for p in _split_top(inner))
+        return tuple(_literal(p, where, level + 1) for p in _split_top(inner))
     if re.match(r"^[A-Za-z][A-Za-z0-9_-]*$", text):
         return text
     raise ValueError(f"{where}: cannot parse literal {text!r}")
@@ -422,25 +427,22 @@ def parse_agents(text: str, path: str = "<agents>") -> dict[str, AgentBehavior]:
             raise ValueError(f"{where}: expected 'key = value'")
         key, value = (part.strip() for part in line.split("=", 1))
         kind = section[1]
-        try:
-            if kind == "stub" and key == "labels":
-                stub.setdefault("labels", []).extend(_label(p, where) for p in _split_top(value))
-            elif kind == "stub" and key == "example":
-                if "->" not in value:
-                    raise ValueError(f"{where}: example needs 'vec(...) -> label'")
-                vec_text, label_text = value.split("->", 1)
-                vec = _literal(vec_text, where)
-                if not isinstance(vec, Vector):
-                    raise ValueError(f"{where}: example input must be a vector")
-                stub.setdefault("examples", []).append((vec.values, _label(label_text, where)))
-            elif kind == "stub" and key == "sample":
-                stub.setdefault("samples", []).append(_literal(value, where))
-            elif re.fullmatch(rf"{_NAME.pattern}\.{_NAME.pattern}", key):  # MESSAGE.VARIABLE
-                script.setdefault(key, []).append(_literal(value, where))
-            else:
-                raise ValueError(f"{where}: unknown key {key!r}")
-        except RecursionError:  # from _literal, a list nested too deeply
-            raise ValueError(f"{where}: literal nested too deeply") from None
+        if kind == "stub" and key == "labels":
+            stub.setdefault("labels", []).extend(_label(p, where) for p in _split_top(value))
+        elif kind == "stub" and key == "example":
+            if "->" not in value:
+                raise ValueError(f"{where}: example needs 'vec(...) -> label'")
+            vec_text, label_text = value.split("->", 1)
+            vec = _literal(vec_text, where)
+            if not isinstance(vec, Vector):
+                raise ValueError(f"{where}: example input must be a vector")
+            stub.setdefault("examples", []).append((vec.values, _label(label_text, where)))
+        elif kind == "stub" and key == "sample":
+            stub.setdefault("samples", []).append(_literal(value, where))
+        elif re.fullmatch(rf"{_NAME.pattern}\.{_NAME.pattern}", key):  # MESSAGE.VARIABLE
+            script.setdefault(key, []).append(_literal(value, where))
+        else:
+            raise ValueError(f"{where}: unknown key {key!r}")
     flush()
     if not agents:
         raise ValueError(f"{path}: no agent sections found")

@@ -28,6 +28,7 @@ from __future__ import annotations
 
 import functools
 import json
+import re
 from dataclasses import dataclass, field, replace
 from json.decoder import WHITESPACE, scanstring
 from pathlib import Path
@@ -49,13 +50,16 @@ from .check import (
 from .core import (
     PREDECLARED_ROLES,
     TAGS,
+    _NESTING,
+    _TOO_DEEP,
     ActionDef,
     Diagnostic,
     Message,
     Pattern,
     Span,
+    _nests_over,
 )
-from .dsl import parse, print_type
+from .dsl import _line_starts, _span, parse, print_type
 
 
 class CatalogError(Exception):
@@ -237,6 +241,18 @@ def _keys(text: str) -> dict[tuple, Span]:
     return spans
 
 
+_BRACKETS = re.compile(r'"(?:[^"\\]|\\.)*"|[\[\]{}]')
+
+
+def _too_deep(text: str) -> Span | None:
+    """Where JSON ``text`` opens level ``_NESTING + 1``, by one scan of its strings and brackets."""
+    depth = 0
+    for mark in _BRACKETS.finditer(text):
+        depth += (mark[0] in "[{") - (mark[0] in "]}")  # a string's '"' is in neither
+        if depth > _NESTING:
+            return _span(_line_starts(text), mark.start(), mark.end())
+
+
 #: The sidecar's tables of notes on flows, each with the kind of flow its
 #: entries name: a pattern or scenario, or (``provide_only``) a pattern.
 _NOTES = {"annotations": "flow", "interpretations": "flow", "provide_only": "pattern"}
@@ -319,10 +335,13 @@ def load_with_diagnostics(
         path = str(sidecar)
         try:
             text = sidecar.read_text(encoding="utf-8")
-            data = json.loads(text)
+            if _nests_over(data := json.loads(text), _NESTING):
+                raise RecursionError  # over the bound: refused as if too deep for the stack
         except (OSError, ValueError, RecursionError) as exc:  # not UTF-8, JSON, or too deep
             at = Span(exc.lineno, exc.colno) if isinstance(exc, json.JSONDecodeError) else None
-            err("E-SYNTAX", f"cannot read sidecar: {exc}", path, at)
+            deep = isinstance(exc, RecursionError)
+            err("E-SYNTAX", f"cannot read sidecar: {_TOO_DEEP if deep else exc}", path,
+                _too_deep(text) if deep else at)
             continue
         keys = placers[path] = functools.cache(functools.partial(_keys, text))  # at a finding
         shape = _sidecar_shape(data)

@@ -56,7 +56,6 @@ from .core import (
     OP_ARITY,
     TAGS,
     ActionDef,
-    Binding,
     Diagnostic,
     GroupType,
     ListType,
@@ -67,6 +66,7 @@ from .core import (
     PrimitiveKind,
     Span,
     TypeExpr,
+    intersect,
     type_compatible,
 )
 
@@ -383,13 +383,15 @@ def check_flow(
 
     # Binding consistency: a variable shared between messages must keep a
     # compatible type everywhere it appears; each use narrows it.
-    binding = Binding()
+    types: dict[str, TypeExpr] = {}
     introduced: set[str] = set()
     needed = []
     for step in steps:
         for var, declared in step.slots:
-            before = binding.types.get(var)
-            if binding.narrow(var, declared) is None:
+            before = types.get(var)
+            common = declared if before is None else intersect(before, declared)
+            types[var] = common or before  # kept unchanged where it does not narrow
+            if common is None:
                 diags.append(
                     _err(
                         "E-BINDING",
@@ -397,29 +399,24 @@ def check_flow(
                         f"{step.message.name!r} uses it as {declared}",
                     )
                 )
-        unbound = {var for variables, _ in step.carried for var in variables} - introduced
-        fresh = [var for var in dict(step.slots) if var in unbound]  # carried first here
-        introduced.update(fresh)
-        pairs = tuple([(var, binding.types[var]) for var in fresh])  # often equal to slots
-        needed.append(step.slots if pairs == step.slots else share(pairs, pairs))
+        on_table, pairs = {var for variables, _ in step.carried for var in variables}, []
+        for var, _ in step.slots:  # each carried first here, at its type so far
+            if var in on_table and var not in introduced:
+                introduced.add(var)
+                pairs.append((var, types[var]))
+        needed.append(step.slots if (pairs := tuple(pairs)) == step.slots else share(pairs, pairs))
 
     # Dialogue coherence.
     open_obligations: list[_Obligation] = []
     for step in steps:
         message, action = step.message, step.action
         carried = _carried_types(step) if open_obligations else ()  # only to answer one
-        discharged_any = False
-        remaining: list[_Obligation] = []
-        for ob in open_obligations:
-            answers = (
-                ob.requester == message.receiver
-                and ob.requestee == message.sender
-                and any(type_compatible(t, ob.head) for t in carried)
-            )
-            if answers:
-                discharged_any = True
-            else:
-                remaining.append(ob)
+        remaining = [
+            ob for ob in open_obligations
+            if not (ob.requester == message.receiver and ob.requestee == message.sender
+                    and any(type_compatible(t, ob.head) for t in carried))
+        ]
+        discharged_any = len(remaining) < len(open_obligations)
         open_obligations = remaining
         if action.primitive.kind is PrimitiveKind.REQUEST:
             open_obligations.append(

@@ -68,6 +68,18 @@ TAGS: frozenset[str] = frozenset({"xai", "hitl", "hi", "control", "query"})
 #: Agent roles that are always available without declaration.
 PREDECLARED_ROLES: frozenset[str] = frozenset({"user", "model"})
 
+#: How deep a value read from a file may nest: far below any stack's limit, it reads alike.
+_NESTING = 64
+_TOO_DEEP = f"values nest more than {_NESTING} deep"
+
+
+def _nests_over(value: object, levels: int) -> bool:
+    """Whether ``value``'s lists and objects nest over ``levels`` deep, a level at a time."""
+    row = [value]
+    while levels >= 0 and (row := [x for x in row if type(x) in (list, dict)]):
+        row, levels = [v for x in row for v in (x.values() if type(x) is dict else x)], levels - 1
+    return levels < 0
+
 
 def _kept_hash(typ: TypeExpr) -> int:
     """A type's hash, kept from first use: the CRC-32 of its printed form, so

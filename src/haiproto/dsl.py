@@ -9,10 +9,10 @@ A ``.hai`` file is a sequence of declarations, each ended by ``;``::
     pattern sample-annotation := [A5, A6] @ hitl;
 
 The lexer is one compiled regex, run by ``findall``: tokens are two lists,
-each token's source text, which is also its kind, and its end offset.  The
-parser walks them by index.  A :class:`~haiproto.core.Span` (line, column,
-length) is built from a table of line starts only where one is stored or
-reported: declaration spans, rule findings and diagnostics.
+each token's text, which is also its kind, and its end offset.  The parser
+reads each declaration in one walk over them by index, each type through the
+one reader :func:`parse_type` shares; a :class:`~haiproto.core.Span` is built
+from line starts only for declarations, rule findings and diagnostics.
 
 ``//`` starts a comment running to end of line.  Comments are preserved:
 full-line comments attach to the following declaration, and so do comments
@@ -32,8 +32,7 @@ from __future__ import annotations
 import re
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
-from itertools import accumulate, compress, repeat
-from typing import Callable, TypeVar
+from itertools import accumulate, repeat
 
 from .check import arity_rule, name_rule, pattern_rule, placed, variable_rule
 from .core import (
@@ -68,8 +67,11 @@ _NAME = re.compile(r"[^\W\d_]\w*(?:-\w+)*")
 # A string on one line, in which a backslash before ``"`` or ``\`` always
 # escapes it, so no match backtracks.
 _STRING = re.compile(r'"(?:[^"\\\n]|\\["\\]|\\(?!["\\]))*"')
-# A token: a punctuation mark or a pair, first as the commonest; a name; a string; a comment.
-_ONE = re.compile(rf"[()\[\],;.|@=]|:=?|->|<-|{_NAME.pattern}|{_STRING.pattern}|//[^\n]*")
+# A token: a punctuation mark or a pair, first as the commonest; a name, its
+# ASCII start tried first as the commonest and cheapest; a string; a comment.
+_ONE = re.compile(
+    rf"[()\[\],;.|@=]|:=?|->|<-|[A-Za-z]\w*(?:-\w+)*|{_NAME.pattern}|{_STRING.pattern}|//[^\n]*"
+)
 # One match per token, with the whitespace before it.  At a character that
 # starts no token, the ``"`` of an unterminated string among them, the last
 # match takes the rest of the text, so the matches tile it.
@@ -140,14 +142,14 @@ def tokenize(text: str) -> tuple[list[str], list[int], list[Comment]]:
             notes.append(i)
         at = text.find("//", ends[i])
     comments = [(ends[i] - len(values[i]), ends[i], values[i][2:].strip()) for i in notes]
-    if notes:
-        keep = [True] * len(values)
-        for i in notes:
-            keep[i] = False
-        values, ends = list(compress(values, keep)), list(compress(ends, keep))
     values.append("")
     ends.append(len(text))
-    return values, ends, comments
+    kept_values, kept_ends, start = [], [], 0  # the runs of tokens between comments, and EOF
+    for i in [*notes, len(values)]:
+        kept_values += values[start:i]
+        kept_ends += ends[start:i]
+        start = i + 1
+    return kept_values, kept_ends, comments
 
 
 def _text(token: str) -> str:
@@ -190,15 +192,13 @@ class ParseResult:
     diagnostics: tuple[Diagnostic, ...]
 
 
-T = TypeVar("T")
-
-
 class _ParseAbort(Exception):
     """Internal: unwinds to the recovery point after a syntax error."""
 
 
 class _Parser:
-    """Walks :func:`tokenize`'s lists by index: ``self.pos`` is the next token."""
+    """Walks :func:`tokenize`'s lists by index, one walk per declaration from
+    ``self.pos``, the next token; no check moves past EOF, which fits none."""
 
     def __init__(self, text: str, tokens: tuple[list[str], list[int], list[Comment]], path: str):
         self.text = text
@@ -216,13 +216,26 @@ class _Parser:
         return _span(self.line_starts, end - len(self.values[i]), end)
 
     def fail(self, message: str, i: int) -> None:
+        """Report ``message`` at token ``i``, and unwind: recovery starts there."""
         self.diagnostics.append(Diagnostic("error", "E-SYNTAX", message, self.path, self.span(i)))
+        self.pos = i
         raise _ParseAbort()
 
-    def fail_expected(self, what: str) -> None:
-        token = self.values[self.pos]
+    def fail_expected(self, what: str, i: int) -> None:
+        token = self.values[i]
         got = _text(token) if token else "end of file"
-        self.fail(f"expected {what}, got {got!r}", self.pos)
+        self.fail(f"expected {what}, got {got!r}", i)
+
+    def fail_name(self, what: str, i: int, members: dict | None = None) -> None:
+        """Fail at token ``i``, which is not ``what``: no name, or a name that
+        is no member of ``members``, or, with none, no variable."""
+        token = self.values[i]
+        if not token[:1].isalpha():
+            self.fail_expected(what, i)
+        if members is None:
+            self.fail(f"variable names start with an uppercase letter, got {token!r}", i)
+        *first, last = map(repr, members)
+        self.fail(f"expected {', '.join(first)} or {last}, got {token!r}", i)
 
     def report(self, found: list[Diagnostic | None], i: int) -> None:
         """Keep a rule's findings, placed at token ``i`` (a span is built only
@@ -230,59 +243,25 @@ class _Parser:
         if any(found):
             self.diagnostics.extend(placed(filter(None, found), self.path, self.span(i)))
 
-    # The parser's hottest calls: each reads the next token, and moves past
-    # it if it fits.  No caller asks for EOF, so none moves past it.
-    def expect(self, symbol: str, what: str) -> None:
-        if self.values[self.pos] != symbol:
-            self.fail_expected(what)
-        self.pos += 1
+    def expect(self, i: int, *expected: str) -> int:
+        """The index past the tokens from ``i``, each the mark ``expected``
+        holds for it, or, where that is words ("sender role"), a name."""
+        values = self.values
+        for what in expected:
+            if values[i] != what and not (what[0].isalpha() and values[i][:1].isalpha()):
+                self.fail_expected(what if what[0].isalpha() else f"'{what}'", i)
+            i += 1
+        return i
 
-    def match(self, symbol: str) -> bool:
-        if self.values[self.pos] != symbol:
-            return False
-        self.pos += 1
-        return True
-
-    def name(self, what: str) -> str:
-        token = self.values[self.pos]
-        if not token[:1].isalpha():
-            self.fail_expected(what)
-        self.pos += 1
-        return token
-
-    def names(self, what: str, separator: str | None = ",", upper: bool = False) -> list[str]:
-        """One name or more, ``separator`` between each two (one name if it is
-        ``None``); with ``upper``, each is a variable: it starts uppercase."""
-        values, i = self.values, self.pos
-        found = []
-        while True:
-            token = values[i]
-            if not token[:1].isalpha():
-                self.pos = i
-                self.fail_expected(what)
-            if upper and not token[0].isupper():
-                self.fail(f"variable names start with an uppercase letter, got {token!r}", i)
-            found.append(token)
+    def names(self, i: int, what: str, separator: str | None = ",", upper: bool = False) -> int:
+        """The index past one name or more from token ``i``, ``separator`` between
+        each two, which are ``values[i:end:2]``; with ``upper``, each is a variable."""
+        values, fits = self.values, str.isupper if upper else str.isalpha
+        while fits(values[i][:1]):
             if values[i + 1] != separator:
-                self.pos = i + 1
-                return found
+                return i + 1
             i += 2
-
-    def one_of(self, members: dict[str, T], what: str) -> T:
-        """The member of ``members`` that the next token, a name, names."""
-        member = members.get(self.name(what))
-        if member is None:
-            *first, last = map(repr, members)
-            got = self.values[self.pos - 1]
-            self.fail(f"expected {', '.join(first)} or {last}, got {got!r}", self.pos - 1)
-        return member
-
-    def separated(self, item: Callable[[], T], separator: str = ",") -> list[T]:
-        """Parse ``item``, then parse it again after each ``separator``."""
-        items = [item()]
-        while self.match(separator):
-            items.append(item())
-        return items
+        self.fail_name(what, i)
 
     # -- comments -----------------------------------------------------------
 
@@ -297,171 +276,172 @@ class _Parser:
     # -- grammar ------------------------------------------------------------
 
     def parse_file(self) -> tuple[SourceFile | None, list[Diagnostic]]:
+        """Each declaration: a keyword, its body, and the closing ``;``.  Comments
+        before the ``;``, ahead of the keyword or inside the body, lead it."""
         decls: list[Decl] = []
         names: set[str] = set()
-        last = len(self.values) - 1  # EOF
+        values, comments, text, last = self.values, self.comments, self.text, len(self.values) - 1
+        what = "'role', 'action', 'message' or 'pattern'"
         while self.pos < last:
+            keyword = self.pos
             try:
-                decl = self.parse_decl()
+                body = _DECLS.get(values[keyword]) or self.fail_name(what, keyword, _DECLS)
+                self.pos += 1
+                node = body(self)
+                if values[self.pos] != ";":
+                    self.expect(self.pos, ";")
             except _ParseAbort:  # fail() has reported it; skip past the next ';'
                 try:
-                    self.pos = self.values.index(";", self.pos) + 1
+                    self.pos = values.index(";", self.pos) + 1
                 except ValueError:
                     self.pos = last
                 continue
-            if not isinstance(decl.node, str):  # roles are their own namespace
-                if decl.name in names:
-                    found = [name_rule(decl.name, self.path)]
+            end = self.ends[self.pos]  # of the ';'
+            self.pos += 1
+            newline = text.find("\n", end) % (len(text) + 1)  # -1: the end; one before trails
+            leading, trailing = (), ()
+            if self.comment_pos < len(comments) and comments[self.comment_pos][0] < newline:
+                leading, trailing = self.take_comments(end), self.take_comments(newline)
+            decl = Decl(node, leading, trailing[0] if trailing else None, self.span(keyword))
+            if not isinstance(node, str):  # roles are their own namespace
+                if node.name in names:
+                    found = [name_rule(node.name, self.path)]
                     self.diagnostics.extend(placed(found, self.path, decl.span))
-                names.add(decl.name)
+                names.add(node.name)
             decls.append(decl)
         if any(d.severity == "error" for d in self.diagnostics):
             return None, self.diagnostics
-        trailing = self.take_comments(len(self.text))
+        trailing = self.take_comments(len(text))
         return SourceFile(tuple(decls), trailing, self.path), self.diagnostics
-
-    def parse_decl(self) -> Decl:
-        """A keyword, the declaration's body, and the closing ``;``.  Comments
-        before the ``;``, ahead of the keyword or inside the body, lead it."""
-        keyword = self.pos
-        node = self.one_of(_DECLS, "'role', 'action', 'message' or 'pattern'")(self)
-        self.expect(";", "';'")
-        leading = self.take_comments(self.ends[self.pos - 1])
-        newline = self.text.find("\n", self.ends[self.pos - 1])  # a comment before it trails
-        trailing = self.take_comments(len(self.text) if newline < 0 else newline)
-        return Decl(node, leading, trailing[0] if trailing else None, self.span(keyword))
 
     # role NAME
     def parse_role(self) -> str:
-        return self.name("role name")
+        self.pos = self.expect(self.pos, "role name")
+        return self.values[self.pos - 1]
 
-    # action NAME(P, Q) := provide(...) <- op(...), op(...)
+    # action NAME(P, Q) := provide(X: t, [Y: u, Z: [v]]) <- op(X, Y), op(Z)
     def parse_action(self) -> ActionDef:
-        at = self.pos
-        name = self.name("action name")
-        self.expect("(", "'('")
-        params: list[str] = []
-        if self.values[self.pos] != ")":
-            params = self.names("parameter name", upper=True)
-        self.expect(")", "')'")
-        self.expect(":=", "':='")
-        kind = self.one_of(_PRIMITIVES, "'provide' or 'request'")
-        self.expect("(", "'('")
-        args = self.separated(self.parse_arg)
-        self.expect(")", "')'")
-        operations: list[tuple[int, Operation]] = []
-        if self.match("<-"):
-            operations = self.separated(lambda: (self.pos, self.parse_operation()))
-        action = ActionDef(
-            name=name,
-            params=tuple(params),
-            primitive=PrimitiveSpec(kind, args[0], tuple(args[1:])),
-            operations=tuple(op for _, op in operations),
-        )
+        values, at = self.values, self.pos
+        if not (values[at][:1].isalpha() and values[at + 1] == "("):
+            self.expect(at, "action name", "(")
+        i = at + 2
+        if values[i] != ")":
+            i = self.names(i, "parameter name", upper=True)
+        params = tuple(values[at + 2 : i : 2])
+        if not (values[i] == ")" and values[i + 1] == ":="):
+            self.expect(i, ")", ":=")
+        kind = _PRIMITIVES.get(values[i + 2]) or self.fail_name(_PROVIDE, i + 2, _PRIMITIVES)
+        args: list[Arg] = []
+        i = i + 3 if values[i + 3] == "(" else self.expect(i + 3, "(")  # which fails
+        while values[i] == ("," if args else "("):  # each argument: a group [X: t, Y: u], or X: t
+            var = values[i := i + 1]
+            if var == "[" and values[i + 1][:1].isalpha() and values[i + 2] == ":":
+                var, (typ, i) = None, self.parse_group(i)
+            else:
+                if not (var[:1].isupper() and values[i + 1] == ":"):
+                    self.expect(self.names(i, "variable name", None, True), ":")
+                typ, i = self.parse_type_at(i + 2)
+            args.append(Arg(var, typ))
+        if values[i] != ")":
+            self.expect(i, ")")
+        starts, operations = [], []
+        while values[i + 1] == ("," if starts else "<-"):  # each operation: op(X, Y)
+            i += 2
+            op = _OPERATIONS.get(values[i]) or self.fail_name("operation name", i, _OPERATIONS)
+            if values[i + 1] != "(":
+                self.expect(i + 1, "(")
+            end = self.names(i + 2, "variable name")
+            if values[end] != ")":
+                self.expect(end, ")")
+            starts.append(i)
+            operations.append(Operation(op, tuple(values[i + 2 : end : 2])))
+            i = end
+        self.pos = i + 1
+        primitive = PrimitiveSpec(kind, args[0], tuple(args[1:]))
+        action = ActionDef(values[at], params, primitive, tuple(operations))
         self.report(variable_rule(action), at)
-        for i, op in operations:
+        for i, op in zip(starts, operations):
             self.report([arity_rule(op, action)], i)
         return action
 
-    def parse_arg(self) -> Arg:
-        if self._bracket_is_group():
-            return Arg(None, self.parse_group())
-        return Arg(*self.parse_typed_var())
-
-    def _bracket_is_group(self) -> bool:
-        """Disambiguate a group ``[X: t, ...]`` from a list type ``[base]``.
-
-        At an argument position a ``[`` always opens a group (list-typed
-        arguments are written ``V: [base]``), so this only confirms shape.
-        No token after ``[`` or a name is past EOF.
-        """
-        values, i = self.values, self.pos
-        return values[i] == "[" and values[i + 1][:1].isalpha() and values[i + 2] == ":"
-
-    def parse_group(self) -> GroupType:
-        at = self.pos
-        self.expect("[", "'['")
-        members = self.separated(self.parse_typed_var)
-        self.expect("]", "']'")
+    def parse_group(self, i: int) -> tuple[GroupType, int]:
+        """The group ``[X: t, Y: u]`` at token ``i``, its shape checked, and the index past it."""
+        values, at, members = self.values, i, []
+        while values[i] == ("," if members else "["):  # each member: X: t
+            var = values[i + 1]
+            if not (var[:1].isupper() and values[i + 2] == ":"):
+                self.expect(self.names(i + 1, "variable name", None, True), ":")
+            typ, i = self.parse_type_at(i + 3)
+            members.append((var, typ))
+        i = self.expect(i, "]")
         if len(members) < 2:
             self.fail("a group needs at least two members", at)
-        return interned(GroupType, tuple(members))
+        return interned(GroupType, tuple(members)), i
 
-    def parse_typed_var(self) -> tuple[str, BaseType | ListType]:
-        [var] = self.names("variable name", None, upper=True)
-        self.expect(":", "':'")
-        return var, self.parse_nongroup_type()
-
-    def parse_nongroup_type(self) -> BaseType | ListType:
-        if self.match("["):
-            element = self.parse_base_type()
-            self.expect("]", "']'")
-            return interned(ListType, element)
-        return self.parse_base_type()
-
-    def parse_base_type(self) -> BaseType:
-        at = self.pos
-        role = self.one_of(_ROLES, "a role ('input', 'output' or 'feedback')")
+    def parse_type_at(self, i: int) -> tuple[BaseType | ListType, int]:
+        """The type ``role.sub|sub`` or ``[role.sub|sub]`` at token ``i``, and the index
+        past it: the one type reader, of arguments, group members and :func:`parse_type`."""
+        values = self.values
+        listed = values[i] == "["
+        at = i + listed
+        role = _ROLES.get(values[at]) or self.fail_name(_ROLE, at, _ROLES)
+        i = at + 1
         subtypes: tuple[str, ...] = ()
-        if self.match("."):
-            subtypes = tuple(self.names("subtype name", "|"))
-            if len(set(subtypes)) < len(subtypes):
-                index = next(i for i, sub in enumerate(subtypes) if sub in subtypes[:i])
+        if values[i] == ".":
+            i = self.names(i + 1, "subtype name", "|")
+            subtypes = tuple(values[at + 2 : i : 2])
+            if len(subtypes) > 1 and len(set(subtypes)) < len(subtypes):
+                index = next(n for n, sub in enumerate(subtypes) if sub in subtypes[:n])
                 self.fail(f"duplicate subtype {subtypes[index]!r}", at + 2 + 2 * index)
-        return interned(BaseType, role, subtypes)
+        typ = interned(BaseType, role, subtypes)
+        if listed and values[i] != "]":
+            self.expect(i, "]")
+        return (interned(ListType, typ), i + 1) if listed else (typ, i)
 
-    def parse_operation(self) -> Operation:
-        kind = self.one_of(_OPERATIONS, "operation name")
-        self.expect("(", "'('")
-        args = self.names("variable name")
-        self.expect(")", "')'")
-        return Operation(kind, tuple(args))
-
-    # message NAME := sender -> receiver : action(A, B) [mods]
+    # message NAME := sender -> receiver : action(A, B) [K: v; K="s"]
     def parse_message(self) -> Message:
-        name = self.name("message name")
-        self.expect(":=", "':='")
-        sender = self.name("sender role")
-        self.expect("->", "'->'")
-        receiver = self.name("receiver role")
-        self.expect(":", "':'")
-        action = self.name("action name")
-        self.expect("(", "'('")
-        args: list[str] = []
-        if self.values[self.pos] != ")":
-            args = self.names("argument variable", upper=True)
-        self.expect(")", "')'")
-        modifiers: list[Modifier] = []
-        if self.match("["):
-            modifiers = self.separated(self.parse_modifier, ";")
-            self.expect("]", "']'")
-        return Message(name, sender, receiver, action, tuple(args), tuple(modifiers))
-
-    def parse_modifier(self) -> Modifier:
-        key = self.name("modifier key")
-        if self.match(":"):
-            return Modifier(key, self.name("modifier value"), "var")
-        self.expect("=", "':' or '='")
-        value = self.values[self.pos]
-        if value[:1] != '"':
-            self.fail_expected("a string value")
-        self.pos += 1
-        return Modifier(key, _text(value), "kv")
+        values, at = self.values, self.pos
+        if values[at + 1 : at + 8 : 2] != [":=", "->", ":", "("] or not (  # marks, then names
+            values[at][:1] + values[at + 2][:1] + values[at + 4][:1] + values[at + 6][:1]
+        ).isalpha():
+            self.expect(at, "message name", ":=", "sender role", "->", "receiver role", ":",
+                        "action name", "(")
+        i = at + 8
+        if values[i] != ")":
+            i = self.names(i, "argument variable", upper=True)
+        args = tuple(values[at + 8 : i : 2])
+        if values[i] != ")":
+            self.expect(i, ")")
+        modifiers = []
+        while values[i + 1] == (";" if modifiers else "["):  # each modifier: K: v, or K="s"
+            key, i = values[i + 2], i + 3  # at its ':' or '='
+            if not key[:1].isalpha():
+                self.fail_expected("modifier key", i - 1)
+            if values[i] == ":" and values[i + 1][:1].isalpha():
+                modifiers.append(Modifier(key, values[i + 1], "var"))
+            elif values[i] == "=" and values[i + 1][:1] == '"':
+                modifiers.append(Modifier(key, _text(values[i + 1]), "kv"))
+            else:
+                what = {":": "modifier value", "=": "a string value"}.get(values[i])
+                self.fail_expected(what or "':' or '='", i + 1 if what else i)
+            i += 1
+        self.pos = self.expect(i + 1, "]") if modifiers else i + 1
+        return Message(values[at], values[at + 2], values[at + 4], values[at + 6], args,
+                       tuple(modifiers))
 
     # pattern NAME := [M1, M2] @ tag1, tag2
     def parse_pattern(self) -> Pattern:
-        at = self.pos
-        name = self.name("pattern name")
-        self.expect(":=", "':='")
-        self.expect("[", "'['")
-        messages: list[str] = []
-        if self.values[self.pos] != "]":
-            messages = self.names("message name")
-        self.expect("]", "']'")
-        tags: list[str] = []
-        if self.match("@"):
-            tags = self.names("tag name")
-        pattern = Pattern(name, tuple(messages), frozenset(tags))
+        values, at = self.values, self.pos
+        if not (values[at][:1].isalpha() and values[at + 1] == ":=" and values[at + 2] == "["):
+            self.expect(at, "pattern name", ":=", "[")
+        i = at + 3
+        if values[i] != "]":
+            i = self.names(i, "message name")
+        messages = tuple(values[at + 3 : i : 2])
+        self.pos = i = self.expect(i, "]")
+        if values[i] == "@":
+            self.pos = self.names(i + 1, "tag name")
+        pattern = Pattern(values[at], messages, frozenset(values[i + 1 : self.pos : 2]))
         self.report(pattern_rule(pattern), at)
         return pattern
 
@@ -470,6 +450,7 @@ class _Parser:
 _DECLS = {word: getattr(_Parser, f"parse_{word}")
           for word in ("role", "action", "message", "pattern")}
 _ROLES, _PRIMITIVES, _OPERATIONS = ({m.value: m for m in e} for e in (Role, PrimitiveKind, OpKind))
+_ROLE, _PROVIDE = "a role ('input', 'output' or 'feedback')", "'provide' or 'request'"
 
 
 def parse(text: str, path: str = "<input>") -> ParseResult:
@@ -497,13 +478,12 @@ def parse_type(text: str) -> TypeExpr:
     """
     try:
         parser = _Parser(text, tokenize(text), "<type>")
-        if parser._bracket_is_group():
-            typ: TypeExpr = parser.parse_group()
-        else:
-            typ = parser.parse_nongroup_type()
+        values = parser.values
+        group = values[0] == "[" and values[1][:1].isalpha() and values[2] == ":"
+        typ, end = (parser.parse_group if group else parser.parse_type_at)(0)
     except (LexError, _ParseAbort):
         raise ValueError(f"malformed type expression {text!r}") from None
-    if parser.comments or parser.values[parser.pos]:
+    if parser.comments or values[end]:
         raise ValueError(f"trailing input in type expression {text!r}")
     return typ
 

@@ -48,6 +48,9 @@ from .core import (
     Span,
     TypeExpr,
     Vector,
+    _NESTING,
+    _TOO_DEEP,
+    _nests_over,
     _value_from_json,
     _value_json,
     intersect,
@@ -196,19 +199,6 @@ def _key_column(line: str, key: str) -> int:
         _, end = _decode_at(line, _space(line, _space(line, end).end() + 1).end())  # past ":"
         at = _space(line, end).end()
     return column
-
-
-#: How deep a line may nest, far below any stack's limit: it reads alike at any depth.
-_NESTING = 64
-_TOO_DEEP = f"values nest more than {_NESTING} deep"
-
-
-def _nests_over(value: object, levels: int) -> bool:
-    """Whether ``value``'s lists and objects nest over ``levels`` deep, a level at a time."""
-    row = [value]
-    while levels >= 0 and (row := [x for x in row if type(x) in (list, dict)]):
-        row, levels = [v for x in row for v in (x.values() if type(x) is dict else x)], levels - 1
-    return levels < 0
 
 
 def _entry(lineno: int, line: str) -> dict:

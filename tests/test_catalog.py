@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import threading
 from json.decoder import scanstring
 from pathlib import Path
 
@@ -27,6 +28,7 @@ from haiproto import (
     query,
 )
 from haiproto.cli import main
+from haiproto.core import Span
 
 
 def _write(path: Path, text: str) -> Path:
@@ -232,10 +234,57 @@ def test_a_sidecar_that_is_not_json_is_placed_where_reading_stopped(tmp_path):
     _write(sidecar, '{"scenarios": {},\n  "provide_only": ["D1" "D2"]}')
     (diag,) = load_with_diagnostics([root])[1]
     assert (diag.span.line, diag.span.col) == (2, 25)  # at "D2", where a comma was due
-    for text in (b'{"scenarios": {"\xff": []}}', b"[" * 100000 + b"]" * 100000):
-        sidecar.write_bytes(text)  # not UTF-8, or nested too deeply: no place
-        (diag,) = load_with_diagnostics([root])[1]
-        assert (diag.code, diag.span) == ("E-SYNTAX", None)
+    sidecar.write_bytes(b'{"scenarios": {"\xff": []}}')  # not UTF-8: no place
+    (diag,) = load_with_diagnostics([root])[1]
+    assert (diag.code, diag.span) == ("E-SYNTAX", None)
+    sidecar.write_bytes(b"[" * 100000 + b"]" * 100000)  # too deep: at the 65th bracket
+    (diag,) = load_with_diagnostics([root])[1]
+    assert (diag.code, diag.message, diag.span) == (
+        "E-SYNTAX", "cannot read sidecar: values nest more than 64 deep", Span(1, 65)
+    )
+
+
+def _beneath(frames: int, call):
+    return call() if frames == 0 else _beneath(frames - 1, call)
+
+
+def test_a_deeply_nested_sidecar_is_one_finding_at_any_stack_depth(tmp_path):
+    """The packaged sidecar with a key whose list makes it nest 64, 65, 985 or
+    2000 deep: from a fresh thread's stack and from 20 to 300 frames deeper,
+    64 loads, and the rest are refused alike, at the bracket opening level 65."""
+    root = _packaged_corpus_with(tmp_path, {})
+    packaged = (FIXTURES / "catalog.json").read_text()
+    head = '{\n  "deep": '
+    sidecars = {}
+    for depth in (64, 65, 985, 2000):
+        sidecars[depth] = tmp_path / f"deep{depth}" / "catalog.json"
+        sidecars[depth].parent.mkdir()
+        lists = "[" * (depth - 1) + "]" * (depth - 1)  # under the sidecar's own object
+        _write(sidecars[depth], head + lists + "," + packaged.lstrip()[1:])
+    found = {}
+
+    def load_each():
+        for frames in (0, 20, 100, 300):
+            for depth, sidecar in sidecars.items():
+                try:
+                    found[frames, depth] = _beneath(
+                        frames, lambda: load_with_diagnostics([root, sidecar])[1]
+                    )
+                except RecursionError as exc:
+                    found[frames, depth] = exc
+
+    thread = threading.Thread(target=load_each)
+    thread.start()
+    thread.join(timeout=600)
+    assert not thread.is_alive()
+    assert all(found[frames, 64] == () for frames in (0, 20, 100, 300))
+    message = "cannot read sidecar: values nest more than 64 deep"
+    bracket = Span(2, len('  "deep": ') + 64)  # the list opening level 65
+    assert len(found) == 16 and all(
+        [(d.code, d.message, d.path, d.span) for d in found[key]]
+        == [("E-SYNTAX", message, str(sidecars[key[1]]), bracket)]
+        for key in found if key[1] > 64
+    ), {key: each for key, each in found.items() if type(each) is not tuple}
 
 
 def test_a_repeated_sidecar_item_is_placed_at_each_of_its_items(tmp_path):
@@ -373,7 +422,8 @@ def test_a_scenario_key_is_found_where_the_sidecar_text_has_it(names, indent, as
         at = _offset(text, span)
         key, end = scanstring(text, at + 1)
         assert (text[at], key, end - at) == ('"', name, span.length)
-        assert f"{json.dumps(name, ensure_ascii=ascii_only)}: [" not in text[end:]
+        # no later key of that name: each later key follows ", " (not inside another key)
+        assert f", {json.dumps(name, ensure_ascii=ascii_only)}: [" not in text[end:]
 
 
 def test_a_scenario_key_is_looked_for_only_to_place_a_finding(tmp_path, monkeypatch):

@@ -91,7 +91,7 @@ def test_check_reports_unreadable_files_without_a_traceback(runner, tmp_path):
     (tmp_path / "catalog.json").write_text("[" * 100000 + "]" * 100000)
     result = runner.invoke(main, ["check", str(tmp_path)])
     assert result.exit_code == 1, result.output
-    assert "error[E-SYNTAX]: cannot read sidecar: maximum recursion" in result.output
+    assert ":1:65: error[E-SYNTAX]: cannot read sidecar: values nest more than 64 deep" in result.output
     (tmp_path / "catalog.json").unlink()
     (tmp_path / "bad.hai").write_bytes(b"role x;\n\xff\n")
     for args in (["check", str(tmp_path)], ["fmt", "--check", str(tmp_path)]):
@@ -342,7 +342,7 @@ def test_run_with_deeply_nested_agents_file(runner, tmp_path):
     agents.write_text("[user scripted]\nA.X = " + "[" * 3000 + "]" * 3000 + "\n")
     result = runner.invoke(main, ["run", "D1", "--agents", str(agents)])
     assert result.exit_code == 2, result.output
-    assert f"{agents}:2: literal nested too deeply" in result.output
+    assert f"{agents}:2: values nest more than 64 deep" in result.output
     assert "Traceback" not in result.output
 
 
@@ -642,6 +642,8 @@ def test_the_workflow_command_line_steps_pass_in_a_shell(tmp_path):
         "A label that is no name or string in an .agents file is refused at its line (exit 2)",
         "Names the .hai lexer reads run and replay from an .agents file",
         "A run id nested 992 deep is refused at its header line, with no recursion error "
+        "(exit 1)",
+        "A sidecar key nested 992 deep is refused at its bracket, with no recursion error "
         "(exit 1)",
         "A one-run trace replays with a number respelled, not with a value changed (exit 1)",
     ]

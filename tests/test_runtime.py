@@ -7,6 +7,7 @@ import gc
 import json
 import math
 import random
+import threading
 import tracemalloc
 from types import MappingProxyType
 
@@ -418,7 +419,7 @@ def test_parse_agents_reports_a_number_out_of_range_at_its_line(line, number):
 def test_parse_agents_rejects_deep_nesting(line):
     deep = "[" * 3000 + "]" * 3000
     section = "[model stub]" if line.split()[0] != "A.X" else "[user scripted]"
-    with pytest.raises(ValueError, match=r"^deep\.agents:3: literal nested too deeply$"):
+    with pytest.raises(ValueError, match=r"^deep\.agents:3: values nest more than 64 deep$"):
         parse_agents(f"{section}\n\n{line.format(deep)}\n", "deep.agents")
     shallow = f"{section}\n\n{line.format('[[1], []]')}\n"
     if line.split()[0] in ("labels", "example"):  # a list is no label, but not too deep
@@ -426,6 +427,41 @@ def test_parse_agents_rejects_deep_nesting(line):
             parse_agents(shallow)
     else:
         assert parse_agents(shallow)  # not too deep
+
+
+def _beneath(frames: int, call):
+    return call() if frames == 0 else _beneath(frames - 1, call)
+
+
+def test_a_deeply_nested_agents_literal_is_one_finding_at_any_stack_depth():
+    """A scripted value nested 64, 65, 985 or 2000 deep: from a fresh thread's
+    stack and from 20 to 300 frames deeper, 64 reads as that many tuples, and
+    the rest are refused alike, at the value's line."""
+    texts = {
+        depth: f'[user scripted]\nA2.Y = {"[" * depth}"x"{"]" * depth}\n'
+        for depth in (64, 65, 985, 2000)
+    }
+    found = {}
+
+    def parse_each():
+        for frames in (0, 20, 100, 300):
+            for depth, text in texts.items():
+                try:
+                    found[frames, depth] = _beneath(frames, lambda: parse_agents(text, "d.agents"))
+                except (ValueError, RecursionError) as exc:
+                    found[frames, depth] = repr(exc)
+
+    thread = threading.Thread(target=parse_each)
+    thread.start()
+    thread.join(timeout=600)
+    assert not thread.is_alive()
+    value: object = "x"
+    for _ in range(64):
+        value = (value,)
+    refused = repr(ValueError("d.agents:2: values nest more than 64 deep"))
+    assert len(found) == 16
+    assert all(found[frames, 64]["user"].script == {"A2.Y": [value]} for frames in (0, 20, 100, 300))
+    assert all(found[key] == refused for key in found if key[1] > 64), found
 
 
 AGENTS_TEXTS = [path.read_text() for path in sorted(AGENTS_DIR.glob("*.agents"))]
